@@ -9,14 +9,13 @@ torus bundle: one degree-2 element per standard character.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .charpair import CheckResult, ValidationReport
 from .errors import DegreeMismatchError, MalformedInputError
-from .exact import as_scalar, scalar_str
+from .exact import as_int, as_scalar, scalar_str
 from .poly import MultiPoly
 
 Element = dict[int, Fraction]
@@ -410,7 +409,7 @@ def to_json(alg: GradedBaseAlgebra) -> dict:
 def from_json(data: dict) -> GradedBaseAlgebra:
     try:
         names = [str(b["name"]) for b in data["basis"]]
-        degrees = [int(b["deg"]) for b in data["basis"]]
+        degrees = [as_int(b["deg"]) for b in data["basis"]]
         products = {}
         for key, entries in data.get("products", {}).items():
             i, j = (int(p) for p in key.split(","))
@@ -436,21 +435,15 @@ def chern_to_json(base: GradedBaseAlgebra, chern: ChernData) -> dict:
 
 
 def chern_from_json(base: GradedBaseAlgebra, data: dict) -> ChernData:
+    deg2 = base.indices_of_degree(2)
     try:
-        n = int(data["n"])
-        rows = data["images"]
+        n = as_int(data["n"])
+        images = []
+        for row in data["images"]:
+            if len(row) != len(deg2):
+                raise MalformedInputError(
+                    "chern image length does not match the degree-2 basis")
+            images.append({idx: as_scalar(v) for idx, v in zip(deg2, row)})
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad chern object: {exc}") from exc
-    deg2 = base.indices_of_degree(2)
-    images = []
-    for row in rows:
-        if len(row) != len(deg2):
-            raise MalformedInputError(
-                "chern image length does not match the degree-2 basis")
-        images.append({idx: as_scalar(v) for idx, v in zip(deg2, row)})
     return make_chern(base, n, images)
-
-
-def load_json(path: str) -> GradedBaseAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(json.load(fh))

@@ -144,6 +144,7 @@ def _build(name: str, params: dict[str, int]) -> InstanceBundle:
 CATALOG_NAMES = [
     "cp1", "cp2", "cp3", "cp1xcp1", "hirzebruch-toric", "cp1-flip",
     "cp2-twist", "hirzebruch", "cp1-bundle-over-cp2", "cp1xcp1-bundle",
+    "cp2-bundle-over-cp1",
 ]
 
 DESCRIPTIONS = {
@@ -157,6 +158,7 @@ DESCRIPTIONS = {
     "hirzebruch": "projective-line bundle over the projective line (a)",
     "cp1-bundle-over-cp2": "projective-line bundle over the projective plane (a)",
     "cp1xcp1-bundle": "projective-line bundle over a product base",
+    "cp2-bundle-over-cp1": "projective-plane bundle over the projective line (a, b)",
 }
 
 
@@ -181,7 +183,11 @@ def parse_spec(spec: str) -> tuple[str, dict[str, int]]:
 def get(spec: str) -> InstanceBundle:
     """Look up a catalog instance by name with optional parameters."""
     name, params = parse_spec(spec)
-    inst = _build(name, dict(params))
+    inst = _build(name, params)
+    # _build pops every parameter it reads; anything left is unknown.
+    if params:
+        raise MalformedInputError(
+            f"unknown parameter(s) {', '.join(sorted(params))} for {name!r}")
     return inst
 
 

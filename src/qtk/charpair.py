@@ -3,12 +3,11 @@
 A CharacteristicPair stores the geometric ray directions of a complete
 simplicial fan, the lattice vector attached to each ray, and the maximal
 cones.  All indices are 0-based internally; the JSON interchange format is
-1-based (see load_json / to_json).
+1-based (see from_json / to_json).
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from typing import Sequence
 
 from . import exact
 from .errors import MalformedInputError, NotAConeError, NotAFaceError
-from .exact import as_scalar, scalar_str, snf, solve_exact
+from .exact import as_int, as_scalar, scalar_str, snf, solve_exact
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,13 @@ class CharacteristicPair:
 
 
 def make_pair(n, ray_dirs, lam, max_cones) -> CharacteristicPair:
-    """Build a pair from loosely typed data (ints, strings, Fractions)."""
+    """Build a pair from loosely typed data: ray directions may be ints,
+    Fractions or 'p/q' strings; everything else must be an int."""
     return CharacteristicPair(
-        n=int(n),
+        n=as_int(n),
         ray_dirs=tuple(tuple(as_scalar(x) for x in v) for v in ray_dirs),
-        lam=tuple(tuple(int(x) for x in v) for v in lam),
-        max_cones=tuple(tuple(sorted(int(i) for i in c)) for c in max_cones),
+        lam=tuple(tuple(as_int(x) for x in v) for v in lam),
+        max_cones=tuple(tuple(sorted(as_int(i) for i in c)) for c in max_cones),
     )
 
 
@@ -94,11 +94,16 @@ def faces(cp: CharacteristicPair) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen, key=lambda f: (len(f), f)))
 
 
+@lru_cache(maxsize=None)
+def _face_set(cp: CharacteristicPair) -> frozenset[tuple[int, ...]]:
+    return frozenset(faces(cp))
+
+
 def is_face(cp: CharacteristicPair, subset: Sequence[int]) -> bool:
     key = tuple(sorted(subset))
     if not key:
         return True
-    return key in set(faces(cp))
+    return key in _face_set(cp)
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +316,7 @@ def to_json(cp: CharacteristicPair) -> dict:
 
 def from_json(data: dict) -> CharacteristicPair:
     try:
-        n = int(data["n"])
-        rays = data["rays"]
-        lam = data["lambda"]
-        cones = data["max_cones"]
+        cones = [[as_int(i) - 1 for i in c] for c in data["max_cones"]]
+        return make_pair(data["n"], data["rays"], data["lambda"], cones)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad characteristic-pair object: {exc}") from exc
-    return make_pair(n, rays, lam, [[int(i) - 1 for i in c] for c in cones])
-
-
-def load_json(path: str) -> CharacteristicPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(json.load(fh))

@@ -49,6 +49,8 @@ def _inline_or_path(value, loader_json, base_dir):
 def load_bundle_file(path: str) -> cat.InstanceBundle:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise QtkError(f"bundle file {path} must hold a JSON object")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         cp = _inline_or_path(data["charpair"], cpm.from_json, base_dir)

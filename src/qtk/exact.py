@@ -2,16 +2,22 @@
 
 Scalars are fractions.Fraction: always reduced, positive denominator, so
 structural equality is semantic equality.  Matrices are plain nested lists
-in row-major order.  Row reduction is delegated to the integer Bareiss
-kernel (qtk.kernels) after clearing denominators row by row, which changes
-neither ranks, kernels, nor solutions.
+in row-major order.
+
+Every rank, span and quotient question is answered by RowSpace: a sparse
+echelon basis whose rows are integer dicts (denominators cleared, divided by
+the gcd of their entries), one row per pivot column, the pivot being the
+row's last nonzero column.  `rank` and `kernel_basis` are thin layers over
+it.  Determinants and square solves use the one dense fraction-free Bareiss
+elimination, qtk.kernels.echelon_int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import MalformedInputError, SingularMatrixError
 from .kernels import echelon_int
@@ -21,12 +27,15 @@ Scalar = Fraction
 Row = Sequence[Scalar]
 Matrix = Sequence[Row]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def as_scalar(x) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -34,6 +43,13 @@ def as_scalar(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"not a rational: {x!r}") from exc
     raise MalformedInputError(f"not a rational: {x!r}")
+
+
+def as_int(x) -> int:
+    """An integer read from JSON; bools, floats and strings are rejected."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise MalformedInputError(f"not an integer: {x!r}")
 
 
 def scalar_str(x: Fraction) -> str:
@@ -52,23 +68,168 @@ def check_matrix(rows: Matrix) -> tuple[int, int]:
     return nrows, ncols
 
 
-def _int_rows(rows: Matrix, ncols: int) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators: integer rows, same row space."""
-    out = []
-    for row in rows:
-        scale = lcm(*(Fraction(v).denominator for v in row)) if ncols else 1
-        out.append([int(Fraction(v) * scale) for v in row])
-    return out
+def _cleared(row: Row) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+# ---------------------------------------------------------------------------
+# Sparse row space.
+
+def _eliminate(rows: dict[int, dict[int, int]], vec: dict[int, int],
+               full: bool) -> tuple[int, int]:
+    """Subtract pivot rows from the integer vector `vec` in place, last column first.
+
+    Returns (m, lead): afterwards vec equals m * (vec before) minus a
+    combination of `rows`, with m > 0, and lead is the last column left
+    nonzero (-1 if none).  Stops at the first column without a pivot row
+    unless `full`, in which case every pivot column is cleared.  A partial
+    run may leave zero entries below lead.
+    """
+    heap = [-c for c in vec]
+    heapify(heap)
+    m, lead = 1, -1
+    while heap:
+        c = -heappop(heap)
+        a = vec[c]
+        if not a:
+            del vec[c]
+            continue
+        row = rows.get(c)
+        if row is None:
+            if lead < 0:
+                lead = c
+            if not full:
+                break
+            continue
+        b = row[c]
+        if a % b:
+            g = gcd(a, b)
+            s = b // g
+            for k in vec:
+                vec[k] *= s
+            m *= s
+            q = a // g
+        else:
+            q = a // b
+        for k, x in row.items():
+            if k in vec:
+                vec[k] -= q * x
+            else:
+                # k < c: rows only reach left of their pivot, so k is unseen.
+                vec[k] = -q * x
+                heappush(heap, -k)
+        del vec[c]
+    return m, lead
+
+
+class RowSpace:
+    """The span over the rationals of row vectors of a fixed width.
+
+    Rows are kept as integer dicts {column: entry} with gcd 1 and a positive
+    pivot, keyed by the pivot: the row's last nonzero column.  No two rows
+    share a pivot, so the pivots count the rank, and a vector lies in the
+    span iff clearing its last column by the row keyed there, again and
+    again, empties it.
+    """
+
+    def __init__(self, ncols: int, rows: Iterable[Row] = ()):
+        self.ncols = ncols
+        self.rows: dict[int, dict[int, int]] = {}
+        for row in rows:
+            self.insert(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def free_columns(self) -> list[int]:
+        """The non-pivot columns, increasing.
+
+        Column j is free iff its unit vector is independent of the rows and
+        the unit vectors before it, so these are exactly the columns a greedy
+        left-to-right extension of the rows to a basis would pick.
+        """
+        return [c for c in range(self.ncols) if c not in self.rows]
+
+    def _sparse(self, v: Row) -> tuple[dict[int, int], int]:
+        if len(v) != self.ncols:
+            raise MalformedInputError(
+                f"vector of length {len(v)} in a row space of width {self.ncols}")
+        ints, scale = _cleared(v)
+        return {c: x for c, x in enumerate(ints) if x}, scale
+
+    def insert(self, v: Row) -> bool:
+        """Add v to the span; True iff the rank grew."""
+        vec, _ = self._sparse(v)
+        _, lead = _eliminate(self.rows, vec, full=False)
+        if lead < 0:
+            return False
+        vec = {c: x for c, x in vec.items() if x}
+        g = gcd(*vec.values())
+        if vec[lead] < 0:
+            g = -g
+        self.rows[lead] = {c: x // g for c, x in vec.items()}
+        return True
+
+    def contains(self, v: Row) -> bool:
+        """Whether v lies in the span."""
+        vec, _ = self._sparse(v)
+        return _eliminate(self.rows, vec, full=False)[1] < 0
+
+    def normal_form(self, v: Row) -> list[Fraction]:
+        """The unique w with v - w in the span and w zero on every pivot
+        column; w is zero iff v lies in the span."""
+        vec, scale = self._sparse(v)
+        m, _ = _eliminate(self.rows, vec, full=True)
+        out = [_ZERO] * self.ncols
+        for c, x in vec.items():
+            out[c] = Fraction(x, m * scale)
+        return out
+
+    def kernel(self) -> list[list[Fraction]]:
+        """Basis of {x : row . x = 0 for every row}: one vector per free
+        column, increasing, with entry 1 there and 0 at the other free columns."""
+        reduced: dict[int, dict[int, int]] = {}
+        for p in sorted(self.rows):
+            # Only pivots left of p are in `reduced`, so p itself survives.
+            vec = dict(self.rows[p])
+            _eliminate(reduced, vec, full=True)
+            reduced[p] = vec
+        basis = {}
+        for f in self.free_columns():
+            basis[f] = [_ZERO] * self.ncols
+            basis[f][f] = _ONE
+        for p, row in reduced.items():
+            for c, x in row.items():
+                if c != p:
+                    basis[c][p] = Fraction(-x, row[p])
+        return list(basis.values())
 
 
 def rank(rows: Matrix) -> int:
     """Rank of a rational matrix."""
-    nrows, ncols = check_matrix(rows)
-    if nrows == 0 or ncols == 0:
-        return 0
-    r, _, _, _ = echelon_int(_int_rows(rows, ncols), ncols)
-    return r
+    _, ncols = check_matrix(rows)
+    return RowSpace(ncols, rows).rank
 
+
+def kernel_basis(rows: Matrix) -> list[list[Fraction]]:
+    """Basis of the right null space; empty list iff full column rank.
+
+    Deterministic: one basis vector per free column in increasing column
+    order, normalized to have entry 1 at its free column and 0 at the other
+    free columns.  Free columns are those without a pivot when every row is
+    pivoted on its first nonzero column.
+    """
+    _, ncols = check_matrix(rows)
+    # RowSpace pivots on last columns; on reversed columns that is the first.
+    space = RowSpace(ncols, (row[::-1] for row in rows))
+    return [v[::-1] for v in reversed(space.kernel())]
+
+
+# ---------------------------------------------------------------------------
+# Dense square systems.
 
 def det(rows: Matrix) -> Fraction:
     """Determinant of a square rational matrix."""
@@ -78,51 +239,16 @@ def det(rows: Matrix) -> Fraction:
     if nrows == 0:
         return Fraction(1)
     scaled = []
-    scale = Fraction(1)
+    scale = 1
     for row in rows:
-        s = lcm(*(Fraction(v).denominator for v in row))
+        ints, s = _cleared(row)
         scale *= s
-        scaled.append([int(Fraction(v) * s) for v in row])
+        scaled.append(ints)
     r, ech, _, sign = echelon_int(scaled, ncols)
     if r < nrows:
         return Fraction(0)
     # One-step Bareiss leaves det(int matrix) = swap_sign * last pivot.
-    return Fraction(sign * ech[nrows - 1][ncols - 1], 1) / scale
-
-
-def _backsubstitute_kernel(ech: list[list[int]], pivot_cols: list[int], ncols: int,
-                           rank_: int) -> list[list[Fraction]]:
-    """Kernel basis from an echelon form: one vector per free column."""
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i in range(rank_ - 1, -1, -1):
-            p = pivot_cols[i]
-            acc = Fraction(0)
-            for j in range(p + 1, ncols):
-                if v[j]:
-                    acc += Fraction(ech[i][j]) * v[j]
-            v[p] = -acc / ech[i][p]
-        basis.append(v)
-    return basis
-
-
-def kernel_basis(rows: Matrix) -> list[list[Fraction]]:
-    """Basis of the right null space; empty list iff full column rank.
-
-    Deterministic: one basis vector per free column in increasing column
-    order, normalized to have entry 1 at its free column.
-    """
-    nrows, ncols = check_matrix(rows)
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    r, ech, pivot_cols, _ = echelon_int(_int_rows(rows, ncols), ncols)
-    return _backsubstitute_kernel(ech, pivot_cols, ncols, r)
+    return Fraction(sign * ech[nrows - 1][ncols - 1], scale)
 
 
 def solve_exact(a: Matrix, b: Row) -> list[Fraction]:
@@ -134,8 +260,8 @@ def solve_exact(a: Matrix, b: Row) -> list[Fraction]:
         raise MalformedInputError("right-hand side has wrong length")
     if nrows == 0:
         return []
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    r, ech, pivot_cols, _ = echelon_int(_int_rows(aug, ncols + 1), ncols + 1)
+    aug = [_cleared(list(row) + [bv])[0] for row, bv in zip(a, b)]
+    r, ech, pivot_cols, _ = echelon_int(aug, ncols + 1)
     if r < nrows or pivot_cols != list(range(nrows)):
         raise SingularMatrixError("matrix is singular")
     x = [Fraction(0)] * ncols
@@ -274,11 +400,3 @@ def int_det_unimodular(u: Sequence[Sequence[int]]) -> int:
     if d.denominator != 1:
         raise MalformedInputError("non-integer determinant for integer matrix")
     return int(d)
-
-
-def gcd_vector(v: Sequence[int]) -> int:
-    """gcd of a vector of ints (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g

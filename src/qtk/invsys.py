@@ -255,22 +255,17 @@ def ann_generators(p: Potential, up_to_degree: int | None = None) -> dict[int, l
             # trivial image space: everything annihilates
             kernel = exact.kernel_basis([[Fraction(0)] * len(monos)])
         index = {m: i for i, m in enumerate(monos)}
-        old_span: list[list[Fraction]] = []
+        span = exact.RowSpace(len(monos))
         for gd, g in gens_flat:
             for m in weighted_monomials(p.weights, d - gd):
                 prod = g * MultiPoly.monomial(m, 1, p.weights)
                 vec = [Fraction(0)] * len(monos)
                 for expo, c in prod.terms.items():
                     vec[index[expo]] += c
-                old_span.append(vec)
-        rank_old = exact.rank(old_span) if old_span else 0
-        current = list(old_span)
+                span.insert(vec)
         new: list[MultiPoly] = []
         for vec in kernel:
-            r = exact.rank(current + [vec])
-            if r > rank_old:
-                rank_old = r
-                current.append(vec)
+            if span.insert(vec):
                 g = MultiPoly(len(p.weights) if p.weights else 0,
                               {monos[i]: c for i, c in enumerate(vec) if c},
                               p.weights if p.weights else None)
@@ -308,8 +303,8 @@ def frobenius_kernel(alg: GradedBaseAlgebra, top: int | None = None) -> dict[int
                  for i in rows_idx]
         right = exact.kernel_basis([list(col) for col in zip(*mat_r)]) if cols_idx \
             else left
-        if exact.rank(left) != exact.rank(right) or \
-                exact.rank(left + right) != exact.rank(left):
+        left_span = exact.RowSpace(len(rows_idx), left)
+        if len(right) != len(left) or not all(map(left_span.contains, right)):
             raise MalformedInputError("left and right Frobenius kernels differ")
         vectors = []
         for v in left:

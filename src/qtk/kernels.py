@@ -1,32 +1,60 @@
-"""Backend selection for the row-reduction hot path.
+"""Dense fraction-free integer row reduction (one-step Bareiss).
 
-The compiled extension qtk._bareiss is preferred; the pure-Python module
-qtk._bareiss_py is the drop-in fallback.  Set QTK_KERNEL=py or QTK_KERNEL=c
-to force one side (used by the test suite and by benchmarks/bench_kernels.py).
+This is the one dense elimination in the package: exact.det and
+exact.solve_exact reduce through it, and the tests use it as the oracle for
+the sparse RowSpace.  Every intermediate entry is a minor of the input
+matrix, so entries stay integral and their bit growth is polynomial instead
+of exponential (Bareiss, Math. Comp. 1968).
 """
 
 from __future__ import annotations
 
-import os
+BACKEND = "python"
 
-_forced = os.environ.get("QTK_KERNEL", "").strip().lower()
 
-if _forced in ("py", "python"):
-    from . import _bareiss_py as _impl
+def echelon_int(rows, ncols):
+    """Reduce an integer matrix to row echelon form without fractions.
 
-    BACKEND = "python"
-elif _forced in ("c", "cython"):
-    from . import _bareiss as _impl  # type: ignore[no-redef]
+    Args:
+        rows: list of rows, each a list of Python ints (consumed as read-only).
+        ncols: number of columns (also required for 0-row matrices).
 
-    BACKEND = "cython"
-else:
-    try:
-        from . import _bareiss as _impl  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _bareiss_py as _impl
-
-        BACKEND = "python"
-
-echelon_int = _impl.echelon_int
+    Returns:
+        (rank, echelon, pivot_cols, swap_sign) where `echelon` is a new list
+        of integer rows with pivots on `pivot_cols` (strictly increasing),
+        rows below the rank are zero, and `swap_sign` is the parity (+1/-1)
+        of the row swaps performed.  For a square full-rank input the last
+        pivot equals swap_sign * det(matrix).
+    """
+    mat = [list(row) for row in rows]
+    nrows = len(mat)
+    rank = 0
+    prev = 1
+    swap_sign = 1
+    pivot_cols = []
+    for col in range(ncols):
+        pivot_row = -1
+        for i in range(rank, nrows):
+            if mat[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        if pivot_row != rank:
+            mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+            swap_sign = -swap_sign
+        pivot = mat[rank][col]
+        pivot_row_vals = mat[rank]
+        for i in range(rank + 1, nrows):
+            row_i = mat[i]
+            factor = row_i[col]
+            # The full update keeps every entry a minor of the input, which is
+            # what makes the division by `prev` exact; do not shortcut it.
+            for j in range(col, ncols):
+                row_i[j] = (pivot * row_i[j] - factor * pivot_row_vals[j]) // prev
+        prev = pivot
+        pivot_cols.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, mat, pivot_cols, swap_sign

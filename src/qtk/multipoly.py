@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
@@ -60,12 +61,11 @@ class IntegralPolynomial:
 # ---------------------------------------------------------------------------
 # Cone data for the vertex expansion.
 
+@lru_cache(maxsize=None)
 def _cone_data(cp: CharacteristicPair):
     """Per maximal cone: (rays, sign, dual edge vectors)."""
-    out = []
-    for cone in cp.max_cones:
-        out.append((cone, cone_sign(cp, cone).value, dual_edge_frame(cp, cone)))
-    return out
+    return tuple((cone, cone_sign(cp, cone).value, dual_edge_frame(cp, cone))
+                 for cone in cp.max_cones)
 
 
 def _all_dual_vectors(cp: CharacteristicPair):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DegreeMismatchError, MalformedInputError
 
@@ -355,14 +355,6 @@ def power_of_linear_forms(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[Fr
             sign *= e
         out.append((scale * sign, tuple(coeffs)))
     return out
-
-
-def multinomial(total: int, parts: Iterable[int]) -> int:
-    """Multinomial coefficient total! / prod(parts!) (parts must sum to total)."""
-    num = factorial(total)
-    for p in parts:
-        num //= factorial(p)
-    return num
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:

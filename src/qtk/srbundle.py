@@ -19,8 +19,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import exact
-from .basealg import (ChernData, Element, GradedBaseAlgebra, el_add, el_scale,
-                      el_str)
+from .basealg import ChernData, Element, GradedBaseAlgebra, el_add, el_scale
 from .charpair import (CharacteristicPair, cone_sign, dual_character, faces,
                        is_face)
 from .errors import DegreeMismatchError, MalformedInputError
@@ -114,23 +113,6 @@ def bel_mul(ring: BundleRing, a: BundleElement, b: BundleElement) -> BundleEleme
             else:
                 out.pop(expo, None)
     return out
-
-
-def bel_str(ring: BundleRing, a: BundleElement) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for expo in sorted(a):
-        coeff = el_str(ring.base, a[expo])
-        xs = "*".join(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                      for i, e in enumerate(expo) if e)
-        if not xs:
-            parts.append(f"({coeff})")
-        elif coeff == "1":
-            parts.append(xs)
-        else:
-            parts.append(f"({coeff})*{xs}")
-    return " + ".join(parts)
 
 
 def term_degrees(ring: BundleRing, a: BundleElement) -> set[int]:
@@ -323,30 +305,12 @@ def betti(ring: BundleRing) -> list[int]:
     dims = []
     for d in range(ring.total_degree + 1):
         basis, vectors = relation_vectors(ring, d)
-        r = exact.rank(vectors) if vectors else 0
-        dims.append(len(basis) - r)
+        dims.append(len(basis) - exact.rank(vectors))
     return dims
 
 
 # ---------------------------------------------------------------------------
 # Explicit quotient algebra (basis, products, functional).
-
-def _quotient_reps(basis_len: int, vectors: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
-    """Greedy representative columns extending the relation span to everything."""
-    base_rank = exact.rank(vectors) if vectors else 0
-    chosen: list[int] = []
-    current = list(vectors)
-    rank_now = base_rank
-    for j in range(basis_len):
-        unit = [Fraction(0)] * basis_len
-        unit[j] = Fraction(1)
-        r = exact.rank(current + [unit])
-        if r > rank_now:
-            chosen.append(j)
-            current.append(unit)
-            rank_now = r
-    return chosen, current
-
 
 def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
     """The quotient ring as explicit algebra data with the top functional
@@ -362,13 +326,12 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
     rep_elements: list[BundleElement] = []
     for d in range(top + 1):
         basis, vectors = relation_vectors(ring, d)
-        chosen, _ = _quotient_reps(len(basis), vectors)
-        rel_rank = exact.rank(vectors) if vectors else 0
-        rows = _echelon_rows(vectors, len(basis))
-        info = {"basis": basis, "index": {p: i for i, p in enumerate(basis)},
-                "rows": rows, "chosen": chosen, "offset": len(names),
-                "rank": rel_rank}
-        per_degree[d] = info
+        span = exact.RowSpace(len(basis), vectors)
+        # The representatives extend the relation span to everything, column
+        # by column from the left: exactly RowSpace's free columns.
+        chosen = span.free_columns()
+        per_degree[d] = {"index": {p: i for i, p in enumerate(basis)},
+                         "span": span, "chosen": chosen, "offset": len(names)}
         for j in chosen:
             expo, idx = basis[j]
             names.append(_pair_name(ring, expo, idx))
@@ -376,35 +339,23 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
             rep_elements.append({expo: {idx: Fraction(1)}})
 
     def coords(el: BundleElement, d: int) -> list[Fraction]:
+        # The normal form lives on the free columns, which are the chosen
+        # representatives, so its entries there are the coordinates.
         info = per_degree[d]
-        vec = _expand(ring, el, info["index"])
-        if not info["basis"]:
-            return []
-        cols = [list(row) for row in info["rows"]]
-        for j in info["chosen"]:
-            unit = [Fraction(0)] * len(info["basis"])
-            unit[j] = Fraction(1)
-            cols.append(unit)
-        if not cols:
-            if any(vec):
-                raise MalformedInputError("nonzero element in empty quotient degree")
-            return []
-        a = [[cols[c][r] for c in range(len(cols))] for r in range(len(vec))]
-        sol = exact.solve_exact(a, vec)
-        return sol[len(info["rows"]):]
+        nf = info["span"].normal_form(_expand(ring, el, info["index"]))
+        return [nf[j] for j in info["chosen"]]
 
-    high_degree_rows: dict[int, tuple[dict, list[list[Fraction]], int]] = {}
+    high_degree_spans: dict[int, tuple[dict, exact.RowSpace]] = {}
 
     def assert_zero_above_top(prod: BundleElement, d: int) -> None:
         # Degrees above the formal dimension must die in the quotient; verify
         # membership in the relation span rather than assuming it.
-        if d not in high_degree_rows:
+        if d not in high_degree_spans:
             basis, vectors = relation_vectors(ring, d)
-            index = {p: i for i, p in enumerate(basis)}
-            high_degree_rows[d] = (index, vectors, exact.rank(vectors) if vectors else 0)
-        index, vectors, r = high_degree_rows[d]
-        vec = _expand(ring, prod, index)
-        if any(vec) and exact.rank(vectors + [vec]) != r:
+            high_degree_spans[d] = ({p: i for i, p in enumerate(basis)},
+                                    exact.RowSpace(len(basis), vectors))
+        index, span = high_degree_spans[d]
+        if not span.contains(_expand(ring, prod, index)):
             raise MalformedInputError("quotient does not vanish above top degree")
 
     products: dict[tuple[int, int], Element] = {}
@@ -425,15 +376,6 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
     fundamental = [evaluate_top(ring, rep) if degrees[p] == top else Fraction(0)
                    for p, rep in enumerate(rep_elements)]
     return GradedBaseAlgebra(names, degrees, products, fundamental)
-
-
-def _echelon_rows(vectors: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Independent rows spanning the same space as the given vectors."""
-    if not vectors:
-        return []
-    from .kernels import echelon_int
-    r, ech, _, _ = echelon_int(exact._int_rows(vectors, width), width)
-    return [[Fraction(v) for v in row] for row in ech[:r]]
 
 
 def _pair_name(ring: BundleRing, expo: Expo, idx: int) -> str:

@@ -214,6 +214,7 @@ class TestCatalogAndFormats:
         assert code == 0
         names = [e["name"] for e in report["result"]["instances"]]
         assert "cp2" in names and "hirzebruch" in names
+        assert "cp2-bundle-over-cp1" in names
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "betti", "cp2", "--format", "text")
@@ -226,3 +227,51 @@ class TestCatalogAndFormats:
         assert out1 == out2
         report = json.loads(out1)
         assert list(report) == sorted(report)
+
+
+
+class TestMalformedInput:
+    """Bad input exits 2 with a message on stderr, never a traceback, and a
+    non-integer where an integer belongs is never rounded."""
+
+    def assert_bad_input(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("part, key, value", [
+        ("charpair", "lambda", [[1, 0], [0, 1], [-1, -1.5]]),
+        ("charpair", "lambda", [["1", 0], [0, 1], [-1, -1]]),
+        ("charpair", "lambda", [[True, 0], [0, 1], [-1, -1]]),
+        ("charpair", "rays", [[True, "0"], ["0", "1"], ["-1", "-1"]]),
+        ("charpair", "max_cones", [[1, 2.0], [2, 3], [1, 3]]),
+        ("charpair", "lambda", 5),
+        ("charpair", "max_cones", [1, 2]),
+        ("base", "basis", [{"name": "1", "deg": 0.0}]),
+        ("chern", "images", 3),
+    ])
+    def test_bad_bundle_field(self, capsys, tmp_path, part, key, value):
+        inst = get("cp2")
+        payload = {
+            "charpair": cpm.to_json(inst.cp),
+            "base": ba.to_json(inst.base),
+            "chern": ba.chern_to_json(inst.base, inst.chern),
+        }
+        payload[part][key] = value
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        self.assert_bad_input(capsys, "betti", str(path))
+
+    def test_top_level_list(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        err = self.assert_bad_input(capsys, "betti", str(path))
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize("spec, unknown", [
+        ("cp2?zz=3", "zz for 'cp2'"), ("hirzebruch?a=1,b=2", "b for 'hirzebruch'")])
+    def test_unknown_catalog_parameter(self, capsys, spec, unknown):
+        err = self.assert_bad_input(capsys, "betti", spec)
+        assert f"unknown parameter(s) {unknown}" in err

@@ -1,12 +1,16 @@
-"""Exact linear algebra: SNF, solving, kernels, determinants."""
+"""Exact linear algebra: SNF, solving, kernels, determinants, row spaces."""
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtk import exact
-from qtk.errors import SingularMatrixError
+from qtk.errors import MalformedInputError, SingularMatrixError
+from qtk.kernels import echelon_int
 
 
 def frac_rows(rows):
@@ -132,16 +136,121 @@ class TestDet:
             assert exact.det(ab) == exact.det(a) * exact.det(b)
 
 
-class TestBackends:
-    def test_both_backends_agree(self):
-        from qtk import _bareiss_py
-        try:
-            from qtk import _bareiss
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        rng = random.Random(13)
-        for _ in range(40):
-            rows = rng.randint(0, 5)
-            cols = rng.randint(1, 5)
-            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            assert _bareiss.echelon_int(m, cols) == _bareiss_py.echelon_int(m, cols)
+
+class TestAsInt:
+    def test_accepts_ints(self):
+        assert exact.as_int(-3) == -3
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1", None])
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(MalformedInputError):
+            exact.as_int(bad)
+
+
+# ---------------------------------------------------------------------------
+# RowSpace against the dense Bareiss elimination.
+
+def dense_echelon(rows, ncols):
+    """(rank, pivot columns) of a rational matrix by the dense kernel."""
+    ints = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        ints.append([int(x * m) for x in row])
+    r, _, pivots, _ = echelon_int(ints, ncols)
+    return r, pivots
+
+
+def dense_rank(rows, ncols):
+    return dense_echelon(rows, ncols)[0]
+
+
+ENTRIES = st.one_of(st.just(F(0)), st.just(F(0)),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@st.composite
+def sparse_system(draw):
+    """A sparse rational matrix whose later rows are often combinations of
+    earlier ones, plus probe vectors in and out of its span."""
+    ncols = draw(st.integers(1, 7))
+    vector = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vector, max_size=6))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows))
+
+    def combination(cs):
+        return [sum((c * row[j] for c, row in zip(cs, rows)), F(0)) for j in range(ncols)]
+
+    for cs in draw(st.lists(coeffs, max_size=3)) if rows else []:
+        rows.insert(draw(st.integers(0, len(rows))), combination(cs))
+    probes = draw(st.lists(vector, max_size=3))
+    if rows:
+        probes += [combination(cs) for cs in draw(st.lists(coeffs, min_size=1, max_size=3))]
+    return ncols, rows, probes
+
+
+class TestRowSpace:
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_system())
+    def test_rank_and_insert_match_dense(self, system):
+        ncols, rows, _ = system
+        space = exact.RowSpace(ncols)
+        for k, row in enumerate(rows):
+            grew = dense_rank(rows[:k + 1], ncols) > dense_rank(rows[:k], ncols)
+            assert space.insert(row) == grew
+        assert space.rank == dense_rank(rows, ncols) == exact.rank(rows or [[F(0)] * ncols])
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_system())
+    def test_contains_and_normal_form(self, system):
+        ncols, rows, probes = system
+        space = exact.RowSpace(ncols, rows)
+        r = dense_rank(rows, ncols)
+        free = set(space.free_columns())
+        for v in probes:
+            member = dense_rank(rows + [v], ncols) == r
+            assert space.contains(v) == member
+            w = space.normal_form(v)
+            assert (not any(w)) == member
+            assert all(x == 0 for c, x in enumerate(w) if c not in free)
+            assert space.contains([a - b for a, b in zip(v, w)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_system())
+    def test_free_columns_are_the_greedy_extension(self, system):
+        ncols, rows, _ = system
+        chosen, current = [], list(rows)
+        for j in range(ncols):
+            unit = [F(int(i == j)) for i in range(ncols)]
+            if dense_rank(current + [unit], ncols) > dense_rank(current, ncols):
+                chosen.append(j)
+                current.append(unit)
+        assert exact.RowSpace(ncols, rows).free_columns() == chosen
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_system())
+    def test_kernel_annihilates_rows(self, system):
+        ncols, rows, _ = system
+        space = exact.RowSpace(ncols, rows)
+        kernel = space.kernel()
+        assert len(kernel) == ncols - dense_rank(rows, ncols)
+        assert dense_rank(kernel, ncols) == len(kernel)
+        for v in kernel:
+            assert all(exact.dot(row, v) == 0 for row in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_system())
+    def test_kernel_basis_is_canonical(self, system):
+        ncols, rows, _ = system
+        if not rows:
+            return
+        _, pivots = dense_echelon(rows, ncols)
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = exact.kernel_basis(rows)
+        assert len(basis) == len(free)
+        for f, v in zip(free, basis):
+            assert [v[c] for c in free] == [F(int(c == f)) for c in free]
+            assert all(exact.dot(row, v) == 0 for row in rows)
+
+    def test_wrong_width_is_rejected(self):
+        with pytest.raises(MalformedInputError):
+            exact.RowSpace(3).insert([F(1), F(2)])
