@@ -174,16 +174,17 @@ def sparse_system(draw):
     earlier ones, plus probe vectors in and out of its span."""
     ncols = draw(st.integers(1, 7))
     vector = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(vector, max_size=6))
-    coeffs = st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows))
+    base = draw(st.lists(vector, max_size=6))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
 
     def combination(cs):
-        return [sum((c * row[j] for c, row in zip(cs, rows)), F(0)) for j in range(ncols)]
+        return [sum((c * row[j] for c, row in zip(cs, base)), F(0)) for j in range(ncols)]
 
-    for cs in draw(st.lists(coeffs, max_size=3)) if rows else []:
-        rows.insert(draw(st.integers(0, len(rows))), combination(cs))
+    rows = list(base)
     probes = draw(st.lists(vector, max_size=3))
-    if rows:
+    if base:
+        for cs in draw(st.lists(coeffs, max_size=3)):
+            rows.insert(draw(st.integers(0, len(rows))), combination(cs))
         probes += [combination(cs) for cs in draw(st.lists(coeffs, min_size=1, max_size=3))]
     return ncols, rows, probes
 
