@@ -2,9 +2,14 @@
 
 An element stores one polynomial on the cocharacter space per maximal cone;
 adjacent cones must agree on the span of the lattice vectors of their shared
-facet.  The graded pieces, the quotient by global linear functions, and the
-base-tensored quotient are all computed by exact rank; the results match the
-Stanley-Reisner graded dimensions degree by degree.
+facet.  In coordinates (one coefficient per cone and monomial) that is one
+set of integer restriction rows per degree, one row per shared facet and
+monomial in the facet's ray parameters.  The graded pieces are the kernels
+of these rows; an element is compatible iff every row annihilates it.
+Multiplying by a standard character x_a moves the coefficient of m to
+m + e_a, so character products are index maps on kernel vectors, checked
+against the rows of the next degree.  Quotient dimensions come from exact
+rank and match the Stanley-Reisner graded dimensions degree by degree.
 """
 
 from __future__ import annotations
@@ -12,12 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import exact
+from .basealg import make_point, zero_chern
 from .charpair import CharacteristicPair, dual_edge_frame
 from .errors import MalformedInputError, PairMismatchError
 from .poly import MultiPoly, monomials_of_degree
 from .srbundle import BundleRing
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -58,21 +67,97 @@ def _restrict_to_facet_span(cp: CharacteristicPair, facet: tuple[int, ...],
                             g: MultiPoly) -> MultiPoly:
     """Restriction of g to the span of the facet's lattice vectors, as a
     polynomial in one parameter per facet ray."""
-    t = len(facet)
-    images = []
-    for r in range(cp.n):
-        images.append(MultiPoly.linear_form([cp.lam[j][r] for j in facet])
-                      if t else MultiPoly.zero(0))
-    return g.substitute(images)
+    return g.substitute([MultiPoly.linear_form([cp.lam[j][r] for j in facet])
+                         if facet else MultiPoly.zero(0) for r in range(cp.n)])
+
+
+# ---------------------------------------------------------------------------
+# Coordinates and the compatibility rows.
+
+@lru_cache(maxsize=None)
+def _coefficient_layout(cp: CharacteristicPair, d: int):
+    """(monomials, cones, width): coefficient ci * len(monomials) + k is that
+    of monomial k on cone ci."""
+    monos = tuple(monomials_of_degree(cp.n, d))
+    ncones = len(cp.max_cones)
+    return monos, ncones, len(monos) * ncones
+
+
+def _to_vector(el: PPElement) -> list[Fraction]:
+    monos, _, _ = _coefficient_layout(el.cp, el.degree)
+    return [g.coefficient(m) for g in el.polys for m in monos]
+
+
+def _from_vector(cp: CharacteristicPair, d: int, vec) -> PPElement:
+    monos, ncones, _ = _coefficient_layout(cp, d)
+    per = len(monos)
+    return PPElement(cp, d, tuple(
+        MultiPoly(cp.n, {m: vec[ci * per + k] for k, m in enumerate(monos) if vec[ci * per + k]})
+        for ci in range(ncones)))
+
+
+@lru_cache(maxsize=None)
+def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int], ...]:
+    """The degree-d compatibility rows as sparse integer dicts: one per
+    shared facet and facet monomial that some coefficient restricts to, in
+    facet then monomial order."""
+    monos, _, _ = _coefficient_layout(cp, d)
+    per = len(monos)
+    rows = []
+    for facet, c1, c2 in facet_pairs(cp):
+        restricted = [_restrict_to_facet_span(cp, facet, MultiPoly.monomial(m, 1))
+                      for m in monos]
+        for sm in monomials_of_degree(len(facet), d):
+            row = {}
+            for k, g in enumerate(restricted):
+                c = int(g.coefficient(sm))  # integer: lattice vectors are integral
+                if c:
+                    row[c1 * per + k] = c
+                    row[c2 * per + k] = -c
+            if row:
+                rows.append(row)
+    return tuple(rows)
+
+
+def _annihilated(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> bool:
+    """Whether every degree-d compatibility row vanishes on the sparse vector."""
+    scale = lcm(*(x.denominator for x in vec.values()))
+    ints = {c: x.numerator * (scale // x.denominator) for c, x in vec.items()}
+    return not any(sum(x * ints.get(c, 0) for c, x in row.items())
+                   for row in _compatibility_rows(cp, d))
 
 
 def is_compatible(el: PPElement) -> bool:
-    for facet, c1, c2 in facet_pairs(el.cp):
-        diff = el.polys[c1] - el.polys[c2]
-        if diff and _restrict_to_facet_span(el.cp, facet, diff):
-            return False
-    return True
+    return _annihilated(el.cp, el.degree,
+                        {c: x for c, x in enumerate(_to_vector(el)) if x})
 
+
+@lru_cache(maxsize=None)
+def _pp_kernel(cp: CharacteristicPair, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    _, _, width = _coefficient_layout(cp, d)
+    rows = []
+    for sparse in _compatibility_rows(cp, d):
+        row = [0] * width
+        for c, x in sparse.items():
+            row[c] = x
+        rows.append(row)
+    # With no rows every coefficient is free: the kernel of one zero row.
+    return tuple(tuple(v) for v in exact.kernel_basis(rows or [[0] * width]))
+
+
+def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
+    """Dimension of the compatible piecewise polynomials of degree d."""
+    if d < 0:
+        raise MalformedInputError("degree must be non-negative")
+    return len(_pp_kernel(cp, d))
+
+
+def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
+    return [_from_vector(cp, d, vec) for vec in _pp_kernel(cp, d)]
+
+
+# ---------------------------------------------------------------------------
+# Products.
 
 def multiply(f: PPElement, g: PPElement) -> PPElement:
     if f.cp != g.cp:
@@ -110,113 +195,32 @@ def courant_basis(cp: CharacteristicPair) -> list[PPElement]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Graded pieces as kernels of the compatibility system.
-
-def _coefficient_layout(cp: CharacteristicPair, d: int):
-    monos = monomials_of_degree(cp.n, d)
-    ncones = len(cp.max_cones)
-    return monos, ncones, len(monos) * ncones
-
-
-def _to_vector(el: PPElement) -> list[Fraction]:
-    monos, _, width = _coefficient_layout(el.cp, el.degree)
-    vec = [Fraction(0)] * width
-    per = len(monos)
-    for ci, g in enumerate(el.polys):
-        for k, m in enumerate(monos):
-            c = g.coefficient(m)
-            if c:
-                vec[ci * per + k] = c
-    return vec
-
-
-def _from_vector(cp: CharacteristicPair, d: int, vec) -> PPElement:
-    monos, ncones, _ = _coefficient_layout(cp, d)
-    per = len(monos)
-    polys = []
-    for ci in range(ncones):
-        terms = {m: vec[ci * per + k] for k, m in enumerate(monos) if vec[ci * per + k]}
-        polys.append(MultiPoly(cp.n, terms))
-    return PPElement(cp, d, tuple(polys))
-
-
-def _compatibility_rows(cp: CharacteristicPair, d: int) -> list[list[Fraction]]:
-    monos, ncones, width = _coefficient_layout(cp, d)
-    per = len(monos)
-    rows = []
-    for facet, c1, c2 in facet_pairs(cp):
-        t = len(facet)
-        smonos = monomials_of_degree(t, d)
-        if not smonos:
-            continue
-        sindex = {m: i for i, m in enumerate(smonos)}
-        # restriction of each coefficient monomial to the facet span
-        cols = {}
-        for k, m in enumerate(monos):
-            restricted = _restrict_to_facet_span(cp, facet, MultiPoly.monomial(m, 1))
-            cols[k] = restricted
-        for sm, si in sorted(sindex.items()):
-            row = [Fraction(0)] * width
-            nonzero = False
-            for k in range(per):
-                c = cols[k].coefficient(sm)
-                if c:
-                    row[c1 * per + k] += c
-                    row[c2 * per + k] -= c
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    return rows
-
-
 @lru_cache(maxsize=None)
-def _pp_kernel(cp: CharacteristicPair, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    _, _, width = _coefficient_layout(cp, d)
-    rows = _compatibility_rows(cp, d)
-    if not rows:
-        basis = [[Fraction(int(i == j)) for j in range(width)] for i in range(width)]
-    else:
-        basis = exact.kernel_basis(rows)
-    return tuple(tuple(v) for v in basis)
+def _character_shift(cp: CharacteristicPair, d: int, a: int) -> tuple[int, ...]:
+    """Multiplication by x_a from degree d-1 to degree d as an index map:
+    coefficient j of degree d-1 becomes coefficient shift[j] of degree d."""
+    lower, ncones, _ = _coefficient_layout(cp, d - 1)
+    upper, _, _ = _coefficient_layout(cp, d)
+    index = {m: k for k, m in enumerate(upper)}
+    step = [index[m[:a] + (m[a] + 1,) + m[a + 1:]] for m in lower]
+    return tuple(ci * len(upper) + k for ci in range(ncones) for k in step)
 
 
-def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
-    """Dimension of the compatible piecewise polynomials of degree d."""
-    if d < 0:
-        raise MalformedInputError("degree must be non-negative")
-    return len(_pp_kernel(cp, d))
-
-
-def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
-    return [_from_vector(cp, d, vec) for vec in _pp_kernel(cp, d)]
+def _character_products(cp: CharacteristicPair, d: int, a: int) -> list[dict[int, Fraction]]:
+    """x_a times each degree-(d-1) kernel vector, as sparse degree-d vectors,
+    each checked against the degree-d compatibility rows."""
+    shift = _character_shift(cp, d, a)
+    out = []
+    for q in _pp_kernel(cp, d - 1):
+        prod = {shift[j]: x for j, x in enumerate(q) if x}
+        if not _annihilated(cp, d, prod):
+            raise MalformedInputError("product violates facet compatibility")
+        out.append(prod)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Quotient dimensions.
-
-def brion_quotient_dims(cp: CharacteristicPair, max_degree: int | None = None) -> list[int]:
-    """Graded dimensions of piecewise polynomials modulo global linear
-    functions; entry d sits in cohomological degree 2d."""
-    if max_degree is None:
-        max_degree = 2 * cp.n
-    out = []
-    for d in range(max_degree // 2 + 1):
-        dim_all = pp_graded_dim(cp, d)
-        if d == 0:
-            out.append(dim_all)
-            continue
-        lower = pp_basis(cp, d - 1)
-        products = []
-        for a in range(cp.n):
-            chi = [Fraction(int(r == a)) for r in range(cp.n)]
-            char = global_character(cp, chi)
-            for q in lower:
-                products.append(_to_vector(multiply(char, q)))
-        r = exact.rank(products) if products else 0
-        out.append(dim_all - r)
-    return out
-
 
 def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[int]:
     """Graded dimensions of (base tensor piecewise polynomials) modulo the
@@ -225,56 +229,47 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
     cp, base = ring.cp, ring.base
     if max_degree is None:
         max_degree = ring.total_degree
+    products = {}  # (d, a) -> x_a times the degree d-1 kernel, for this call only
     dims = []
     for total in range(max_degree + 1):
-        blocks = []  # (base index, pp degree, offset, ambient width)
-        offset = 0
+        offset = {}  # base index -> first column of its block b tensor PP_d
+        width = 0
         for b in range(base.dim):
             rem = total - base.degrees[b]
-            if rem < 0 or rem % 2:
-                continue
-            d = rem // 2
-            _, _, width = _coefficient_layout(cp, d)
-            blocks.append((b, d, offset, width))
-            offset += width
-        if not blocks:
-            dims.append(0)
-            continue
-        space_dim = sum(len(_pp_kernel(cp, d)) for _, d, _, _ in blocks)
-        block_of = {b: (d, off, width) for b, d, off, width in blocks}
+            if rem >= 0 and rem % 2 == 0:
+                offset[b] = width
+                width += _coefficient_layout(cp, rem // 2)[2]
+        space_dim = sum(pp_graded_dim(cp, (total - base.degrees[b]) // 2) for b in offset)
         rows = []
         for a in range(cp.n):
-            chi = [Fraction(int(r == a)) for r in range(cp.n)]
-            char = global_character(cp, chi)
-            c_el = ring.chern.evaluate(chi)
+            c_a = ring.chern.evaluate([int(r == a) for r in range(cp.n)])
             for b in range(base.dim):
                 rem = total - 2 - base.degrees[b]
                 if rem < 0 or rem % 2:
                     continue
-                dq = rem // 2
-                for q in pp_basis(cp, dq):
-                    vec = [Fraction(0)] * offset
-                    used = False
-                    # (c(chi) * b) tensor q
-                    for b2, coeff in ring.base.mul(c_el, {b: Fraction(1)}).items():
-                        if b2 not in block_of:
-                            continue
-                        d2, off2, _ = block_of[b2]
-                        qv = _to_vector(q)
-                        for k, v in enumerate(qv):
-                            if v:
-                                vec[off2 + k] += coeff * v
-                                used = True
-                    # minus b tensor (chi * q)
-                    if b in block_of:
-                        d2, off2, _ = block_of[b]
-                        pv = _to_vector(multiply(char, q))
-                        for k, v in enumerate(pv):
-                            if v:
-                                vec[off2 + k] -= v
-                                used = True
-                    if used:
-                        rows.append(vec)
-        r = exact.rank(rows) if rows else 0
-        dims.append(space_dim - r)
+                d = rem // 2 + 1
+                if (d, a) not in products:
+                    products[d, a] = _character_products(cp, d, a)
+                # (c(x_a) b) tensor q  minus  b tensor (x_a q)
+                cb = [(offset[b2], coeff) for b2, coeff
+                      in base.mul(c_a, {b: Fraction(1)}).items() if b2 in offset]
+                for q, xq in zip(_pp_kernel(cp, d - 1), products[d, a]):
+                    vec = [_ZERO] * width
+                    for off, coeff in cb:
+                        for j, x in enumerate(q):
+                            if x:
+                                vec[off + j] += coeff * x
+                    off = offset[b]
+                    for j, x in xq.items():
+                        vec[off + j] -= x
+                    rows.append(vec)
+        dims.append(space_dim - exact.rank(rows))
     return dims
+
+
+def brion_quotient_dims(cp: CharacteristicPair, max_degree: int | None = None) -> list[int]:
+    """Graded dimensions of piecewise polynomials modulo global linear
+    functions; entry d sits in cohomological degree 2d.  This is the bundle
+    over a point with zero Chern data, read in even degrees."""
+    point = BundleRing(cp, make_point(), zero_chern(cp.n))
+    return brion_bundle_dims(point, 2 * cp.n if max_degree is None else max_degree)[0::2]
