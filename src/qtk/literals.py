@@ -43,6 +43,13 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return out
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise MalformedInputError(f"number too long in literal: {exc}") from exc
+
+
 class _Parser:
     def __init__(self, ring: BundleRing, tokens: list[tuple[str, str]]):
         self.ring = ring
@@ -109,7 +116,11 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise MalformedInputError("exponent must be a number")
-            power = int(val)
+            power = _int(val)
+            bound = self.ring.total_degree
+            if power > bound:
+                raise MalformedInputError(
+                    f"exponent {val} exceeds the top degree {bound} of the ring")
             acc = one(self.ring)
             for _ in range(power):
                 acc = bel_mul(self.ring, acc, base)
@@ -119,14 +130,16 @@ class _Parser:
     def atom(self) -> BundleElement:
         kind, val = self.take()
         if kind == "num":
-            value = Fraction(int(val))
+            value = Fraction(_int(val))
             nk, nv = self.peek()
             if nk == "op" and nv == "/":
                 self.take()
                 dk, dv = self.take()
                 if dk != "num":
                     raise MalformedInputError("denominator must be a number")
-                value /= int(dv)
+                if not _int(dv):
+                    raise MalformedInputError(f"zero denominator in literal: {val}/{dv}")
+                value /= _int(dv)
             return bel_scale(one(self.ring), value)
         if kind == "name":
             m = re.fullmatch(r"x(\d+)", val)

@@ -1,13 +1,20 @@
 """Command-line surface: exit codes, reports, determinism, file loading."""
 
+import contextlib
+import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtk import basealg as ba
 from qtk import charpair as cpm
 from qtk.catalog import get
 from qtk.cli import main
+from qtk.literals import parse_class
 
 
 def run(capsys, *argv):
@@ -125,6 +132,28 @@ class TestIntersect:
         assert report["result"]["value"] == "0"
 
 
+    def test_powers_up_to_the_bound(self):
+        ring = get("cp2").ring()
+        for k in range(ring.total_degree + 1):
+            product = "*".join(["(x1+2x2)"] * k) or "1"
+            assert parse_class(ring, f"(x1+2x2)^{k}") == parse_class(ring, product)
+
+
+# The class-literal grammar's alphabet: digits, divisor variables, a base
+# name and the operators.
+LITERAL_TOKENS = list("0123456789+-*/^()") + ["x1", "x2", "x3", "x4", "t"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(LITERAL_TOKENS), max_size=12).map("".join))
+def test_class_literal_fuzz(literal):
+    """Any literal from the alphabet computes a value or exits 2."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        # "--classes=" lets literals that start with "-" reach the parser.
+        assert main(["intersect", "cp2", "--classes=" + literal]) in (0, 2)
+
+
 class TestBkk:
     def test_hirzebruch_example(self, capsys):
         code, report = run_json(capsys, "bkk", "hirzebruch?a=2",
@@ -208,6 +237,25 @@ class TestCheckAll:
         assert report["result"]["bkk_seed"] == 1234
 
 
+    def test_odd_base_skips_hilbert_check(self, capsys, tmp_path):
+        # cp1 over the exterior algebra on one degree-1 class e
+        one = Fraction(1)
+        ext = ba.GradedBaseAlgebra(["1", "e"], [0, 1],
+                                   {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
+                                   [Fraction(0), one])
+        payload = {"charpair": cpm.to_json(get("cp1").cp), "base": ba.to_json(ext),
+                   "chern": {"n": 1, "images": [[]]}}
+        path = tmp_path / "cp1-over-exterior.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, report = run_json(capsys, "check-all", str(path), "--samples", "5")
+        result = report["result"]
+        assert result["hilbert_matches"] == "skipped"
+        assert result["ann_hilbert_even"] is None
+        # the checks that ran passed, and the skipped one does not count
+        assert result["betti_equals_brion"] and result["bkk_ok"]
+        assert result["ok"] is True and code == 0
+
+
 class TestCatalogAndFormats:
     def test_catalog_lists_instances(self, capsys):
         code, report = run_json(capsys, "catalog")
@@ -269,6 +317,27 @@ class TestMalformedInput:
         path.write_text("[1, 2]", encoding="utf-8")
         err = self.assert_bad_input(capsys, "betti", str(path))
         assert "JSON object" in err
+
+    @pytest.mark.parametrize("literal", ["1/0*x1;x1", "0/0 x1", "x1+2/0"])
+    def test_zero_denominator(self, capsys, literal):
+        err = self.assert_bad_input(capsys, "intersect", "cp2", "--classes", literal)
+        assert "zero denominator" in err
+
+    def test_exponent_above_top_degree(self, capsys):
+        start = time.monotonic()
+        err = self.assert_bad_input(capsys, "intersect", "cp2",
+                                    "--classes", "x1^99999999;x1")
+        assert time.monotonic() - start < 10
+        assert "top degree 4" in err
+
+    def test_number_with_too_many_digits(self, capsys):
+        self.assert_bad_input(capsys, "intersect", "cp2", "--classes", "1" + "0" * 5000)
+
+    def test_option_value_double_dash(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["intersect", "cp2", "--classes=--"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, unknown", [
         ("cp2?zz=3", "zz for 'cp2'"), ("hirzebruch?a=1,b=2", "b for 'hirzebruch'")])

@@ -154,3 +154,41 @@ class TestBrionBundle:
     def test_trivial_bundle_kunneth(self):
         ring = get("hirzebruch?a=0").ring()
         assert pp.brion_bundle_dims(ring) == [1, 0, 2, 0, 1]
+
+
+class TestLinearPaths:
+    """The compatibility rows and the character index maps against the
+    polynomial definitions they replace."""
+
+    def test_index_shift_products_equal_multiply(self):
+        for inst in all_instances():
+            cp = inst.cp
+            for d in range(1, cp.n + 1):
+                width = pp._coefficient_layout(cp, d)[2]
+                for a in range(cp.n):
+                    char = pp.global_character(cp, [int(r == a) for r in range(cp.n)])
+                    expected = [pp._to_vector(pp.multiply(char, q))
+                                for q in pp.pp_basis(cp, d - 1)]
+                    shifted = [[prod.get(j, 0) for j in range(width)]
+                               for prod in pp._character_products(cp, d, a)]
+                    assert shifted == expected, (inst.label, d, a)
+
+    def test_changed_kernel_vector_is_incompatible(self):
+        for inst in all_instances():
+            cp = inst.cp
+            for d in range(1, cp.n + 1):
+                q = pp._pp_kernel(cp, d)[0]
+                assert pp._annihilated(cp, d, dict(enumerate(q)))
+                # every coefficient that some row reads (cp1 has no rows for d > 0)
+                for j in {j for row in pp._compatibility_rows(cp, d) for j in row}:
+                    changed = list(q)
+                    changed[j] += 1
+                    assert not pp._annihilated(cp, d, dict(enumerate(changed))), inst.label
+                    assert not pp.is_compatible(pp._from_vector(cp, d, changed))
+
+    def test_quotient_dims_are_point_bundle_betti(self):
+        for inst in all_instances():
+            cp = inst.cp
+            even = sr.betti(get_point_ring(inst))[0::2]
+            for m in range(-1, 2 * cp.n + 2):
+                assert pp.brion_quotient_dims(cp, m) == even[:m // 2 + 1], (inst.label, m)
