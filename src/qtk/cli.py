@@ -407,7 +407,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if [] in vars(args).values():  # argparse before 3.12 reads "--opt=--" as []
-        parser.error("an option value must not be '--'")
+        sys.stderr.write("error: an option value must not be '--'\n")
+        return 2
     try:
         report, code = args.func(args)
     except CheckFailure as exc:

@@ -137,9 +137,10 @@ class _Parser:
                 dk, dv = self.take()
                 if dk != "num":
                     raise MalformedInputError("denominator must be a number")
-                if not _int(dv):
+                den = _int(dv)
+                if not den:
                     raise MalformedInputError(f"zero denominator in literal: {val}/{dv}")
-                value /= _int(dv)
+                value /= den
             return bel_scale(one(self.ring), value)
         if kind == "name":
             m = re.fullmatch(r"x(\d+)", val)

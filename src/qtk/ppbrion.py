@@ -71,93 +71,10 @@ def _restrict_to_facet_span(cp: CharacteristicPair, facet: tuple[int, ...],
                          if facet else MultiPoly.zero(0) for r in range(cp.n)])
 
 
-# ---------------------------------------------------------------------------
-# Coordinates and the compatibility rows.
-
-@lru_cache(maxsize=None)
-def _coefficient_layout(cp: CharacteristicPair, d: int):
-    """(monomials, cones, width): coefficient ci * len(monomials) + k is that
-    of monomial k on cone ci."""
-    monos = tuple(monomials_of_degree(cp.n, d))
-    ncones = len(cp.max_cones)
-    return monos, ncones, len(monos) * ncones
-
-
-def _to_vector(el: PPElement) -> list[Fraction]:
-    monos, _, _ = _coefficient_layout(el.cp, el.degree)
-    return [g.coefficient(m) for g in el.polys for m in monos]
-
-
-def _from_vector(cp: CharacteristicPair, d: int, vec) -> PPElement:
-    monos, ncones, _ = _coefficient_layout(cp, d)
-    per = len(monos)
-    return PPElement(cp, d, tuple(
-        MultiPoly(cp.n, {m: vec[ci * per + k] for k, m in enumerate(monos) if vec[ci * per + k]})
-        for ci in range(ncones)))
-
-
-@lru_cache(maxsize=None)
-def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int], ...]:
-    """The degree-d compatibility rows as sparse integer dicts: one per
-    shared facet and facet monomial that some coefficient restricts to, in
-    facet then monomial order."""
-    monos, _, _ = _coefficient_layout(cp, d)
-    per = len(monos)
-    rows = []
-    for facet, c1, c2 in facet_pairs(cp):
-        restricted = [_restrict_to_facet_span(cp, facet, MultiPoly.monomial(m, 1))
-                      for m in monos]
-        for sm in monomials_of_degree(len(facet), d):
-            row = {}
-            for k, g in enumerate(restricted):
-                c = int(g.coefficient(sm))  # integer: lattice vectors are integral
-                if c:
-                    row[c1 * per + k] = c
-                    row[c2 * per + k] = -c
-            if row:
-                rows.append(row)
-    return tuple(rows)
-
-
-def _annihilated(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> bool:
-    """Whether every degree-d compatibility row vanishes on the sparse vector."""
-    scale = lcm(*(x.denominator for x in vec.values()))
-    ints = {c: x.numerator * (scale // x.denominator) for c, x in vec.items()}
-    return not any(sum(x * ints.get(c, 0) for c, x in row.items())
-                   for row in _compatibility_rows(cp, d))
-
-
 def is_compatible(el: PPElement) -> bool:
     return _annihilated(el.cp, el.degree,
                         {c: x for c, x in enumerate(_to_vector(el)) if x})
 
-
-@lru_cache(maxsize=None)
-def _pp_kernel(cp: CharacteristicPair, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    _, _, width = _coefficient_layout(cp, d)
-    rows = []
-    for sparse in _compatibility_rows(cp, d):
-        row = [0] * width
-        for c, x in sparse.items():
-            row[c] = x
-        rows.append(row)
-    # With no rows every coefficient is free: the kernel of one zero row.
-    return tuple(tuple(v) for v in exact.kernel_basis(rows or [[0] * width]))
-
-
-def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
-    """Dimension of the compatible piecewise polynomials of degree d."""
-    if d < 0:
-        raise MalformedInputError("degree must be non-negative")
-    return len(_pp_kernel(cp, d))
-
-
-def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
-    return [_from_vector(cp, d, vec) for vec in _pp_kernel(cp, d)]
-
-
-# ---------------------------------------------------------------------------
-# Products.
 
 def multiply(f: PPElement, g: PPElement) -> PPElement:
     if f.cp != g.cp:
@@ -195,6 +112,88 @@ def courant_basis(cp: CharacteristicPair) -> list[PPElement]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Graded pieces as kernels of the compatibility system.
+
+@lru_cache(maxsize=None)
+def _coefficient_layout(cp: CharacteristicPair, d: int):
+    """(monomials, cones, width): coefficient ci * len(monomials) + k is that
+    of monomial k on cone ci."""
+    monos = tuple(monomials_of_degree(cp.n, d))
+    ncones = len(cp.max_cones)
+    return monos, ncones, len(monos) * ncones
+
+
+def _to_vector(el: PPElement) -> list[Fraction]:
+    monos, _, _ = _coefficient_layout(el.cp, el.degree)
+    return [g.coefficient(m) for g in el.polys for m in monos]
+
+
+def _from_vector(cp: CharacteristicPair, d: int, vec) -> PPElement:
+    monos, ncones, _ = _coefficient_layout(cp, d)
+    per = len(monos)
+    polys = []
+    for ci in range(ncones):
+        terms = {m: vec[ci * per + k] for k, m in enumerate(monos) if vec[ci * per + k]}
+        polys.append(MultiPoly(cp.n, terms))
+    return PPElement(cp, d, tuple(polys))
+
+
+@lru_cache(maxsize=None)
+def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int], ...]:
+    """The degree-d compatibility rows as sparse integer dicts: one per
+    shared facet and facet monomial that some coefficient restricts to, in
+    facet then monomial order."""
+    monos, _, _ = _coefficient_layout(cp, d)
+    per = len(monos)
+    rows = []
+    for facet, c1, c2 in facet_pairs(cp):
+        restricted = [_restrict_to_facet_span(cp, facet, MultiPoly.monomial(m, 1))
+                      for m in monos]
+        for sm in monomials_of_degree(len(facet), d):
+            row = {}
+            for k, g in enumerate(restricted):
+                c = int(g.coefficient(sm))  # integer: lattice vectors are integral
+                if c:
+                    row[c1 * per + k] = c
+                    row[c2 * per + k] = -c
+            if row:
+                rows.append(row)
+    return tuple(rows)
+
+
+def _annihilated(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> bool:
+    """Whether every degree-d compatibility row vanishes on the sparse vector."""
+    scale = lcm(*(x.denominator for x in vec.values()))
+    ints = {c: x.numerator * (scale // x.denominator) for c, x in vec.items()}
+    return not any(sum(x * ints.get(c, 0) for c, x in row.items())
+                   for row in _compatibility_rows(cp, d))
+
+
+@lru_cache(maxsize=None)
+def _pp_kernel(cp: CharacteristicPair, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    _, _, width = _coefficient_layout(cp, d)
+    rows = []
+    for sparse in _compatibility_rows(cp, d):
+        row = [0] * width
+        for c, x in sparse.items():
+            row[c] = x
+        rows.append(row)
+    # With no rows every coefficient is free: the kernel of one zero row.
+    return tuple(tuple(v) for v in exact.kernel_basis(rows or [[0] * width]))
+
+
+def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
+    """Dimension of the compatible piecewise polynomials of degree d."""
+    if d < 0:
+        raise MalformedInputError("degree must be non-negative")
+    return len(_pp_kernel(cp, d))
+
+
+def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
+    return [_from_vector(cp, d, vec) for vec in _pp_kernel(cp, d)]
+
+
 @lru_cache(maxsize=None)
 def _character_shift(cp: CharacteristicPair, d: int, a: int) -> tuple[int, ...]:
     """Multiplication by x_a from degree d-1 to degree d as an index map:
@@ -221,6 +220,14 @@ def _character_products(cp: CharacteristicPair, d: int, a: int) -> list[dict[int
 
 # ---------------------------------------------------------------------------
 # Quotient dimensions.
+
+def brion_quotient_dims(cp: CharacteristicPair, max_degree: int | None = None) -> list[int]:
+    """Graded dimensions of piecewise polynomials modulo global linear
+    functions; entry d sits in cohomological degree 2d.  This is the bundle
+    over a point with zero Chern data, read in even degrees."""
+    point = BundleRing(cp, make_point(), zero_chern(cp.n))
+    return brion_bundle_dims(point, 2 * cp.n if max_degree is None else max_degree)[0::2]
+
 
 def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[int]:
     """Graded dimensions of (base tensor piecewise polynomials) modulo the
@@ -265,11 +272,3 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
                     rows.append(vec)
         dims.append(space_dim - exact.rank(rows))
     return dims
-
-
-def brion_quotient_dims(cp: CharacteristicPair, max_degree: int | None = None) -> list[int]:
-    """Graded dimensions of piecewise polynomials modulo global linear
-    functions; entry d sits in cohomological degree 2d.  This is the bundle
-    over a point with zero Chern data, read in even degrees."""
-    point = BundleRing(cp, make_point(), zero_chern(cp.n))
-    return brion_bundle_dims(point, 2 * cp.n if max_degree is None else max_degree)[0::2]
