@@ -26,8 +26,6 @@ from .errors import MalformedInputError, PairMismatchError
 from .poly import MultiPoly, monomials_of_degree
 from .srbundle import BundleRing
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class PPElement:
@@ -261,7 +259,7 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
                 cb = [(offset[b2], coeff) for b2, coeff
                       in base.mul(c_a, {b: Fraction(1)}).items() if b2 in offset]
                 for q, xq in zip(_pp_kernel(cp, d - 1), products[d, a]):
-                    vec = [_ZERO] * width
+                    vec = [Fraction(0)] * width
                     for off, coeff in cb:
                         for j, x in enumerate(q):
                             if x:

@@ -131,7 +131,6 @@ class TestIntersect:
         assert code == 0
         assert report["result"]["value"] == "0"
 
-
     def test_powers_up_to_the_bound(self):
         ring = get("cp2").ring()
         for k in range(ring.total_degree + 1):
@@ -235,7 +234,6 @@ class TestCheckAll:
         code, report = run_json(capsys, "check-all", "cp1", "--samples", "3")
         assert code == 0
         assert report["result"]["bkk_seed"] == 1234
-
 
     def test_odd_base_skips_hilbert_check(self, capsys, tmp_path):
         # cp1 over the exterior algebra on one degree-1 class e
