@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .charpair import CheckResult, ValidationReport
@@ -362,11 +363,19 @@ def chern_symbolic(alg: GradedBaseAlgebra, chern: ChernData) -> PolyElement:
 
 def chern_power_symbolic(alg: GradedBaseAlgebra, chern: ChernData, i: int) -> PolyElement:
     """c(x)^i as a base element with degree-i polynomial coefficients."""
+    return dict(_chern_power(alg, chern, i))
+
+
+@lru_cache(maxsize=None)
+def _chern_power(alg: GradedBaseAlgebra, chern: ChernData,
+                 i: int) -> tuple[tuple[int, MultiPoly], ...]:
+    # Expanded once per algebra, Chern data and i: every class paired with
+    # it (one per BKK sample) reuses the same power.
     result: PolyElement = {alg.unit_index(): MultiPoly.constant(chern.n, 1)}
     cx = chern_symbolic(alg, chern)
     for _ in range(i):
         result = poly_elem_mul(alg, result, cx)
-    return result
+    return tuple(result.items())
 
 
 def f_gamma(alg: GradedBaseAlgebra, chern: ChernData, gamma: Element, i: int) -> MultiPoly:

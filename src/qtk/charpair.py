@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import exact
 from .errors import MalformedInputError, NotAConeError, NotAFaceError
-from .exact import as_int, as_scalar, scalar_str, snf, solve_exact
+from .exact import as_int, as_scalar, det, scalar_str, snf, solve_exact
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,13 @@ class CharacteristicPair:
                 raise MalformedInputError("cone indices must be sorted")
         if len(set(self.max_cones)) != len(self.max_cones):
             raise MalformedInputError("duplicate maximal cone")
+        # Every cached layer keys on the pair; hashing its Fractions on each
+        # lookup would cost more than many of the lookups save.
+        object.__setattr__(self, "_hash",
+                           hash((self.n, self.ray_dirs, self.lam, self.max_cones)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def s(self) -> int:
@@ -118,15 +125,20 @@ class ConeSign:
 def cone_sign(cp: CharacteristicPair, cone: Sequence[int]) -> ConeSign:
     """Orientation sign of a maximal cone.
 
-    sgn(det of geometric ray directions) times det of the lattice vectors,
-    both in the stored order; permuting the cone flips both determinants, so
-    the product is ordering-independent.
+    sgn(det of geometric ray directions) times det of the lattice vectors;
+    permuting the cone flips both determinants, so the product is
+    ordering-independent and is computed once per pair and sorted cone.
     """
     key = tuple(sorted(cone))
     if key not in cp.max_cones:
         raise NotAConeError(f"{list(cone)} is not a maximal cone")
-    d_ray = exact.det(cp.ray_rows(cone))
-    d_lam = exact.det([[Fraction(x) for x in row] for row in cp.lam_rows(cone)])
+    return _cone_sign(cp, key)
+
+
+@lru_cache(maxsize=None)
+def _cone_sign(cp: CharacteristicPair, key: tuple[int, ...]) -> ConeSign:
+    d_ray = det(cp.ray_rows(key))
+    d_lam = det([[Fraction(x) for x in row] for row in cp.lam_rows(key)])
     if d_ray == 0 or abs(d_lam) != 1:
         raise MalformedInputError("cone fails simpliciality or unimodularity")
     sign = (1 if d_ray > 0 else -1) * int(d_lam)
@@ -170,13 +182,19 @@ def dual_character(cp: CharacteristicPair, face: Sequence[int], j: int) -> tuple
 
     Exists because the face's lattice vectors extend to a lattice basis.  For
     faces smaller than n the solution is the canonical one obtained by SNF
-    back-substitution with all free parameters set to zero.
+    back-substitution with all free parameters set to zero.  It depends on
+    the face as a set, so it is computed once per pair, sorted face and j.
     """
     key = tuple(sorted(face))
     if j not in key:
         raise NotAFaceError("distinguished index must belong to the face")
     if not is_face(cp, key):
         raise NotAFaceError(f"{list(face)} is not a face")
+    return _dual_character(cp, key, j)
+
+
+@lru_cache(maxsize=None)
+def _dual_character(cp: CharacteristicPair, key: tuple[int, ...], j: int) -> tuple[int, ...]:
     rows = cp.lam_rows(key)
     b = [1 if i == j else 0 for i in key]
     diag, U, V = snf(rows)

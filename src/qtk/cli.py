@@ -403,9 +403,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose values may start with "-", like the literal "-x1*x2" or the
+# support vector "-1,0,0", which argparse would otherwise take for an option.
+_DASH_VALUE_OPTIONS = ("--classes", "--gamma", "--h")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite "--classes -x1" as "--classes=-x1" (likewise --gamma, --h).
+
+    The value "--" is left alone, so it is still rejected.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if (arg in _DASH_VALUE_OPTIONS and i + 1 < len(argv)
+                and argv[i + 1].startswith("-") and argv[i + 1] != "--"):
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(
+        sys.argv[1:] if argv is None else list(argv)))
     if [] in vars(args).values():  # argparse before 3.12 reads "--opt=--" as []
         sys.stderr.write("error: an option value must not be '--'\n")
         return 2

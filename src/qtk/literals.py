@@ -10,6 +10,10 @@ Grammar (whitespace ignored):
 NAME is a base-algebra basis name or a divisor variable x1, x2, ...
 (1-based).  Examples: "x1^2*x3 + (2/3)*t*x2", "x1+x2+x3".  A bare
 juxtaposition like "(2/3)t" is accepted as multiplication.
+
+An exponent, and the x-degree of every term of a product or power, may not
+exceed the ring's top degree; without the second bound nested powers such as
+"((x1+x2)^4)^4" grow without limit before any degree check could run.
 """
 
 from __future__ import annotations
@@ -95,16 +99,25 @@ class _Parser:
             else:
                 return acc
 
+    def mul(self, a: BundleElement, b: BundleElement) -> BundleElement:
+        prod = bel_mul(self.ring, a, b)
+        bound = self.ring.total_degree
+        xdeg = max((sum(expo) for expo in prod), default=0)
+        if xdeg > bound:
+            raise MalformedInputError(
+                f"a product of x-degree {xdeg} exceeds the top degree {bound} of the ring")
+        return prod
+
     def term(self) -> BundleElement:
         acc = self.factor()
         while True:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = bel_mul(self.ring, acc, self.factor())
+                acc = self.mul(acc, self.factor())
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 # juxtaposition, e.g. "(2/3)t" or "2x1"
-                acc = bel_mul(self.ring, acc, self.factor())
+                acc = self.mul(acc, self.factor())
             else:
                 return acc
 
@@ -123,7 +136,7 @@ class _Parser:
                     f"exponent {val} exceeds the top degree {bound} of the ring")
             acc = one(self.ring)
             for _ in range(power):
-                acc = bel_mul(self.ring, acc, base)
+                acc = self.mul(acc, base)
             return acc
         return base
 

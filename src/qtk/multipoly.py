@@ -79,7 +79,13 @@ def generic_direction(cp: CharacteristicPair, avoid: Sequence[Sequence] = ()) ->
     Walks the moment curve (1, c, c^2, ...) for c = 1, 2, ...; each dual edge
     vector rules out finitely many c, so the walk terminates.
     """
-    vectors = [tuple(v) for v in _all_dual_vectors(cp)] + [tuple(v) for v in avoid]
+    return _generic_direction(cp, tuple(tuple(v) for v in avoid))
+
+
+@lru_cache(maxsize=None)
+def _generic_direction(cp: CharacteristicPair,
+                       avoid: tuple[tuple, ...]) -> tuple[Fraction, ...]:
+    vectors = [tuple(v) for v in _all_dual_vectors(cp)] + list(avoid)
     c = 1
     while True:
         ell = tuple(Fraction(c ** k) for k in range(cp.n))
@@ -103,6 +109,47 @@ def _series_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
     return inv
 
 
+@lru_cache(maxsize=None)
+def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...], perturb: bool):
+    """Everything in the vertex sum for direction l that does not depend on h.
+
+    Returns (perturbed, cones).  Unperturbed, each cone gives
+    (rays, l(w) per ray, sign / prod l(w)).  Perturbed to l + t*zeta, each
+    cone gives (rays, l(w) per ray, zeta(w) per ray, m, the series inverse of
+    Q to t^m, sign / lead): the m rays with l(w) = 0 give t^m * lead, the
+    others Q(t) with Q(0) != 0.  A vanishing l(w) raises
+    DegenerateDirectionError unless perturb is set; a raise is never cached,
+    so every call raises.
+    """
+    data = _cone_data(cp)
+    lws = [tuple(dot(ell, w) for w in frame) for _, _, frame in data]
+    degenerate = any(a == 0 for lw in lws for a in lw)
+    if degenerate and not perturb:
+        raise DegenerateDirectionError("direction vanishes on a dual edge vector")
+    cones = []
+    if not degenerate:
+        for (cone, sign, _), lw in zip(data, lws):
+            lw_prod = Fraction(1)
+            for a in lw:
+                lw_prod *= a
+            cones.append((cone, lw, Fraction(sign) / lw_prod))
+        return False, tuple(cones)
+    zeta = generic_direction(cp)
+    for (cone, sign, frame), lw in zip(data, lws):
+        zw = tuple(dot(zeta, w) for w in frame)
+        lead = Fraction(1)
+        qpoly = [Fraction(1)]
+        for a, b in zip(lw, zw):
+            if a == 0:
+                lead *= b
+            else:
+                qpoly = _poly_mul_scalar(qpoly, [a, b])
+        m = sum(1 for a in lw if a == 0)
+        inv = tuple(_series_inverse(qpoly, m))
+        cones.append((cone, lw, zw, m, inv, Fraction(sign) / lead))
+    return True, tuple(cones)
+
+
 def _vertex_sum(cp: CharacteristicPair, ell: Sequence[Fraction], d: int,
                 hvals: Sequence[Fraction] | None, perturb: bool):
     """sum over cones of sign * l(A)^(n+d) / prod l(w), exactly.
@@ -110,7 +157,8 @@ def _vertex_sum(cp: CharacteristicPair, ell: Sequence[Fraction], d: int,
     hvals numeric -> Fraction result; hvals None -> MultiPoly in h_1..h_s.
     With perturb=False a vanishing l(w) raises DegenerateDirectionError;
     otherwise the direction is perturbed to l + t*zeta and the constant
-    Laurent coefficient at t = 0 is returned.
+    Laurent coefficient at t = 0 is returned.  Only l(A) = sum h_i l(w_i)
+    and its power depend on h; the rest comes from the cached plan.
     """
     n, s = cp.n, cp.s
     power = n + d
@@ -121,47 +169,28 @@ def _vertex_sum(cp: CharacteristicPair, ell: Sequence[Fraction], d: int,
             return MultiPoly.variable(s, i, weights=(2,) * s)
         return hvals[i]
 
-    data = _cone_data(cp)
-    degenerate = any(dot(ell, w) == 0 for _, _, frame in data for w in frame)
-    if degenerate and not perturb:
-        raise DegenerateDirectionError("direction vanishes on a dual edge vector")
-
+    perturbed, cones = _vertex_plan(cp, tuple(ell), perturb)
     zero = MultiPoly.zero(s, weights=(2,) * s) if symbolic else Fraction(0)
 
-    if not degenerate:
+    if not perturbed:
         total = zero
-        for cone, sign, frame in data:
-            lw_prod = Fraction(1)
-            for w in frame:
-                lw_prod *= dot(ell, w)
+        for cone, lw, factor in cones:
             la = zero
-            for idx, w in zip(cone, frame):
-                la = la + h_coordinate(idx) * dot(ell, w)
-            total = total + (la ** power) * Fraction(sign) / lw_prod
+            for idx, a in zip(cone, lw):
+                la = la + h_coordinate(idx) * a
+            total = total + (la ** power) * factor
         return total
 
-    zeta = generic_direction(cp)
     total_by_exp: dict[int, object] = {}
-    for cone, sign, frame in data:
-        pairs = [(dot(ell, w), dot(zeta, w)) for w in frame]
-        m = sum(1 for a, _ in pairs if a == 0)
+    for cone, lw, zw, m, inv, factor in cones:
         la0 = zero
         la1 = zero
-        for idx, w in zip(cone, frame):
-            la0 = la0 + h_coordinate(idx) * dot(ell, w)
-            la1 = la1 + h_coordinate(idx) * dot(zeta, w)
+        for idx, a, b in zip(cone, lw, zw):
+            la0 = la0 + h_coordinate(idx) * a
+            la1 = la1 + h_coordinate(idx) * b
         # numerator (la0 + t la1)^power: coefficients of t^0..t^m suffice
         num = [(la0 ** (power - k)) * (la1 ** k) * binomial(power, k)
                for k in range(min(power, m) + 1)]
-        # denominator t^m * Q(t) with Q(0) != 0
-        lead = Fraction(1)
-        qpoly = [Fraction(1)]
-        for a, b in pairs:
-            if a == 0:
-                lead *= b
-            else:
-                qpoly = _poly_mul_scalar(qpoly, [a, b])
-        inv = _series_inverse(qpoly, m)
         for k in range(m + 1):
             # coefficient of t^(k-m) in the cone's Laurent expansion
             acc = None
@@ -172,7 +201,7 @@ def _vertex_sum(cp: CharacteristicPair, ell: Sequence[Fraction], d: int,
                 acc = part if acc is None else acc + part
             if acc is None:
                 continue
-            term = acc * Fraction(sign, 1) / lead
+            term = acc * factor
             expn = k - m
             cur = total_by_exp.get(expn)
             total_by_exp[expn] = term if cur is None else cur + term

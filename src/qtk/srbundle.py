@@ -8,6 +8,8 @@ term's degree is the base degree plus twice the x-degree.
 `reduce` rewrites any element into square-free face form by repeatedly
 eliminating one factor of a repeated variable through a dual character; the
 multiplicity of every produced monomial drops by one, so it terminates.
+With the canonical characters the rewriting is linear over the base, so each
+x-monomial is reduced once per ring and cached.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ class BundleRing:
             if name[:1] in ("x", "h") and name[1:].isdigit():
                 raise MalformedInputError(
                     f"base name {name!r} collides with divisor or support variables")
+        # Cached reductions key on the ring; hash the Chern data's Fractions once.
+        object.__setattr__(self, "_hash", hash((self.cp, self.base, self.chern)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total_degree(self) -> int:
@@ -99,19 +106,22 @@ def bel_scale(a: BundleElement, c) -> BundleElement:
     return {expo: el_scale(el, c) for expo, el in a.items()}
 
 
+def _add_term(out: BundleElement, expo: Expo, coeff: Element) -> None:
+    """out[expo] += coeff, dropping the entry when it cancels."""
+    merged = el_add(out.get(expo, {}), coeff)
+    if merged:
+        out[expo] = merged
+    else:
+        out.pop(expo, None)
+
+
 def bel_mul(ring: BundleRing, a: BundleElement, b: BundleElement) -> BundleElement:
     out: BundleElement = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             coeff = ring.base.mul(c1, c2)
-            if not coeff:
-                continue
-            expo = tuple(x + y for x, y in zip(e1, e2))
-            merged = el_add(out.get(expo, {}), coeff)
-            if merged:
-                out[expo] = merged
-            else:
-                out.pop(expo, None)
+            if coeff:
+                _add_term(out, tuple(x + y for x, y in zip(e1, e2)), coeff)
     return out
 
 
@@ -141,10 +151,38 @@ def reduce(ring: BundleRing, el: BundleElement,
     `chooser(face, j)` supplies the dual character used to eliminate one
     factor of x_j; the default is the canonical minimal one.  Any valid
     choice yields the same pairings (not necessarily the same terms).
+
+    The rewriting only multiplies coefficients on the right by base classes
+    and rationals, so by associativity (which the base's validation checks)
+    coeff * x^expo reduces to coeff times the reduction of x^expo.  With the
+    default chooser that reduction is cached per ring and exponent; an
+    explicit chooser always runs the rewriting itself.
     """
+    if chooser is not None:
+        return _rewrite(ring, el, chooser)
+    out: BundleElement = {}
+    for expo, coeff in el.items():
+        if not coeff:
+            continue
+        for e, r in _reduced_monomial(ring, expo):
+            prod = ring.base.mul(coeff, r)
+            if prod:
+                _add_term(out, e, prod)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reduced_monomial(ring: BundleRing, expo: Expo) -> tuple[tuple[Expo, Element], ...]:
+    """Canonical normal form of x^expo with unit coefficient, as items."""
     cp = ring.cp
-    if chooser is None:
-        chooser = lambda face, j: dual_character(cp, face, j)
+    nf = _rewrite(ring, {expo: ring.base.unit()},
+                  lambda face, j: dual_character(cp, face, j))
+    return tuple(nf.items())
+
+
+def _rewrite(ring: BundleRing, el: BundleElement,
+             chooser: CharacterChooser) -> BundleElement:
+    cp = ring.cp
     out: BundleElement = {}
     work: list[tuple[Expo, Element]] = [(e, dict(c)) for e, c in el.items()]
     while work:
@@ -156,11 +194,7 @@ def reduce(ring: BundleRing, el: BundleElement,
             continue
         repeated = [i for i in supp if expo[i] > 1]
         if not repeated:
-            merged = el_add(out.get(expo, {}), coeff)
-            if merged:
-                out[expo] = merged
-            else:
-                out.pop(expo, None)
+            _add_term(out, expo, coeff)
             continue
         j = repeated[0]
         chi = chooser(supp, j)

@@ -1,5 +1,7 @@
 """Shared fixtures: the standard pairs and rings used across the suite."""
 
+import sys
+
 import pytest
 
 from qtk import basealg as ba
@@ -33,6 +35,15 @@ def point_ring_cp1():
 
 def hirzebruch_ring(a):
     return cat.get(f"hirzebruch?a={a}").ring()
+
+
+def clear_caches():
+    """Empty every lru_cache in qtk, leaving it as a fresh process has it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qtk."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -153,6 +153,30 @@ def test_class_literal_fuzz(literal):
         assert main(["intersect", "cp2", "--classes=" + literal]) in (0, 2)
 
 
+class TestDashValues:
+    """A value starting with "-" may follow --classes, --gamma or --h after a
+    space, with the same result as after "="."""
+
+    @pytest.mark.parametrize("argv", [
+        ("intersect", "cp2", "--classes", "-x1*x2"),
+        ("intersect", "cp2", "--classes", "-x1;x1+x2"),
+        ("intersect", "hirzebruch?a=2", "--classes", "x1", "--gamma", "-t"),
+        ("volume", "cp2", "--h", "-1,0,0"),
+        ("horizontal", "hirzebruch?a=2", "--h", "-3,1/2", "--i", "1"),
+        ("bkk", "hirzebruch?a=2", "--gamma", "-1", "--i", "1", "--h", "-1,2"),
+    ])
+    def test_space_form_equals_equals_form(self, capsys, argv):
+        joined = []
+        for arg in argv:
+            if joined and joined[-1] in ("--classes", "--gamma", "--h"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run(capsys, *joined) == (code, out, err)
+
+
 class TestBkk:
     def test_hirzebruch_example(self, capsys):
         code, report = run_json(capsys, "bkk", "hirzebruch?a=2",
@@ -333,6 +357,19 @@ class TestMalformedInput:
 
     def test_option_value_double_dash(self, capsys):
         self.assert_bad_input(capsys, "intersect", "cp2", "--classes=--")
+
+    def test_option_value_double_dash_after_a_space(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["intersect", "cp2", "--classes", "--"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_nested_powers_exit_quickly(self, capsys):
+        start = time.monotonic()
+        err = self.assert_bad_input(capsys, "intersect", "cp2",
+                                    "--classes", "((((x1+x2+x3)^4)^4)^4)^4")
+        assert time.monotonic() - start < 10
+        assert "top degree 4" in err
 
     @pytest.mark.parametrize("spec, unknown", [
         ("cp2?zz=3", "zz for 'cp2'"), ("hirzebruch?a=1,b=2", "b for 'hirzebruch'")])
