@@ -429,7 +429,7 @@ def from_json(data: dict) -> GradedBaseAlgebra:
         fundamental = [Fraction(0)] * len(names)
         for name, coeff in data.get("fundamental", {}).items():
             fundamental[names.index(str(name))] = as_scalar(coeff)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:  # e.g. a list for a dict
         raise MalformedInputError(f"bad base-algebra object: {exc}") from exc
     return GradedBaseAlgebra(names, degrees, products, fundamental)
 

@@ -25,7 +25,7 @@ from . import invsys as iv
 from . import multipoly as mp
 from . import ppbrion as pp
 from . import srbundle as sr
-from .errors import QtkError
+from .errors import MalformedInputError, QtkError
 from .exact import scalar_str
 from .literals import parse_class, parse_gamma, parse_h
 from .srbundle import BundleRing
@@ -38,32 +38,33 @@ class CheckFailure(Exception):
 # ---------------------------------------------------------------------------
 # Instance loading.
 
+def _read_json(path: str):
+    """Load a JSON file; one that cannot be opened, decoded or parsed is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise MalformedInputError(f"cannot read JSON file {path}: {exc}") from exc
+
+
 def _inline_or_path(value, loader_json, base_dir):
     if isinstance(value, str):
-        path = value if os.path.isabs(value) else os.path.join(base_dir, value)
-        with open(path, "r", encoding="utf-8") as fh:
-            return loader_json(json.load(fh))
+        return loader_json(_read_json(os.path.join(base_dir, value)))
     return loader_json(value)
 
 
 def load_bundle_file(path: str) -> cat.InstanceBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise QtkError(f"bundle file {path} must hold a JSON object")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         cp = _inline_or_path(data["charpair"], cpm.from_json, base_dir)
         base = _inline_or_path(data["base"], ba.from_json, base_dir)
-        chern_raw = data["chern"]
+        chern = _inline_or_path(data["chern"], lambda d: ba.chern_from_json(base, d),
+                                base_dir)
     except KeyError as exc:
         raise QtkError(f"bundle file misses key {exc}") from exc
-    if isinstance(chern_raw, str):
-        chern_path = chern_raw if os.path.isabs(chern_raw) \
-            else os.path.join(base_dir, chern_raw)
-        with open(chern_path, "r", encoding="utf-8") as fh:
-            chern_raw = json.load(fh)
-    chern = ba.chern_from_json(base, chern_raw)
     return cat.InstanceBundle(name=os.path.basename(path), params=(), cp=cp,
                               base=base, chern=chern)
 
@@ -135,7 +136,24 @@ def _validated_ring(inst: cat.InstanceBundle, samples: int = 64) -> BundleRing:
     return inst.ring()
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise MalformedInputError(f"--samples must be at least 1, got {samples}")
+
+
+def _seed(default: int) -> int:
+    """QTK_SEED overrides --seed; it must be an integer."""
+    raw = os.environ.get("QTK_SEED")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise MalformedInputError(f"QTK_SEED must be an integer, got {raw!r}") from None
+
+
 def cmd_validate(args) -> tuple[dict, int]:
+    _require_samples(args.samples)
     results = []
     all_ok = True
     for spec in args.instance:
@@ -267,6 +285,8 @@ def _bkk_samples(ring: BundleRing, count: int, seed: int):
 
 
 def cmd_check_all(args) -> tuple[dict, int]:
+    _require_samples(args.samples)
+    seed = _seed(args.seed)
     inst = resolve_instance(args.instance)
     pair_rep = cpm.validate(inst.cp)
     base_rep = inst.base.validate()
@@ -290,7 +310,6 @@ def cmd_check_all(args) -> tuple[dict, int]:
     else:  # the apolar Hilbert function is only defined over even bases
         result["hilbert_matches"] = "skipped"
         result["ann_hilbert_even"] = None
-    seed = int(os.environ.get("QTK_SEED", args.seed))
     failures = []
     for gamma, i, h in _bkk_samples(ring, args.samples, seed):
         res = mp.bkk_check(ring, gamma, i, mp.multipolytope(inst.cp, h))
@@ -441,7 +460,7 @@ def main(argv=None) -> int:
             {"command": args.command, "error": str(exc), "ok": False},
             sort_keys=True, indent=2) + "\n")
         return 1
-    except (QtkError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except QtkError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     sys.stdout.write(render(report, getattr(args, "format", "json")))

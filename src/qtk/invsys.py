@@ -25,7 +25,7 @@ from . import exact
 from .basealg import Element, GradedBaseAlgebra
 from .charpair import CharacteristicPair
 from .errors import MalformedInputError, OddClassesPresentError
-from .exact import as_scalar, scalar_str
+from .exact import as_int, as_scalar, scalar_str
 from .multipoly import integral_polynomial_symbolic, integrate_monomial_symbolic
 from .poly import MultiPoly, weighted_monomials
 from .srbundle import BundleRing, evaluate_top
@@ -41,7 +41,10 @@ class Potential:
     degree: int
 
     def __post_init__(self):
-        if not self.poly.is_quasi_homogeneous(self.degree):
+        if len(self.weights) != self.poly.nvars or any(w <= 0 or w % 2 for w in self.weights):
+            raise MalformedInputError("weights must be positive even ints, one per variable")
+        if any(sum(w * e for w, e in zip(self.weights, expo)) != self.degree
+               for expo in self.poly.terms):
             raise MalformedInputError(
                 f"potential is not quasi-homogeneous of weighted degree {self.degree}")
 
@@ -60,16 +63,15 @@ class Potential:
 def potential_from_json(data: dict) -> Potential:
     try:
         names = tuple(str(v["name"]) for v in data["vars"])
-        weights = tuple(int(v["weight"]) for v in data["vars"])
-        degree = int(data["degree"])
+        weights = tuple(as_int(v["weight"]) for v in data["vars"])
+        degree = as_int(data["degree"])
         terms = {}
         for key, coeff in data["terms"].items():
             expo = tuple(int(p) for p in key.split(",")) if key else ()
             terms[expo] = as_scalar(coeff)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad potential object: {exc}") from exc
-    poly = MultiPoly(len(names), terms, weights if names else None)
-    return Potential(names, weights, poly, degree)
+    return Potential(names, weights, MultiPoly(len(names), terms), degree)
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,7 @@ def base_potential(alg: GradedBaseAlgebra) -> Potential:
             val /= factorial(e)
         if val:
             terms[expo] = val
-    poly = MultiPoly(len(pos), terms, weights if pos else None)
-    return Potential(names, weights, poly, alg.top)
+    return Potential(names, weights, MultiPoly(len(pos), terms), alg.top)
 
 
 def _bundle_space(ring: BundleRing) -> tuple[tuple[str, ...], tuple[int, ...], list[int]]:
@@ -167,14 +168,14 @@ def bundle_potential_integral(ring: BundleRing) -> Potential:
     shifted = pb.poly.substitute(images) if npos else MultiPoly.constant(nv_mid, pb.poly.coefficient(()))
     # integrate out the character variables, one lambda-monomial at a time
     nv_out = npos + s
-    out = MultiPoly.zero(nv_out, weights=weights)
+    out = MultiPoly.zero(nv_out)
     integral_cache: dict[tuple[int, ...], MultiPoly] = {}
     for expo, coeff in shifted.items():
         beta, alpha = expo[:npos], expo[npos:]
         if alpha not in integral_cache:
             integral_cache[alpha] = integrate_monomial_symbolic(ring.cp, alpha)
-        ih = integral_cache[alpha].embed(nv_out, list(range(npos, nv_out)), weights)
-        ybeta = MultiPoly.monomial(beta + (0,) * s, 1, weights)
+        ih = integral_cache[alpha].embed(nv_out, list(range(npos, nv_out)))
+        ybeta = MultiPoly.monomial(beta + (0,) * s)
         out = out + ybeta * ih * coeff
     return Potential(names, weights, out, ring.base.top + 2 * ring.cp.n)
 
@@ -198,8 +199,7 @@ def bundle_potential_direct(ring: BundleRing) -> Potential:
         for e in expo:
             val /= factorial(e)
         terms[expo] = val
-    poly = MultiPoly(npos + s, terms, weights)
-    return Potential(names, weights, poly, target)
+    return Potential(names, weights, MultiPoly(npos + s, terms), target)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def bundle_potential_direct(ring: BundleRing) -> Potential:
 
 def apply_operator(q: MultiPoly, p: MultiPoly) -> MultiPoly:
     """Apply q, read as a constant-coefficient differential operator, to p."""
-    out = MultiPoly.zero(p.nvars, p.weights)
+    out = MultiPoly.zero(p.nvars)
     for expo, coeff in q.items():
         out = out + p.apply_derivative(expo) * coeff
     return out
@@ -258,7 +258,7 @@ def ann_generators(p: Potential, up_to_degree: int | None = None) -> dict[int, l
         span = exact.RowSpace(len(monos))
         for gd, g in gens_flat:
             for m in weighted_monomials(p.weights, d - gd):
-                prod = g * MultiPoly.monomial(m, 1, p.weights)
+                prod = g * MultiPoly.monomial(m)
                 vec = [Fraction(0)] * len(monos)
                 for expo, c in prod.terms.items():
                     vec[index[expo]] += c
@@ -266,9 +266,7 @@ def ann_generators(p: Potential, up_to_degree: int | None = None) -> dict[int, l
         new: list[MultiPoly] = []
         for vec in kernel:
             if span.insert(vec):
-                g = MultiPoly(len(p.weights) if p.weights else 0,
-                              {monos[i]: c for i, c in enumerate(vec) if c},
-                              p.weights if p.weights else None)
+                g = MultiPoly(len(p.weights), {monos[i]: c for i, c in enumerate(vec) if c})
                 if apply_operator(g, p.poly):
                     raise MalformedInputError("generator fails to kill the potential")
                 new.append(g)

@@ -10,9 +10,16 @@ signed vertex expansion: for a linear form l generic on the dual edge frames,
 where A_sigma is the cone's vertex and w_sigma_j its dual edge vectors.  The
 normalization is calibrated so the convex toric case reproduces classical
 volumes (interval and triangle oracles in the tests).  General polynomials
-are decomposed monomial-by-monomial into powers of linear forms; directions
-that vanish on some dual edge vector are resolved exactly by a one-parameter
-perturbation l + t*zeta and taking the constant Laurent coefficient at t=0.
+are decomposed monomial-by-monomial into powers of linear forms.
+
+There is one vertex sum.  Every direction is read as l + t*zeta with zeta
+generic, and the result is the constant Laurent coefficient at t = 0; a cone
+whose m dual edge vectors have l(w) = 0 contributes a pole of order m, and
+the poles must cancel over the cones.  A direction generic on the cone is
+the case m = 0, which is the formula above.  The h-independent part of the
+sum is planned once per (pair, direction) and cached.  One monomial
+integral serves numeric h (a Fraction) and symbolic h (a MultiPoly in
+h_1..h_s).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import (DegenerateDirectionError, DegreeMismatchError,
                      MalformedInputError)
 from .exact import as_scalar, dot
 from .poly import MultiPoly, binomial, polarize, power_of_linear_forms
-from .srbundle import BundleRing, bel_mul, evaluate_top, lift, rho
+from .srbundle import BundleRing, intersection_number, rho
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class IntegralPolynomial:
 
     cp: CharacteristicPair
     degree: int  # homogeneous degree n + d
-    poly: MultiPoly  # in h_1..h_s, weights all 2
+    poly: MultiPoly  # in h_1..h_s
 
     def evaluate(self, h: Sequence) -> Fraction:
         return self.poly.evaluate([as_scalar(v) for v in h])
@@ -113,41 +120,31 @@ def _series_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
 def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...], perturb: bool):
     """Everything in the vertex sum for direction l that does not depend on h.
 
-    Returns (perturbed, cones).  Unperturbed, each cone gives
-    (rays, l(w) per ray, sign / prod l(w)).  Perturbed to l + t*zeta, each
-    cone gives (rays, l(w) per ray, zeta(w) per ray, m, the series inverse of
-    Q to t^m, sign / lead): the m rays with l(w) = 0 give t^m * lead, the
-    others Q(t) with Q(0) != 0.  A vanishing l(w) raises
+    The direction is read as l + t*zeta.  Per maximal cone the plan is
+    (rays, l(w), zeta(w), m, c): the m rays with l(w) = 0 give t^m * lead,
+    the others Q(t) = prod (l(w) + t zeta(w)) with Q(0) != 0, and c[k] is
+    sign / lead times the t^k coefficient of 1/Q, for k <= m.  A generic
+    cone has m = 0 and c = (sign / prod l(w),).  A vanishing l(w) raises
     DegenerateDirectionError unless perturb is set; a raise is never cached,
     so every call raises.
     """
     data = _cone_data(cp)
     lws = [tuple(dot(ell, w) for w in frame) for _, _, frame in data]
-    degenerate = any(a == 0 for lw in lws for a in lw)
-    if degenerate and not perturb:
+    if not perturb and any(0 in lw for lw in lws):
         raise DegenerateDirectionError("direction vanishes on a dual edge vector")
-    cones = []
-    if not degenerate:
-        for (cone, sign, _), lw in zip(data, lws):
-            lw_prod = Fraction(1)
-            for a in lw:
-                lw_prod *= a
-            cones.append((cone, lw, Fraction(sign) / lw_prod))
-        return False, tuple(cones)
     zeta = generic_direction(cp)
+    plan = []
     for (cone, sign, frame), lw in zip(data, lws):
         zw = tuple(dot(zeta, w) for w in frame)
-        lead = Fraction(1)
-        qpoly = [Fraction(1)]
+        factor, q = Fraction(sign), [Fraction(1)]  # factor = sign / lead
         for a, b in zip(lw, zw):
             if a == 0:
-                lead *= b
+                factor /= b
             else:
-                qpoly = _poly_mul_scalar(qpoly, [a, b])
-        m = sum(1 for a in lw if a == 0)
-        inv = tuple(_series_inverse(qpoly, m))
-        cones.append((cone, lw, zw, m, inv, Fraction(sign) / lead))
-    return True, tuple(cones)
+                q = _poly_mul_scalar(q, [a, b])
+        m = lw.count(0)
+        plan.append((cone, lw, zw, m, tuple(factor * v for v in _series_inverse(q, m))))
+    return tuple(plan)
 
 
 def _vertex_sum(cp: CharacteristicPair, ell: Sequence[Fraction], d: int,
@@ -157,58 +154,39 @@ def _vertex_sum(cp: CharacteristicPair, ell: Sequence[Fraction], d: int,
     hvals numeric -> Fraction result; hvals None -> MultiPoly in h_1..h_s.
     With perturb=False a vanishing l(w) raises DegenerateDirectionError;
     otherwise the direction is perturbed to l + t*zeta and the constant
-    Laurent coefficient at t = 0 is returned.  Only l(A) = sum h_i l(w_i)
-    and its power depend on h; the rest comes from the cached plan.
+    Laurent coefficient at t = 0 is returned; the pole terms must cancel.
+    Only l(A) = sum h_i l(w_i), zeta(A) = sum h_i zeta(w_i) (for m > 0) and
+    their powers depend on h; the rest comes from the cached plan.
     """
-    n, s = cp.n, cp.s
-    power = n + d
-    symbolic = hvals is None
-
-    def h_coordinate(i):
-        if symbolic:
-            return MultiPoly.variable(s, i, weights=(2,) * s)
-        return hvals[i]
-
-    perturbed, cones = _vertex_plan(cp, tuple(ell), perturb)
-    zero = MultiPoly.zero(s, weights=(2,) * s) if symbolic else Fraction(0)
-
-    if not perturbed:
-        total = zero
-        for cone, lw, factor in cones:
-            la = zero
-            for idx, a in zip(cone, lw):
-                la = la + h_coordinate(idx) * a
-            total = total + (la ** power) * factor
-        return total
-
-    total_by_exp: dict[int, object] = {}
-    for cone, lw, zw, m, inv, factor in cones:
+    power = cp.n + d
+    if hvals is None:
+        hvals = [MultiPoly.variable(cp.s, i) for i in range(cp.s)]
+        zero = MultiPoly.zero(cp.s)
+    else:
+        zero = Fraction(0)
+    laurent: dict[int, object] = {}  # pole order j -> coefficient of t^-j
+    for cone, lw, zw, m, c in _vertex_plan(cp, tuple(ell), perturb):
         la0 = zero
-        la1 = zero
-        for idx, a, b in zip(cone, lw, zw):
-            la0 = la0 + h_coordinate(idx) * a
-            la1 = la1 + h_coordinate(idx) * b
-        # numerator (la0 + t la1)^power: coefficients of t^0..t^m suffice
-        num = [(la0 ** (power - k)) * (la1 ** k) * binomial(power, k)
-               for k in range(min(power, m) + 1)]
+        for i, a in zip(cone, lw):
+            la0 = la0 + hvals[i] * a
+        if m == 0:
+            num = [la0 ** power]
+        else:
+            la1 = zero
+            for i, b in zip(cone, zw):
+                la1 = la1 + hvals[i] * b
+            # numerator (la0 + t la1)^power: coefficients of t^0..t^m suffice
+            num = [(la0 ** (power - j)) * (la1 ** j) * binomial(power, j)
+                   for j in range(min(power, m) + 1)]
         for k in range(m + 1):
             # coefficient of t^(k-m) in the cone's Laurent expansion
-            acc = None
-            for j in range(k + 1):
-                if j >= len(num):
-                    break
-                part = num[j] * inv[k - j]
-                acc = part if acc is None else acc + part
-            if acc is None:
-                continue
-            term = acc * factor
-            expn = k - m
-            cur = total_by_exp.get(expn)
-            total_by_exp[expn] = term if cur is None else cur + term
-    for expn, val in sorted(total_by_exp.items()):
-        if expn < 0 and val != zero:
-            raise MalformedInputError("perturbation failed to cancel pole terms")
-    return total_by_exp.get(0, zero)
+            acc = num[0] * c[k]
+            for j in range(1, min(k, len(num) - 1) + 1):
+                acc = acc + num[j] * c[k - j]
+            laurent[m - k] = laurent.get(m - k, zero) + acc
+    if any(val != zero for j, val in laurent.items() if j > 0):
+        raise MalformedInputError("perturbation failed to cancel pole terms")
+    return laurent.get(0, zero)
 
 
 def _poly_mul_scalar(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -217,6 +195,25 @@ def _poly_mul_scalar(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _monomial_integral(cp: CharacteristicPair, alpha: Sequence[int],
+                       hvals: Sequence[Fraction] | None, direction: Sequence | None = None):
+    """Integral of x^alpha: a Fraction for numeric hvals, a MultiPoly in
+    h_1..h_s when hvals is None.
+
+    A monomial of degree d > 0 is a sum of d-th powers of linear forms; the
+    constant is integrated along `direction` (default: a generic one).
+    """
+    d = sum(alpha)
+    scale = Fraction(factorial(d), factorial(cp.n + d))
+    if d == 0:
+        ell = generic_direction(cp) if direction is None \
+            else tuple(as_scalar(v) for v in direction)
+        return _vertex_sum(cp, ell, 0, hvals, perturb=True) * scale
+    total = sum(_vertex_sum(cp, form, d, hvals, perturb=True) * c
+                for c, form in power_of_linear_forms(alpha))
+    return total * scale
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +233,7 @@ def integrate_linear_power(delta: MultiPolytope, ell: Sequence, d: int) -> Fract
 
 def integrate_monomial_symbolic(cp: CharacteristicPair, alpha: Sequence[int]) -> MultiPoly:
     """Integral of x^alpha as a polynomial in the support numbers h."""
-    alpha = tuple(int(a) for a in alpha)
-    d = sum(alpha)
-    s = cp.s
-    scale = Fraction(factorial(d), factorial(cp.n + d))
-    if d == 0:
-        ell = generic_direction(cp)
-        return _vertex_sum(cp, ell, 0, None, perturb=True) * scale
-    total = MultiPoly.zero(s, weights=(2,) * s)
-    for coeff, form in power_of_linear_forms(alpha):
-        total = total + _vertex_sum(cp, form, d, None, perturb=True) * coeff
-    return total * scale
+    return _monomial_integral(cp, tuple(int(a) for a in alpha), None)
 
 
 def integral_polynomial_symbolic(cp: CharacteristicPair, f: MultiPoly,
@@ -260,38 +247,18 @@ def integral_polynomial_symbolic(cp: CharacteristicPair, f: MultiPoly,
         raise MalformedInputError("integrand must live on the character space")
     if not f.is_homogeneous():
         raise DegreeMismatchError("integrand must be homogeneous")
-    d = f.total_degree()
-    s = cp.s
-    total = MultiPoly.zero(s, weights=(2,) * s)
+    total = MultiPoly.zero(cp.s)
     for alpha, coeff in f.items():
-        if sum(alpha) == 0:
-            ell = tuple(as_scalar(v) for v in direction) if direction is not None \
-                else generic_direction(cp)
-            part = _vertex_sum(cp, ell, 0, None, perturb=True) \
-                * Fraction(1, factorial(cp.n))
-        else:
-            part = integrate_monomial_symbolic(cp, alpha)
-        total = total + part * coeff
-    return IntegralPolynomial(cp=cp, degree=cp.n + d, poly=total)
+        total = total + _monomial_integral(cp, alpha, None, direction) * coeff
+    return IntegralPolynomial(cp=cp, degree=cp.n + f.total_degree(), poly=total)
 
 
 def integrate_polynomial(delta: MultiPolytope, f: MultiPoly) -> Fraction:
     """Exact integral of a polynomial over a multi-polytope."""
-    cp = delta.cp
-    if f.nvars != cp.n:
+    if f.nvars != delta.cp.n:
         raise MalformedInputError("integrand must live on the character space")
-    total = Fraction(0)
-    scale_cache: dict[int, Fraction] = {}
-    for alpha, coeff in f.items():
-        d = sum(alpha)
-        scale = scale_cache.setdefault(d, Fraction(factorial(d), factorial(cp.n + d)))
-        if d == 0:
-            ell = generic_direction(cp)
-            total += coeff * scale * _vertex_sum(cp, ell, 0, delta.h, perturb=True)
-            continue
-        for c, form in power_of_linear_forms(alpha):
-            total += coeff * c * scale * _vertex_sum(cp, form, d, delta.h, perturb=True)
-    return total
+    return sum((_monomial_integral(delta.cp, alpha, delta.h) * coeff
+                for alpha, coeff in f.items()), Fraction(0))
 
 
 def volume(delta: MultiPolytope) -> Fraction:
@@ -328,13 +295,7 @@ def F_gamma(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> F
     if dg is not None and dg != ring.base.top - 2 * i:
         raise DegreeMismatchError(
             f"gamma has degree {dg}, expected {ring.base.top - 2 * i}")
-    r = rho(ring, delta.h)
-    acc = lift(ring, gamma)
-    for _ in range(ring.cp.n + i):
-        acc = bel_mul(ring, acc, r)
-    if not acc:
-        return Fraction(0)
-    return evaluate_top(ring, acc)
+    return intersection_number(ring, [rho(ring, delta.h)] * (ring.cp.n + i), gamma)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 A polynomial maps exponent tuples (one int per variable) to nonzero Fraction
 coefficients.  Iteration and serialization are in lexicographic exponent
-order, so all emitted output is byte-stable.  Optional per-variable weights
-(positive even ints) support the quasi-homogeneous gradings used elsewhere.
+order, so all emitted output is byte-stable.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ class MultiPoly:
     True
     """
 
-    __slots__ = ("nvars", "terms", "weights")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int,
-                 terms: Mapping[Exponent, Fraction] | None = None,
-                 weights: Sequence[int] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
         self.nvars = nvars
         clean: dict[Exponent, Fraction] = {}
         if terms:
@@ -44,30 +41,25 @@ class MultiPoly:
                     if not clean[expo]:
                         del clean[expo]
         self.terms = clean
-        if weights is not None:
-            weights = tuple(int(w) for w in weights)
-            if len(weights) != nvars or any(w <= 0 or w % 2 for w in weights):
-                raise MalformedInputError("weights must be positive even ints, one per variable")
-        self.weights = weights
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, weights=None) -> "MultiPoly":
-        return cls(nvars, {}, weights)
+    def zero(cls, nvars: int) -> "MultiPoly":
+        return cls(nvars, {})
 
     @classmethod
-    def constant(cls, nvars: int, value, weights=None) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)}, weights)
+    def constant(cls, nvars: int, value) -> "MultiPoly":
+        return cls(nvars, {(0,) * nvars: Fraction(value)})
 
     @classmethod
-    def variable(cls, nvars: int, index: int, weights=None) -> "MultiPoly":
+    def variable(cls, nvars: int, index: int) -> "MultiPoly":
         expo = [0] * nvars
         expo[index] = 1
-        return cls(nvars, {tuple(expo): Fraction(1)}, weights)
+        return cls(nvars, {tuple(expo): Fraction(1)})
 
     @classmethod
-    def linear_form(cls, coeffs: Sequence, weights=None) -> "MultiPoly":
+    def linear_form(cls, coeffs: Sequence) -> "MultiPoly":
         n = len(coeffs)
         terms = {}
         for i, c in enumerate(coeffs):
@@ -76,16 +68,13 @@ class MultiPoly:
                 expo = [0] * n
                 expo[i] = 1
                 terms[tuple(expo)] = c
-        return cls(n, terms, weights)
+        return cls(n, terms)
 
     @classmethod
-    def monomial(cls, expo: Sequence[int], coeff=1, weights=None) -> "MultiPoly":
-        return cls(len(expo), {tuple(expo): Fraction(coeff)}, weights)
+    def monomial(cls, expo: Sequence[int], coeff=1) -> "MultiPoly":
+        return cls(len(expo), {tuple(expo): Fraction(coeff)})
 
     # -- ring operations ----------------------------------------------------
-
-    def _like(self, terms) -> "MultiPoly":
-        return MultiPoly(self.nvars, terms, self.weights)
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -96,13 +85,13 @@ class MultiPoly:
                 out[expo] = v
             else:
                 out.pop(expo, None)
-        return self._like(out)
+        return MultiPoly(self.nvars, out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "MultiPoly":
-        return self._like({e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -114,8 +103,8 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return self._like({})
-            return self._like({e: v * c for e, v in self.terms.items()})
+                return MultiPoly(self.nvars, {})
+            return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
         other = self._coerce(other)
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -126,19 +115,19 @@ class MultiPoly:
                     out[e] = v
                 else:
                     del out[e]
-        return self._like(out)
+        return MultiPoly(self.nvars, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, scalar) -> "MultiPoly":
         c = Fraction(scalar)
-        return self._like({e: v / c for e, v in self.terms.items()})
+        return MultiPoly(self.nvars, {e: v / c for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise MalformedInputError("negative power of a polynomial")
-        result = MultiPoly.constant(self.nvars, 1, self.weights)
+        result = MultiPoly.constant(self.nvars, 1)
         base = self
         while k:
             if k & 1:
@@ -152,7 +141,7 @@ class MultiPoly:
             if other.nvars != self.nvars:
                 raise MalformedInputError("mixed variable counts")
             return other
-        return MultiPoly.constant(self.nvars, other, self.weights)
+        return MultiPoly.constant(self.nvars, other)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -179,11 +168,6 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def weighted_degree_of(self, expo: Exponent) -> int:
-        if self.weights is None:
-            return sum(expo)
-        return sum(w * e for w, e in zip(self.weights, expo))
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {sum(e) for e in self.terms}
         if not degs:
@@ -191,9 +175,6 @@ class MultiPoly:
         if degree is None:
             return len(degs) == 1
         return degs == {degree}
-
-    def is_quasi_homogeneous(self, degree: int) -> bool:
-        return all(self.weighted_degree_of(e) == degree for e in self.terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
         vals = [Fraction(v) for v in point]
@@ -233,7 +214,7 @@ class MultiPoly:
                 new = list(expo)
                 new[index] = e - 1
                 out[tuple(new)] = coeff * e
-        return self._like(out)
+        return MultiPoly(self.nvars, out)
 
     def apply_derivative(self, expo: Sequence[int]) -> "MultiPoly":
         """Apply the constant-coefficient operator prod_i d/dx_i^expo[i].
@@ -256,9 +237,9 @@ class MultiPoly:
                 out[key] = v
             else:
                 del out[key]
-        return self._like(out)
+        return MultiPoly(self.nvars, out)
 
-    def embed(self, nvars: int, positions: Sequence[int], weights=None) -> "MultiPoly":
+    def embed(self, nvars: int, positions: Sequence[int]) -> "MultiPoly":
         """Re-index into a larger variable space: old variable i -> positions[i]."""
         if len(positions) != self.nvars:
             raise MalformedInputError("need one position per variable")
@@ -268,7 +249,7 @@ class MultiPoly:
             for pos, e in zip(positions, expo):
                 new[pos] = e
             out[tuple(new)] = coeff
-        return MultiPoly(nvars, out, weights)
+        return MultiPoly(nvars, out)
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
         if not self.terms:

@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, reports, determinism, file loading."""
 
 import contextlib
+import copy
 import io
 import json
+import os
+import tempfile
 import time
 from fractions import Fraction
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from qtk import basealg as ba
 from qtk import charpair as cpm
-from qtk.catalog import get
+from qtk.catalog import all_instances, get
 from qtk.cli import main
 from qtk.literals import parse_class
 
@@ -27,6 +30,12 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert out, err
     return code, json.loads(out)
+
+
+def bundle_payload(inst):
+    """An instance as the JSON object of a bundle file, every part inline."""
+    return {"charpair": cpm.to_json(inst.cp), "base": ba.to_json(inst.base),
+            "chern": ba.chern_to_json(inst.base, inst.chern)}
 
 
 @pytest.fixture()
@@ -94,6 +103,22 @@ class TestBetti:
         _, from_file = run_json(capsys, "betti", cp2_bundle_file)
         _, from_catalog = run_json(capsys, "betti", "cp2")
         assert from_file["input"]["digest"] == from_catalog["input"]["digest"]
+
+    def test_parts_given_as_paths(self, capsys, tmp_path):
+        # charpair and chern relative to the bundle file, base absolute
+        payload = bundle_payload(get("hirzebruch?a=2"))
+        for part in ("charpair", "base", "chern"):
+            (tmp_path / f"{part}.json").write_text(json.dumps(payload[part]), encoding="utf-8")
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"charpair": "charpair.json",
+                                    "base": str(tmp_path / "base.json"),
+                                    "chern": "chern.json"}), encoding="utf-8")
+        _, from_file = run_json(capsys, "betti", str(path))
+        _, from_catalog = run_json(capsys, "betti", "hirzebruch?a=2")
+        assert from_file["input"]["digest"] == from_catalog["input"]["digest"]
+        (tmp_path / "chern.json").unlink()
+        code, out, err = run(capsys, "betti", str(path))
+        assert (code, out) == (2, "") and "cannot read JSON file" in err
 
 
 class TestVolume:
@@ -371,8 +396,108 @@ class TestMalformedInput:
         assert time.monotonic() - start < 10
         assert "top degree 4" in err
 
+    @pytest.mark.parametrize("content", [
+        None,  # the path is a directory
+        b"\xff\xfe not UTF-8",
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["directory", "non-utf8", "deeply-nested"])
+    def test_unreadable_bundle_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bundle.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        err = self.assert_bad_input(capsys, "betti", str(path))
+        assert "cannot read JSON file" in err
+
+    @pytest.mark.parametrize("key", ["products", "fundamental"])
+    def test_base_map_given_as_list(self, capsys, tmp_path, key):
+        payload = bundle_payload(get("hirzebruch?a=1"))
+        payload["base"][key] = [1, 2]
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        err = self.assert_bad_input(capsys, "betti", str(path))
+        assert "bad base-algebra object" in err
+
+    def test_non_integer_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("QTK_SEED", "abc")
+        err = self.assert_bad_input(capsys, "check-all", "cp2")
+        assert "QTK_SEED" in err
+
+    @pytest.mark.parametrize("argv", [("check-all", "cp2", "--samples", "0"),
+                                      ("validate", "cp2", "--samples", "-5")])
+    def test_samples_below_one(self, capsys, argv):
+        err = self.assert_bad_input(capsys, *argv)
+        assert "--samples must be at least 1" in err
+
     @pytest.mark.parametrize("spec, unknown", [
         ("cp2?zz=3", "zz for 'cp2'"), ("hirzebruch?a=1,b=2", "b for 'hirzebruch'")])
     def test_unknown_catalog_parameter(self, capsys, spec, unknown):
         err = self.assert_bad_input(capsys, "betti", spec)
         assert f"unknown parameter(s) {unknown}" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing mutated bundle files.
+
+BUNDLES = [bundle_payload(inst) for inst in all_instances()]
+OTHER_JSON = [None, True, 0, -1, 2.5, "x", "1/0", [], [1], [[1]], {}, {"a": 1}]
+
+
+def _json_paths(value, prefix=()):
+    """Paths (key or index tuples) to every value below the root."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutate(data, payload) -> None:
+    """Delete a value, give it another JSON type, or swap an int for a float
+    or a huge int."""
+    paths = list(_json_paths(payload))
+    if not paths:
+        return
+    path = data.draw(st.sampled_from(paths))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    kinds = ["delete", "retype"]
+    if isinstance(old, int) and not isinstance(old, bool):
+        kinds += ["float", "huge"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "retype":
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(
+            [v for v in OTHER_JSON if type(v) is not type(old)])))
+    elif kind == "float":
+        parent[path[-1]] = old + data.draw(st.sampled_from([0.0, 0.5]))
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from([1, -1])) * 10 ** 30
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_bundle_json_fuzz(data):
+    """validate and betti on a mutated catalog bundle exit 0, 1 or 2 and
+    never write a traceback."""
+    payload = copy.deepcopy(data.draw(st.sampled_from(BUNDLES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bundle.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        for command in ("validate", "betti"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, path])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()

@@ -12,7 +12,7 @@ from qtk import invsys as iv
 from qtk import multipoly as mp
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
-from qtk.errors import OddClassesPresentError
+from qtk.errors import MalformedInputError, OddClassesPresentError
 from qtk.poly import MultiPoly
 
 from conftest import hirzebruch_ring
@@ -31,12 +31,12 @@ def fan_h_vector(cp):
 class TestVolumePotential:
     def test_cp1(self, cp1):
         p = iv.volume_potential(cp1)
-        assert p.poly == MultiPoly.linear_form([1, 1], weights=(2, 2))
+        assert p.poly == MultiPoly.linear_form([1, 1])
         assert p.degree == 2
 
     def test_cp2(self, cp2):
         p = iv.volume_potential(cp2)
-        assert p.poly == MultiPoly.linear_form([1, 1, 1], weights=(2, 2, 2)) ** 2 / 2
+        assert p.poly == MultiPoly.linear_form([1, 1, 1]) ** 2 / 2
 
     def test_hirzebruch_toric_matches_numeric_integrals(self):
         inst = get("hirzebruch-toric?m=1")
@@ -51,12 +51,12 @@ class TestBasePotential:
     def test_cp1(self, base_cp1):
         p = iv.base_potential(base_cp1)
         assert p.var_names == ("t",)
-        assert p.poly == MultiPoly.variable(1, 0, weights=(2,))
+        assert p.poly == MultiPoly.variable(1, 0)
 
     def test_cp2(self, base_cp2):
         p = iv.base_potential(base_cp2)
         assert p.var_names == ("t", "t2")
-        expected = MultiPoly(2, {(2, 0): F(1, 2), (0, 1): F(1)}, weights=(2, 4))
+        expected = MultiPoly(2, {(2, 0): F(1, 2), (0, 1): F(1)})
         assert p.poly == expected
 
     def test_point_degenerate(self):
@@ -82,7 +82,7 @@ class TestBundlePotentials:
             expected = MultiPoly(3, {
                 (0, 2, 0): F(a, 2), (0, 0, 2): F(-a, 2),
                 (1, 1, 0): F(1), (1, 0, 1): F(1),
-            }, weights=(2, 2, 2))
+            })
             assert p.poly == expected
 
     def test_point_base_reduces_to_volume(self):
@@ -106,7 +106,8 @@ class TestBundlePotentials:
             ring = inst.ring()
             p = iv.bundle_potential_integral(ring)
             assert p.degree == ring.total_degree
-            assert p.poly.is_quasi_homogeneous(p.degree)
+            assert all(sum(w * e for w, e in zip(p.weights, expo)) == p.degree
+                       for expo in p.poly.terms)
 
 
 class TestAnnHilbert:
@@ -194,7 +195,7 @@ class TestAnnGenerators:
                 if gd > d:
                     continue
                 for m in weighted_monomials(p.weights, d - gd):
-                    prod = g * MultiPoly.monomial(m, 1, p.weights)
+                    prod = g * MultiPoly.monomial(m)
                     vec = [F(0)] * len(monos)
                     for expo, c in prod.terms.items():
                         vec[index[expo]] += c
@@ -234,6 +235,20 @@ class TestFrobeniusKernel:
                 assert dims.get(qa.top - d, 0) == v
 
 
+class TestPotentialChecks:
+    def test_rejects_non_quasi_homogeneous(self):
+        poly = MultiPoly(2, {(1, 0): F(1), (0, 1): F(1)})  # weighted degrees 2 and 4
+        with pytest.raises(MalformedInputError,
+                           match="not quasi-homogeneous of weighted degree 4"):
+            iv.Potential(("x", "y"), (2, 4), poly, 4)
+
+    @pytest.mark.parametrize("weights", [(2,), (2, 4, 2), (0, 2), (2, 3), (-2, 2)])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(MalformedInputError,
+                           match="weights must be positive even ints, one per variable"):
+            iv.Potential(("x", "y"), weights, MultiPoly.zero(2), 4)
+
+
 class TestPotentialJson:
     def test_roundtrip(self):
         ring = hirzebruch_ring(2)
@@ -245,3 +260,13 @@ class TestPotentialJson:
         p = iv.base_potential(ba.make_point())
         again = iv.potential_from_json(p.to_json())
         assert again.poly.coefficient(()) == 1
+
+    @pytest.mark.parametrize("field, value", [("weight", 2.9), ("degree", 2.5)])
+    def test_non_integer_weight_or_degree(self, base_cp1, field, value):
+        data = iv.base_potential(base_cp1).to_json()  # one variable t of weight 2, degree 2
+        if field == "weight":
+            data["vars"][0]["weight"] = value
+        else:
+            data["degree"] = value
+        with pytest.raises(MalformedInputError, match="not an integer"):
+            iv.potential_from_json(data)

@@ -136,6 +136,36 @@ class TestIntegratePolynomial:
         assert mp.integrate_polynomial(delta, MultiPoly.monomial((1, 1))) == -F(9, 8)
 
 
+class TestOneVertexSum:
+    def test_generic_power_equals_its_monomial_expansion(self, all_instances):
+        """integrate_linear_power(l, d) sums over cones that are all generic
+        (m = 0); integrate_polynomial((l.x)^d) goes through the +-1 forms of
+        power_of_linear_forms, many of which vanish on a dual edge vector
+        (m > 0).  The two cases of the one vertex sum must agree exactly."""
+        rng = random.Random(4417)
+        perturbed = set()
+        for inst in all_instances:
+            cp = inst.cp
+            dual = list(mp._all_dual_vectors(cp))
+            while True:
+                ell = tuple(rng.randint(-5, 5) for _ in range(cp.n))
+                if all(sum(a * b for a, b in zip(ell, w)) for w in dual):
+                    break
+            for d in range(3):
+                h = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(cp.s)]
+                delta = mp.multipolytope(cp, h)
+                f = MultiPoly.linear_form(ell) ** d
+                assert mp.integrate_linear_power(delta, ell, d) \
+                    == mp.integrate_polynomial(delta, f), (inst.label, ell, d, h)
+                for alpha, _ in f.items():
+                    if sum(alpha) and any(
+                            m > 0 for _, form in power_of_linear_forms(alpha)
+                            for _, _, _, m, _ in mp._vertex_plan(cp, form, True)):
+                        perturbed.add(inst.label)
+        assert {"cp2", "cp3", "cp1xcp1", "cp2-twist", "hirzebruch-toric?m=1",
+                "hirzebruch-toric?m=2"} <= perturbed
+
+
 class TestSymbolicIntegral:
     def test_cp1_volume_polynomial(self, cp1):
         sym = mp.integral_polynomial_symbolic(cp1, MultiPoly.constant(1, 1))

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qtk.errors import DegreeMismatchError
+from qtk.errors import DegreeMismatchError, MalformedInputError
+from qtk.invsys import Potential
 from qtk.poly import (MultiPoly, monomials_of_degree, polarize,
                       power_of_linear_forms, weighted_monomials)
 
@@ -57,9 +58,10 @@ class TestArithmetic:
         assert p.apply_derivative((4, 0)) == MultiPoly.zero(2)
 
     def test_weighted_degrees(self):
-        p = MultiPoly(2, {(1, 1): F(1)}, weights=(2, 4))
-        assert p.is_quasi_homogeneous(6)
-        assert not p.is_quasi_homogeneous(4)
+        p = MultiPoly(2, {(1, 1): F(1)})
+        assert Potential(("x", "y"), (2, 4), p, 6).degree == 6
+        with pytest.raises(MalformedInputError, match="quasi-homogeneous"):
+            Potential(("x", "y"), (2, 4), p, 4)
 
     def test_lex_iteration_is_sorted(self):
         p = MultiPoly(2, {(1, 0): F(1), (0, 1): F(1), (0, 0): F(1)})
