@@ -169,9 +169,9 @@ class GradedBaseAlgebra:
                 pairing_ok = False
                 detail = f"dims {len(rows_idx)} vs {len(cols_idx)} in degrees {d},{self.top - d}"
                 break
-            mat = [[self.integrate(self.basis_product(i, j)) for j in cols_idx]
-                   for i in rows_idx]
-            if rows_idx and exact.rank(mat) != len(rows_idx):
+            rows = ({k: self.integrate(self.basis_product(i, j))
+                     for k, j in enumerate(cols_idx)} for i in rows_idx)
+            if exact.rank(rows, len(cols_idx)) != len(rows_idx):
                 pairing_ok = False
                 detail = f"degenerate pairing between degrees {d} and {self.top - d}"
                 break

@@ -237,7 +237,7 @@ class ValidationReport:
 
 def _check_simplicial(cp: CharacteristicPair) -> CheckResult:
     for cone in cp.max_cones:
-        if exact.rank(cp.ray_rows(cone)) != cp.n:
+        if exact.rank((dict(enumerate(cp.ray_dirs[i])) for i in cone), cp.n) != cp.n:
             return CheckResult("simplicial", False,
                                f"rays of cone {list(cone)} are linearly dependent")
     return CheckResult("simplicial", True)

@@ -141,6 +141,11 @@ def _require_samples(samples: int) -> None:
         raise MalformedInputError(f"--samples must be at least 1, got {samples}")
 
 
+def _require_max_degree(max_degree: int | None) -> None:
+    if max_degree is not None and max_degree < 0:
+        raise MalformedInputError(f"--max-degree must be non-negative, got {max_degree}")
+
+
 def _seed(default: int) -> int:
     """QTK_SEED overrides --seed; it must be an integer."""
     raw = os.environ.get("QTK_SEED")
@@ -246,6 +251,7 @@ def cmd_ann_hilbert(args) -> tuple[dict, int]:
 
 
 def cmd_ann_generators(args) -> tuple[dict, int]:
+    _require_max_degree(args.max_degree)
     inst = resolve_instance(args.instance)
     ring = _validated_ring(inst)
     pot = iv.bundle_potential_integral(ring)
@@ -259,6 +265,7 @@ def cmd_ann_generators(args) -> tuple[dict, int]:
 
 
 def cmd_brion(args) -> tuple[dict, int]:
+    _require_max_degree(args.max_degree)
     inst = resolve_instance(args.instance)
     ring = _validated_ring(inst)
     bundle_dims = pp.brion_bundle_dims(ring, args.max_degree)

@@ -1,15 +1,22 @@
 """Exact rational scalars and exact linear algebra.
 
 Scalars are fractions.Fraction: always reduced, positive denominator, so
-structural equality is semantic equality.  Matrices are plain nested lists
-in row-major order.
+structural equality is semantic equality.
 
-Every rank, span and quotient question is answered by RowSpace: a sparse
+Rank, span and kernel questions take sparse rows: a row is a mapping
+{column: entry} with int or Fraction entries and every column in
+range(width), the width being given alongside the rows.  Absent columns and
+explicit zero entries are zero.  RowSpace answers all of them with a sparse
 echelon basis whose rows are integer dicts (denominators cleared, divided by
 the gcd of their entries), one row per pivot column, the pivot being the
 row's last nonzero column.  `rank` and `kernel_basis` are thin layers over
-it.  Determinants and square solves use the one dense fraction-free Bareiss
-elimination, qtk.kernels.echelon_int.
+it.  The vectors it returns (`normal_form`, `kernel`, `kernel_basis`) are
+sparse as well: Fraction dicts of the nonzero entries in increasing column
+order.
+
+Determinants, square solves and the Smith normal form take dense matrices,
+nested lists in row-major order; determinants and solves use the one dense
+fraction-free Bareiss elimination, qtk.kernels.echelon_int.
 """
 
 from __future__ import annotations
@@ -17,17 +24,17 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError, SingularMatrixError
 from .kernels import echelon_int
 
 Scalar = Fraction
 
+SparseRow = Mapping[int, int | Fraction]
 Row = Sequence[Scalar]
 Matrix = Sequence[Row]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -69,9 +76,16 @@ def check_matrix(rows: Matrix) -> tuple[int, int]:
 
 
 def _cleared(row: Row) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, as ints, and that lcm."""
+    """The dense row times the lcm of its denominators, as ints, and that lcm."""
     scale = lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def cleared(vec: SparseRow) -> tuple[dict[int, int], int]:
+    """The nonzero entries of the sparse row times the lcm of their
+    denominators, as ints, and that lcm."""
+    scale = lcm(*(x.denominator for x in vec.values()))
+    return {c: x.numerator * (scale // x.denominator) for c, x in vec.items() if x}, scale
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +148,7 @@ class RowSpace:
     again, empties it.
     """
 
-    def __init__(self, ncols: int, rows: Iterable[Row] = ()):
+    def __init__(self, ncols: int, rows: Iterable[SparseRow] = ()):
         self.ncols = ncols
         self.rows: dict[int, dict[int, int]] = {}
         for row in rows:
@@ -153,16 +167,15 @@ class RowSpace:
         """
         return [c for c in range(self.ncols) if c not in self.rows]
 
-    def _sparse(self, v: Row) -> tuple[dict[int, int], int]:
-        if len(v) != self.ncols:
+    def _integer_row(self, v: SparseRow) -> tuple[dict[int, int], int]:
+        if v and not (min(v) >= 0 and max(v) < self.ncols):
             raise MalformedInputError(
-                f"vector of length {len(v)} in a row space of width {self.ncols}")
-        ints, scale = _cleared(v)
-        return {c: x for c, x in enumerate(ints) if x}, scale
+                f"row on columns {min(v)}..{max(v)} in a row space of width {self.ncols}")
+        return cleared(v)
 
-    def insert(self, v: Row) -> bool:
+    def insert(self, v: SparseRow) -> bool:
         """Add v to the span; True iff the rank grew."""
-        vec, _ = self._sparse(v)
+        vec, _ = self._integer_row(v)
         _, lead = _eliminate(self.rows, vec, full=False)
         if lead < 0:
             return False
@@ -173,22 +186,19 @@ class RowSpace:
         self.rows[lead] = {c: x // g for c, x in vec.items()}
         return True
 
-    def contains(self, v: Row) -> bool:
+    def contains(self, v: SparseRow) -> bool:
         """Whether v lies in the span."""
-        vec, _ = self._sparse(v)
+        vec, _ = self._integer_row(v)
         return _eliminate(self.rows, vec, full=False)[1] < 0
 
-    def normal_form(self, v: Row) -> list[Fraction]:
+    def normal_form(self, v: SparseRow) -> dict[int, Fraction]:
         """The unique w with v - w in the span and w zero on every pivot
-        column; w is zero iff v lies in the span."""
-        vec, scale = self._sparse(v)
+        column; w is empty iff v lies in the span."""
+        vec, scale = self._integer_row(v)
         m, _ = _eliminate(self.rows, vec, full=True)
-        out = [_ZERO] * self.ncols
-        for c, x in vec.items():
-            out[c] = Fraction(x, m * scale)
-        return out
+        return {c: Fraction(x, m * scale) for c, x in sorted(vec.items()) if x}
 
-    def kernel(self) -> list[list[Fraction]]:
+    def kernel(self) -> list[dict[int, Fraction]]:
         """Basis of {x : row . x = 0 for every row}: one vector per free
         column, increasing, with entry 1 there and 0 at the other free columns."""
         reduced: dict[int, dict[int, int]] = {}
@@ -197,10 +207,9 @@ class RowSpace:
             vec = dict(self.rows[p])
             _eliminate(reduced, vec, full=True)
             reduced[p] = vec
-        basis = {}
-        for f in self.free_columns():
-            basis[f] = [_ZERO] * self.ncols
-            basis[f][f] = _ONE
+        # Pivots come in increasing order and lie right of every other
+        # column of their row, so each vector's columns stay increasing.
+        basis = {f: {f: _ONE} for f in self.free_columns()}
         for p, row in reduced.items():
             for c, x in row.items():
                 if c != p:
@@ -208,24 +217,24 @@ class RowSpace:
         return list(basis.values())
 
 
-def rank(rows: Matrix) -> int:
-    """Rank of a rational matrix."""
-    _, ncols = check_matrix(rows)
+def rank(rows: Iterable[SparseRow], ncols: int) -> int:
+    """Rank of the sparse rows, each of width ncols."""
     return RowSpace(ncols, rows).rank
 
 
-def kernel_basis(rows: Matrix) -> list[list[Fraction]]:
-    """Basis of the right null space; empty list iff full column rank.
+def kernel_basis(rows: Iterable[SparseRow], ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right null space of the sparse rows; the identity when
+    there are no rows, empty iff full column rank.
 
     Deterministic: one basis vector per free column in increasing column
     order, normalized to have entry 1 at its free column and 0 at the other
     free columns.  Free columns are those without a pivot when every row is
     pivoted on its first nonzero column.
     """
-    _, ncols = check_matrix(rows)
-    # RowSpace pivots on last columns; on reversed columns that is the first.
-    space = RowSpace(ncols, (row[::-1] for row in rows))
-    return [v[::-1] for v in reversed(space.kernel())]
+    # RowSpace pivots on last columns; numbered from the right, that is the first.
+    last = ncols - 1
+    space = RowSpace(ncols, ({last - c: x for c, x in row.items()} for row in rows))
+    return [{last - c: x for c, x in reversed(v.items())} for v in reversed(space.kernel())]
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +280,6 @@ def solve_exact(a: Matrix, b: Row) -> list[Fraction]:
             acc -= Fraction(ech[i][j]) * x[j]
         x[i] = acc / ech[i][i]
     return x
-
-
-def matvec(a: Matrix, x: Row) -> list[Fraction]:
-    """Matrix-vector product over the rationals."""
-    return [sum((Fraction(v) * Fraction(w) for v, w in zip(row, x)), Fraction(0))
-            for row in a]
 
 
 def dot(u: Row, v: Row) -> Fraction:
@@ -382,21 +385,3 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[li
             row_negate(i)
     diag = [A[i][i] for i in range(limit)]
     return diag, U, V
-
-
-def matmul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer matrix product (used by SNF tests and back-substitution)."""
-    if not a or not b:
-        return []
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def int_det_unimodular(u: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small integer matrix (for checking unimodularity)."""
-    n = len(u)
-    if n == 0:
-        return 1
-    d = det([[Fraction(v) for v in row] for row in u])
-    if d.denominator != 1:
-        raise MalformedInputError("non-integer determinant for integer matrix")
-    return int(d)

@@ -213,11 +213,16 @@ def apply_operator(q: MultiPoly, p: MultiPoly) -> MultiPoly:
     return out
 
 
-def _basis_and_images(p: Potential, d: int):
+def _apolar_rows(p: Potential, d: int) -> tuple[list[tuple[int, ...]], list[dict]]:
+    """The degree-d monomials and the map m -> m(p) as sparse rows: one row
+    per monomial of degree p.degree - d, holding its coefficient in each
+    image, so the row kernel is Ann(p) in degree d."""
     monos = weighted_monomials(p.weights, d)
-    images = [p.poly.apply_derivative(m) for m in monos]
-    target = weighted_monomials(p.weights, p.degree - d)
-    rows = [[img.coefficient(t) for t in target] for img in images]
+    index = {t: k for k, t in enumerate(weighted_monomials(p.weights, p.degree - d))}
+    rows: list[dict[int, Fraction]] = [{} for _ in index]
+    for i, m in enumerate(monos):
+        for t, c in p.poly.apply_derivative(m).terms.items():
+            rows[index[t]][i] = c
     return monos, rows
 
 
@@ -225,11 +230,8 @@ def ann_hilbert(p: Potential) -> HilbertFunction:
     """Graded dimensions of Sym(V)/Ann(p) by exact rank, per weighted degree."""
     dims = []
     for d in range(p.degree + 1):
-        monos, rows = _basis_and_images(p, d)
-        if not monos:
-            dims.append(0)
-            continue
-        dims.append(exact.rank(rows) if rows else 0)
+        monos, rows = _apolar_rows(p, d)
+        dims.append(exact.rank(rows, len(monos)))
     return HilbertFunction(tuple(dims))
 
 
@@ -239,34 +241,27 @@ def ann_generators(p: Potential, up_to_degree: int | None = None) -> dict[int, l
     Degree-d generators are a basis of Ann_d modulo (lower generators)*Sym;
     every returned operator is checked to kill the potential.
     """
-    if up_to_degree is None:
-        # Past degree+2 the ideal already contains the full symmetric power,
-        # so no minimal generators appear there.
-        up_to_degree = p.degree + 2
+    # Every monomial above p.degree kills p, so above p.degree plus the
+    # largest weight each one is a variable times a lower annihilator and no
+    # generator is new.  The default, p.degree + 2, is that bound for weight 2.
+    bound = p.degree + max(p.weights, default=2)
+    up_to_degree = p.degree + 2 if up_to_degree is None else min(up_to_degree, bound)
     gens: dict[int, list[MultiPoly]] = {}
     gens_flat: list[tuple[int, MultiPoly]] = []
     for d in range(1, up_to_degree + 1):
-        monos, rows = _basis_and_images(p, d)
+        monos, rows = _apolar_rows(p, d)
         if not monos:
             continue
-        if rows and rows[0]:
-            kernel = exact.kernel_basis([list(col) for col in zip(*rows)])
-        else:
-            # trivial image space: everything annihilates
-            kernel = exact.kernel_basis([[Fraction(0)] * len(monos)])
         index = {m: i for i, m in enumerate(monos)}
         span = exact.RowSpace(len(monos))
         for gd, g in gens_flat:
             for m in weighted_monomials(p.weights, d - gd):
                 prod = g * MultiPoly.monomial(m)
-                vec = [Fraction(0)] * len(monos)
-                for expo, c in prod.terms.items():
-                    vec[index[expo]] += c
-                span.insert(vec)
+                span.insert({index[expo]: c for expo, c in prod.terms.items()})
         new: list[MultiPoly] = []
-        for vec in kernel:
+        for vec in exact.kernel_basis(rows, len(monos)):
             if span.insert(vec):
-                g = MultiPoly(len(p.weights), {monos[i]: c for i, c in enumerate(vec) if c})
+                g = MultiPoly(len(p.weights), {monos[i]: c for i, c in vec.items()})
                 if apply_operator(g, p.poly):
                     raise MalformedInputError("generator fails to kill the potential")
                 new.append(g)
@@ -292,21 +287,17 @@ def frobenius_kernel(alg: GradedBaseAlgebra, top: int | None = None) -> dict[int
     for d in sorted(set(alg.degrees)):
         rows_idx = alg.indices_of_degree(d)
         cols_idx = alg.indices_of_degree(top - d)
-        mat = [[alg.integrate(alg.basis_product(i, j)) for j in cols_idx]
-               for i in rows_idx]
-        left = exact.kernel_basis([list(col) for col in zip(*mat)]) if cols_idx \
-            else [[Fraction(int(i == j)) for j in range(len(rows_idx))]
-                  for i in range(len(rows_idx))]
-        mat_r = [[alg.integrate(alg.basis_product(j, i)) for j in cols_idx]
-                 for i in rows_idx]
-        right = exact.kernel_basis([list(col) for col in zip(*mat_r)]) if cols_idx \
-            else left
+        # a is in the left kernel iff l(a*b) = 0 for every b: one row per b.
+        left = exact.kernel_basis(
+            ({k: alg.integrate(alg.basis_product(i, j)) for k, i in enumerate(rows_idx)}
+             for j in cols_idx), len(rows_idx))
+        right = exact.kernel_basis(
+            ({k: alg.integrate(alg.basis_product(j, i)) for k, i in enumerate(rows_idx)}
+             for j in cols_idx), len(rows_idx))
         left_span = exact.RowSpace(len(rows_idx), left)
         if len(right) != len(left) or not all(map(left_span.contains, right)):
             raise MalformedInputError("left and right Frobenius kernels differ")
-        vectors = []
-        for v in left:
-            vectors.append({rows_idx[i]: c for i, c in enumerate(v) if c})
+        vectors = [{rows_idx[k]: c for k, c in v.items()} for v in left]
         if vectors:
             out[d] = vectors
     return out

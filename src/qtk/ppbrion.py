@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import exact
 from .basealg import make_point, zero_chern
@@ -70,8 +69,7 @@ def _restrict_to_facet_span(cp: CharacteristicPair, facet: tuple[int, ...],
 
 
 def is_compatible(el: PPElement) -> bool:
-    return _annihilated(el.cp, el.degree,
-                        {c: x for c, x in enumerate(_to_vector(el)) if x})
+    return _annihilated(el.cp, el.degree, _to_vector(el))
 
 
 def multiply(f: PPElement, g: PPElement) -> PPElement:
@@ -122,19 +120,21 @@ def _coefficient_layout(cp: CharacteristicPair, d: int):
     return monos, ncones, len(monos) * ncones
 
 
-def _to_vector(el: PPElement) -> list[Fraction]:
+def _to_vector(el: PPElement) -> dict[int, Fraction]:
+    """The element's coefficients as a sparse vector."""
     monos, _, _ = _coefficient_layout(el.cp, el.degree)
-    return [g.coefficient(m) for g in el.polys for m in monos]
+    index = {m: k for k, m in enumerate(monos)}
+    return {ci * len(monos) + index[m]: x
+            for ci, g in enumerate(el.polys) for m, x in g.terms.items()}
 
 
-def _from_vector(cp: CharacteristicPair, d: int, vec) -> PPElement:
+def _from_vector(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> PPElement:
     monos, ncones, _ = _coefficient_layout(cp, d)
-    per = len(monos)
-    polys = []
-    for ci in range(ncones):
-        terms = {m: vec[ci * per + k] for k, m in enumerate(monos) if vec[ci * per + k]}
-        polys.append(MultiPoly(cp.n, terms))
-    return PPElement(cp, d, tuple(polys))
+    terms: list[dict] = [{} for _ in range(ncones)]
+    for c, x in vec.items():
+        ci, k = divmod(c, len(monos))
+        terms[ci][monos[k]] = x
+    return PPElement(cp, d, tuple(MultiPoly(cp.n, t) for t in terms))
 
 
 @lru_cache(maxsize=None)
@@ -162,23 +162,16 @@ def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int],
 
 def _annihilated(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> bool:
     """Whether every degree-d compatibility row vanishes on the sparse vector."""
-    scale = lcm(*(x.denominator for x in vec.values()))
-    ints = {c: x.numerator * (scale // x.denominator) for c, x in vec.items()}
+    ints, _ = exact.cleared(vec)
     return not any(sum(x * ints.get(c, 0) for c, x in row.items())
                    for row in _compatibility_rows(cp, d))
 
 
 @lru_cache(maxsize=None)
-def _pp_kernel(cp: CharacteristicPair, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    _, _, width = _coefficient_layout(cp, d)
-    rows = []
-    for sparse in _compatibility_rows(cp, d):
-        row = [0] * width
-        for c, x in sparse.items():
-            row[c] = x
-        rows.append(row)
-    # With no rows every coefficient is free: the kernel of one zero row.
-    return tuple(tuple(v) for v in exact.kernel_basis(rows or [[0] * width]))
+def _pp_kernel(cp: CharacteristicPair, d: int) -> tuple[dict[int, Fraction], ...]:
+    """The canonical kernel basis of the degree-d compatibility rows."""
+    return tuple(exact.kernel_basis(_compatibility_rows(cp, d),
+                                    _coefficient_layout(cp, d)[2]))
 
 
 def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
@@ -209,7 +202,7 @@ def _character_products(cp: CharacteristicPair, d: int, a: int) -> list[dict[int
     shift = _character_shift(cp, d, a)
     out = []
     for q in _pp_kernel(cp, d - 1):
-        prod = {shift[j]: x for j, x in enumerate(q) if x}
+        prod = {shift[j]: x for j, x in q.items()}
         if not _annihilated(cp, d, prod):
             raise MalformedInputError("product violates facet compatibility")
         out.append(prod)
@@ -230,13 +223,16 @@ def brion_quotient_dims(cp: CharacteristicPair, max_degree: int | None = None) -
 def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[int]:
     """Graded dimensions of (base tensor piecewise polynomials) modulo the
     relations identifying each character's image with its global linear
-    function; full list over cohomological degrees 0..max_degree."""
+    function; full list over cohomological degrees 0..max_degree.  The
+    quotient is the cohomology ring, so above the total degree the list is
+    padded with zeros instead of computed."""
     cp, base = ring.cp, ring.base
+    top = ring.total_degree
     if max_degree is None:
-        max_degree = ring.total_degree
+        max_degree = top
     products = {}  # (d, a) -> x_a times the degree d-1 kernel, for this call only
     dims = []
-    for total in range(max_degree + 1):
+    for total in range(min(max_degree, top) + 1):
         offset = {}  # base index -> first column of its block b tensor PP_d
         width = 0
         for b in range(base.dim):
@@ -258,15 +254,14 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
                 # (c(x_a) b) tensor q  minus  b tensor (x_a q)
                 cb = [(offset[b2], coeff) for b2, coeff
                       in base.mul(c_a, {b: Fraction(1)}).items() if b2 in offset]
+                off = offset[b]
                 for q, xq in zip(_pp_kernel(cp, d - 1), products[d, a]):
-                    vec = [Fraction(0)] * width
-                    for off, coeff in cb:
-                        for j, x in enumerate(q):
-                            if x:
-                                vec[off + j] += coeff * x
-                    off = offset[b]
+                    vec = {}
+                    for o, coeff in cb:
+                        for j, x in q.items():
+                            vec[o + j] = vec.get(o + j, 0) + coeff * x
                     for j, x in xq.items():
-                        vec[off + j] -= x
+                        vec[off + j] = vec.get(off + j, 0) - x
                     rows.append(vec)
-        dims.append(space_dim - exact.rank(rows))
-    return dims
+        dims.append(space_dim - exact.rank(rows, width))
+    return dims + [0] * (max_degree - top)

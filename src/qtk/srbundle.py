@@ -303,22 +303,21 @@ def _linear_relations(ring: BundleRing) -> list[BundleElement]:
 
 
 def _expand(ring: BundleRing, el: BundleElement,
-            index: dict[tuple[Expo, int], int]) -> list[Fraction]:
-    """Coordinates of an element in a graded spanning basis (non-face terms
-    are zero in the ring and are dropped)."""
-    vec = [Fraction(0)] * len(index)
+            index: dict[tuple[Expo, int], int]) -> dict[int, Fraction]:
+    """Coordinates of an element in a graded spanning basis as a sparse row
+    (non-face terms are zero in the ring and are dropped)."""
+    vec: dict[int, Fraction] = {}
     for expo, coeff in el.items():
         if not is_face(ring.cp, _support(expo)):
             continue
         for idx, c in coeff.items():
-            if not c:
-                continue
-            vec[index[(expo, idx)]] += c
+            k = index[(expo, idx)]
+            vec[k] = vec.get(k, 0) + c
     return vec
 
 
-def relation_vectors(ring: BundleRing, d: int) -> tuple[list[tuple[Expo, int]], list[list[Fraction]]]:
-    """Spanning basis of degree d and the relation span inside it."""
+def relation_vectors(ring: BundleRing, d: int) -> tuple[list[tuple[Expo, int]], list[dict]]:
+    """Spanning basis of degree d and sparse rows spanning the relations in it."""
     basis = graded_basis(ring, d)
     index = {pair: i for i, pair in enumerate(basis)}
     vectors = []
@@ -327,10 +326,7 @@ def relation_vectors(ring: BundleRing, d: int) -> tuple[list[tuple[Expo, int]], 
         for expo, idx in graded_basis(ring, d - 2):
             mono: BundleElement = {expo: {idx: Fraction(1)}}
             for rel in rels:
-                prod = bel_mul(ring, rel, mono)
-                vec = _expand(ring, prod, index)
-                if any(vec):
-                    vectors.append(vec)
+                vectors.append(_expand(ring, bel_mul(ring, rel, mono), index))
     return basis, vectors
 
 
@@ -339,7 +335,7 @@ def betti(ring: BundleRing) -> list[int]:
     dims = []
     for d in range(ring.total_degree + 1):
         basis, vectors = relation_vectors(ring, d)
-        dims.append(len(basis) - exact.rank(vectors))
+        dims.append(len(basis) - exact.rank(vectors, len(basis)))
     return dims
 
 
@@ -364,20 +360,20 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
         # The representatives extend the relation span to everything, column
         # by column from the left: exactly RowSpace's free columns.
         chosen = span.free_columns()
-        per_degree[d] = {"index": {p: i for i, p in enumerate(basis)},
-                         "span": span, "chosen": chosen, "offset": len(names)}
+        per_degree[d] = {"index": {p: i for i, p in enumerate(basis)}, "span": span,
+                         "rep": {j: len(names) + k for k, j in enumerate(chosen)}}
         for j in chosen:
             expo, idx = basis[j]
             names.append(_pair_name(ring, expo, idx))
             degrees.append(d)
             rep_elements.append({expo: {idx: Fraction(1)}})
 
-    def coords(el: BundleElement, d: int) -> list[Fraction]:
+    def coords(el: BundleElement, d: int) -> Element:
         # The normal form lives on the free columns, which are the chosen
         # representatives, so its entries there are the coordinates.
         info = per_degree[d]
         nf = info["span"].normal_form(_expand(ring, el, info["index"]))
-        return [nf[j] for j in info["chosen"]]
+        return {info["rep"][j]: c for j, c in nf.items()}
 
     high_degree_spans: dict[int, tuple[dict, exact.RowSpace]] = {}
 
@@ -399,10 +395,7 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
             prod = bel_mul(ring, u, v)
             el: Element = {}
             if d <= top:
-                info = per_degree[d]
-                for local, c in enumerate(coords(prod, d)):
-                    if c:
-                        el[info["offset"] + local] = c
+                el = coords(prod, d)
             elif prod:
                 assert_zero_above_top(prod, d)
             if el:

@@ -256,6 +256,14 @@ class TestAnnCommands:
         gens = report["result"]["generators_by_weighted_degree"]
         assert set(gens) == {"2", "4"}
 
+    def test_ann_generators_far_max_degree(self, capsys):
+        # No generator lies past the potential's degree plus its largest
+        # weight, so a far bound gives the default's generators at once.
+        _, default = run_json(capsys, "ann-generators", "cp2")
+        code, report = run_json(capsys, "ann-generators", "cp2", "--max-degree", "200")
+        assert code == 0
+        assert report["result"] == default["result"]
+
 
 class TestBrion:
     def test_cp2(self, capsys):
@@ -263,6 +271,11 @@ class TestBrion:
         assert code == 0
         assert report["result"]["fiber_quotient_dims"] == [1, 1, 1]
         assert report["result"]["bundle_dims"] == [1, 0, 1, 0, 1]
+
+    def test_far_max_degree_pads_zeros(self, capsys):
+        code, report = run_json(capsys, "brion", "cp2", "--max-degree", "100000")
+        assert code == 0
+        assert report["result"]["bundle_dims"] == [1, 0, 1, 0, 1] + [0] * 99996
 
 
 class TestCheckAll:
@@ -429,6 +442,11 @@ class TestMalformedInput:
     def test_samples_below_one(self, capsys, argv):
         err = self.assert_bad_input(capsys, *argv)
         assert "--samples must be at least 1" in err
+
+    @pytest.mark.parametrize("command", ["brion", "ann-generators"])
+    def test_negative_max_degree(self, capsys, command):
+        err = self.assert_bad_input(capsys, command, "cp2", "--max-degree", "-3")
+        assert "--max-degree must be non-negative, got -3" in err
 
     @pytest.mark.parametrize("spec, unknown", [
         ("cp2?zz=3", "zz for 'cp2'"), ("hirzebruch?a=1,b=2", "b for 'hirzebruch'")])

@@ -196,11 +196,8 @@ class TestAnnGenerators:
                     continue
                 for m in weighted_monomials(p.weights, d - gd):
                     prod = g * MultiPoly.monomial(m)
-                    vec = [F(0)] * len(monos)
-                    for expo, c in prod.terms.items():
-                        vec[index[expo]] += c
-                    vectors.append(vec)
-            ideal_dim = exact.rank(vectors) if vectors else 0
+                    vectors.append({index[expo]: c for expo, c in prod.terms.items()})
+            ideal_dim = exact.rank(vectors, len(monos))
             assert len(monos) - ideal_dim == hf.dims[d]
 
 

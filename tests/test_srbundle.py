@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -112,6 +113,21 @@ class TestBetti:
     def test_point_base_cp1(self, point_ring_cp1):
         assert sr.betti(point_ring_cp1) == [1, 0, 1]
 
+    def test_cp3_times_cp3_is_kunneth(self):
+        # The product fan of two CP^3 fans, built here from its definition:
+        # rays e_1, e_2, e_3, -(e_1+e_2+e_3) of each factor, padded by zeros,
+        # and a cone for every 3-subset of each factor's four rays.
+        def cp3_rays(shift):
+            units = [[int(k == shift + i) for k in range(6)] for i in range(3)]
+            return units + [[-int(shift <= k < shift + 3) for k in range(6)]]
+        rays = cp3_rays(0) + cp3_rays(3)
+        cones = [a + tuple(4 + j for j in b)
+                 for a in combinations(range(4), 3) for b in combinations(range(4), 3)]
+        ring = sr.BundleRing(cpm.make_pair(6, rays, rays, cones), ba.make_point(),
+                             ba.zero_chern(6))
+        # Poincare polynomial (1 + t^2 + t^4 + t^6)^2, one entry per degree.
+        assert sr.betti(ring) == [1, 0, 2, 0, 3, 0, 4, 0, 3, 0, 2, 0, 1]
+
 
 class TestCherneq:
     def test_relations_pair_to_zero(self):
@@ -132,14 +148,14 @@ class TestChoiceIndependence:
 
         def shifted(face, j):
             chi = cpm.dual_character(cp, face, j)
-            rows = [[F(v) for v in cp.lam[i]] for i in face]
-            ker = exact.kernel_basis(rows)
+            ker = exact.kernel_basis([dict(enumerate(cp.lam[i])) for i in face], cp.n)
             if not ker:
                 return chi
+            first = [F(ker[0].get(c, 0)) for c in range(cp.n)]
             scale = 1
-            for v in ker[0]:
+            for v in first:
                 scale = scale * v.denominator // 1
-            shift = [int(v * scale) for v in ker[0]]
+            shift = [int(v * scale) for v in first]
             return tuple(c + z for c, z in zip(chi, shift))
 
         x1 = sr.x_class(ring, 0)
