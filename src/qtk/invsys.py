@@ -69,7 +69,7 @@ def potential_from_json(data: dict) -> Potential:
         for key, coeff in data["terms"].items():
             expo = tuple(int(p) for p in key.split(",")) if key else ()
             terms[expo] = as_scalar(coeff)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:  # e.g. a list for a dict
         raise MalformedInputError(f"bad potential object: {exc}") from exc
     return Potential(names, weights, MultiPoly(len(names), terms), degree)
 
@@ -193,7 +193,7 @@ def bundle_potential_direct(ring: BundleRing) -> Potential:
         coeff_el = _element_power_product(ring.base, pos, beta)
         if not coeff_el:
             continue
-        val = evaluate_top(ring, {alpha: coeff_el})
+        val = evaluate_top(ring, {(alpha, idx): c for idx, c in coeff_el.items()})
         if not val:
             continue
         for e in expo:

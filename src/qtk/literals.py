@@ -14,6 +14,8 @@ juxtaposition like "(2/3)t" is accepted as multiplication.
 An exponent, and the x-degree of every term of a product or power, may not
 exceed the ring's top degree; without the second bound nested powers such as
 "((x1+x2)^4)^4" grow without limit before any degree check could run.
+Parentheses may nest at most MAX_NESTING levels deep, so the recursive
+descent stays far below Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .basealg import Element
+from .basealg import Element, el_add, el_scale
 from .errors import DegreeMismatchError, MalformedInputError
-from .srbundle import (BundleElement, BundleRing, bel_add, bel_mul, bel_scale,
-                       lift, one, x_class)
+from .srbundle import BundleElement, BundleRing, bel_mul, lift, one, x_class
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()]))")
 
@@ -59,6 +62,7 @@ class _Parser:
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -87,22 +91,22 @@ class _Parser:
             negate = True
         acc = self.term()
         if negate:
-            acc = bel_scale(acc, -1)
+            acc = el_scale(acc, -1)
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 nxt = self.term()
                 if val == "-":
-                    nxt = bel_scale(nxt, -1)
-                acc = bel_add(acc, nxt)
+                    nxt = el_scale(nxt, -1)
+                acc = el_add(acc, nxt)
             else:
                 return acc
 
     def mul(self, a: BundleElement, b: BundleElement) -> BundleElement:
         prod = bel_mul(self.ring, a, b)
         bound = self.ring.total_degree
-        xdeg = max((sum(expo) for expo in prod), default=0)
+        xdeg = max((sum(expo) for expo, _ in prod), default=0)
         if xdeg > bound:
             raise MalformedInputError(
                 f"a product of x-degree {xdeg} exceeds the top degree {bound} of the ring")
@@ -154,7 +158,7 @@ class _Parser:
                 if not den:
                     raise MalformedInputError(f"zero denominator in literal: {val}/{dv}")
                 value /= den
-            return bel_scale(one(self.ring), value)
+            return el_scale(one(self.ring), value)
         if kind == "name":
             m = re.fullmatch(r"x(\d+)", val)
             if m:
@@ -164,8 +168,13 @@ class _Parser:
                 return x_class(self.ring, idx)
             return lift(self.ring, self.ring.base.element(val))
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise MalformedInputError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels in literal")
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise MalformedInputError(f"unexpected token {val!r} in literal")
 
@@ -181,13 +190,9 @@ def parse_class(ring: BundleRing, text: str) -> BundleElement:
 def parse_gamma(ring: BundleRing, text: str) -> Element:
     """Parse a base-algebra class literal (no divisor variables allowed)."""
     el = parse_class(ring, text)
-    out: Element = {}
-    for expo, coeff in el.items():
-        if any(expo):
-            raise DegreeMismatchError("base class literal contains divisor variables")
-        for idx, c in coeff.items():
-            out[idx] = out.get(idx, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
+    if any(any(expo) for expo, _ in el):
+        raise DegreeMismatchError("base class literal contains divisor variables")
+    return {idx: c for (_, idx), c in el.items()}
 
 
 def parse_h(text: str, s: int) -> list[Fraction]:

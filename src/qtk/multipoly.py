@@ -35,7 +35,7 @@ from .charpair import CharacteristicPair, cone_sign, dual_edge_frame
 from .errors import (DegenerateDirectionError, DegreeMismatchError,
                      MalformedInputError)
 from .exact import as_scalar, dot
-from .poly import MultiPoly, binomial, polarize, power_of_linear_forms
+from .poly import MultiPoly, binomial, power_of_linear_forms
 from .srbundle import BundleRing, intersection_number, rho
 
 
@@ -264,20 +264,6 @@ def integrate_polynomial(delta: MultiPolytope, f: MultiPoly) -> Fraction:
 def volume(delta: MultiPolytope) -> Fraction:
     """Signed volume: the integral of 1."""
     return integrate_polynomial(delta, MultiPoly.constant(delta.cp.n, 1))
-
-
-def mixed_integral(cp: CharacteristicPair, f: MultiPoly,
-                   deltas: Sequence[MultiPolytope]) -> Fraction:
-    """Polarization of the integral polynomial, evaluated on the given
-    multi-polytopes; symmetric, multilinear, diagonal recovers the integral."""
-    sym = integral_polynomial_symbolic(cp, f)
-    if len(deltas) != sym.degree:
-        raise DegreeMismatchError(
-            f"need {sym.degree} multi-polytopes, got {len(deltas)}")
-    for dd in deltas:
-        if dd.cp is not cp and dd.cp != cp:
-            raise MalformedInputError("multi-polytope over a different pair")
-    return polarize(sym.poly, [dd.h for dd in deltas])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ order, so all emitted output is byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 from typing import Mapping, Sequence
 
@@ -273,37 +272,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_str()})"
-
-
-def polarize(f: MultiPoly, args: Sequence[Sequence]) -> Fraction:
-    """Full polarization of a homogeneous polynomial, evaluated on `args`.
-
-    For f homogeneous of degree m and m vectors v_1..v_m, returns the value of
-    the unique symmetric multilinear form g with g(v,...,v) = f(v), computed by
-    inclusion-exclusion over subsets:
-
-        g(v_1,..,v_m) = 1/m! * sum_{S subset of {1..m}} (-1)^(m-|S|) f(sum_{i in S} v_i)
-    """
-    m = len(args)
-    if not f.is_homogeneous(m):
-        raise DegreeMismatchError(f"polynomial is not homogeneous of degree {m}")
-    vecs = [[Fraction(x) for x in v] for v in args]
-    for v in vecs:
-        if len(v) != f.nvars:
-            raise DegreeMismatchError("argument vector has wrong dimension")
-    if m == 0:
-        return f.coefficient((0,) * f.nvars)
-    total = Fraction(0)
-    indices = range(m)
-    for size in range(m + 1):
-        sign = (-1) ** (m - size)
-        for subset in combinations(indices, size):
-            point = [Fraction(0)] * f.nvars
-            for i in subset:
-                for k in range(f.nvars):
-                    point[k] += vecs[i][k]
-            total += sign * f.evaluate(point)
-    return total / factorial(m)
 
 
 def power_of_linear_forms(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[Fraction, ...]]]:

@@ -196,7 +196,8 @@ def _character_shift(cp: CharacteristicPair, d: int, a: int) -> tuple[int, ...]:
     return tuple(ci * len(upper) + k for ci in range(ncones) for k in step)
 
 
-def _character_products(cp: CharacteristicPair, d: int, a: int) -> list[dict[int, Fraction]]:
+@lru_cache(maxsize=None)
+def _character_products(cp: CharacteristicPair, d: int, a: int) -> tuple[dict[int, Fraction], ...]:
     """x_a times each degree-(d-1) kernel vector, as sparse degree-d vectors,
     each checked against the degree-d compatibility rows."""
     shift = _character_shift(cp, d, a)
@@ -206,7 +207,7 @@ def _character_products(cp: CharacteristicPair, d: int, a: int) -> list[dict[int
         if not _annihilated(cp, d, prod):
             raise MalformedInputError("product violates facet compatibility")
         out.append(prod)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,6 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
     top = ring.total_degree
     if max_degree is None:
         max_degree = top
-    products = {}  # (d, a) -> x_a times the degree d-1 kernel, for this call only
     dims = []
     for total in range(min(max_degree, top) + 1):
         offset = {}  # base index -> first column of its block b tensor PP_d
@@ -249,13 +249,11 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
                 if rem < 0 or rem % 2:
                     continue
                 d = rem // 2 + 1
-                if (d, a) not in products:
-                    products[d, a] = _character_products(cp, d, a)
                 # (c(x_a) b) tensor q  minus  b tensor (x_a q)
                 cb = [(offset[b2], coeff) for b2, coeff
                       in base.mul(c_a, {b: Fraction(1)}).items() if b2 in offset]
                 off = offset[b]
-                for q, xq in zip(_pp_kernel(cp, d - 1), products[d, a]):
+                for q, xq in zip(_pp_kernel(cp, d - 1), _character_products(cp, d, a)):
                     vec = {}
                     for o, coeff in cb:
                         for j, x in q.items():

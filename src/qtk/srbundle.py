@@ -1,9 +1,13 @@
 """Stanley-Reisner model of the cohomology of a quasitoric bundle.
 
 The ring is base[x_1..x_s] modulo (i) monomials whose ray set spans no cone
-and (ii) the linear relations c(lambda) - sum_i <lam_i, lambda> x_i.  Elements
-are sparse dicts mapping an x-exponent tuple to a base-algebra element; a
-term's degree is the base degree plus twice the x-degree.
+and (ii) the linear relations c(lambda) - sum_i <lam_i, lambda> x_i.  An
+element is one flat sparse dict mapping (x-exponent tuple, base basis index)
+to a nonzero Fraction: the pair names the term b_idx * x^expo, exactly as
+`graded_basis` lists it, and its degree is the base degree plus twice the
+x-degree.  The x_i are even, so the product of two terms multiplies their
+base parts in order, through the structure constant of (i, j), and odd base
+classes keep their Koszul signs.
 
 `reduce` rewrites any element into square-free face form by repeatedly
 eliminating one factor of a repeated variable through a dual character; the
@@ -27,7 +31,7 @@ from .charpair import (CharacteristicPair, cone_sign, dual_character, faces,
 from .errors import DegreeMismatchError, MalformedInputError
 
 Expo = tuple[int, ...]
-BundleElement = dict[Expo, Element]
+BundleElement = dict[tuple[Expo, int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,15 @@ class BundleRing:
 # ---------------------------------------------------------------------------
 # Element constructors and arithmetic.
 
+def _bump(expo: Expo, i: int, by: int = 1) -> Expo:
+    return expo[:i] + (expo[i] + by,) + expo[i + 1:]
+
+
 def lift(ring: BundleRing, gamma: Element) -> BundleElement:
     """Base element viewed in the bundle ring."""
-    return {ring.zero_expo(): dict(gamma)} if gamma else {}
+    zero = ring.zero_expo()
+    return {(zero, idx): c for idx, c in gamma.items() if c}
+
 
 def one(ring: BundleRing) -> BundleElement:
     return lift(ring, ring.base.unit())
@@ -71,68 +81,42 @@ def one(ring: BundleRing) -> BundleElement:
 def x_class(ring: BundleRing, i: int) -> BundleElement:
     if not 0 <= i < ring.cp.s:
         raise MalformedInputError(f"no divisor variable x{i + 1}")
-    expo = [0] * ring.cp.s
-    expo[i] = 1
-    return {tuple(expo): ring.base.unit()}
+    return {(_bump(ring.zero_expo(), i), ring.base.unit_index()): Fraction(1)}
 
 
 def rho(ring: BundleRing, h: Sequence) -> BundleElement:
     """The degree-2 class of a multi-polytope: sum_i h_i x_i."""
+    zero, unit = ring.zero_expo(), ring.base.unit_index()
     out: BundleElement = {}
     for i, v in enumerate(h):
         v = Fraction(exact.as_scalar(v))
         if v:
-            expo = [0] * ring.cp.s
-            expo[i] = 1
-            out[tuple(expo)] = el_scale(ring.base.unit(), v)
+            out[(_bump(zero, i), unit)] = v
     return out
-
-
-def bel_add(a: BundleElement, b: BundleElement) -> BundleElement:
-    out = {k: dict(v) for k, v in a.items()}
-    for expo, el in b.items():
-        merged = el_add(out.get(expo, {}), el)
-        if merged:
-            out[expo] = merged
-        else:
-            out.pop(expo, None)
-    return out
-
-
-def bel_scale(a: BundleElement, c) -> BundleElement:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {expo: el_scale(el, c) for expo, el in a.items()}
-
-
-def _add_term(out: BundleElement, expo: Expo, coeff: Element) -> None:
-    """out[expo] += coeff, dropping the entry when it cancels."""
-    merged = el_add(out.get(expo, {}), coeff)
-    if merged:
-        out[expo] = merged
-    else:
-        out.pop(expo, None)
 
 
 def bel_mul(ring: BundleRing, a: BundleElement, b: BundleElement) -> BundleElement:
+    """Product of two elements: b_i x^e1 * b_j x^e2 = (b_i b_j) x^(e1+e2)."""
+    products = ring.base.products
     out: BundleElement = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            coeff = ring.base.mul(c1, c2)
-            if coeff:
-                _add_term(out, tuple(x + y for x, y in zip(e1, e2)), coeff)
+    for (e1, i), c1 in a.items():
+        for (e2, j), c2 in b.items():
+            prod = products.get((i, j))
+            if not prod:
+                continue
+            expo = tuple(x + y for x, y in zip(e1, e2))
+            c = c1 * c2
+            for k, ck in prod.items():
+                v = out.get((expo, k), 0) + c * ck
+                if v:
+                    out[expo, k] = v
+                else:
+                    del out[expo, k]
     return out
 
 
 def term_degrees(ring: BundleRing, a: BundleElement) -> set[int]:
-    degs = set()
-    for expo, el in a.items():
-        xdeg = 2 * sum(expo)
-        for idx, c in el.items():
-            if c:
-                degs.add(ring.base.degrees[idx] + xdeg)
-    return degs
+    return {ring.base.degrees[idx] + 2 * sum(expo) for expo, idx in a}
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +144,29 @@ def reduce(ring: BundleRing, el: BundleElement,
     """
     if chooser is not None:
         return _rewrite(ring, el, chooser)
+    products = ring.base.products
     out: BundleElement = {}
-    for expo, coeff in el.items():
-        if not coeff:
-            continue
-        for e, r in _reduced_monomial(ring, expo):
-            prod = ring.base.mul(coeff, r)
-            if prod:
-                _add_term(out, e, prod)
+    for (expo, i), c in el.items():
+        for (e, j), r in _reduced_monomial(ring, expo):
+            prod = products.get((i, j))
+            if not prod:
+                continue
+            cr = c * r
+            for k, ck in prod.items():
+                v = out.get((e, k), 0) + cr * ck
+                if v:
+                    out[e, k] = v
+                else:
+                    del out[e, k]
     return out
 
 
 @lru_cache(maxsize=None)
-def _reduced_monomial(ring: BundleRing, expo: Expo) -> tuple[tuple[Expo, Element], ...]:
+def _reduced_monomial(ring: BundleRing,
+                      expo: Expo) -> tuple[tuple[tuple[Expo, int], Fraction], ...]:
     """Canonical normal form of x^expo with unit coefficient, as items."""
     cp = ring.cp
-    nf = _rewrite(ring, {expo: ring.base.unit()},
+    nf = _rewrite(ring, {(expo, ring.base.unit_index()): Fraction(1)},
                   lambda face, j: dual_character(cp, face, j))
     return tuple(nf.items())
 
@@ -184,7 +175,9 @@ def _rewrite(ring: BundleRing, el: BundleElement,
              chooser: CharacterChooser) -> BundleElement:
     cp = ring.cp
     out: BundleElement = {}
-    work: list[tuple[Expo, Element]] = [(e, dict(c)) for e, c in el.items()]
+    # Work items carry a whole base coefficient so that c(chi) multiplies it
+    # once, from the right, as base.mul(coeff, c(chi)).
+    work: list[tuple[Expo, Element]] = [(e, {idx: c}) for (e, idx), c in el.items()]
     while work:
         expo, coeff = work.pop()
         if not coeff:
@@ -194,13 +187,11 @@ def _rewrite(ring: BundleRing, el: BundleElement,
             continue
         repeated = [i for i in supp if expo[i] > 1]
         if not repeated:
-            _add_term(out, expo, coeff)
+            out = el_add(out, {(expo, idx): c for idx, c in coeff.items()})
             continue
         j = repeated[0]
         chi = chooser(supp, j)
-        lowered = list(expo)
-        lowered[j] -= 1
-        lowered = tuple(lowered)
+        lowered = _bump(expo, j, -1)
         c_chi = ring.chern.evaluate(chi)
         if c_chi:
             work.append((lowered, ring.base.mul(coeff, c_chi)))
@@ -209,9 +200,7 @@ def _rewrite(ring: BundleRing, el: BundleElement,
                 continue
             pairing = sum(a * b for a, b in zip(cp.lam[i], chi))
             if pairing:
-                bumped = list(lowered)
-                bumped[i] += 1
-                work.append((tuple(bumped), el_scale(coeff, -pairing)))
+                work.append((_bump(lowered, i), el_scale(coeff, -pairing)))
     return out
 
 
@@ -231,12 +220,11 @@ def evaluate_top(ring: BundleRing, el: BundleElement,
         raise DegreeMismatchError(
             f"element has degrees {sorted(degs)}, expected {ring.total_degree}")
     total = Fraction(0)
-    for expo, coeff in reduce(ring, el, chooser).items():
+    for (expo, idx), c in reduce(ring, el, chooser).items():
         supp = _support(expo)
         if len(supp) != ring.cp.n:
             continue
-        sign = cone_sign(ring.cp, supp).value
-        total += sign * ring.base.integrate(coeff)
+        total += cone_sign(ring.cp, supp).value * c * ring.base.fundamental[idx]
     return total
 
 
@@ -297,7 +285,7 @@ def _linear_relations(ring: BundleRing) -> list[BundleElement]:
         for i in range(ring.cp.s):
             coeff = ring.cp.lam[i][a]
             if coeff:
-                rel = bel_add(rel, bel_scale(x_class(ring, i), -coeff))
+                rel = el_add(rel, el_scale(x_class(ring, i), -coeff))
         rels.append(rel)
     return rels
 
@@ -306,14 +294,8 @@ def _expand(ring: BundleRing, el: BundleElement,
             index: dict[tuple[Expo, int], int]) -> dict[int, Fraction]:
     """Coordinates of an element in a graded spanning basis as a sparse row
     (non-face terms are zero in the ring and are dropped)."""
-    vec: dict[int, Fraction] = {}
-    for expo, coeff in el.items():
-        if not is_face(ring.cp, _support(expo)):
-            continue
-        for idx, c in coeff.items():
-            k = index[(expo, idx)]
-            vec[k] = vec.get(k, 0) + c
-    return vec
+    return {index[pair]: c for pair, c in el.items()
+            if is_face(ring.cp, _support(pair[0]))}
 
 
 def relation_vectors(ring: BundleRing, d: int) -> tuple[list[tuple[Expo, int]], list[dict]]:
@@ -323,8 +305,8 @@ def relation_vectors(ring: BundleRing, d: int) -> tuple[list[tuple[Expo, int]], 
     vectors = []
     if d >= 2:
         rels = _linear_relations(ring)
-        for expo, idx in graded_basis(ring, d - 2):
-            mono: BundleElement = {expo: {idx: Fraction(1)}}
+        for pair in graded_basis(ring, d - 2):
+            mono: BundleElement = {pair: Fraction(1)}
             for rel in rels:
                 vectors.append(_expand(ring, bel_mul(ring, rel, mono), index))
     return basis, vectors
@@ -366,7 +348,7 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
             expo, idx = basis[j]
             names.append(_pair_name(ring, expo, idx))
             degrees.append(d)
-            rep_elements.append({expo: {idx: Fraction(1)}})
+            rep_elements.append({(expo, idx): Fraction(1)})
 
     def coords(el: BundleElement, d: int) -> Element:
         # The normal form lives on the free columns, which are the chosen

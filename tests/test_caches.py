@@ -43,7 +43,7 @@ def test_default_reduce_equals_explicit_chooser(inst, data):
         st.fractions(min_value=-5, max_value=5, max_denominator=4)), max_size=6))
     el = {}
     for expo, idx, c in terms:
-        el[expo] = ba.el_add(el.get(expo, {}), {idx: c})
+        el = ba.el_add(el, {(expo, idx): c})
     canonical = lambda face, j: cpm.dual_character(cp, face, j)
     assert sr.reduce(ring, el) == sr.reduce(ring, el, chooser=canonical)
 

@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 
 from qtk import basealg as ba
 from qtk import charpair as cpm
+from qtk import ppbrion as pp
 from qtk.catalog import all_instances, get
 from qtk.cli import main
 from qtk.literals import parse_class
+
+from conftest import clear_caches
 
 
 def run(capsys, *argv):
@@ -163,6 +166,11 @@ class TestIntersect:
             assert parse_class(ring, f"(x1+2x2)^{k}") == parse_class(ring, product)
 
 
+    def test_nesting_up_to_the_bound(self):
+        ring = get("cp2").ring()
+        assert parse_class(ring, "(" * 100 + "x1" + ")" * 100) == parse_class(ring, "x1")
+
+
 # The class-literal grammar's alphabet: digits, divisor variables, a base
 # name and the operators.
 LITERAL_TOKENS = list("0123456789+-*/^()") + ["x1", "x2", "x3", "x4", "t"]
@@ -271,6 +279,12 @@ class TestBrion:
         assert code == 0
         assert report["result"]["fiber_quotient_dims"] == [1, 1, 1]
         assert report["result"]["bundle_dims"] == [1, 0, 1, 0, 1]
+
+    def test_fiber_call_reuses_the_bundle_call_products(self, capsys):
+        clear_caches()
+        code, _ = run_json(capsys, "brion", "cp2")
+        assert code == 0
+        assert pp._character_products.cache_info().hits > 0
 
     def test_far_max_degree_pads_zeros(self, capsys):
         code, report = run_json(capsys, "brion", "cp2", "--max-degree", "100000")
@@ -389,6 +403,11 @@ class TestMalformedInput:
                                     "--classes", "x1^99999999;x1")
         assert time.monotonic() - start < 10
         assert "top degree 4" in err
+
+    def test_deeply_nested_literal(self, capsys):
+        literal = "(" * 300 + "x1" + ")" * 300
+        err = self.assert_bad_input(capsys, "intersect", "cp2", "--classes", literal)
+        assert "nest deeper than 100 levels" in err
 
     def test_number_with_too_many_digits(self, capsys):
         self.assert_bad_input(capsys, "intersect", "cp2", "--classes", "1" + "0" * 5000)

@@ -258,6 +258,10 @@ class TestPotentialJson:
         again = iv.potential_from_json(p.to_json())
         assert again.poly.coefficient(()) == 1
 
+    def test_terms_given_as_list(self):
+        with pytest.raises(MalformedInputError, match="bad potential object"):
+            iv.potential_from_json({"vars": [], "degree": 0, "terms": []})
+
     @pytest.mark.parametrize("field, value", [("weight", 2.9), ("degree", 2.5)])
     def test_non_integer_weight_or_degree(self, base_cp1, field, value):
         data = iv.base_potential(base_cp1).to_json()  # one variable t of weight 2, degree 2

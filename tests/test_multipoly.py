@@ -257,42 +257,6 @@ class TestIderLaw:
                     assert not deriv, (inst.label, multiset)
 
 
-class TestMixedIntegral:
-    def test_diagonal_recovers_integral(self, cp2):
-        f = MultiPoly.constant(2, 1)
-        delta = mp.multipolytope(cp2, [1, F(1, 2), -1])
-        val = mp.mixed_integral(cp2, f, [delta, delta])
-        assert val == mp.integrate_polynomial(delta, f)
-
-    def test_unit_slots_give_mixed_coefficient(self, cp2):
-        f = MultiPoly.constant(2, 1)
-        d1 = mp.multipolytope(cp2, [1, 0, 0])
-        d2 = mp.multipolytope(cp2, [0, 1, 0])
-        # coefficient of h1*h2 in (h1+h2+h3)^2/2 is 1, polarization halves it
-        assert mp.mixed_integral(cp2, f, [d1, d2]) == F(1, 2)
-
-    def test_degree_one_is_identity(self, cp1):
-        f = MultiPoly.constant(1, 1)
-        d1 = mp.multipolytope(cp1, [1, 0])
-        assert mp.mixed_integral(cp1, f, [d1]) == 1
-
-    def test_multilinear(self, cp2):
-        rng = random.Random(12)
-        f = MultiPoly.constant(2, 1)
-        h1 = [F(rng.randint(-3, 3)) for _ in range(3)]
-        h2 = [F(rng.randint(-3, 3)) for _ in range(3)]
-        h3 = [F(rng.randint(-3, 3)) for _ in range(3)]
-        c = F(7, 3)
-        combo = [a * c + b for a, b in zip(h1, h3)]
-        lhs = mp.mixed_integral(cp2, f, [mp.multipolytope(cp2, combo),
-                                         mp.multipolytope(cp2, h2)])
-        rhs = c * mp.mixed_integral(cp2, f, [mp.multipolytope(cp2, h1),
-                                             mp.multipolytope(cp2, h2)]) + \
-            mp.mixed_integral(cp2, f, [mp.multipolytope(cp2, h3),
-                                       mp.multipolytope(cp2, h2)])
-        assert lhs == rhs
-
-
 class TestGammaPipelines:
     def test_volume_cases(self, point_ring_cp2, cp2):
         delta = mp.multipolytope(cp2, [1, 1, 1])

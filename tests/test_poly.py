@@ -1,25 +1,14 @@
-"""Sparse polynomials, polarization, powers of linear forms."""
+"""Sparse polynomials and powers of linear forms."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from qtk.errors import DegreeMismatchError, MalformedInputError
+from qtk.errors import MalformedInputError
 from qtk.invsys import Potential
-from qtk.poly import (MultiPoly, monomials_of_degree, polarize,
-                      power_of_linear_forms, weighted_monomials)
-
-
-def random_poly(rng, nvars, degree, homogeneous=True):
-    terms = {}
-    monos = monomials_of_degree(nvars, degree)
-    for m in monos:
-        if rng.random() < 0.7:
-            terms[m] = F(rng.randint(-5, 5), rng.randint(1, 3))
-    if not homogeneous and monos:
-        terms[(0,) * nvars] = F(rng.randint(1, 5))
-    return MultiPoly(nvars, terms)
+from qtk.poly import (MultiPoly, monomials_of_degree, power_of_linear_forms,
+                      weighted_monomials)
 
 
 class TestArithmetic:
@@ -72,48 +61,6 @@ class TestArithmetic:
         assert weighted_monomials((2, 4), 6) == [(1, 1), (3, 0)]
         assert weighted_monomials((), 0) == [()]
         assert weighted_monomials((), 2) == []
-
-
-class TestPolarize:
-    def test_square(self):
-        f = MultiPoly.monomial((2,))
-        assert polarize(f, [(F(3),), (F(5),)]) == 15
-
-    def test_xy_on_basis(self):
-        f = MultiPoly.monomial((1, 1))
-        assert polarize(f, [(1, 0), (0, 1)]) == F(1, 2)
-
-    def test_diagonal_recovers_value(self):
-        rng = random.Random(2)
-        for _ in range(15):
-            nvars = rng.randint(1, 4)
-            degree = rng.randint(1, 4)
-            f = random_poly(rng, nvars, degree)
-            v = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars)]
-            assert polarize(f, [v] * degree) == f.evaluate(v)
-
-    def test_symmetry_and_multilinearity(self):
-        rng = random.Random(9)
-        for _ in range(10):
-            nvars = rng.randint(1, 3)
-            degree = rng.randint(2, 3)
-            f = random_poly(rng, nvars, degree)
-            vecs = [[F(rng.randint(-3, 3)) for _ in range(nvars)]
-                    for _ in range(degree)]
-            base = polarize(f, vecs)
-            shuffled = list(vecs)
-            rng.shuffle(shuffled)
-            assert polarize(f, shuffled) == base
-            # linearity in the first slot
-            w = [F(rng.randint(-3, 3)) for _ in range(nvars)]
-            c = F(rng.randint(1, 5), rng.randint(1, 3))
-            combo = [[c * a + b for a, b in zip(vecs[0], w)]] + vecs[1:]
-            assert polarize(f, combo) == c * base + polarize(f, [w] + vecs[1:])
-
-    def test_rejects_inhomogeneous(self):
-        f = MultiPoly(1, {(2,): F(1), (1,): F(1)})
-        with pytest.raises(DegreeMismatchError):
-            polarize(f, [(F(1),), (F(1),)])
 
 
 class TestPowersOfLinearForms:

@@ -168,7 +168,7 @@ class TestLinearPaths:
                     char = pp.global_character(cp, [int(r == a) for r in range(cp.n)])
                     expected = [pp._to_vector(pp.multiply(char, q))
                                 for q in pp.pp_basis(cp, d - 1)]
-                    assert pp._character_products(cp, d, a) == expected, (inst.label, d, a)
+                    assert pp._character_products(cp, d, a) == tuple(expected), (inst.label, d, a)
 
     def test_changed_kernel_vector_is_incompatible(self):
         for inst in all_instances():
