@@ -3,15 +3,16 @@
 A CharacteristicPair stores the geometric ray directions of a complete
 simplicial fan, the lattice vector attached to each ray, and the maximal
 cones.  All indices are 0-based internally; the JSON interchange format is
-1-based (see from_json / to_json).
+1-based (see from_json / to_json).  `validate` checks a pair exactly, by
+determinants.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import Sequence
 
 from . import exact
@@ -111,6 +112,18 @@ def is_face(cp: CharacteristicPair, subset: Sequence[int]) -> bool:
     if not key:
         return True
     return key in _face_set(cp)
+
+
+@lru_cache(maxsize=None)
+def facet_table(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...],
+                                                      tuple[tuple[int, int], ...]], ...]:
+    """Every facet of a maximal cone, sorted, with one (cone index, completing
+    ray) pair per maximal cone containing it, in cone order."""
+    owners: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for ci, cone in enumerate(cp.max_cones):
+        for drop, ray in enumerate(cone):
+            owners.setdefault(cone[:drop] + cone[drop + 1:], []).append((ci, ray))
+    return tuple((f, tuple(owners[f])) for f in sorted(owners))
 
 
 # ---------------------------------------------------------------------------
@@ -244,80 +257,77 @@ def _check_simplicial(cp: CharacteristicPair) -> CheckResult:
 
 
 def _check_unimodular(cp: CharacteristicPair) -> CheckResult:
-    for face in faces(cp):
-        diag, _, _ = snf(cp.lam_rows(face))
-        if any(d != 1 for d in diag):
+    # |det| = 1 makes a cone's lattice vectors, and so each face's, part of a basis.
+    for cone in cp.max_cones:
+        d = det(cp.lam_rows(cone))
+        if abs(d) != 1:
             return CheckResult("unimodular", False,
-                               f"face {list(face)} has SNF diagonal {diag}")
+                               f"cone {list(cone)} has lattice determinant {scalar_str(d)}")
     return CheckResult("unimodular", True)
 
 
 def _check_facet_pairing(cp: CharacteristicPair) -> CheckResult:
-    counts: dict[tuple[int, ...], int] = {}
-    for cone in cp.max_cones:
-        for drop in range(cp.n):
-            facet = cone[:drop] + cone[drop + 1:]
-            counts[facet] = counts.get(facet, 0) + 1
-    bad = sorted(f for f, c in counts.items() if c != 2)
+    bad = [list(f) for f, sides in facet_table(cp) if len(sides) != 2]
     if bad:
         return CheckResult("facet_pairing", False,
-                           f"facets not shared by exactly two cones: {[list(f) for f in bad]}")
+                           f"facets not shared by exactly two cones: {bad}")
     return CheckResult("facet_pairing", True)
 
 
-def _cone_membership(cp: CharacteristicPair, point: Sequence[Fraction]) -> tuple[int, bool]:
-    """(number of cones containing the point strictly, hit a boundary?)."""
-    inside = 0
-    boundary = False
-    for cone in cp.max_cones:
-        a = [[cp.ray_dirs[i][r] for i in cone] for r in range(cp.n)]
-        try:
-            coords = solve_exact(a, list(point))
-        except exact.SingularMatrixError:
-            continue
-        if all(c > 0 for c in coords):
-            inside += 1
-        elif all(c >= 0 for c in coords):
-            boundary = True
-    return inside, boundary
+def _side(rows: list[list[Fraction]], v: Sequence) -> int:
+    """Sign of det(rows, then v): the side of the rows' hyperplane v is on."""
+    d = det(rows + [v])
+    return (d > 0) - (d < 0)
 
 
-def _check_coverage(cp: CharacteristicPair, samples: int, seed: int) -> CheckResult:
-    rng = random.Random(seed)
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 50 * samples:
+def _check_coverage(cp: CharacteristicPair) -> CheckResult:
+    """Every generic direction lies in exactly one maximal cone.
+
+    A generic path crosses walls only inside facets, and crossing one moves
+    only its two cones; on opposite sides, one is left as the other is
+    entered.  So all generic directions lie in equally many cones (for n = 1
+    the two rays are opposite), and one off every facet hyperplane decides.
+    Each hyperplane meets the moment curve (1, c, c^2, ...) at most n - 1
+    times, so the walk over c = 1, 2, ... ends.
+    """
+    walls = []  # (facet rays, ((cone index, side of its completing ray), ...))
+    for facet, sides in facet_table(cp):
+        rows = cp.ray_rows(facet)
+        (c1, s1), (c2, s2) = signed = [(ci, _side(rows, cp.ray_dirs[p])) for ci, p in sides]
+        if s1 == s2:
             return CheckResult("point_coverage", False,
-                               "too many boundary hits while sampling directions")
-        point = [Fraction(rng.randint(-997, 997), rng.randint(1, 7)) for _ in range(cp.n)]
-        if all(x == 0 for x in point):
-            continue
-        inside, boundary = _cone_membership(cp, point)
-        if boundary:
-            continue
-        if inside != 1:
-            return CheckResult(
-                "point_coverage", False,
-                f"direction {[scalar_str(x) for x in point]} lies in {inside} maximal cones")
-        done += 1
-    return CheckResult("point_coverage", True, f"{samples} generic directions covered once")
+                               f"cones {list(cp.max_cones[c1])} and {list(cp.max_cones[c2])} "
+                               f"lie on the same side of facet {list(facet)}")
+        walls.append((rows, signed))
+    for c in count(1):
+        v = [c ** k for k in range(cp.n)]
+        at = [_side(rows, v) for rows, _ in walls]
+        if all(at):
+            break
+    outside = {ci for s, (_, signed) in zip(at, walls) for ci, sc in signed if sc != s}
+    inside = len(cp.max_cones) - len(outside)
+    if inside != 1:
+        return CheckResult("point_coverage", False,
+                           f"direction {v} lies in {inside} maximal cones")
+    return CheckResult("point_coverage", True,
+                       f"each facet separates its two cones; direction {v} "
+                       "lies in one maximal cone")
 
 
-def validate(cp: CharacteristicPair, samples: int = 64, seed: int = 20290) -> ValidationReport:
-    """Run all pair invariants: simpliciality, unimodularity of every face,
-    facet pairing, and probabilistic point coverage."""
-    checks = [_check_simplicial(cp)]
-    if checks[0].passed:
-        checks.append(_check_unimodular(cp))
-        checks.append(_check_facet_pairing(cp))
-        checks.append(_check_coverage(cp, samples, seed))
-    else:
-        checks.append(CheckResult("unimodular", False, "skipped: not simplicial"))
-        checks.append(CheckResult("facet_pairing", False, "skipped: not simplicial"))
-        checks.append(CheckResult("point_coverage", False, "skipped: not simplicial"))
-    return ValidationReport(tuple(checks))
+def validate(cp: CharacteristicPair) -> ValidationReport:
+    """Run all pair invariants, exactly: simpliciality, unimodularity of
+    every maximal cone, facet pairing, and coverage of every generic
+    direction by exactly one maximal cone."""
+    simplicial = _check_simplicial(cp)
+    if not simplicial.passed:
+        skipped = "skipped: not simplicial"
+        return ValidationReport((simplicial, CheckResult("unimodular", False, skipped),
+                                 CheckResult("facet_pairing", False, skipped),
+                                 CheckResult("point_coverage", False, skipped)))
+    pairing = _check_facet_pairing(cp)
+    coverage = (_check_coverage(cp) if pairing.passed else
+                CheckResult("point_coverage", False, "skipped: facets not paired"))
+    return ValidationReport((simplicial, _check_unimodular(cp), pairing, coverage))
 
 
 # ---------------------------------------------------------------------------

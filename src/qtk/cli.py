@@ -126,8 +126,8 @@ def _report(command: str, inst: cat.InstanceBundle | None, extra_input: dict,
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns (report, exit_code).
 
-def _validated_ring(inst: cat.InstanceBundle, samples: int = 64) -> BundleRing:
-    rep = cpm.validate(inst.cp, samples=samples)
+def _validated_ring(inst: cat.InstanceBundle) -> BundleRing:
+    rep = cpm.validate(inst.cp)
     if not rep.ok:
         raise CheckFailure("characteristic pair fails validation")
     brep = inst.base.validate()
@@ -158,12 +158,11 @@ def _seed(default: int) -> int:
 
 
 def cmd_validate(args) -> tuple[dict, int]:
-    _require_samples(args.samples)
     results = []
     all_ok = True
     for spec in args.instance:
         inst = resolve_instance(spec)
-        pair_rep = cpm.validate(inst.cp, samples=args.samples)
+        pair_rep = cpm.validate(inst.cp)
         base_rep = inst.base.validate()
         ok = pair_rep.ok and base_rep.ok
         all_ok = all_ok and ok
@@ -364,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate instances")
     _add_instance(p, plural=True)
-    p.add_argument("--samples", type=int, default=64,
-                   help="coverage sample count for the fan validator")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("betti", help="graded dimensions of the bundle ring")

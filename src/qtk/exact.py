@@ -21,6 +21,7 @@ fraction-free Bareiss elimination, qtk.kernels.echelon_int.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -36,15 +37,19 @@ Row = Sequence[Scalar]
 Matrix = Sequence[Row]
 
 _ONE = Fraction(1)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def as_scalar(x) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions, and 'p' or 'p/q' strings of decimal digits to
+    an exact rational.  Decimal points and exponents are rejected:
+    Fraction('1e10000000') builds a ten-million-digit integer, and larger
+    exponents take hours."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x.strip()):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

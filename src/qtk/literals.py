@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .basealg import Element, el_add, el_scale
 from .errors import DegreeMismatchError, MalformedInputError
+from .exact import as_scalar
 from .srbundle import BundleElement, BundleRing, bel_mul, lift, one, x_class
 
 MAX_NESTING = 100
@@ -200,7 +201,4 @@ def parse_h(text: str, s: int) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != s:
         raise MalformedInputError(f"support vector needs {s} entries, got {len(parts)}")
-    try:
-        return [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"bad rational in support vector: {exc}") from exc
+    return [as_scalar(p) for p in parts]

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import exact
 from .basealg import make_point, zero_chern
-from .charpair import CharacteristicPair, dual_edge_frame
+from .charpair import CharacteristicPair, dual_edge_frame, facet_table
 from .errors import MalformedInputError, PairMismatchError
 from .poly import MultiPoly, monomials_of_degree
 from .srbundle import BundleRing
@@ -44,20 +44,11 @@ class PPElement:
                     f"cone polynomials must be homogeneous of degree {self.degree}")
 
 
-@lru_cache(maxsize=None)
 def facet_pairs(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """(facet, cone index, cone index) for every shared facet."""
-    owners: dict[tuple[int, ...], list[int]] = {}
-    for ci, cone in enumerate(cp.max_cones):
-        for drop in range(cp.n):
-            facet = cone[:drop] + cone[drop + 1:]
-            owners.setdefault(facet, []).append(ci)
-    out = []
-    for facet, cones in sorted(owners.items()):
-        if len(cones) != 2:
-            raise MalformedInputError("facet pairing fails; validate the pair first")
-        out.append((facet, cones[0], cones[1]))
-    return tuple(out)
+    if any(len(sides) != 2 for _, sides in facet_table(cp)):
+        raise MalformedInputError("facet pairing fails; validate the pair first")
+    return tuple((facet, c1, c2) for facet, ((c1, _), (c2, _)) in facet_table(cp))
 
 
 def _restrict_to_facet_span(cp: CharacteristicPair, facet: tuple[int, ...],

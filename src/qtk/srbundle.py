@@ -275,21 +275,6 @@ def graded_basis(ring: BundleRing, d: int) -> list[tuple[Expo, int]]:
     return out
 
 
-def _linear_relations(ring: BundleRing) -> list[BundleElement]:
-    """The relations c(e_a) - sum_i lam_i[a] x_i for the standard characters."""
-    rels = []
-    for a in range(ring.cp.n):
-        lam_vec = [0] * ring.cp.n
-        lam_vec[a] = 1
-        rel = lift(ring, ring.chern.evaluate(lam_vec))
-        for i in range(ring.cp.s):
-            coeff = ring.cp.lam[i][a]
-            if coeff:
-                rel = el_add(rel, el_scale(x_class(ring, i), -coeff))
-        rels.append(rel)
-    return rels
-
-
 def _expand(ring: BundleRing, el: BundleElement,
             index: dict[tuple[Expo, int], int]) -> dict[int, Fraction]:
     """Coordinates of an element in a graded spanning basis as a sparse row
@@ -299,16 +284,26 @@ def _expand(ring: BundleRing, el: BundleElement,
 
 
 def relation_vectors(ring: BundleRing, d: int) -> tuple[list[tuple[Expo, int]], list[dict]]:
-    """Spanning basis of degree d and sparse rows spanning the relations in it."""
+    """Spanning basis of degree d and sparse rows spanning the relations in it.
+
+    One row per degree-(d-2) basis term b x^expo and standard character a:
+    the relation c(e_a) - sum_i lam_i[a] x_i times it, which is
+    c(e_a) b x^expo minus lam_i[a] at each face term b x^(expo + e_i).
+    """
     basis = graded_basis(ring, d)
     index = {pair: i for i, pair in enumerate(basis)}
     vectors = []
     if d >= 2:
-        rels = _linear_relations(ring)
-        for pair in graded_basis(ring, d - 2):
-            mono: BundleElement = {pair: Fraction(1)}
-            for rel in rels:
-                vectors.append(_expand(ring, bel_mul(ring, rel, mono), index))
+        cp, base = ring.cp, ring.base
+        for expo, b in graded_basis(ring, d - 2):
+            up = [index.get((_bump(expo, i), b)) for i in range(cp.s)]
+            for a in range(cp.n):
+                row = {index[expo, k]: c
+                       for k, c in base.mul(ring.chern.image(a), {b: 1}).items()}
+                for i, col in enumerate(up):
+                    if col is not None and cp.lam[i][a]:
+                        row[col] = -cp.lam[i][a]
+                vectors.append(row)
     return basis, vectors
 
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtk import charpair as cpm
 from qtk import exact
@@ -27,7 +29,10 @@ class TestValidate:
         bad = cpm.toric_pair([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
         report = cpm.validate(bad)
         assert not report.ok
-        assert not [c for c in report.checks if c.name == "facet_pairing"][0].passed
+        checks = {c.name: c for c in report.checks}
+        assert not checks["facet_pairing"].passed
+        assert checks["point_coverage"] == cpm.CheckResult(
+            "point_coverage", False, "skipped: facets not paired")
 
     def test_non_unimodular_lambda(self):
         bad = cpm.make_pair(2, [(1, 0), (0, 1), (-1, -1)],
@@ -54,10 +59,55 @@ class TestValidate:
         with pytest.raises(MalformedInputError):
             cpm.make_pair(2, [(1, 0, 0), (0, 1)], [(1, 0), (0, 1)], [(0, 1)])
 
-    def test_coverage_is_seed_stable(self, cp2):
-        a = cpm.validate(cp2, samples=16, seed=5)
-        b = cpm.validate(cp2, samples=16, seed=5)
-        assert a == b
+    def test_double_cover_fails_coverage(self):
+        # Three rays taken twice around: every facet is shared by two cones on
+        # opposite sides, but every generic direction lies in two cones.
+        rays = [(1, 0), (-1, 1), (0, -1)] * 2
+        cones = [(i, (i + 1) % 6) for i in range(6)]
+        report = cpm.validate(cpm.toric_pair(rays, cones))
+        checks = {c.name: c for c in report.checks}
+        assert checks["simplicial"].passed and checks["unimodular"].passed
+        assert checks["facet_pairing"].passed
+        assert not checks["point_coverage"].passed
+        assert "lies in 2 maximal cones" in checks["point_coverage"].detail
+
+
+def _sampled_coverage(cp, samples=400, seed=20290):
+    """Reference: every one of `samples` random directions off the cone
+    boundaries lies in exactly one maximal cone."""
+    rng = random.Random(seed)
+    done = 0
+    while done < samples:
+        point = [F(rng.randint(-997, 997), rng.randint(1, 7)) for _ in range(cp.n)]
+        inside, boundary = 0, False
+        for cone in cp.max_cones:
+            a = [[cp.ray_dirs[i][r] for i in cone] for r in range(cp.n)]
+            coords = exact.solve_exact(a, point)
+            inside += all(c > 0 for c in coords)
+            boundary = boundary or (min(coords) == 0)
+        if boundary or not any(point):
+            continue
+        if inside != 1:
+            return False
+        done += 1
+    return True
+
+
+@st.composite
+def fans_on_catalog_shapes(draw):
+    """The catalog's triangle, square and tetrahedron cone sets on random rays."""
+    shape = draw(st.sampled_from([get(name).cp for name in ("cp2", "cp1xcp1", "cp3")]))
+    ray = st.tuples(*[st.integers(-3, 3)] * shape.n)
+    rays = draw(st.lists(ray, min_size=shape.s, max_size=shape.s))
+    return cpm.make_pair(shape.n, rays, rays, shape.max_cones)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fans_on_catalog_shapes())
+def test_coverage_agrees_with_sampling(cp):
+    checks = {c.name: c for c in cpm.validate(cp).checks}
+    assume(checks["simplicial"].passed)
+    assert checks["point_coverage"].passed == _sampled_coverage(cp)
 
 
 class TestConeSign:

@@ -139,6 +139,11 @@ class TestVolume:
         code, out, err = run(capsys, "volume", "cp2", "--h", "1,1")
         assert code == 2
 
+    def test_negative_fraction_h(self, capsys):
+        code, report = run_json(capsys, "volume", "cp1", "--h=-3/4,1")
+        assert code == 0
+        assert report["result"]["volume"] == "1/4"
+
 
 class TestIntersect:
     def test_cp2_square(self, capsys):
@@ -456,8 +461,24 @@ class TestMalformedInput:
         err = self.assert_bad_input(capsys, "check-all", "cp2")
         assert "QTK_SEED" in err
 
-    @pytest.mark.parametrize("argv", [("check-all", "cp2", "--samples", "0"),
-                                      ("validate", "cp2", "--samples", "-5")])
+    @pytest.mark.parametrize("h", ["1e10000000,1", "1.5,1"])
+    def test_support_vector_entry_not_p_over_q(self, capsys, h):
+        start = time.monotonic()
+        err = self.assert_bad_input(capsys, "volume", "cp1", "--h", h)
+        assert time.monotonic() - start < 5
+        assert "not a rational" in err
+
+    def test_ray_entry_with_exponent(self, capsys, tmp_path):
+        payload = bundle_payload(get("cp2"))
+        payload["charpair"]["rays"][0][0] = "1e10000000"
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        start = time.monotonic()
+        err = self.assert_bad_input(capsys, "validate", str(path))
+        assert time.monotonic() - start < 5
+        assert "not a rational" in err
+
+    @pytest.mark.parametrize("argv", [("check-all", "cp2", "--samples", "0")])
     def test_samples_below_one(self, capsys, argv):
         err = self.assert_bad_input(capsys, *argv)
         assert "--samples must be at least 1" in err

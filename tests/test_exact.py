@@ -168,6 +168,20 @@ class TestAsInt:
             exact.as_int(bad)
 
 
+class TestAsScalar:
+    @pytest.mark.parametrize("text, value", [
+        ("-3/4", F(-3, 4)), (" 5 ", F(5)), ("+2/6", F(1, 3)), ("007", F(7))])
+    def test_accepts_p_and_p_over_q(self, text, value):
+        assert exact.as_scalar(text) == value
+
+    @pytest.mark.parametrize("bad", [
+        "0.5", "1.5", "1e3", "1e10000000", "1E-9", "1/0", "", "1 / 2", "1/-2",
+        "inf", "nan", "1_000", "\u0663", 2.5, True, None])
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(MalformedInputError):
+            exact.as_scalar(bad)
+
+
 # ---------------------------------------------------------------------------
 # RowSpace against the dense Bareiss elimination.
 
