@@ -80,10 +80,16 @@ def check_matrix(rows: Matrix) -> tuple[int, int]:
     return nrows, ncols
 
 
-def _cleared(row: Row) -> tuple[list[int], int]:
+def cleared_dense(row: Row) -> tuple[list[int], int]:
     """The dense row times the lcm of its denominators, as ints, and that lcm."""
     scale = lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def int_if_integral(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is integral, else unchanged: products and sums of
+    ints skip the gcd that every Fraction operation pays."""
+    return int(x) if x.denominator == 1 else x
 
 
 def cleared(vec: SparseRow) -> tuple[dict[int, int], int]:
@@ -255,7 +261,7 @@ def det(rows: Matrix) -> Fraction:
     scaled = []
     scale = 1
     for row in rows:
-        ints, s = _cleared(row)
+        ints, s = cleared_dense(row)
         scale *= s
         scaled.append(ints)
     r, ech, _, sign = echelon_int(scaled, ncols)
@@ -274,7 +280,7 @@ def solve_exact(a: Matrix, b: Row) -> list[Fraction]:
         raise MalformedInputError("right-hand side has wrong length")
     if nrows == 0:
         return []
-    aug = [_cleared(list(row) + [bv])[0] for row, bv in zip(a, b)]
+    aug = [cleared_dense(list(row) + [bv])[0] for row, bv in zip(a, b)]
     r, ech, pivot_cols, _ = echelon_int(aug, ncols + 1)
     if r < nrows or pivot_cols != list(range(nrows)):
         raise SingularMatrixError("matrix is singular")

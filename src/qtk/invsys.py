@@ -15,7 +15,6 @@ fundamental class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial

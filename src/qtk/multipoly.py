@@ -16,10 +16,15 @@ There is one vertex sum.  Every direction is read as l + t*zeta with zeta
 generic, and the result is the constant Laurent coefficient at t = 0; a cone
 whose m dual edge vectors have l(w) = 0 contributes a pole of order m, and
 the poles must cancel over the cones.  A direction generic on the cone is
-the case m = 0, which is the formula above.  The h-independent part of the
-sum is planned once per (pair, direction) and cached.  One monomial
-integral serves numeric h (a Fraction) and symbolic h (a MultiPoly in
-h_1..h_s).
+the case m = 0, which is the formula above.
+
+Everything that does not depend on h is planned once and cached: per (pair,
+direction) the cone data of the vertex sum, and per (pair, integrand) the
+distinct (form, degree) pairs of its decomposition with merged
+coefficients, over one common denominator so that a sample runs in ints
+(h = H / D with integer H).  One plan serves numeric h (a Fraction) and
+symbolic h (a MultiPoly in h_1..h_s).  The BKK comparison caches its
+integrand f_gamma per (gamma, i); the intersection side lives in srbundle.
 """
 
 from __future__ import annotations
@@ -27,16 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
 from .charpair import CharacteristicPair, cone_sign, dual_edge_frame
 from .errors import (DegenerateDirectionError, DegreeMismatchError,
                      MalformedInputError)
-from .exact import as_scalar, dot
+from .exact import as_scalar, cleared_dense, dot, int_if_integral
 from .poly import MultiPoly, binomial, power_of_linear_forms
-from .srbundle import BundleRing, intersection_number, rho
+from .srbundle import BundleRing, evaluate_top, rho_power
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ def _generic_direction(cp: CharacteristicPair,
 
 
 # ---------------------------------------------------------------------------
-# The vertex expansion engine.  Values are Fractions (numeric h) or
+# The vertex expansion engine.  Values are ints (numeric h = H / D) or
 # MultiPoly in h (symbolic); the code is generic over both.
 
 def _series_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
@@ -147,48 +152,6 @@ def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...], perturb: boo
     return tuple(plan)
 
 
-def _vertex_sum(cp: CharacteristicPair, ell: Sequence[Fraction], d: int,
-                hvals: Sequence[Fraction] | None, perturb: bool):
-    """sum over cones of sign * l(A)^(n+d) / prod l(w), exactly.
-
-    hvals numeric -> Fraction result; hvals None -> MultiPoly in h_1..h_s.
-    With perturb=False a vanishing l(w) raises DegenerateDirectionError;
-    otherwise the direction is perturbed to l + t*zeta and the constant
-    Laurent coefficient at t = 0 is returned; the pole terms must cancel.
-    Only l(A) = sum h_i l(w_i), zeta(A) = sum h_i zeta(w_i) (for m > 0) and
-    their powers depend on h; the rest comes from the cached plan.
-    """
-    power = cp.n + d
-    if hvals is None:
-        hvals = [MultiPoly.variable(cp.s, i) for i in range(cp.s)]
-        zero = MultiPoly.zero(cp.s)
-    else:
-        zero = Fraction(0)
-    laurent: dict[int, object] = {}  # pole order j -> coefficient of t^-j
-    for cone, lw, zw, m, c in _vertex_plan(cp, tuple(ell), perturb):
-        la0 = zero
-        for i, a in zip(cone, lw):
-            la0 = la0 + hvals[i] * a
-        if m == 0:
-            num = [la0 ** power]
-        else:
-            la1 = zero
-            for i, b in zip(cone, zw):
-                la1 = la1 + hvals[i] * b
-            # numerator (la0 + t la1)^power: coefficients of t^0..t^m suffice
-            num = [(la0 ** (power - j)) * (la1 ** j) * binomial(power, j)
-                   for j in range(min(power, m) + 1)]
-        for k in range(m + 1):
-            # coefficient of t^(k-m) in the cone's Laurent expansion
-            acc = num[0] * c[k]
-            for j in range(1, min(k, len(num) - 1) + 1):
-                acc = acc + num[j] * c[k - j]
-            laurent[m - k] = laurent.get(m - k, zero) + acc
-    if any(val != zero for j, val in laurent.items() if j > 0):
-        raise MalformedInputError("perturbation failed to cancel pole terms")
-    return laurent.get(0, zero)
-
-
 def _poly_mul_scalar(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -197,23 +160,105 @@ def _poly_mul_scalar(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _monomial_integral(cp: CharacteristicPair, alpha: Sequence[int],
-                       hvals: Sequence[Fraction] | None, direction: Sequence | None = None):
-    """Integral of x^alpha: a Fraction for numeric hvals, a MultiPoly in
-    h_1..h_s when hvals is None.
+def _scaled_plans(cp: CharacteristicPair, weighted, perturb: bool):
+    """The vertex plans of weighted = ((l, d, weight), ...), ready for ints.
 
-    A monomial of degree d > 0 is a sum of d-th powers of linear forms; the
-    constant is integrated along `direction` (default: a generic one).
+    Returns (den, ((n + d, cones), ...)): each cone's c is multiplied by its
+    form's weight and by den, the one common denominator of all of them, so
+    it is an int; l(w) and zeta(w) are ints where integral.  The weighted
+    integral is then the sum of the cones' numerators over den.
     """
-    d = sum(alpha)
-    scale = Fraction(factorial(d), factorial(cp.n + d))
-    if d == 0:
-        ell = generic_direction(cp) if direction is None \
-            else tuple(as_scalar(v) for v in direction)
-        return _vertex_sum(cp, ell, 0, hvals, perturb=True) * scale
-    total = sum(_vertex_sum(cp, form, d, hvals, perturb=True) * c
-                for c, form in power_of_linear_forms(alpha))
-    return total * scale
+    scaled = [(cp.n + d, [(cone, lw, zw, m, [weight * v for v in c])
+                          for cone, lw, zw, m, c in _vertex_plan(cp, ell, perturb)])
+              for ell, d, weight in weighted]
+    den = lcm(*(v.denominator for _, cones in scaled
+                for *_, c in cones for v in c))
+    return den, tuple(
+        (power, tuple((cone, tuple(map(int_if_integral, lw)),
+                       tuple(map(int_if_integral, zw)), m,
+                       tuple(int(v * den) for v in c))
+                      for cone, lw, zw, m, c in cones))
+        for power, cones in scaled)
+
+
+@lru_cache(maxsize=None)
+def _integration_plan(cp: CharacteristicPair, f: MultiPoly,
+                      direction: tuple[Fraction, ...] | None):
+    """Everything in the integral of f that does not depend on h.
+
+    Each monomial of degree d > 0 is a sum of d-th powers of linear forms
+    (power_of_linear_forms); the constant is integrated along `direction`
+    (default: the generic one).  Coefficients of equal (form, d) are merged,
+    d!/(n+d)! included, so each distinct form costs one vertex sum.
+    """
+    merged: dict[tuple[tuple[Fraction, ...], int], Fraction] = {}
+    for alpha, coeff in f.items():
+        d = sum(alpha)
+        scale = coeff * Fraction(factorial(d), factorial(cp.n + d))
+        if d == 0:
+            ell = generic_direction(cp) if direction is None else direction
+            terms = [(Fraction(1), ell)]
+        else:
+            terms = power_of_linear_forms(alpha)
+        for c, form in terms:
+            merged[form, d] = merged.get((form, d), Fraction(0)) + c * scale
+    return _scaled_plans(cp, [(ell, d, w) for (ell, d), w in merged.items() if w],
+                         perturb=True)
+
+
+def _vertex_sum(cones, power: int, hvals):
+    """Numerator of one form's vertex sum at h = hvals / D, exactly.
+
+    Per cone it is the constant Laurent coefficient at t = 0 of
+    sign * (l + t zeta)(A)^power / prod (l + t zeta)(w), times the plan's
+    den and D^power: l(A) = sum hvals_i l(w_i) over the cone's rays (and
+    zeta(A) on cones with m > 0).  hvals are ints for numeric h and the
+    variables h_1..h_s (D = 1) for symbolic h.  The pole terms must cancel.
+    """
+    const = 0
+    poles: dict[int, object] = {}  # pole order j -> coefficient of t^-j
+    for cone, lw, zw, m, c in cones:
+        la0 = sum(hvals[i] * a for i, a in zip(cone, lw))
+        if m == 0:
+            const = const + la0 ** power * c[0]
+            continue
+        la1 = sum(hvals[i] * b for i, b in zip(cone, zw))
+        # numerator (la0 + t la1)^power: coefficients of t^0..t^m suffice
+        num = [(la0 ** (power - j)) * (la1 ** j) * binomial(power, j)
+               for j in range(min(power, m) + 1)]
+        for k in range(m + 1):
+            # coefficient of t^(k-m) in the cone's Laurent expansion
+            acc = num[0] * c[k]
+            for j in range(1, min(k, len(num) - 1) + 1):
+                acc = acc + num[j] * c[k - j]
+            if k == m:
+                const = const + acc
+            else:
+                poles[m - k] = poles.get(m - k, 0) + acc
+    if any(poles.values()):
+        raise MalformedInputError("perturbation failed to cancel pole terms")
+    return const
+
+
+def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
+    """A scaled plan's integral: a Fraction for numeric h, a MultiPoly in
+    h_1..h_s when h is None.
+
+    Numeric h is written once as H / D with integer H, so every vertex sum
+    runs in ints and one division by den * D^top ends it.
+    """
+    den, forms = plan
+    if h is None:
+        hvals, scale = [MultiPoly.variable(cp.s, i) for i in range(cp.s)], 1
+        total = MultiPoly.zero(cp.s)
+    else:
+        hvals, scale = cleared_dense(h)
+        total = 0
+    top = max((power for power, _ in forms), default=0)
+    for power, cones in forms:
+        part = _vertex_sum(cones, power, hvals)
+        total = total + (part if power == top else part * scale ** (top - power))
+    return total * Fraction(1, den * scale ** top)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +272,14 @@ def integrate_linear_power(delta: MultiPolytope, ell: Sequence, d: int) -> Fract
     lvec = tuple(as_scalar(v) for v in ell)
     if len(lvec) != cp.n:
         raise MalformedInputError("linear form has wrong dimension")
-    raw = _vertex_sum(cp, lvec, d, delta.h, perturb=False)
-    return raw * Fraction(factorial(d), factorial(cp.n + d))
+    weight = Fraction(factorial(d), factorial(cp.n + d))
+    return _evaluate(cp, _scaled_plans(cp, [(lvec, d, weight)], perturb=False), delta.h)
 
 
 def integrate_monomial_symbolic(cp: CharacteristicPair, alpha: Sequence[int]) -> MultiPoly:
     """Integral of x^alpha as a polynomial in the support numbers h."""
-    return _monomial_integral(cp, tuple(int(a) for a in alpha), None)
+    f = MultiPoly.monomial(tuple(int(a) for a in alpha))
+    return _evaluate(cp, _integration_plan(cp, f, None), None)
 
 
 def integral_polynomial_symbolic(cp: CharacteristicPair, f: MultiPoly,
@@ -247,18 +293,17 @@ def integral_polynomial_symbolic(cp: CharacteristicPair, f: MultiPoly,
         raise MalformedInputError("integrand must live on the character space")
     if not f.is_homogeneous():
         raise DegreeMismatchError("integrand must be homogeneous")
-    total = MultiPoly.zero(cp.s)
-    for alpha, coeff in f.items():
-        total = total + _monomial_integral(cp, alpha, None, direction) * coeff
-    return IntegralPolynomial(cp=cp, degree=cp.n + f.total_degree(), poly=total)
+    if direction is not None:
+        direction = tuple(as_scalar(v) for v in direction)
+    poly = _evaluate(cp, _integration_plan(cp, f, direction), None)
+    return IntegralPolynomial(cp=cp, degree=cp.n + f.total_degree(), poly=poly)
 
 
 def integrate_polynomial(delta: MultiPolytope, f: MultiPoly) -> Fraction:
     """Exact integral of a polynomial over a multi-polytope."""
     if f.nvars != delta.cp.n:
         raise MalformedInputError("integrand must live on the character space")
-    return sum((_monomial_integral(delta.cp, alpha, delta.h) * coeff
-                for alpha, coeff in f.items()), Fraction(0))
+    return _evaluate(delta.cp, _integration_plan(delta.cp, f, None), delta.h)
 
 
 def volume(delta: MultiPolytope) -> Fraction:
@@ -271,17 +316,32 @@ def volume(delta: MultiPolytope) -> Fraction:
 
 def I_gamma(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> Fraction:
     """Integral pipeline: integral over Delta of <c(x)^i gamma, [B]>."""
-    f = f_gamma(ring.base, ring.chern, gamma, i)
+    f = _integrand(ring, tuple(sorted(gamma.items())), i)
     return integrate_polynomial(delta, f)
 
 
+@lru_cache(maxsize=None)
+def _integrand(ring: BundleRing, gamma: tuple[tuple[int, Fraction], ...],
+               i: int) -> MultiPoly:
+    """f_gamma once per (base, Chern data, gamma, i); every BKK sample with
+    the same class and i integrates the same polynomial."""
+    return f_gamma(ring.base, ring.chern, dict(gamma), i)
+
+
 def F_gamma(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> Fraction:
-    """Topological pipeline: top product of n+i copies of rho(Delta) with gamma."""
+    """Topological pipeline: <rho(Delta)^(n+i) gamma, [M]>.
+
+    With h = H / D for integer H, gamma * rho(H)^(n+i) is expanded by the
+    multinomial theorem over the face monomials (`rho_power`) and paired by
+    `evaluate_top` in ints; one division by D^(n+i) ends it.
+    """
     dg = ring.base.degree_of(gamma)
     if dg is not None and dg != ring.base.top - 2 * i:
         raise DegreeMismatchError(
             f"gamma has degree {dg}, expected {ring.base.top - 2 * i}")
-    return intersection_number(ring, [rho(ring, delta.h)] * (ring.cp.n + i), gamma)
+    k = ring.cp.n + i
+    big_h, den = cleared_dense(delta.h)
+    return evaluate_top(ring, rho_power(ring, big_h, k, gamma)) / den ** k
 
 
 @dataclass(frozen=True)

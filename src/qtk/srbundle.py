@@ -13,7 +13,8 @@ classes keep their Koszul signs.
 eliminating one factor of a repeated variable through a dual character; the
 multiplicity of every produced monomial drops by one, so it terminates.
 With the canonical characters the rewriting is linear over the base, so each
-x-monomial is reduced once per ring and cached.
+x-monomial is reduced once per ring and cached, and so is its pairing with
+the fundamental class against every base class (`evaluate_top`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, prod
 from typing import Callable, Sequence
 
 from . import exact
@@ -93,6 +95,37 @@ def rho(ring: BundleRing, h: Sequence) -> BundleElement:
         if v:
             out[(_bump(zero, i), unit)] = v
     return out
+
+
+def rho_power(ring: BundleRing, h: Sequence[int], k: int,
+              gamma: Element) -> BundleElement:
+    """gamma * rho(h)^k by the multinomial theorem.
+
+    rho(h)^k is the sum over x-monomials x^alpha of degree k of
+    k!/alpha! * h^alpha * x^alpha; the monomials whose support is no face
+    are zero in the ring, so only `_face_monomials` are kept, which is
+    exact.  The x_i are even and rho has unit base part, so gamma only
+    scales each term.  Integer h and gamma give int coefficients.
+    """
+    scales = [(idx, exact.int_if_integral(g)) for idx, g in gamma.items() if g]
+    out: BundleElement = {}
+    for expo, factors, mult in _multinomials(ring.cp, k):
+        c = mult
+        for i, e in factors:
+            c *= h[i] ** e
+        if c:
+            for idx, g in scales:
+                out[expo, idx] = c * g
+    return out
+
+
+@lru_cache(maxsize=None)
+def _multinomials(cp: CharacteristicPair, k: int):
+    """Per face monomial x^alpha of degree k: (alpha, its (i, alpha_i) with
+    alpha_i > 0, k!/alpha!)."""
+    return tuple((expo, tuple((i, e) for i, e in enumerate(expo) if e),
+                  factorial(k) // prod(factorial(e) for e in expo))
+                 for expo in _face_monomials(cp, k))
 
 
 def bel_mul(ring: BundleRing, a: BundleElement, b: BundleElement) -> BundleElement:
@@ -213,12 +246,19 @@ def evaluate_top(ring: BundleRing, el: BundleElement,
 
     After reduction, a square-free face monomial on a maximal cone J with
     base coefficient g contributes sign(J) * <g, [B]>; smaller supports force
-    the coefficient above the base's top degree, hence vanish.
+    the coefficient above the base's top degree, hence vanish.  With the
+    default chooser every term reads its cached `_top_pairing`; integer
+    coefficients are then summed as ints.
     """
     degs = term_degrees(ring, el)
     if degs - {ring.total_degree}:
         raise DegreeMismatchError(
             f"element has degrees {sorted(degs)}, expected {ring.total_degree}")
+    if chooser is None:
+        total = 0
+        for (expo, idx), c in el.items():
+            total += c * _top_pairing(ring, expo)[idx]
+        return Fraction(total)
     total = Fraction(0)
     for (expo, idx), c in reduce(ring, el, chooser).items():
         supp = _support(expo)
@@ -226,6 +266,28 @@ def evaluate_top(ring: BundleRing, el: BundleElement,
             continue
         total += cone_sign(ring.cp, supp).value * c * ring.base.fundamental[idx]
     return total
+
+
+@lru_cache(maxsize=None)
+def _top_pairing(ring: BundleRing, expo: Expo) -> tuple[int | Fraction, ...]:
+    """<b_g x^expo, [M]> for every base index g, as ints where integral.
+
+    Linear over the base exactly like reduce's cached path: b_g x^expo
+    reduces to b_g times the normal form of x^expo, whose terms r b_j x^e on
+    a maximal cone pair to sign(e) r <b_g b_j, [B]>.
+    """
+    base, cp = ring.base, ring.cp
+    top = []
+    for (e, j), r in _reduced_monomial(ring, expo):
+        supp = _support(e)
+        if len(supp) == cp.n:
+            top.append((cone_sign(cp, supp).value * r, j))
+    out = []
+    for g in range(base.dim):
+        val = sum((v * base.integrate(base.products.get((g, j), {})) for v, j in top),
+                  Fraction(0))
+        out.append(exact.int_if_integral(val))
+    return tuple(out)
 
 
 def intersection_number(ring: BundleRing, classes: Sequence[BundleElement],
