@@ -173,8 +173,11 @@ def parse_spec(spec: str) -> tuple[str, dict[str, int]]:
             key, sep, value = piece.partition("=")
             if not sep:
                 raise MalformedInputError(f"bad parameter {piece!r}")
+            key = key.strip()
+            if key in params:
+                raise MalformedInputError(f"parameter {key!r} given twice")
             try:
-                params[key.strip()] = int(value)
+                params[key] = int(value)
             except ValueError as exc:
                 raise MalformedInputError(f"parameter {key!r} must be an integer") from exc
     return name.strip(), params

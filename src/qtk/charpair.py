@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import exact
 from .errors import MalformedInputError, NotAConeError, NotAFaceError
-from .exact import as_int, as_scalar, det, scalar_str, snf, solve_exact
+from .exact import as_int, as_scalar, det, scalar_str, solve_exact
 
 
 @dataclass(frozen=True)
@@ -159,44 +159,50 @@ def _cone_sign(cp: CharacteristicPair, key: tuple[int, ...]) -> ConeSign:
 
 
 def vertex(cp: CharacteristicPair, h: Sequence, cone: Sequence[int]) -> tuple[Fraction, ...]:
-    """The point x with <lam_i, x> = h_i for every ray i of the maximal cone."""
+    """The point x with <lam_i, x> = h_i for every ray i of the maximal cone:
+    sum_j h_{cone[j]} w_j over its dual edge frame."""
     key = tuple(sorted(cone))
     if key not in cp.max_cones:
         raise NotAConeError(f"{list(cone)} is not a maximal cone")
     hs = [as_scalar(v) for v in h]
     if len(hs) != cp.s:
         raise MalformedInputError("support vector has wrong length")
-    a = [[Fraction(x) for x in cp.lam[i]] for i in key]
-    b = [hs[i] for i in key]
-    return tuple(solve_exact(a, b))
+    frame = _dual_edge_frame(cp, key)
+    return tuple(sum((hs[i] * w[r] for i, w in zip(key, frame)), Fraction(0))
+                 for r in range(cp.n))
 
 
 def dual_edge_frame(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[tuple[Fraction, ...], ...]:
-    """Vectors w_1..w_n with <lam_{cone[j]}, w_k> = delta_{jk}.
+    """Vectors w_1..w_n with <lam_{cone[j]}, w_k> = delta_{jk}, the cone's
+    rays taken in increasing order.
 
     These are the columns of the inverse of the matrix whose rows are the
-    cone's lattice vectors; the vertex of any support vector h is
-    sum_j h_{cone[j]} w_j.
+    cone's lattice vectors, integral when the cone is unimodular, and
+    computed once per pair and cone.  Vertices and dual characters are read
+    from them, so no other solve runs on lattice vectors.
     """
     key = tuple(sorted(cone))
     if key not in cp.max_cones:
         raise NotAConeError(f"{list(cone)} is not a maximal cone")
+    return _dual_edge_frame(cp, key)
+
+
+@lru_cache(maxsize=None)
+def _dual_edge_frame(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
     a = [[Fraction(x) for x in cp.lam[i]] for i in key]
     n = cp.n
-    cols = []
-    for k in range(n):
-        b = [Fraction(int(j == k)) for j in range(n)]
-        cols.append(tuple(solve_exact(a, b)))
-    return tuple(cols)
+    return tuple(tuple(solve_exact(a, [Fraction(int(j == k)) for j in range(n)]))
+                 for k in range(n))
 
 
 def dual_character(cp: CharacteristicPair, face: Sequence[int], j: int) -> tuple[int, ...]:
     """Integer vector chi with <lam_j, chi> = 1 and <lam_i, chi> = 0 for i in face-{j}.
 
-    Exists because the face's lattice vectors extend to a lattice basis.  For
-    faces smaller than n the solution is the canonical one obtained by SNF
-    back-substitution with all free parameters set to zero.  It depends on
-    the face as a set, so it is computed once per pair, sorted face and j.
+    It is j's dual edge vector in the first maximal cone containing the
+    face, so it also pairs to zero with that cone's other rays, and it is
+    integral because the cone's lattice vectors form a lattice basis.  It
+    depends on the face as a set, so it is computed once per pair, sorted
+    face and j.
     """
     key = tuple(sorted(face))
     if j not in key:
@@ -208,16 +214,11 @@ def dual_character(cp: CharacteristicPair, face: Sequence[int], j: int) -> tuple
 
 @lru_cache(maxsize=None)
 def _dual_character(cp: CharacteristicPair, key: tuple[int, ...], j: int) -> tuple[int, ...]:
-    rows = cp.lam_rows(key)
-    b = [1 if i == j else 0 for i in key]
-    diag, U, V = snf(rows)
-    t = len(key)
-    if any(d != 1 for d in diag):
+    cone = next(c for c in cp.max_cones if set(key) <= set(c))
+    chi = _dual_edge_frame(cp, cone)[cone.index(j)]
+    if any(x.denominator != 1 for x in chi):
         raise MalformedInputError("face is not unimodular")
-    ub = [sum(U[r][c] * b[c] for c in range(t)) for r in range(t)]
-    y = ub + [0] * (cp.n - t)
-    chi = [sum(V[r][c] * y[c] for c in range(cp.n)) for r in range(cp.n)]
-    return tuple(chi)
+    return tuple(int(x) for x in chi)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ it.  The vectors it returns (`normal_form`, `kernel`, `kernel_basis`) are
 sparse as well: Fraction dicts of the nonzero entries in increasing column
 order.
 
-Determinants, square solves and the Smith normal form take dense matrices,
-nested lists in row-major order; determinants and solves use the one dense
-fraction-free Bareiss elimination, qtk.kernels.echelon_int.
+Determinants and square solves take dense matrices, nested lists in
+row-major order, and use the one dense fraction-free Bareiss elimination,
+qtk.kernels.echelon_int.  There is no integer normal form: the cones of a
+valid pair are unimodular, so every lattice question about them is answered
+by the columns of an inverse (see charpair.dual_edge_frame).
 """
 
 from __future__ import annotations
@@ -296,103 +298,3 @@ def solve_exact(a: Matrix, b: Row) -> list[Fraction]:
 def dot(u: Row, v: Row) -> Fraction:
     """Rational inner product."""
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form over the integers.
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def snf(m: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith normal form of an integer matrix.
-
-    Returns (diag, U, V) with U*m*V diagonal, diag[i] >= 0, diag[i] | diag[i+1],
-    and U, V unimodular.  diag lists only the min(nrows, ncols) diagonal entries.
-    """
-    nrows, ncols = check_matrix(m)
-    A = [[int(v) for v in row] for row in m]
-    U = _identity(nrows)
-    V = _identity(ncols)
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_add(dst, src, q):
-        # row dst -= q * row src
-        A[dst] = [a - q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
-
-    def col_add(dst, src, q):
-        for row in A:
-            row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
-
-    def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        # Pick the nonzero entry of smallest magnitude in the trailing block.
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = abs(A[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        # Reduce the pivot row and column until both are clean.
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, q)
-                    if A[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, q)
-                    if A[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-        # Enforce divisibility: fold any non-multiple into the pivot block.
-        pivot = A[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if A[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, -1)
-            continue
-        t += 1
-
-    for i in range(limit):
-        if A[i][i] < 0:
-            row_negate(i)
-    diag = [A[i][i] for i in range(limit)]
-    return diag, U, V

@@ -51,14 +51,6 @@ def facet_pairs(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...], int, int
     return tuple((facet, c1, c2) for facet, ((c1, _), (c2, _)) in facet_table(cp))
 
 
-def _restrict_to_facet_span(cp: CharacteristicPair, facet: tuple[int, ...],
-                            g: MultiPoly) -> MultiPoly:
-    """Restriction of g to the span of the facet's lattice vectors, as a
-    polynomial in one parameter per facet ray."""
-    return g.substitute([MultiPoly.linear_form([cp.lam[j][r] for j in facet])
-                         if facet else MultiPoly.zero(0) for r in range(cp.n)])
-
-
 def is_compatible(el: PPElement) -> bool:
     return _annihilated(el.cp, el.degree, _to_vector(el))
 
@@ -128,6 +120,30 @@ def _from_vector(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> PP
     return PPElement(cp, d, tuple(MultiPoly(cp.n, t) for t in terms))
 
 
+def _facet_restrictions(cp: CharacteristicPair, facet: tuple[int, ...],
+                        d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Per degree-d monomial x^m, its restriction to the span of the facet's
+    lattice vectors, as {exponent in one parameter t_j per facet ray: int}.
+
+    x_a restricts to sum_j lam_{facet[j]}[a] t_j, and x^m to x_a times the
+    restriction of x^(m - e_a), a being m's first nonzero index.
+    """
+    out = {(0,) * cp.n: {(0,) * len(facet): 1}}
+    for degree in range(1, d + 1):
+        lower, out = out, {}
+        for m in monomials_of_degree(cp.n, degree):
+            a = next(r for r, e in enumerate(m) if e)
+            poly: dict[tuple[int, ...], int] = {}
+            for sm, c in lower[m[:a] + (m[a] - 1,) + m[a + 1:]].items():
+                for j, ray in enumerate(facet):
+                    x = cp.lam[ray][a]
+                    if x:
+                        key = sm[:j] + (sm[j] + 1,) + sm[j + 1:]
+                        poly[key] = poly.get(key, 0) + c * x
+            out[m] = {sm: c for sm, c in poly.items() if c}
+    return out
+
+
 @lru_cache(maxsize=None)
 def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int], ...]:
     """The degree-d compatibility rows as sparse integer dicts: one per
@@ -137,17 +153,14 @@ def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int],
     per = len(monos)
     rows = []
     for facet, c1, c2 in facet_pairs(cp):
-        restricted = [_restrict_to_facet_span(cp, facet, MultiPoly.monomial(m, 1))
-                      for m in monos]
-        for sm in monomials_of_degree(len(facet), d):
-            row = {}
-            for k, g in enumerate(restricted):
-                c = int(g.coefficient(sm))  # integer: lattice vectors are integral
-                if c:
-                    row[c1 * per + k] = c
-                    row[c2 * per + k] = -c
-            if row:
-                rows.append(row)
+        restricted = _facet_restrictions(cp, facet, d)
+        by_monomial: dict[tuple[int, ...], dict[int, int]] = {}
+        for k, m in enumerate(monos):
+            for sm, c in restricted[m].items():
+                row = by_monomial.setdefault(sm, {})
+                row[c1 * per + k] = c
+                row[c2 * per + k] = -c
+        rows.extend(by_monomial[sm] for sm in sorted(by_monomial))
     return tuple(rows)
 
 

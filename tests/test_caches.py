@@ -200,7 +200,7 @@ class TestErrorsAreNotCached:
 # and the characters reduce asks for, must not grow with the number of BKK
 # samples.
 
-COUNTED = [(cpm, "snf"), (cpm, "det"), (cpm, "solve_exact"), (mp, "dot"),
+COUNTED = [(cpm, "det"), (cpm, "solve_exact"), (mp, "dot"),
            (sr, "dual_character"), (mp, "f_gamma"), (mp, "power_of_linear_forms")]
 
 
@@ -271,3 +271,14 @@ def test_dropped_linear_form_fails_the_integral_side(monkeypatch, capsys, cold_c
     code, result = check_all_report("cp1-bundle-over-cp2?a=1", capsys)
     assert code == 1 and not result["bkk_ok"] and result["bkk_failures"]
     assert all(fail["i"] > 0 for fail in result["bkk_failures"])
+
+
+@pytest.mark.parametrize("spec", ["cp2", "cp3", "hirzebruch?a=2", "cp2-twist"])
+def test_negated_character_fails_the_intersection_side(monkeypatch, capsys, cold_caches, spec):
+    def dual_character(cp, face, j, _real=sr.dual_character):
+        return tuple(-c for c in _real(cp, face, j))
+
+    monkeypatch.setattr(sr, "dual_character", dual_character)
+    code, result = check_all_report(spec, capsys)
+    assert code == 1 and not result["bkk_ok"] and result["bkk_failures"]
+    assert result["betti_equals_brion"]

@@ -494,6 +494,10 @@ class TestMalformedInput:
         err = self.assert_bad_input(capsys, "betti", spec)
         assert f"unknown parameter(s) {unknown}" in err
 
+    def test_catalog_parameter_given_twice(self, capsys):
+        err = self.assert_bad_input(capsys, "betti", "hirzebruch?a=2,a=3")
+        assert "parameter 'a' given twice" in err
+
 
 # ---------------------------------------------------------------------------
 # Fuzzing mutated bundle files.

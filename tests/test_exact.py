@@ -1,4 +1,4 @@
-"""Exact linear algebra: SNF, solving, kernels, determinants, row spaces."""
+"""Exact linear algebra: solving, kernels, determinants, row spaces."""
 
 import random
 from fractions import Fraction as F
@@ -22,54 +22,8 @@ def sparse_rows(rows):
     return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
-def matmul(a, b):
-    """Integer matrix product."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def sparse_dot(u, v):
     return sum((x * v[c] for c, x in u.items() if c in v), F(0))
-
-
-class TestSnf:
-    def test_diag_2_3(self):
-        diag, U, V = exact.snf([[2, 0], [0, 3]])
-        assert diag == [1, 6]
-        assert matmul(matmul(U, [[2, 0], [0, 3]]), V) == [[1, 0], [0, 6]]
-
-    def test_identity(self):
-        diag, U, V = exact.snf([[1, 0], [0, 1]])
-        assert diag == [1, 1]
-        assert abs(exact.det(U)) == 1
-        assert abs(exact.det(V)) == 1
-
-    def test_wide_matrix(self):
-        # transposed stack of e1, e2, -e1-e2
-        m = [[1, 0, -1], [0, 1, -1]]
-        diag, U, V = exact.snf(m)
-        assert diag == [1, 1]
-
-    def test_empty(self):
-        diag, U, V = exact.snf([])
-        assert diag == []
-
-    def test_random_properties(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 4)
-            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            diag, U, V = exact.snf(m)
-            prod = matmul(matmul(U, m), V)
-            for i in range(rows):
-                for j in range(cols):
-                    expected = diag[i] if i == j and i < len(diag) else 0
-                    assert prod[i][j] == expected
-            for a, b in zip(diag, diag[1:]):
-                assert b % a == 0 or (a == 0 and b == 0)
-            assert abs(exact.det(U)) == 1
-            assert abs(exact.det(V)) == 1
-            assert all(d >= 0 for d in diag)
 
 
 class TestSolve:

@@ -9,7 +9,7 @@ from qtk import ppbrion as pp
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
 from qtk.errors import PairMismatchError
-from qtk.poly import MultiPoly
+from qtk.poly import MultiPoly, monomials_of_degree
 
 
 class TestCourantBasis:
@@ -169,6 +169,28 @@ class TestLinearPaths:
                     expected = [pp._to_vector(pp.multiply(char, q))
                                 for q in pp.pp_basis(cp, d - 1)]
                     assert pp._character_products(cp, d, a) == tuple(expected), (inst.label, d, a)
+
+    def test_restriction_rows_equal_substitution(self):
+        for inst in all_instances():
+            cp = inst.cp
+            for d in range(cp.n + 1):
+                monos = monomials_of_degree(cp.n, d)
+                per = len(monos)
+                expected = []
+                for facet, c1, c2 in pp.facet_pairs(cp):
+                    forms = [MultiPoly.linear_form([cp.lam[j][r] for j in facet])
+                             if facet else MultiPoly.zero(0) for r in range(cp.n)]
+                    restricted = [MultiPoly.monomial(m, 1).substitute(forms) for m in monos]
+                    for sm in monomials_of_degree(len(facet), d):
+                        row = {}
+                        for k, g in enumerate(restricted):
+                            c = g.coefficient(sm)
+                            if c:
+                                row[c1 * per + k] = c
+                                row[c2 * per + k] = -c
+                        if row:
+                            expected.append(row)
+                assert pp._compatibility_rows(cp, d) == tuple(expected), (inst.label, d)
 
     def test_changed_kernel_vector_is_incompatible(self):
         for inst in all_instances():
