@@ -194,14 +194,14 @@ def get(spec: str) -> InstanceBundle:
     return inst
 
 
-def all_instances(hirzebruch_a=(0, 1, 2, 3), toric_m=(1, 2)) -> list[InstanceBundle]:
+def all_instances() -> list[InstanceBundle]:
     """Every catalog entry, with a small spread of parameters."""
     out = []
     for name in CATALOG_NAMES:
         if name == "hirzebruch":
-            out.extend(get(f"hirzebruch?a={a}") for a in hirzebruch_a)
+            out.extend(get(f"hirzebruch?a={a}") for a in (0, 1, 2, 3))
         elif name == "hirzebruch-toric":
-            out.extend(get(f"hirzebruch-toric?m={m}") for m in toric_m)
+            out.extend(get(f"hirzebruch-toric?m={m}") for m in (1, 2))
         elif name == "cp1-bundle-over-cp2":
             out.extend(get(f"cp1-bundle-over-cp2?a={a}") for a in (1, 2))
         else:

@@ -35,7 +35,3 @@ class PairMismatchError(QtkError):
 
 class OddClassesPresentError(QtkError):
     """A construction restricted to even gradings received odd-degree classes."""
-
-
-class DegenerateDirectionError(QtkError):
-    """A linear form vanishes on a dual edge vector of some maximal cone."""

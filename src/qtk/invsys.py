@@ -24,7 +24,7 @@ from . import exact
 from .basealg import Element, GradedBaseAlgebra
 from .charpair import CharacteristicPair
 from .errors import MalformedInputError, OddClassesPresentError
-from .exact import as_int, as_scalar, scalar_str
+from .exact import scalar_str
 from .multipoly import integral_polynomial_symbolic, integrate_monomial_symbolic
 from .poly import MultiPoly, weighted_monomials
 from .srbundle import BundleRing, evaluate_top
@@ -57,20 +57,6 @@ class Potential:
                 for expo, c in self.poly.items()
             },
         }
-
-
-def potential_from_json(data: dict) -> Potential:
-    try:
-        names = tuple(str(v["name"]) for v in data["vars"])
-        weights = tuple(as_int(v["weight"]) for v in data["vars"])
-        degree = as_int(data["degree"])
-        terms = {}
-        for key, coeff in data["terms"].items():
-            expo = tuple(int(p) for p in key.split(",")) if key else ()
-            terms[expo] = as_scalar(coeff)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:  # e.g. a list for a dict
-        raise MalformedInputError(f"bad potential object: {exc}") from exc
-    return Potential(names, weights, MultiPoly(len(names), terms), degree)
 
 
 @dataclass(frozen=True)

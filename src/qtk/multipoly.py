@@ -37,8 +37,7 @@ from typing import Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
 from .charpair import CharacteristicPair, cone_sign, dual_edge_frame
-from .errors import (DegenerateDirectionError, DegreeMismatchError,
-                     MalformedInputError)
+from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_scalar, cleared_dense, dot, int_if_integral
 from .poly import MultiPoly, binomial, power_of_linear_forms
 from .srbundle import BundleRing, evaluate_top, rho_power
@@ -85,19 +84,14 @@ def _all_dual_vectors(cp: CharacteristicPair):
         yield from frame
 
 
-def generic_direction(cp: CharacteristicPair, avoid: Sequence[Sequence] = ()) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def generic_direction(cp: CharacteristicPair) -> tuple[Fraction, ...]:
     """Deterministic direction nonvanishing on every dual edge vector.
 
     Walks the moment curve (1, c, c^2, ...) for c = 1, 2, ...; each dual edge
     vector rules out finitely many c, so the walk terminates.
     """
-    return _generic_direction(cp, tuple(tuple(v) for v in avoid))
-
-
-@lru_cache(maxsize=None)
-def _generic_direction(cp: CharacteristicPair,
-                       avoid: tuple[tuple, ...]) -> tuple[Fraction, ...]:
-    vectors = [tuple(v) for v in _all_dual_vectors(cp)] + list(avoid)
+    vectors = list(_all_dual_vectors(cp))
     c = 1
     while True:
         ell = tuple(Fraction(c ** k) for k in range(cp.n))
@@ -122,24 +116,20 @@ def _series_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...], perturb: bool):
+def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...]):
     """Everything in the vertex sum for direction l that does not depend on h.
 
-    The direction is read as l + t*zeta.  Per maximal cone the plan is
-    (rays, l(w), zeta(w), m, c): the m rays with l(w) = 0 give t^m * lead,
-    the others Q(t) = prod (l(w) + t zeta(w)) with Q(0) != 0, and c[k] is
-    sign / lead times the t^k coefficient of 1/Q, for k <= m.  A generic
-    cone has m = 0 and c = (sign / prod l(w),).  A vanishing l(w) raises
-    DegenerateDirectionError unless perturb is set; a raise is never cached,
-    so every call raises.
+    The direction is read as l + t*zeta, with zeta the generic direction.
+    Per maximal cone the plan is (rays, l(w), zeta(w), m, c): the m rays
+    with l(w) = 0 give t^m * lead, the others Q(t) = prod (l(w) + t zeta(w))
+    with Q(0) != 0, and c[k] is sign / lead times the t^k coefficient of
+    1/Q, for k <= m.  A cone on which l is generic has m = 0 and
+    c = (sign / prod l(w),).
     """
-    data = _cone_data(cp)
-    lws = [tuple(dot(ell, w) for w in frame) for _, _, frame in data]
-    if not perturb and any(0 in lw for lw in lws):
-        raise DegenerateDirectionError("direction vanishes on a dual edge vector")
     zeta = generic_direction(cp)
     plan = []
-    for (cone, sign, frame), lw in zip(data, lws):
+    for cone, sign, frame in _cone_data(cp):
+        lw = tuple(dot(ell, w) for w in frame)
         zw = tuple(dot(zeta, w) for w in frame)
         factor, q = Fraction(sign), [Fraction(1)]  # factor = sign / lead
         for a, b in zip(lw, zw):
@@ -160,7 +150,7 @@ def _poly_mul_scalar(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _scaled_plans(cp: CharacteristicPair, weighted, perturb: bool):
+def _scaled_plans(cp: CharacteristicPair, weighted):
     """The vertex plans of weighted = ((l, d, weight), ...), ready for ints.
 
     Returns (den, ((n + d, cones), ...)): each cone's c is multiplied by its
@@ -169,7 +159,7 @@ def _scaled_plans(cp: CharacteristicPair, weighted, perturb: bool):
     integral is then the sum of the cones' numerators over den.
     """
     scaled = [(cp.n + d, [(cone, lw, zw, m, [weight * v for v in c])
-                          for cone, lw, zw, m, c in _vertex_plan(cp, ell, perturb)])
+                          for cone, lw, zw, m, c in _vertex_plan(cp, ell)])
               for ell, d, weight in weighted]
     den = lcm(*(v.denominator for _, cones in scaled
                 for *_, c in cones for v in c))
@@ -202,8 +192,7 @@ def _integration_plan(cp: CharacteristicPair, f: MultiPoly,
             terms = power_of_linear_forms(alpha)
         for c, form in terms:
             merged[form, d] = merged.get((form, d), Fraction(0)) + c * scale
-    return _scaled_plans(cp, [(ell, d, w) for (ell, d), w in merged.items() if w],
-                         perturb=True)
+    return _scaled_plans(cp, [(ell, d, w) for (ell, d), w in merged.items() if w])
 
 
 def _vertex_sum(cones, power: int, hvals):
@@ -236,7 +225,7 @@ def _vertex_sum(cones, power: int, hvals):
             else:
                 poles[m - k] = poles.get(m - k, 0) + acc
     if any(poles.values()):
-        raise MalformedInputError("perturbation failed to cancel pole terms")
+        raise MalformedInputError("pole terms of the vertex sum do not cancel")
     return const
 
 
@@ -263,18 +252,6 @@ def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
 
 # ---------------------------------------------------------------------------
 # Public integration operations.
-
-def integrate_linear_power(delta: MultiPolytope, ell: Sequence, d: int) -> Fraction:
-    """Exact integral of l^d over the multi-polytope; l must be generic."""
-    if d < 0:
-        raise MalformedInputError("power must be non-negative")
-    cp = delta.cp
-    lvec = tuple(as_scalar(v) for v in ell)
-    if len(lvec) != cp.n:
-        raise MalformedInputError("linear form has wrong dimension")
-    weight = Fraction(factorial(d), factorial(cp.n + d))
-    return _evaluate(cp, _scaled_plans(cp, [(lvec, d, weight)], perturb=False), delta.h)
-
 
 def integrate_monomial_symbolic(cp: CharacteristicPair, alpha: Sequence[int]) -> MultiPoly:
     """Integral of x^alpha as a polynomial in the support numbers h."""

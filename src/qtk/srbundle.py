@@ -387,8 +387,17 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
 
     Representatives are monomials (base element times square-free-or-not
     x-monomial); products are re-expanded exactly through the relations.
+    Products above the formal dimension `top` are zero: the relations are
+    checked by rank to span degrees top+1 and top+2, and every spanning term
+    of degree D > top carries some x_i (its base part has degree at most the
+    base's top), so degree D >= top+3 is x_i times degree D-2 and the
+    quotient vanishes above top by induction.
     """
     top = ring.total_degree
+    for d in (top + 1, top + 2):
+        basis, vectors = relation_vectors(ring, d)
+        if exact.rank(vectors, len(basis)) != len(basis):
+            raise MalformedInputError("quotient does not vanish above top degree")
     per_degree: dict[int, dict] = {}
     names: list[str] = []
     degrees: list[int] = []
@@ -414,31 +423,14 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
         nf = info["span"].normal_form(_expand(ring, el, info["index"]))
         return {info["rep"][j]: c for j, c in nf.items()}
 
-    high_degree_spans: dict[int, tuple[dict, exact.RowSpace]] = {}
-
-    def assert_zero_above_top(prod: BundleElement, d: int) -> None:
-        # Degrees above the formal dimension must die in the quotient; verify
-        # membership in the relation span rather than assuming it.
-        if d not in high_degree_spans:
-            basis, vectors = relation_vectors(ring, d)
-            high_degree_spans[d] = ({p: i for i, p in enumerate(basis)},
-                                    exact.RowSpace(len(basis), vectors))
-        index, span = high_degree_spans[d]
-        if not span.contains(_expand(ring, prod, index)):
-            raise MalformedInputError("quotient does not vanish above top degree")
-
     products: dict[tuple[int, int], Element] = {}
     for p, u in enumerate(rep_elements):
         for q, v in enumerate(rep_elements):
             d = degrees[p] + degrees[q]
-            prod = bel_mul(ring, u, v)
-            el: Element = {}
             if d <= top:
-                el = coords(prod, d)
-            elif prod:
-                assert_zero_above_top(prod, d)
-            if el:
-                products[(p, q)] = el
+                el = coords(bel_mul(ring, u, v), d)
+                if el:
+                    products[(p, q)] = el
     fundamental = [evaluate_top(ring, rep) if degrees[p] == top else Fraction(0)
                    for p, rep in enumerate(rep_elements)]
     return GradedBaseAlgebra(names, degrees, products, fundamental)

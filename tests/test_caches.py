@@ -18,8 +18,7 @@ from qtk import multipoly as mp
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
 from qtk.cli import _bkk_samples, main
-from qtk.errors import (DegenerateDirectionError, MalformedInputError,
-                        NotAConeError, NotAFaceError)
+from qtk.errors import MalformedInputError, NotAConeError, NotAFaceError
 from qtk.poly import MultiPoly, monomials_of_degree
 
 from conftest import clear_caches
@@ -139,18 +138,6 @@ def test_values_survive_cache_clear(inst):
     clear_caches()
     assert cold == warm == values()
     assert all(res.equal for _, res in cold)
-
-
-@pytest.mark.parametrize("inst", INSTANCES, ids=label)
-def test_degenerate_direction_raises_on_every_call(inst):
-    cp = inst.cp
-    w = mp._cone_data(cp)[0][2][0]
-    # Orthogonal to the dual edge vector w (the zero form when n = 1).
-    ell = (-w[1], w[0]) + (0,) * (cp.n - 2) if cp.n > 1 else (0,)
-    delta = mp.multipolytope(cp, [1] * cp.s)
-    for _ in range(3):
-        with pytest.raises(DegenerateDirectionError):
-            mp.integrate_linear_power(delta, ell, 2)
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=label)

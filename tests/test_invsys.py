@@ -244,30 +244,3 @@ class TestPotentialChecks:
         with pytest.raises(MalformedInputError,
                            match="weights must be positive even ints, one per variable"):
             iv.Potential(("x", "y"), weights, MultiPoly.zero(2), 4)
-
-
-class TestPotentialJson:
-    def test_roundtrip(self):
-        ring = hirzebruch_ring(2)
-        p = iv.bundle_potential_integral(ring)
-        again = iv.potential_from_json(p.to_json())
-        assert again == p
-
-    def test_point_roundtrip(self):
-        p = iv.base_potential(ba.make_point())
-        again = iv.potential_from_json(p.to_json())
-        assert again.poly.coefficient(()) == 1
-
-    def test_terms_given_as_list(self):
-        with pytest.raises(MalformedInputError, match="bad potential object"):
-            iv.potential_from_json({"vars": [], "degree": 0, "terms": []})
-
-    @pytest.mark.parametrize("field, value", [("weight", 2.9), ("degree", 2.5)])
-    def test_non_integer_weight_or_degree(self, base_cp1, field, value):
-        data = iv.base_potential(base_cp1).to_json()  # one variable t of weight 2, degree 2
-        if field == "weight":
-            data["vars"][0]["weight"] = value
-        else:
-            data["degree"] = value
-        with pytest.raises(MalformedInputError, match="not an integer"):
-            iv.potential_from_json(data)

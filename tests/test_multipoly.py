@@ -21,7 +21,7 @@ from qtk import basealg as ba
 from qtk import charpair as cpm
 from qtk import multipoly as mp
 from qtk.catalog import all_instances, get
-from qtk.errors import DegenerateDirectionError, DegreeMismatchError
+from qtk.errors import DegreeMismatchError
 from qtk.poly import MultiPoly, monomials_of_degree, power_of_linear_forms
 
 from conftest import hirzebruch_ring
@@ -102,22 +102,21 @@ class TestConvexOracle:
 class TestIntegrateLinearPower:
     def test_interval_length(self, cp1):
         delta = mp.multipolytope(cp1, [F(3), F(5)])
-        assert mp.integrate_linear_power(delta, [F(1)], 0) == 8
+        assert mp.integrate_polynomial(delta, MultiPoly.linear_form([F(1)]) ** 0) == 8
 
     def test_triangle_area_direction_independent(self, cp2):
         delta = mp.multipolytope(cp2, [1, 1, 1])
-        assert mp.integrate_linear_power(delta, [1, 2], 0) == F(9, 2)
-        assert mp.integrate_linear_power(delta, [3, 7], 0) == F(9, 2)
+        one = MultiPoly.linear_form([1, 2]) ** 0
+        assert mp.integrate_polynomial(delta, one) == F(9, 2)
+        for direction in ([1, 2], [3, 7]):
+            sym = mp.integral_polynomial_symbolic(cp2, one, direction=direction)
+            assert sym.evaluate([1, 1, 1]) == F(9, 2)
 
     def test_interval_first_moment(self, cp1):
         h1, h2 = F(2), F(3)
         delta = mp.multipolytope(cp1, [h1, h2])
-        assert mp.integrate_linear_power(delta, [1], 1) == (h1 ** 2 - h2 ** 2) / 2
-
-    def test_degenerate_direction_raises(self, cp2):
-        delta = mp.multipolytope(cp2, [1, 1, 1])
-        with pytest.raises(DegenerateDirectionError):
-            mp.integrate_linear_power(delta, [1, 0], 1)
+        assert mp.integrate_polynomial(delta, MultiPoly.linear_form([1]) ** 1) \
+            == (h1 ** 2 - h2 ** 2) / 2
 
 
 class TestIntegratePolynomial:
@@ -138,10 +137,11 @@ class TestIntegratePolynomial:
 
 class TestOneVertexSum:
     def test_generic_power_equals_its_monomial_expansion(self, all_instances):
-        """integrate_linear_power(l, d) sums over cones that are all generic
-        (m = 0); integrate_polynomial((l.x)^d) goes through the +-1 forms of
-        power_of_linear_forms, many of which vanish on a dual edge vector
-        (m > 0).  The two cases of the one vertex sum must agree exactly."""
+        """The vertex sum of one generic form l sums over cones that are all
+        generic (m = 0); integrate_polynomial((l.x)^d) goes through the +-1
+        forms of power_of_linear_forms, many of which vanish on a dual edge
+        vector (m > 0).  The two cases of the one vertex sum must agree
+        exactly."""
         rng = random.Random(4417)
         perturbed = set()
         for inst in all_instances:
@@ -155,12 +155,15 @@ class TestOneVertexSum:
                 h = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(cp.s)]
                 delta = mp.multipolytope(cp, h)
                 f = MultiPoly.linear_form(ell) ** d
-                assert mp.integrate_linear_power(delta, ell, d) \
+                weight = F(factorial(d), factorial(cp.n + d))
+                plan = mp._scaled_plans(cp, [(ell, d, weight)])
+                assert all(m == 0 for _, cones in plan[1] for _, _, _, m, _ in cones)
+                assert mp._evaluate(cp, plan, h) \
                     == mp.integrate_polynomial(delta, f), (inst.label, ell, d, h)
                 for alpha, _ in f.items():
                     if sum(alpha) and any(
                             m > 0 for _, form in power_of_linear_forms(alpha)
-                            for _, _, _, m, _ in mp._vertex_plan(cp, form, True)):
+                            for _, _, _, m, _ in mp._vertex_plan(cp, form)):
                         perturbed.add(inst.label)
         assert {"cp2", "cp3", "cp1xcp1", "cp2-twist", "hirzebruch-toric?m=1",
                 "hirzebruch-toric?m=2"} <= perturbed

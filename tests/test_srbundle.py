@@ -13,9 +13,27 @@ from qtk import charpair as cpm
 from qtk import exact
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
-from qtk.errors import DegreeMismatchError
+from qtk.errors import DegreeMismatchError, MalformedInputError
 
 from conftest import hirzebruch_ring
+
+
+def cp3_times_cp3_ring():
+    # The product fan of two CP^3 fans, built here from its definition:
+    # rays e_1, e_2, e_3, -(e_1+e_2+e_3) of each factor, padded by zeros,
+    # and a cone for every 3-subset of each factor's four rays.
+    def cp3_rays(shift):
+        units = [[int(k == shift + i) for k in range(6)] for i in range(3)]
+        return units + [[-int(shift <= k < shift + 3) for k in range(6)]]
+    rays = cp3_rays(0) + cp3_rays(3)
+    cones = [a + tuple(4 + j for j in b)
+             for a in combinations(range(4), 3) for b in combinations(range(4), 3)]
+    return sr.BundleRing(cpm.make_pair(6, rays, rays, cones), ba.make_point(),
+                         ba.zero_chern(6))
+
+
+# Poincare polynomial of CP^3 x CP^3, (1 + t^2 + t^4 + t^6)^2, one entry per degree.
+CP3_TIMES_CP3_DIMS = [1, 0, 2, 0, 3, 0, 4, 0, 3, 0, 2, 0, 1]
 
 
 def monomial(ring, expo):
@@ -116,19 +134,7 @@ class TestBetti:
         assert sr.betti(point_ring_cp1) == [1, 0, 1]
 
     def test_cp3_times_cp3_is_kunneth(self):
-        # The product fan of two CP^3 fans, built here from its definition:
-        # rays e_1, e_2, e_3, -(e_1+e_2+e_3) of each factor, padded by zeros,
-        # and a cone for every 3-subset of each factor's four rays.
-        def cp3_rays(shift):
-            units = [[int(k == shift + i) for k in range(6)] for i in range(3)]
-            return units + [[-int(shift <= k < shift + 3) for k in range(6)]]
-        rays = cp3_rays(0) + cp3_rays(3)
-        cones = [a + tuple(4 + j for j in b)
-                 for a in combinations(range(4), 3) for b in combinations(range(4), 3)]
-        ring = sr.BundleRing(cpm.make_pair(6, rays, rays, cones), ba.make_point(),
-                             ba.zero_chern(6))
-        # Poincare polynomial (1 + t^2 + t^4 + t^6)^2, one entry per degree.
-        assert sr.betti(ring) == [1, 0, 2, 0, 3, 0, 4, 0, 3, 0, 2, 0, 1]
+        assert sr.betti(cp3_times_cp3_ring()) == CP3_TIMES_CP3_DIMS
 
 
 class TestCherneq:
@@ -189,6 +195,21 @@ class TestQuotientAlgebra:
         for inst in all_instances():
             qa = sr.quotient_algebra(inst.ring())
             assert qa.validate().ok, inst.label
+
+    def test_cp3_times_cp3_quotient(self):
+        qa = sr.quotient_algebra(cp3_times_cp3_ring())
+        assert qa.validate().ok
+        assert [len(qa.indices_of_degree(d)) for d in range(13)] == CP3_TIMES_CP3_DIMS
+
+    def test_zero_lattice_vectors_do_not_vanish_above_top(self):
+        # Two rays with zero lattice vectors over a point: no linear relation
+        # touches x1 or x2, so x1^2 survives in degree 4 above top = 2.
+        cp = cpm.make_pair(1, [(1,), (-1,)], [(0,), (0,)], [(0,), (1,)])
+        ring = sr.BundleRing(cp, ba.make_point(), ba.zero_chern(1))
+        assert sr.betti(ring) == [1, 0, 2]
+        with pytest.raises(MalformedInputError,
+                           match="does not vanish above top degree"):
+            sr.quotient_algebra(ring)
 
     def test_cp2_quotient_is_truncated_line(self, point_ring_cp2):
         qa = sr.quotient_algebra(point_ring_cp2)
