@@ -32,14 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
 from .charpair import CharacteristicPair, cone_sign, dual_edge_frame
 from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_scalar, cleared_dense, dot, int_if_integral
-from .poly import MultiPoly, binomial, power_of_linear_forms
+from .poly import MultiPoly, power_of_linear_forms
 from .srbundle import BundleRing, evaluate_top, rho_power
 
 
@@ -213,7 +213,7 @@ def _vertex_sum(cones, power: int, hvals):
             continue
         la1 = sum(hvals[i] * b for i, b in zip(cone, zw))
         # numerator (la0 + t la1)^power: coefficients of t^0..t^m suffice
-        num = [(la0 ** (power - j)) * (la1 ** j) * binomial(power, j)
+        num = [(la0 ** (power - j)) * (la1 ** j) * comb(power, j)
                for j in range(min(power, m) + 1)]
         for k in range(m + 1):
             # coefficient of t^(k-m) in the cone's Laurent expansion

@@ -8,7 +8,7 @@ order, so all emitted output is byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatchError, MalformedInputError
@@ -306,23 +306,6 @@ def power_of_linear_forms(alpha: Sequence[int]) -> list[tuple[Fraction, tuple[Fr
     return out
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, in lexicographic order."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
-    return sorted(out)
-
-
 def weighted_monomials(weights: Sequence[int], degree: int) -> list[Exponent]:
     """Exponent tuples with given weighted degree, in lexicographic order."""
     n = len(weights)
@@ -341,7 +324,3 @@ def weighted_monomials(weights: Sequence[int], degree: int) -> list[Exponent]:
 
     rec([], degree, 0)
     return sorted(out)
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

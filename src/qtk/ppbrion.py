@@ -7,9 +7,10 @@ set of integer restriction rows per degree, one row per shared facet and
 monomial in the facet's ray parameters.  The graded pieces are the kernels
 of these rows; an element is compatible iff every row annihilates it.
 Multiplying by a standard character x_a moves the coefficient of m to
-m + e_a, so character products are index maps on kernel vectors, checked
-against the rows of the next degree.  Quotient dimensions come from exact
-rank and match the Stanley-Reisner graded dimensions degree by degree.
+m + e_a, so character products are index maps on kernel vectors.  Each map
+is proved compatible once: every row of the next degree, read through it,
+lies in the span of the rows of this degree.  Quotient dimensions come from
+exact rank and match the Stanley-Reisner graded dimensions degree by degree.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import exact
 from .basealg import make_point, zero_chern
 from .charpair import CharacteristicPair, dual_edge_frame, facet_table
 from .errors import MalformedInputError, PairMismatchError
-from .poly import MultiPoly, monomials_of_degree
+from .poly import MultiPoly, weighted_monomials
 from .srbundle import BundleRing
 
 
@@ -52,7 +53,10 @@ def facet_pairs(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...], int, int
 
 
 def is_compatible(el: PPElement) -> bool:
-    return _annihilated(el.cp, el.degree, _to_vector(el))
+    """Whether every compatibility row of the element's degree vanishes on it."""
+    ints, _ = exact.cleared(_to_vector(el))
+    return not any(sum(x * ints.get(c, 0) for c, x in row.items())
+                   for row in _compatibility_rows(el.cp, el.degree))
 
 
 def multiply(f: PPElement, g: PPElement) -> PPElement:
@@ -98,7 +102,7 @@ def courant_basis(cp: CharacteristicPair) -> list[PPElement]:
 def _coefficient_layout(cp: CharacteristicPair, d: int):
     """(monomials, cones, width): coefficient ci * len(monomials) + k is that
     of monomial k on cone ci."""
-    monos = tuple(monomials_of_degree(cp.n, d))
+    monos = tuple(weighted_monomials((1,) * cp.n, d))
     ncones = len(cp.max_cones)
     return monos, ncones, len(monos) * ncones
 
@@ -131,7 +135,7 @@ def _facet_restrictions(cp: CharacteristicPair, facet: tuple[int, ...],
     out = {(0,) * cp.n: {(0,) * len(facet): 1}}
     for degree in range(1, d + 1):
         lower, out = out, {}
-        for m in monomials_of_degree(cp.n, degree):
+        for m in _coefficient_layout(cp, degree)[0]:
             a = next(r for r, e in enumerate(m) if e)
             poly: dict[tuple[int, ...], int] = {}
             for sm, c in lower[m[:a] + (m[a] - 1,) + m[a + 1:]].items():
@@ -164,13 +168,6 @@ def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int],
     return tuple(rows)
 
 
-def _annihilated(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> bool:
-    """Whether every degree-d compatibility row vanishes on the sparse vector."""
-    ints, _ = exact.cleared(vec)
-    return not any(sum(x * ints.get(c, 0) for c, x in row.items())
-                   for row in _compatibility_rows(cp, d))
-
-
 @lru_cache(maxsize=None)
 def _pp_kernel(cp: CharacteristicPair, d: int) -> tuple[dict[int, Fraction], ...]:
     """The canonical kernel basis of the degree-d compatibility rows."""
@@ -190,28 +187,27 @@ def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
 
 
 @lru_cache(maxsize=None)
-def _character_shift(cp: CharacteristicPair, d: int, a: int) -> tuple[int, ...]:
-    """Multiplication by x_a from degree d-1 to degree d as an index map:
-    coefficient j of degree d-1 becomes coefficient shift[j] of degree d."""
-    lower, ncones, _ = _coefficient_layout(cp, d - 1)
+def _character_shifts(cp: CharacteristicPair, d: int) -> tuple[tuple[int, ...], ...]:
+    """Multiplication by each x_a from degree d-1 to degree d as an index map:
+    coefficient j of degree d-1 becomes coefficient shifts[a][j] of degree d.
+
+    Each map is proved once to send compatible elements to compatible ones:
+    every degree-d row read through it lies in the span of the degree-(d-1)
+    rows, so it vanishes on every kernel vector."""
+    lower, ncones, width = _coefficient_layout(cp, d - 1)
     upper, _, _ = _coefficient_layout(cp, d)
     index = {m: k for k, m in enumerate(upper)}
-    step = [index[m[:a] + (m[a] + 1,) + m[a + 1:]] for m in lower]
-    return tuple(ci * len(upper) + k for ci in range(ncones) for k in step)
-
-
-@lru_cache(maxsize=None)
-def _character_products(cp: CharacteristicPair, d: int, a: int) -> tuple[dict[int, Fraction], ...]:
-    """x_a times each degree-(d-1) kernel vector, as sparse degree-d vectors,
-    each checked against the degree-d compatibility rows."""
-    shift = _character_shift(cp, d, a)
-    out = []
-    for q in _pp_kernel(cp, d - 1):
-        prod = {shift[j]: x for j, x in q.items()}
-        if not _annihilated(cp, d, prod):
-            raise MalformedInputError("product violates facet compatibility")
-        out.append(prod)
-    return tuple(out)
+    span = exact.RowSpace(width, _compatibility_rows(cp, d - 1))
+    shifts = []
+    for a in range(cp.n):
+        step = [index[m[:a] + (m[a] + 1,) + m[a + 1:]] for m in lower]
+        shift = tuple(ci * len(upper) + k for ci in range(ncones) for k in step)
+        back = {c: j for j, c in enumerate(shift)}
+        for row in _compatibility_rows(cp, d):
+            if not span.contains({back[c]: x for c, x in row.items() if c in back}):
+                raise MalformedInputError("product violates facet compatibility")
+        shifts.append(shift)
+    return tuple(shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +253,14 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
                 cb = [(offset[b2], coeff) for b2, coeff
                       in base.mul(c_a, {b: Fraction(1)}).items() if b2 in offset]
                 off = offset[b]
-                for q, xq in zip(_pp_kernel(cp, d - 1), _character_products(cp, d, a)):
+                shift = _character_shifts(cp, d)[a]
+                for q in _pp_kernel(cp, d - 1):
                     vec = {}
                     for o, coeff in cb:
                         for j, x in q.items():
                             vec[o + j] = vec.get(o + j, 0) + coeff * x
-                    for j, x in xq.items():
-                        vec[off + j] = vec.get(off + j, 0) - x
+                    for j, x in q.items():
+                        vec[off + shift[j]] = vec.get(off + shift[j], 0) - x
                     rows.append(vec)
         dims.append(space_dim - exact.rank(rows, width))
     return dims + [0] * (max_degree - top)

@@ -19,7 +19,7 @@ from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
 from qtk.cli import _bkk_samples, main
 from qtk.errors import MalformedInputError, NotAConeError, NotAFaceError
-from qtk.poly import MultiPoly, monomials_of_degree
+from qtk.poly import MultiPoly, weighted_monomials
 
 from conftest import clear_caches
 
@@ -112,7 +112,7 @@ def test_planned_integral_equals_symbolic(inst, data):
     degree = data.draw(st.integers(0, 2))
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     f = MultiPoly(cp.n, {alpha: data.draw(coeffs)
-                         for alpha in monomials_of_degree(cp.n, degree)})
+                         for alpha in weighted_monomials((1,) * cp.n, degree)})
     h = data.draw(support_vectors(cp.s))
     assert mp.integrate_polynomial(mp.multipolytope(cp, h), f) == \
         mp.integral_polynomial_symbolic(cp, f).evaluate(h)

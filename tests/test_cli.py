@@ -289,7 +289,9 @@ class TestBrion:
         clear_caches()
         code, _ = run_json(capsys, "brion", "cp2")
         assert code == 0
-        assert pp._character_products.cache_info().hits > 0
+        info = pp._character_shifts.cache_info()
+        assert info.hits > 0
+        assert info.misses == 2  # one proof per degree, d = 1 and 2
 
     def test_far_max_degree_pads_zeros(self, capsys):
         code, report = run_json(capsys, "brion", "cp2", "--max-degree", "100000")

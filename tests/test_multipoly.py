@@ -22,7 +22,7 @@ from qtk import charpair as cpm
 from qtk import multipoly as mp
 from qtk.catalog import all_instances, get
 from qtk.errors import DegreeMismatchError
-from qtk.poly import MultiPoly, monomials_of_degree, power_of_linear_forms
+from qtk.poly import MultiPoly, power_of_linear_forms, weighted_monomials
 
 from conftest import hirzebruch_ring
 
@@ -41,7 +41,7 @@ def simplex_linear_power(vertices, ell, d):
     n = len(vertices) - 1
     values = [sum(F(l) * F(v[r]) for r, l in enumerate(ell)) for v in vertices]
     h_d = F(0)
-    for expo in monomials_of_degree(n + 1, d):
+    for expo in weighted_monomials((1,) * (n + 1), d):
         term = F(1)
         for val, e in zip(values, expo):
             term *= val ** e
@@ -93,7 +93,8 @@ class TestConvexOracle:
             n = inst.cp.n
             delta = mp.multipolytope(inst.cp, inst.ample_h)
             for degree in (1, 2):
-                terms = {m: F(rng.randint(-3, 3)) for m in monomials_of_degree(n, degree)}
+                terms = {m: F(rng.randint(-3, 3))
+                         for m in weighted_monomials((1,) * n, degree)}
                 f = MultiPoly(n, terms)
                 assert mp.integrate_polynomial(delta, f) == \
                     convex_oracle_integral(inst, f), (inst.label, degree)
@@ -185,7 +186,7 @@ class TestSymbolicIntegral:
             cp = inst.cp
             for degree in (0, 1, 2):
                 terms = {m: F(rng.randint(-2, 2))
-                         for m in monomials_of_degree(cp.n, degree)}
+                         for m in weighted_monomials((1,) * cp.n, degree)}
                 f = MultiPoly(cp.n, terms)
                 sym = mp.integral_polynomial_symbolic(cp, f)
                 assert sym.poly.is_homogeneous(cp.n + degree)

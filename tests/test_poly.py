@@ -7,8 +7,7 @@ import pytest
 
 from qtk.errors import MalformedInputError
 from qtk.invsys import Potential
-from qtk.poly import (MultiPoly, monomials_of_degree, power_of_linear_forms,
-                      weighted_monomials)
+from qtk.poly import MultiPoly, power_of_linear_forms, weighted_monomials
 
 
 class TestArithmetic:
@@ -57,7 +56,7 @@ class TestArithmetic:
         assert [e for e, _ in p.items()] == [(0, 0), (0, 1), (1, 0)]
 
     def test_monomial_enumeration(self):
-        assert monomials_of_degree(2, 2) == [(0, 2), (1, 1), (2, 0)]
+        assert weighted_monomials((1, 1), 2) == [(0, 2), (1, 1), (2, 0)]
         assert weighted_monomials((2, 4), 6) == [(1, 1), (3, 0)]
         assert weighted_monomials((), 0) == [()]
         assert weighted_monomials((), 2) == []

@@ -1,15 +1,19 @@
 """Piecewise polynomials: Courant basis, graded dimensions, quotients."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from qtk import basealg as ba
+from qtk import charpair as cpm
 from qtk import exact
 from qtk import ppbrion as pp
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
-from qtk.errors import PairMismatchError
-from qtk.poly import MultiPoly, monomials_of_degree
+from qtk.errors import MalformedInputError, PairMismatchError
+from qtk.poly import MultiPoly, weighted_monomials
+from qtk.srbundle import BundleRing
 
 
 class TestCourantBasis:
@@ -136,8 +140,6 @@ class TestBrionQuotient:
 
 
 def get_point_ring(inst):
-    from qtk import basealg as ba
-    from qtk.srbundle import BundleRing
     return BundleRing(inst.cp, ba.make_point(), ba.zero_chern(inst.cp.n))
 
 
@@ -155,33 +157,56 @@ class TestBrionBundle:
         ring = get("hirzebruch?a=0").ring()
         assert pp.brion_bundle_dims(ring) == [1, 0, 2, 0, 1]
 
+    def test_dimension_four_fans_match_betti(self):
+        e = [tuple(int(r == i) for r in range(4)) for i in range(4)]
+        # 4-stage Bott tower: rays e_i and -e_i + sum_{j>i} a_ij e_j, one of
+        # each pair per cone.
+        partners = [(-1, 1, 0, 2), (0, -1, 1, 0), (0, 0, -1, 1), (0, 0, 0, -1)]
+        bott = cpm.toric_pair(e + partners, [
+            tuple(sorted(i + 4 * pick for i, pick in enumerate(picks)))
+            for picks in itertools.product((0, 1), repeat=4)])
+        # cp2 x cp2: the cp2 fan in each coordinate pair.
+        cp2_cones = [(0, 1), (1, 2), (0, 2)]
+        cp2xcp2 = cpm.toric_pair(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0),
+             (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1)],
+            [c1 + tuple(3 + j for j in c2) for c1 in cp2_cones for c2 in cp2_cones])
+        for cp, expected in ((bott, [1, 0, 4, 0, 6, 0, 4, 0, 1]),
+                             (cp2xcp2, [1, 0, 2, 0, 3, 0, 2, 0, 1])):
+            ring = BundleRing(cp, ba.make_point(), ba.zero_chern(4))
+            assert sr.betti(ring) == expected
+            assert pp.brion_bundle_dims(ring) == expected
+
 
 class TestLinearPaths:
     """The compatibility rows and the character index maps against the
     polynomial definitions they replace."""
 
     def test_index_shift_products_equal_multiply(self):
+        # multiply() checks each product against the rows of its degree, so
+        # this is also the per-product reference for _character_shifts' proof.
         for inst in all_instances():
             cp = inst.cp
             for d in range(1, cp.n + 1):
-                for a in range(cp.n):
+                for a, shift in enumerate(pp._character_shifts(cp, d)):
                     char = pp.global_character(cp, [int(r == a) for r in range(cp.n)])
-                    expected = [pp._to_vector(pp.multiply(char, q))
-                                for q in pp.pp_basis(cp, d - 1)]
-                    assert pp._character_products(cp, d, a) == tuple(expected), (inst.label, d, a)
+                    for q, el in zip(pp._pp_kernel(cp, d - 1), pp.pp_basis(cp, d - 1)):
+                        expected = pp._to_vector(pp.multiply(char, el))
+                        assert {shift[j]: x for j, x in q.items()} == expected, \
+                            (inst.label, d, a)
 
     def test_restriction_rows_equal_substitution(self):
         for inst in all_instances():
             cp = inst.cp
             for d in range(cp.n + 1):
-                monos = monomials_of_degree(cp.n, d)
+                monos = weighted_monomials((1,) * cp.n, d)
                 per = len(monos)
                 expected = []
                 for facet, c1, c2 in pp.facet_pairs(cp):
                     forms = [MultiPoly.linear_form([cp.lam[j][r] for j in facet])
                              if facet else MultiPoly.zero(0) for r in range(cp.n)]
                     restricted = [MultiPoly.monomial(m, 1).substitute(forms) for m in monos]
-                    for sm in monomials_of_degree(len(facet), d):
+                    for sm in weighted_monomials((1,) * len(facet), d):
                         row = {}
                         for k, g in enumerate(restricted):
                             c = g.coefficient(sm)
@@ -197,13 +222,22 @@ class TestLinearPaths:
             cp = inst.cp
             for d in range(1, cp.n + 1):
                 q = pp._pp_kernel(cp, d)[0]
-                assert pp._annihilated(cp, d, q)
+                assert pp.is_compatible(pp._from_vector(cp, d, q))
                 # every coefficient that some row reads (cp1 has no rows for d > 0)
                 for j in {j for row in pp._compatibility_rows(cp, d) for j in row}:
                     changed = dict(q)
                     changed[j] = changed.get(j, 0) + 1
-                    assert not pp._annihilated(cp, d, changed), inst.label
-                    assert not pp.is_compatible(pp._from_vector(cp, d, changed))
+                    assert not pp.is_compatible(pp._from_vector(cp, d, changed)), inst.label
+
+    def test_shift_check_rejects_an_extra_row(self, cp2, monkeypatch):
+        # Requiring coefficient 0 (x_2^2 on the first cone) to vanish at
+        # degree 2 is not implied by degree 1, where x_2 is compatible.
+        rows = pp._compatibility_rows
+        monkeypatch.setattr(pp, "_compatibility_rows",
+                            lambda cp, d: rows(cp, d) + (({0: 1},) if d == 2 else ()))
+        pp._character_shifts.cache_clear()
+        with pytest.raises(MalformedInputError, match="product violates facet compatibility"):
+            pp._character_shifts(cp2, 2)
 
     def test_quotient_dims_are_point_bundle_betti(self):
         for inst in all_instances():
