@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .charpair import CheckResult, ValidationReport
 from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_int, as_scalar, scalar_str
-from .poly import MultiPoly
+from .poly import MultiPoly, weighted_monomials
 
 Element = dict[int, Fraction]
 
@@ -326,56 +327,38 @@ def zero_chern(n: int) -> ChernData:
 
 
 # ---------------------------------------------------------------------------
-# Elements with polynomial coefficients (used to expand c(x)^i symbolically).
+# Powers: products of base elements, and c(x)^i by the multinomial theorem.
 
-PolyElement = dict[int, MultiPoly]
-
-
-def poly_elem_mul(alg: GradedBaseAlgebra, a: PolyElement, b: PolyElement) -> PolyElement:
-    out: PolyElement = {}
-    for i, pa in a.items():
-        for j, pb in b.items():
-            prod = pa * pb
-            if not prod:
-                continue
-            for k, ck in alg.products.get((i, j), {}).items():
-                cur = out.get(k)
-                v = prod * ck if cur is None else cur + prod * ck
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+def power_product(alg: GradedBaseAlgebra, factors: Sequence[Element],
+                  expo: Sequence[int]) -> Element:
+    """prod_k factors[k]^expo[k], stopping as soon as the product is zero."""
+    out = alg.unit()
+    for factor, e in zip(factors, expo):
+        for _ in range(e):
+            out = alg.mul(out, factor)
+            if not out:
+                return out
     return out
 
 
-def chern_symbolic(alg: GradedBaseAlgebra, chern: ChernData) -> PolyElement:
-    """c(x) with symbolic coordinates x_1..x_n: a base element whose
-    coefficients are linear polynomials in n variables."""
-    out: PolyElement = {}
-    for a in range(chern.n):
-        var = MultiPoly.variable(chern.n, a)
-        for k, c in chern.images[a]:
-            cur = out.get(k)
-            term = var * c
-            out[k] = term if cur is None else cur + term
-    return {k: v for k, v in out.items() if v}
-
-
-def chern_power_symbolic(alg: GradedBaseAlgebra, chern: ChernData, i: int) -> PolyElement:
-    """c(x)^i as a base element with degree-i polynomial coefficients."""
-    return dict(_chern_power(alg, chern, i))
-
-
 @lru_cache(maxsize=None)
-def _chern_power(alg: GradedBaseAlgebra, chern: ChernData,
-                 i: int) -> tuple[tuple[int, MultiPoly], ...]:
-    # Expanded once per algebra, Chern data and i: every class paired with
-    # it (one per BKK sample) reuses the same power.
-    result: PolyElement = {alg.unit_index(): MultiPoly.constant(chern.n, 1)}
-    cx = chern_symbolic(alg, chern)
-    for _ in range(i):
-        result = poly_elem_mul(alg, result, cx)
-    return tuple(result.items())
+def chern_power_symbolic(alg: GradedBaseAlgebra, chern: ChernData,
+                         i: int) -> tuple[tuple[int, MultiPoly], ...]:
+    """c(x)^i in symbolic coordinates x_1..x_n, as (base index, degree-i
+    polynomial coefficient) pairs.
+
+    c(x) = sum_a x_a c(e_a) with every c(e_a) of degree 2, so the factors
+    commute and the multinomial theorem gives the coefficient of x^alpha as
+    i!/alpha! * prod_a c(e_a)^alpha_a.  Expanded once per algebra, Chern
+    data and i: every class paired with it (one per BKK sample) reuses it.
+    """
+    images = [chern.image(a) for a in range(chern.n)]
+    coeffs: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for alpha in weighted_monomials((1,) * chern.n, i):
+        mult = factorial(i) // prod(factorial(e) for e in alpha)
+        for k, c in power_product(alg, images, alpha).items():
+            coeffs.setdefault(k, {})[alpha] = mult * c
+    return tuple((k, MultiPoly(chern.n, terms)) for k, terms in sorted(coeffs.items()))
 
 
 def f_gamma(alg: GradedBaseAlgebra, chern: ChernData, gamma: Element, i: int) -> MultiPoly:
@@ -386,9 +369,8 @@ def f_gamma(alg: GradedBaseAlgebra, chern: ChernData, gamma: Element, i: int) ->
     if dg is not None and dg != alg.top - 2 * i:
         raise DegreeMismatchError(
             f"gamma has degree {dg}, expected {alg.top - 2 * i}")
-    power = chern_power_symbolic(alg, chern, i)
     out = MultiPoly.zero(chern.n)
-    for k, poly in power.items():
+    for k, poly in chern_power_symbolic(alg, chern, i):
         paired = alg.mul({k: Fraction(1)}, gamma)
         val = alg.integrate(paired)
         if val:

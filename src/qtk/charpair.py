@@ -15,8 +15,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Sequence
 
-from . import exact
-from .errors import MalformedInputError, NotAConeError, NotAFaceError
+from .errors import MalformedInputError, NotAConeError, NotAFaceError, SingularMatrixError
 from .exact import as_int, as_scalar, det, scalar_str, solve_exact
 
 
@@ -135,39 +134,57 @@ class ConeSign:
     value: int
 
 
+@lru_cache(maxsize=None)
+def _cone(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[
+        Fraction, Fraction, tuple[tuple[Fraction, ...], ...] | None]:
+    """Everything read from one maximal cone's matrices, once per pair and
+    sorted cone: (det of the ray directions, det of the lattice vectors,
+    the dual edge frame, or None when the lattice vectors are dependent)."""
+    lam = cp.lam_rows(key)
+    d_lam = det(lam)
+    frame = None
+    if d_lam:
+        units = [[int(j == k) for j in range(cp.n)] for k in range(cp.n)]
+        frame = tuple(map(tuple, solve_exact(lam, units)))
+    return det(cp.ray_rows(key)), d_lam, frame
+
+
+def _maximal(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[int, ...]:
+    key = tuple(sorted(cone))
+    if key not in cp.max_cones:
+        raise NotAConeError(f"{list(cone)} is not a maximal cone")
+    return key
+
+
+def _frame(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    frame = _cone(cp, key)[2]
+    if frame is None:
+        raise SingularMatrixError("matrix is singular")
+    return frame
+
+
 def cone_sign(cp: CharacteristicPair, cone: Sequence[int]) -> ConeSign:
     """Orientation sign of a maximal cone.
 
     sgn(det of geometric ray directions) times det of the lattice vectors;
     permuting the cone flips both determinants, so the product is
-    ordering-independent and is computed once per pair and sorted cone.
+    ordering-independent and is read from the cone's record.
     """
-    key = tuple(sorted(cone))
-    if key not in cp.max_cones:
-        raise NotAConeError(f"{list(cone)} is not a maximal cone")
-    return _cone_sign(cp, key)
-
-
-@lru_cache(maxsize=None)
-def _cone_sign(cp: CharacteristicPair, key: tuple[int, ...]) -> ConeSign:
-    d_ray = det(cp.ray_rows(key))
-    d_lam = det([[Fraction(x) for x in row] for row in cp.lam_rows(key)])
+    key = _maximal(cp, cone)
+    d_ray, d_lam, _ = _cone(cp, key)
     if d_ray == 0 or abs(d_lam) != 1:
         raise MalformedInputError("cone fails simpliciality or unimodularity")
-    sign = (1 if d_ray > 0 else -1) * int(d_lam)
-    return ConeSign(rays=key, value=sign)
+    return ConeSign(rays=key, value=(1 if d_ray > 0 else -1) * int(d_lam))
 
 
 def vertex(cp: CharacteristicPair, h: Sequence, cone: Sequence[int]) -> tuple[Fraction, ...]:
     """The point x with <lam_i, x> = h_i for every ray i of the maximal cone:
     sum_j h_{cone[j]} w_j over its dual edge frame."""
-    key = tuple(sorted(cone))
-    if key not in cp.max_cones:
-        raise NotAConeError(f"{list(cone)} is not a maximal cone")
+    key = _maximal(cp, cone)
     hs = [as_scalar(v) for v in h]
     if len(hs) != cp.s:
         raise MalformedInputError("support vector has wrong length")
-    frame = _dual_edge_frame(cp, key)
+    frame = _frame(cp, key)
     return tuple(sum((hs[i] * w[r] for i, w in zip(key, frame)), Fraction(0))
                  for r in range(cp.n))
 
@@ -178,21 +195,11 @@ def dual_edge_frame(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[tuple[
 
     These are the columns of the inverse of the matrix whose rows are the
     cone's lattice vectors, integral when the cone is unimodular, and
-    computed once per pair and cone.  Vertices and dual characters are read
-    from them, so no other solve runs on lattice vectors.
+    solved in one elimination per pair and cone.  Vertices and dual
+    characters are read from them, so no other solve runs on lattice
+    vectors.
     """
-    key = tuple(sorted(cone))
-    if key not in cp.max_cones:
-        raise NotAConeError(f"{list(cone)} is not a maximal cone")
-    return _dual_edge_frame(cp, key)
-
-
-@lru_cache(maxsize=None)
-def _dual_edge_frame(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    a = [[Fraction(x) for x in cp.lam[i]] for i in key]
-    n = cp.n
-    return tuple(tuple(solve_exact(a, [Fraction(int(j == k)) for j in range(n)]))
-                 for k in range(n))
+    return _frame(cp, _maximal(cp, cone))
 
 
 def dual_character(cp: CharacteristicPair, face: Sequence[int], j: int) -> tuple[int, ...]:
@@ -215,7 +222,7 @@ def dual_character(cp: CharacteristicPair, face: Sequence[int], j: int) -> tuple
 @lru_cache(maxsize=None)
 def _dual_character(cp: CharacteristicPair, key: tuple[int, ...], j: int) -> tuple[int, ...]:
     cone = next(c for c in cp.max_cones if set(key) <= set(c))
-    chi = _dual_edge_frame(cp, cone)[cone.index(j)]
+    chi = _frame(cp, cone)[cone.index(j)]
     if any(x.denominator != 1 for x in chi):
         raise MalformedInputError("face is not unimodular")
     return tuple(int(x) for x in chi)
@@ -251,7 +258,7 @@ class ValidationReport:
 
 def _check_simplicial(cp: CharacteristicPair) -> CheckResult:
     for cone in cp.max_cones:
-        if exact.rank((dict(enumerate(cp.ray_dirs[i])) for i in cone), cp.n) != cp.n:
+        if not _cone(cp, cone)[0]:
             return CheckResult("simplicial", False,
                                f"rays of cone {list(cone)} are linearly dependent")
     return CheckResult("simplicial", True)
@@ -260,7 +267,7 @@ def _check_simplicial(cp: CharacteristicPair) -> CheckResult:
 def _check_unimodular(cp: CharacteristicPair) -> CheckResult:
     # |det| = 1 makes a cone's lattice vectors, and so each face's, part of a basis.
     for cone in cp.max_cones:
-        d = det(cp.lam_rows(cone))
+        d = _cone(cp, cone)[1]
         if abs(d) != 1:
             return CheckResult("unimodular", False,
                                f"cone {list(cone)} has lattice determinant {scalar_str(d)}")

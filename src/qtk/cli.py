@@ -267,8 +267,16 @@ def cmd_brion(args) -> tuple[dict, int]:
     _require_max_degree(args.max_degree)
     inst = resolve_instance(args.instance)
     ring = _validated_ring(inst)
-    bundle_dims = pp.brion_bundle_dims(ring, args.max_degree)
-    fiber = pp.brion_quotient_dims(inst.cp)
+    if ring.base.dim == 1:
+        # A one-dimensional base has no degree-2 classes, so the bundle is
+        # its own fibre: rank each degree once and read both lists from it.
+        full = pp.brion_bundle_dims(ring)
+        fiber = full[0::2]
+        bundle_dims = full if args.max_degree is None else \
+            (full + [0] * args.max_degree)[:args.max_degree + 1]
+    else:
+        bundle_dims = pp.brion_bundle_dims(ring, args.max_degree)
+        fiber = pp.brion_quotient_dims(inst.cp)
     return _report("brion", inst, {"max_degree": args.max_degree},
                    {"bundle_dims": bundle_dims, "fiber_quotient_dims": fiber}), 0
 

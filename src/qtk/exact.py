@@ -273,26 +273,30 @@ def det(rows: Matrix) -> Fraction:
     return Fraction(sign * ech[nrows - 1][ncols - 1], scale)
 
 
-def solve_exact(a: Matrix, b: Row) -> list[Fraction]:
-    """Unique exact solution of a*x = b for square invertible a."""
+def solve_exact(a: Matrix, rhs: Sequence[Row]) -> list[list[Fraction]]:
+    """Unique exact solutions x of a*x = b for square invertible a, one per
+    right-hand side b in rhs, from one elimination of [a | b_1 ... b_m]."""
     nrows, ncols = check_matrix(a)
     if nrows != ncols:
         raise MalformedInputError("solve_exact needs a square matrix")
-    if len(b) != nrows:
+    if any(len(b) != nrows for b in rhs):
         raise MalformedInputError("right-hand side has wrong length")
     if nrows == 0:
-        return []
-    aug = [cleared_dense(list(row) + [bv])[0] for row, bv in zip(a, b)]
-    r, ech, pivot_cols, _ = echelon_int(aug, ncols + 1)
+        return [[] for _ in rhs]
+    aug = [cleared_dense(list(row) + [b[i] for b in rhs])[0] for i, row in enumerate(a)]
+    r, ech, pivot_cols, _ = echelon_int(aug, ncols + len(rhs))
     if r < nrows or pivot_cols != list(range(nrows)):
         raise SingularMatrixError("matrix is singular")
-    x = [Fraction(0)] * ncols
-    for i in range(nrows - 1, -1, -1):
-        acc = Fraction(ech[i][ncols])
-        for j in range(i + 1, ncols):
-            acc -= Fraction(ech[i][j]) * x[j]
-        x[i] = acc / ech[i][i]
-    return x
+    solutions = []
+    for col in range(ncols, ncols + len(rhs)):
+        x = [Fraction(0)] * ncols
+        for i in range(nrows - 1, -1, -1):
+            acc = Fraction(ech[i][col])
+            for j in range(i + 1, ncols):
+                acc -= Fraction(ech[i][j]) * x[j]
+            x[i] = acc / ech[i][i]
+        solutions.append(x)
+    return solutions
 
 
 def dot(u: Row, v: Row) -> Fraction:

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from . import exact
-from .basealg import Element, GradedBaseAlgebra
+from .basealg import Element, GradedBaseAlgebra, power_product
 from .charpair import CharacteristicPair
 from .errors import MalformedInputError, OddClassesPresentError
 from .exact import scalar_str
@@ -95,17 +94,6 @@ def _positive_indices(alg: GradedBaseAlgebra) -> list[int]:
     return [i for i, d in enumerate(alg.degrees) if d > 0]
 
 
-def _element_power_product(alg: GradedBaseAlgebra, indices: Sequence[int],
-                           expo: Sequence[int]) -> Element:
-    out = alg.unit()
-    for idx, e in zip(indices, expo):
-        for _ in range(e):
-            out = alg.mul(out, {idx: Fraction(1)})
-            if not out:
-                return out
-    return out
-
-
 def base_potential(alg: GradedBaseAlgebra) -> Potential:
     """Exponential functional of the base: the coefficient of a monomial in
     the positive-degree coordinates is the fundamental pairing of the
@@ -114,9 +102,10 @@ def base_potential(alg: GradedBaseAlgebra) -> Potential:
     pos = _positive_indices(alg)
     names = tuple(alg.names[i] for i in pos)
     weights = tuple(alg.degrees[i] for i in pos)
+    units = [{i: Fraction(1)} for i in pos]
     terms = {}
     for expo in weighted_monomials(weights, alg.top):
-        val = alg.integrate(_element_power_product(alg, pos, expo))
+        val = alg.integrate(power_product(alg, units, expo))
         for e in expo:
             val /= factorial(e)
         if val:
@@ -172,10 +161,11 @@ def bundle_potential_direct(ring: BundleRing) -> Potential:
     names, weights, pos = _bundle_space(ring)
     npos, s = len(pos), ring.cp.s
     target = ring.base.top + 2 * ring.cp.n
+    units = [{i: Fraction(1)} for i in pos]
     terms = {}
     for expo in weighted_monomials(weights, target):
         beta, alpha = expo[:npos], expo[npos:]
-        coeff_el = _element_power_product(ring.base, pos, beta)
+        coeff_el = power_product(ring.base, units, beta)
         if not coeff_el:
             continue
         val = evaluate_top(ring, {(alpha, idx): c for idx, c in coeff_el.items()})

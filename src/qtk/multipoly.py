@@ -343,10 +343,9 @@ def horizontal_part(ring: BundleRing, delta: MultiPolytope, i: int) -> Element:
     (n+i)!/i! times the componentwise integral of c(x)^i over Delta."""
     if i < 0 or 2 * i > ring.base.top:
         raise DegreeMismatchError(f"need 0 <= 2*{i} <= {ring.base.top}")
-    power = chern_power_symbolic(ring.base, ring.chern, i)
     scale = Fraction(factorial(ring.cp.n + i), factorial(i))
     out: Element = {}
-    for idx, poly in power.items():
+    for idx, poly in chern_power_symbolic(ring.base, ring.chern, i):
         val = integrate_polynomial(delta, poly) * scale
         if val:
             out[idx] = val

@@ -166,32 +166,15 @@ def reduce(ring: BundleRing, el: BundleElement,
     """Normal form: only square-free monomials supported on faces survive.
 
     `chooser(face, j)` supplies the dual character used to eliminate one
-    factor of x_j; the default is the canonical minimal one.  Any valid
-    choice yields the same pairings (not necessarily the same terms).
-
-    The rewriting only multiplies coefficients on the right by base classes
-    and rationals, so by associativity (which the base's validation checks)
-    coeff * x^expo reduces to coeff times the reduction of x^expo.  With the
-    default chooser that reduction is cached per ring and exponent; an
-    explicit chooser always runs the rewriting itself.
+    factor of x_j; the default is the canonical minimal one,
+    `dual_character`.  Any valid choice yields the same pairings (not
+    necessarily the same terms).  Nothing here is cached: the cached
+    pairings of `evaluate_top` read `_reduced_monomial` instead.
     """
-    if chooser is not None:
-        return _rewrite(ring, el, chooser)
-    products = ring.base.products
-    out: BundleElement = {}
-    for (expo, i), c in el.items():
-        for (e, j), r in _reduced_monomial(ring, expo):
-            prod = products.get((i, j))
-            if not prod:
-                continue
-            cr = c * r
-            for k, ck in prod.items():
-                v = out.get((e, k), 0) + cr * ck
-                if v:
-                    out[e, k] = v
-                else:
-                    del out[e, k]
-    return out
+    if chooser is None:
+        cp = ring.cp
+        chooser = lambda face, j: dual_character(cp, face, j)
+    return _rewrite(ring, el, chooser)
 
 
 @lru_cache(maxsize=None)
@@ -272,9 +255,10 @@ def evaluate_top(ring: BundleRing, el: BundleElement,
 def _top_pairing(ring: BundleRing, expo: Expo) -> tuple[int | Fraction, ...]:
     """<b_g x^expo, [M]> for every base index g, as ints where integral.
 
-    Linear over the base exactly like reduce's cached path: b_g x^expo
-    reduces to b_g times the normal form of x^expo, whose terms r b_j x^e on
-    a maximal cone pair to sign(e) r <b_g b_j, [B]>.
+    The rewriting only multiplies coefficients on the right by base classes
+    and rationals, so by associativity (which the base's validation checks)
+    b_g x^expo reduces to b_g times the normal form of x^expo, whose terms
+    r b_j x^e on a maximal cone pair to sign(e) r <b_g b_j, [B]>.
     """
     base, cp = ring.base, ring.cp
     top = []

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from qtk import basealg as ba
+from qtk.catalog import all_instances
 from qtk.errors import DegreeMismatchError, MalformedInputError
 from qtk.poly import MultiPoly
 
@@ -156,6 +157,47 @@ class TestFGamma:
             ba.f_gamma(base_cp1, ch, base_cp1.element("t"), 1)
         with pytest.raises(DegreeMismatchError):
             ba.f_gamma(base_cp1, ch, base_cp1.unit(), 2)
+
+
+def chern_power_by_repeated_product(alg, chern, i):
+    """Reference for c(x)^i: c(x) with MultiPoly coefficients, multiplied
+    out i times through the structure constants."""
+    cx = {}
+    for a in range(chern.n):
+        for k, c in chern.images[a]:
+            cx[k] = cx.get(k, MultiPoly.zero(chern.n)) + MultiPoly.variable(chern.n, a) * c
+    power = {alg.unit_index(): MultiPoly.constant(chern.n, 1)}
+    for _ in range(i):
+        out = {}
+        for j, p in power.items():
+            for k, q in cx.items():
+                for m, c in alg.products.get((j, k), {}).items():
+                    out[m] = out.get(m, MultiPoly.zero(chern.n)) + p * q * c
+        power = {m: p for m, p in out.items() if p}
+    return power
+
+
+def two_character_cases():
+    """(label, algebra, Chern data) with two characters and i up to 2, where
+    i!/alpha! is not 1: no catalog ring has both."""
+    cp2 = ba.make_cp(2)
+    uv = ba.tensor(ba.make_cp(1, "u"), ba.make_cp(1, "v"))
+    return [("cp2-base", cp2, ba.make_chern(cp2, 2, [{1: F(1)}, {1: F(-2)}])),
+            ("cp1xcp1-base", uv, ba.make_chern(uv, 2, [uv.element("u"),
+                                                       ba.el_add(uv.element("u"),
+                                                                 uv.element("v"))]))]
+
+
+CHERN_CASES = [(inst.label, inst.base, inst.chern) for inst in all_instances()] \
+    + two_character_cases()
+
+
+@pytest.mark.parametrize("case", CHERN_CASES, ids=lambda case: case[0])
+def test_chern_power_equals_repeated_product(case):
+    _, alg, chern = case
+    for i in range(alg.top // 2 + 1):
+        assert dict(ba.chern_power_symbolic(alg, chern, i)) \
+            == chern_power_by_repeated_product(alg, chern, i)
 
 
 class TestJsonRoundtrip:

@@ -34,8 +34,10 @@ def label(inst):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_default_reduce_equals_explicit_chooser(inst, data):
-    """The cached linear reduction equals the rewriting with the same
-    (canonical) characters passed explicitly, which never caches."""
+    """reduce's default chooser is the canonical character, and the
+    rewriting is linear over the base: it equals the sum of the terms' base
+    classes times the cached normal forms of their x-monomials, which is
+    what evaluate_top's cached pairings rely on."""
     ring = inst.ring()
     cp = ring.cp
     terms = data.draw(st.lists(st.tuples(
@@ -46,7 +48,14 @@ def test_default_reduce_equals_explicit_chooser(inst, data):
     for expo, idx, c in terms:
         el = ba.el_add(el, {(expo, idx): c})
     canonical = lambda face, j: cpm.dual_character(cp, face, j)
-    assert sr.reduce(ring, el) == sr.reduce(ring, el, chooser=canonical)
+    nf = sr.reduce(ring, el)
+    assert nf == sr.reduce(ring, el, chooser=canonical)
+    linear = {}
+    for (expo, i), c in el.items():
+        for (e, j), r in sr._reduced_monomial(ring, expo):
+            linear = ba.el_add(linear, {(e, k): c * r * ck for k, ck
+                                        in ring.base.products.get((i, j), {}).items()})
+    assert nf == linear
 
 
 def support_vectors(s):
@@ -215,6 +224,11 @@ def test_exact_work_independent_of_sample_count(monkeypatch, spec):
     over_point = get(spec).base.dim == 1
     assert all(count or (over_point and name == "power_of_linear_forms")
                for name, count in few.items()), few
+
+
+def test_check_all_solves_once_per_maximal_cone(monkeypatch):
+    # One elimination of [lambda_sigma | I] gives a cone's whole dual edge frame.
+    assert exact_work(monkeypatch, "cp3", 20)["solve_exact"] == len(get("cp3").cp.max_cones)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _sampled_coverage(cp, samples=400, seed=20290):
         inside, boundary = 0, False
         for cone in cp.max_cones:
             a = [[cp.ray_dirs[i][r] for i in cone] for r in range(cp.n)]
-            coords = exact.solve_exact(a, point)
+            coords = exact.solve_exact(a, [point])[0]
             inside += all(c > 0 for c in coords)
             boundary = boundary or (min(coords) == 0)
         if boundary or not any(point):

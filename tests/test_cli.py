@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from qtk import basealg as ba
 from qtk import charpair as cpm
+from qtk import exact
 from qtk import ppbrion as pp
 from qtk.catalog import all_instances, get
 from qtk.cli import main
@@ -287,11 +289,29 @@ class TestBrion:
 
     def test_fiber_call_reuses_the_bundle_call_products(self, capsys):
         clear_caches()
-        code, _ = run_json(capsys, "brion", "cp2")
+        code, _ = run_json(capsys, "brion", "cp2-bundle-over-cp1?a=1,b=0")
         assert code == 0
         info = pp._character_shifts.cache_info()
         assert info.hits > 0
-        assert info.misses == 2  # one proof per degree, d = 1 and 2
+        # one proof per degree, d = 1, 2 and 3; the fibre's d = 1 and 2 are hits
+        assert info.misses == 3
+
+    def test_point_base_ranks_each_degree_once(self, capsys, monkeypatch):
+        # Over a point the bundle is its own fibre, so the fibre list is read
+        # from the bundle's ranks: one per degree 0..6, not two.
+        callers = []
+
+        def rank(rows, ncols, _real=exact.rank):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _real(rows, ncols)
+
+        clear_caches()
+        monkeypatch.setattr(exact, "rank", rank)
+        assert main(["brion", "cp3"]) == 0
+        assert callers.count("brion_bundle_dims") == 7
+        with open(os.path.join(os.path.dirname(__file__), "golden", "brion", "cp3.json"),
+                  "rb") as fh:
+            assert capsys.readouterr().out.encode("utf-8") == fh.read()
 
     def test_far_max_degree_pads_zeros(self, capsys):
         code, report = run_json(capsys, "brion", "cp2", "--max-degree", "100000")

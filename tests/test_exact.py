@@ -28,17 +28,17 @@ def sparse_dot(u, v):
 
 class TestSolve:
     def test_identity(self):
-        assert exact.solve_exact(frac_rows([[1, 0], [0, 1]]), [F(1), F(1)]) == [F(1), F(1)]
+        assert exact.solve_exact(frac_rows([[1, 0], [0, 1]]), [[F(1), F(1)]]) == [[F(1), F(1)]]
 
     def test_cp2_vertex_system(self):
         a = frac_rows([[0, 1], [-1, -1]])
-        assert exact.solve_exact(a, [F(1), F(1)]) == [F(-2), F(1)]
+        assert exact.solve_exact(a, [[F(1), F(1)]]) == [[F(-2), F(1)]]
         a = frac_rows([[1, 0], [-1, -1]])
-        assert exact.solve_exact(a, [F(1), F(1)]) == [F(1), F(-2)]
+        assert exact.solve_exact(a, [[F(1), F(1)]]) == [[F(1), F(-2)]]
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
-            exact.solve_exact(frac_rows([[1, 1], [2, 2]]), [F(1), F(1)])
+            exact.solve_exact(frac_rows([[1, 1], [2, 2]]), [[F(1), F(1)]])
 
     def test_roundtrip_random(self):
         rng = random.Random(11)
@@ -51,7 +51,23 @@ class TestSolve:
                 continue
             x = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
             b = [exact.dot(row, x) for row in a]
-            assert exact.solve_exact(a, b) == x
+            assert exact.solve_exact(a, [b]) == [x]
+            done += 1
+
+    def test_several_right_hand_sides_in_one_call(self):
+        rng = random.Random(12)
+        done = 0
+        while done < 10:
+            n = rng.randint(1, 5)
+            a = [[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(n)]
+            if exact.det(a) == 0:
+                continue
+            xs = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                  for _ in range(rng.randint(0, 4))]
+            bs = [[exact.dot(row, x) for row in a] for x in xs]
+            assert exact.solve_exact(a, bs) == xs
+            assert exact.solve_exact(a, bs) == [exact.solve_exact(a, [b])[0] for b in bs]
             done += 1
 
 
