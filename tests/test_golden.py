@@ -1,11 +1,13 @@
-"""`qtk check-all` and `qtk brion` reports compared byte for byte against
-committed files.
+"""`qtk check-all`, `qtk brion` and `qtk potential` reports compared byte for
+byte against committed files.
 
 The files under tests/golden/<command> were written once from
 `qtk <command> <spec>` (default options, samples and seed) and are never
 regenerated by a refactor: any change in a report means a change in the
 mathematics.  The brion reports also cover `fiber_quotient_dims`, which
-check-all does not print.
+check-all does not print.  The potential reports pin every coefficient of
+the integral potential; a fault shared by both potential builders (and so
+invisible to comparing them) shows here.
 """
 
 import os
@@ -16,7 +18,7 @@ from qtk.catalog import all_instances
 from qtk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-COMMANDS = ["check-all", "brion"]
+COMMANDS = ["check-all", "brion", "potential"]
 EXTRA_SPECS = ["cp2-bundle-over-cp1?a=1,b=2"]
 SPECS = sorted({inst.label for inst in all_instances()} | set(EXTRA_SPECS))
 
@@ -45,3 +47,8 @@ def test_check_all_matches_golden(spec, capsys, monkeypatch):
 @pytest.mark.parametrize("spec", SPECS)
 def test_brion_matches_golden(spec, capsys, monkeypatch):
     _assert_matches_golden("brion", spec, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_potential_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("potential", spec, capsys, monkeypatch)
