@@ -6,25 +6,27 @@ The differential pairing is the plain apolarity action d^b x^a = a!/(a-b)!
 x^(a-b); the exponential functional below carries its own 1/i! factors so the
 two conventions match.
 
-Two potentials are built for a bundle ring and must coincide: one by
-integrating the base potential against the classifying map over the
-multi-polytope (weight by weight in the support numbers), one directly from
-the exponential of a symbolic degree-2 class evaluated against the
-fundamental class.
+The potential of a bundle ring lives on the positive-degree base classes y
+and the support numbers h.  Its coefficient of y^beta is a polynomial in h
+fixed by gamma = b^beta / beta!, and it is built twice, on one skeleton over
+the base monomials b^beta, and the two must coincide: by integration, the
+generalized BKK integral of <c(x)^i gamma, [B]> / i! over the multi-polytope
+symbolically in h (Khovanskii-Pukhlikov), and directly, as the sum of
+<gamma x^alpha, [M]> h^alpha / alpha! over top-degree evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from . import exact
-from .basealg import Element, GradedBaseAlgebra, power_product
+from .basealg import Element, GradedBaseAlgebra, el_scale, f_gamma, power_product
 from .charpair import CharacteristicPair
 from .errors import MalformedInputError, OddClassesPresentError
 from .exact import scalar_str
-from .multipoly import integral_polynomial_symbolic, integrate_monomial_symbolic
+from .multipoly import integral_polynomial_symbolic
 from .poly import MultiPoly, weighted_monomials
 from .srbundle import BundleRing, evaluate_top
 
@@ -80,9 +82,9 @@ class HilbertFunction:
 
 def volume_potential(cp: CharacteristicPair) -> Potential:
     """Signed volume as a polynomial on the support numbers (all weights 2)."""
-    sym = integral_polynomial_symbolic(cp, MultiPoly.constant(cp.n, 1))
+    poly = integral_polynomial_symbolic(cp, MultiPoly.constant(cp.n, 1))
     names = tuple(f"h{i + 1}" for i in range(cp.s))
-    return Potential(names, (2,) * cp.s, sym.poly, 2 * cp.n)
+    return Potential(names, (2,) * cp.s, poly, 2 * cp.n)
 
 
 def _require_even(alg: GradedBaseAlgebra) -> None:
@@ -90,91 +92,53 @@ def _require_even(alg: GradedBaseAlgebra) -> None:
         raise OddClassesPresentError("base algebra has odd-degree classes")
 
 
-def _positive_indices(alg: GradedBaseAlgebra) -> list[int]:
-    return [i for i, d in enumerate(alg.degrees) if d > 0]
+def _bundle_potential(ring: BundleRing, h_part) -> Potential:
+    """The potential sum of y^beta * h_part(b^beta / beta!, i) over the base
+    monomials b^beta of degree top - 2i, i = 0 .. top/2, on the
+    positive-degree base classes y and the support numbers h_1..h_s.
 
-
-def base_potential(alg: GradedBaseAlgebra) -> Potential:
-    """Exponential functional of the base: the coefficient of a monomial in
-    the positive-degree coordinates is the fundamental pairing of the
-    corresponding product divided by the factorials of the exponents."""
-    _require_even(alg)
-    pos = _positive_indices(alg)
-    names = tuple(alg.names[i] for i in pos)
-    weights = tuple(alg.degrees[i] for i in pos)
-    units = [{i: Fraction(1)} for i in pos]
+    h_part(gamma, i) is a polynomial in h of degree n + i.  A base with
+    odd-degree classes is rejected here, for both builders.
+    """
+    base = ring.base
+    _require_even(base)
+    pos = [k for k, d in enumerate(base.degrees) if d > 0]
+    weights = tuple(base.degrees[k] for k in pos)
+    units = [{k: Fraction(1)} for k in pos]
     terms = {}
-    for expo in weighted_monomials(weights, alg.top):
-        val = alg.integrate(power_product(alg, units, expo))
-        for e in expo:
-            val /= factorial(e)
-        if val:
-            terms[expo] = val
-    return Potential(names, weights, MultiPoly(len(pos), terms), alg.top)
-
-
-def _bundle_space(ring: BundleRing) -> tuple[tuple[str, ...], tuple[int, ...], list[int]]:
-    pos = _positive_indices(ring.base)
-    names = tuple(ring.base.names[i] for i in pos) \
-        + tuple(f"h{i + 1}" for i in range(ring.cp.s))
-    weights = tuple(ring.base.degrees[i] for i in pos) + (2,) * ring.cp.s
-    return names, weights, pos
+    for i in range(base.top // 2 + 1):
+        for beta in weighted_monomials(weights, base.top - 2 * i):
+            gamma = power_product(base, units, beta)
+            if gamma:
+                scale = Fraction(1, prod(map(factorial, beta)))
+                for alpha, c in h_part(el_scale(gamma, scale), i).terms.items():
+                    terms[beta + alpha] = c
+    names = tuple(base.names[k] for k in pos) + tuple(f"h{j + 1}" for j in range(ring.cp.s))
+    return Potential(names, weights + (2,) * ring.cp.s,
+                     MultiPoly(len(pos) + ring.cp.s, terms), ring.total_degree)
 
 
 def bundle_potential_integral(ring: BundleRing) -> Potential:
-    """Potential of the bundle by integration: substitute the classifying
-    map into the base potential's degree-2 slots and integrate the character
-    variables over the multi-polytope, symbolically in the support numbers."""
-    _require_even(ring.base)
-    names, weights, pos = _bundle_space(ring)
-    pb = base_potential(ring.base)
-    npos, n, s = len(pos), ring.cp.n, ring.cp.s
-    nv_mid = npos + n  # intermediate space: base coordinates + characters
-    images = []
-    for slot, idx in enumerate(pos):
-        img = MultiPoly.variable(nv_mid, slot)
-        if ring.base.degrees[idx] == 2:
-            for a in range(n):
-                coeff = dict(ring.chern.images[a]).get(idx, Fraction(0))
-                if coeff:
-                    img = img + MultiPoly.variable(nv_mid, npos + a) * coeff
-        images.append(img)
-    shifted = pb.poly.substitute(images) if npos else MultiPoly.constant(nv_mid, pb.poly.coefficient(()))
-    # integrate out the character variables, one lambda-monomial at a time
-    nv_out = npos + s
-    out = MultiPoly.zero(nv_out)
-    integral_cache: dict[tuple[int, ...], MultiPoly] = {}
-    for expo, coeff in shifted.items():
-        beta, alpha = expo[:npos], expo[npos:]
-        if alpha not in integral_cache:
-            integral_cache[alpha] = integrate_monomial_symbolic(ring.cp, alpha)
-        ih = integral_cache[alpha].embed(nv_out, list(range(npos, nv_out)))
-        ybeta = MultiPoly.monomial(beta + (0,) * s)
-        out = out + ybeta * ih * coeff
-    return Potential(names, weights, out, ring.base.top + 2 * ring.cp.n)
+    """Potential of the bundle by integration: the coefficient of gamma is
+    the integral over Delta(h) of <c(x)^i gamma, [B]> / i!, symbolically in
+    the support numbers (the generalized BKK integrand f_gamma)."""
+    def h_part(gamma: Element, i: int) -> MultiPoly:
+        f = f_gamma(ring.base, ring.chern, gamma, i)
+        return integral_polynomial_symbolic(ring.cp, f) / factorial(i)
+    return _bundle_potential(ring, h_part)
 
 
 def bundle_potential_direct(ring: BundleRing) -> Potential:
-    """Potential of the bundle from the ring itself: expand the exponential
-    of a symbolic degree-2 class and evaluate every top-degree monomial."""
-    _require_even(ring.base)
-    names, weights, pos = _bundle_space(ring)
-    npos, s = len(pos), ring.cp.s
-    target = ring.base.top + 2 * ring.cp.n
-    units = [{i: Fraction(1)} for i in pos]
-    terms = {}
-    for expo in weighted_monomials(weights, target):
-        beta, alpha = expo[:npos], expo[npos:]
-        coeff_el = power_product(ring.base, units, beta)
-        if not coeff_el:
-            continue
-        val = evaluate_top(ring, {(alpha, idx): c for idx, c in coeff_el.items()})
-        if not val:
-            continue
-        for e in expo:
-            val /= factorial(e)
-        terms[expo] = val
-    return Potential(names, weights, MultiPoly(npos + s, terms), target)
+    """Potential of the bundle from the ring itself: the coefficient of gamma
+    is sum over |alpha| = n + i of <gamma x^alpha, [M]> h^alpha / alpha!."""
+    def h_part(gamma: Element, i: int) -> MultiPoly:
+        terms = {}
+        for alpha in weighted_monomials((1,) * ring.cp.s, ring.cp.n + i):
+            val = evaluate_top(ring, {(alpha, k): c for k, c in gamma.items()})
+            if val:
+                terms[alpha] = val / prod(map(factorial, alpha))
+        return MultiPoly(ring.cp.s, terms)
+    return _bundle_potential(ring, h_part)
 
 
 # ---------------------------------------------------------------------------

@@ -57,18 +57,6 @@ def multipolytope(cp: CharacteristicPair, h: Sequence) -> MultiPolytope:
     return MultiPolytope(cp, tuple(as_scalar(v) for v in h))
 
 
-@dataclass(frozen=True)
-class IntegralPolynomial:
-    """Integral of a fixed integrand as a polynomial in the support numbers."""
-
-    cp: CharacteristicPair
-    degree: int  # homogeneous degree n + d
-    poly: MultiPoly  # in h_1..h_s
-
-    def evaluate(self, h: Sequence) -> Fraction:
-        return self.poly.evaluate([as_scalar(v) for v in h])
-
-
 # ---------------------------------------------------------------------------
 # Cone data for the vertex expansion.
 
@@ -260,7 +248,7 @@ def integrate_monomial_symbolic(cp: CharacteristicPair, alpha: Sequence[int]) ->
 
 
 def integral_polynomial_symbolic(cp: CharacteristicPair, f: MultiPoly,
-                                 direction: Sequence | None = None) -> IntegralPolynomial:
+                                 direction: Sequence | None = None) -> MultiPoly:
     """The integral of a homogeneous polynomial f as a polynomial in h.
 
     `direction` optionally overrides the generic direction used for the
@@ -272,8 +260,7 @@ def integral_polynomial_symbolic(cp: CharacteristicPair, f: MultiPoly,
         raise DegreeMismatchError("integrand must be homogeneous")
     if direction is not None:
         direction = tuple(as_scalar(v) for v in direction)
-    poly = _evaluate(cp, _integration_plan(cp, f, direction), None)
-    return IntegralPolynomial(cp=cp, degree=cp.n + f.total_degree(), poly=poly)
+    return _evaluate(cp, _integration_plan(cp, f, direction), None)
 
 
 def integrate_polynomial(delta: MultiPolytope, f: MultiPoly) -> Fraction:

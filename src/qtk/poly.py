@@ -238,18 +238,6 @@ class MultiPoly:
                 del out[key]
         return MultiPoly(self.nvars, out)
 
-    def embed(self, nvars: int, positions: Sequence[int]) -> "MultiPoly":
-        """Re-index into a larger variable space: old variable i -> positions[i]."""
-        if len(positions) != self.nvars:
-            raise MalformedInputError("need one position per variable")
-        out = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * nvars
-            for pos, e in zip(positions, expo):
-                new[pos] = e
-            out[tuple(new)] = coeff
-        return MultiPoly(nvars, out)
-
     def to_str(self, names: Sequence[str] | None = None) -> str:
         if not self.terms:
             return "0"

@@ -106,7 +106,7 @@ def test_criterion_4_ider_law():
             for f in integrands:
                 sym = mp.integral_polynomial_symbolic(cp, f)
                 for cone in cp.max_cones:
-                    deriv = sym.poly
+                    deriv = sym
                     for i in cone:
                         deriv = deriv.partial(i)
                     frame = cpm.dual_edge_frame(cp, cone)
@@ -124,7 +124,7 @@ def test_criterion_4_ider_law():
                     support = tuple(sorted(set(multiset)))
                     if cpm.is_face(cp, support):
                         continue
-                    deriv = sym.poly
+                    deriv = sym
                     for i in multiset:
                         deriv = deriv.partial(i)
                     assert not deriv, (inst.label, multiset)

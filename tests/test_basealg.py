@@ -9,6 +9,8 @@ from qtk.catalog import all_instances
 from qtk.errors import DegreeMismatchError, MalformedInputError
 from qtk.poly import MultiPoly
 
+from conftest import two_character_cases
+
 
 class TestConstructors:
     def test_point(self):
@@ -175,17 +177,6 @@ def chern_power_by_repeated_product(alg, chern, i):
                     out[m] = out.get(m, MultiPoly.zero(chern.n)) + p * q * c
         power = {m: p for m, p in out.items() if p}
     return power
-
-
-def two_character_cases():
-    """(label, algebra, Chern data) with two characters and i up to 2, where
-    i!/alpha! is not 1: no catalog ring has both."""
-    cp2 = ba.make_cp(2)
-    uv = ba.tensor(ba.make_cp(1, "u"), ba.make_cp(1, "v"))
-    return [("cp2-base", cp2, ba.make_chern(cp2, 2, [{1: F(1)}, {1: F(-2)}])),
-            ("cp1xcp1-base", uv, ba.make_chern(uv, 2, [uv.element("u"),
-                                                       ba.el_add(uv.element("u"),
-                                                                 uv.element("v"))]))]
 
 
 CHERN_CASES = [(inst.label, inst.base, inst.chern) for inst in all_instances()] \

@@ -8,7 +8,6 @@ import os
 import sys
 import tempfile
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,7 @@ from qtk.catalog import all_instances, get
 from qtk.cli import main
 from qtk.literals import parse_class
 
-from conftest import clear_caches
+from conftest import clear_caches, exterior_algebra
 
 
 def run(capsys, *argv):
@@ -35,6 +34,15 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert out, err
     return code, json.loads(out)
+
+
+def exterior_bundle_file(tmp_path):
+    """cp1 over the exterior algebra on one degree-1 class e, as a file."""
+    payload = {"charpair": cpm.to_json(get("cp1").cp), "base": ba.to_json(exterior_algebra()),
+               "chern": {"n": 1, "images": [[]]}}
+    path = tmp_path / "cp1-over-exterior.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
 
 
 def bundle_payload(inst):
@@ -339,16 +347,8 @@ class TestCheckAll:
         assert report["result"]["bkk_seed"] == 1234
 
     def test_odd_base_skips_hilbert_check(self, capsys, tmp_path):
-        # cp1 over the exterior algebra on one degree-1 class e
-        one = Fraction(1)
-        ext = ba.GradedBaseAlgebra(["1", "e"], [0, 1],
-                                   {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
-                                   [Fraction(0), one])
-        payload = {"charpair": cpm.to_json(get("cp1").cp), "base": ba.to_json(ext),
-                   "chern": {"n": 1, "images": [[]]}}
-        path = tmp_path / "cp1-over-exterior.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        code, report = run_json(capsys, "check-all", str(path), "--samples", "5")
+        path = exterior_bundle_file(tmp_path)
+        code, report = run_json(capsys, "check-all", path, "--samples", "5")
         result = report["result"]
         assert result["hilbert_matches"] == "skipped"
         assert result["ann_hilbert_even"] is None
@@ -412,6 +412,13 @@ class TestMalformedInput:
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         self.assert_bad_input(capsys, "betti", str(path))
+
+    @pytest.mark.parametrize("mode", ["integral", "direct"])
+    def test_potential_over_odd_base(self, capsys, tmp_path, mode):
+        path = exterior_bundle_file(tmp_path)
+        err = self.assert_bad_input(capsys, "potential", path, "--mode", mode)
+        assert "base algebra has odd-degree classes" in err
+        assert "Traceback" not in err
 
     def test_top_level_list(self, capsys, tmp_path):
         path = tmp_path / "list.json"

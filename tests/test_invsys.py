@@ -15,7 +15,7 @@ from qtk.catalog import all_instances, get
 from qtk.errors import MalformedInputError, OddClassesPresentError
 from qtk.poly import MultiPoly
 
-from conftest import hirzebruch_ring
+from conftest import exterior_algebra, hirzebruch_ring, two_character_cases
 
 
 def fan_h_vector(cp):
@@ -47,32 +47,6 @@ class TestVolumePotential:
             assert p.poly.evaluate(h) == mp.volume(mp.multipolytope(inst.cp, h))
 
 
-class TestBasePotential:
-    def test_cp1(self, base_cp1):
-        p = iv.base_potential(base_cp1)
-        assert p.var_names == ("t",)
-        assert p.poly == MultiPoly.variable(1, 0)
-
-    def test_cp2(self, base_cp2):
-        p = iv.base_potential(base_cp2)
-        assert p.var_names == ("t", "t2")
-        expected = MultiPoly(2, {(2, 0): F(1, 2), (0, 1): F(1)})
-        assert p.poly == expected
-
-    def test_point_degenerate(self):
-        p = iv.base_potential(ba.make_point())
-        assert p.degree == 0 and p.var_names == ()
-        assert p.poly.coefficient(()) == 1
-
-    def test_rejects_odd_classes(self):
-        odd = ba.GradedBaseAlgebra(
-            ["1", "e"], [0, 1],
-            {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}},
-            [0, 1])
-        with pytest.raises(OddClassesPresentError):
-            iv.base_potential(odd)
-
-
 class TestBundlePotentials:
     def test_hirzebruch_closed_form(self):
         for a in (0, 1, 2, 3):
@@ -93,13 +67,24 @@ class TestBundlePotentials:
             v = iv.volume_potential(inst.cp)
             assert p.poly == v.poly and p.degree == v.degree, name
 
-    def test_direct_equals_integral_everywhere(self, all_instances):
-        for inst in all_instances:
-            ring = inst.ring()
+    def test_direct_equals_integral_everywhere(self, all_instances, cp2):
+        # the two-character rings reach f_gamma's multinomial at i = 2
+        rings = [(inst.label, inst.ring()) for inst in all_instances] \
+            + [(label, sr.BundleRing(cp2, alg, chern))
+               for label, alg, chern in two_character_cases()]
+        for label, ring in rings:
             pi = iv.bundle_potential_integral(ring)
             pd = iv.bundle_potential_direct(ring)
             assert pi.var_names == pd.var_names
-            assert pi.poly == pd.poly, inst.label
+            assert pi.poly == pd.poly, label
+
+    @pytest.mark.parametrize("builder", [iv.bundle_potential_integral,
+                                         iv.bundle_potential_direct],
+                             ids=lambda builder: builder.__name__)
+    def test_rejects_odd_classes(self, cp1, builder):
+        ring = sr.BundleRing(cp1, exterior_algebra(), ba.zero_chern(1))
+        with pytest.raises(OddClassesPresentError, match="odd-degree classes"):
+            builder(ring)
 
     def test_quasi_homogeneous(self, all_instances):
         for inst in all_instances:
@@ -121,7 +106,7 @@ class TestAnnHilbert:
         assert hf.even() == (1, 2, 1)
 
     def test_constant_potential(self):
-        hf = iv.ann_hilbert(iv.base_potential(ba.make_point()))
+        hf = iv.ann_hilbert(iv.Potential((), (), MultiPoly.constant(0, 1), 0))
         assert hf.dims == (1,)
 
     def test_matches_betti_everywhere(self, all_instances):

@@ -15,7 +15,7 @@ from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
 from qtk.errors import DegreeMismatchError, MalformedInputError
 
-from conftest import hirzebruch_ring
+from conftest import exterior_algebra, hirzebruch_ring
 
 
 def cp3_times_cp3_ring():
@@ -222,19 +222,12 @@ class TestQuotientAlgebra:
 # ---------------------------------------------------------------------------
 # Ring laws of the flat product, checked after reduction.
 
-def _odd_line(gen):
-    """The exterior algebra on one degree-1 class."""
-    return ba.GradedBaseAlgebra(
-        ["1", gen], [0, 1],
-        {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}}, [0, 1])
-
-
 # Every catalog ring, cp2 over Lambda(e), and cp1 over Lambda(e, f), where
 # e*f = -f*e makes the Koszul signs visible; zero Chern data on the last two.
 LAW_RINGS = [(inst.label, inst.ring()) for inst in all_instances()] + [
-    ("cp2-over-exterior-e", sr.BundleRing(get("cp2").cp, _odd_line("e"), ba.zero_chern(2))),
+    ("cp2-over-exterior-e", sr.BundleRing(get("cp2").cp, exterior_algebra("e"), ba.zero_chern(2))),
     ("cp1-over-exterior-ef", sr.BundleRing(
-        get("cp1").cp, ba.tensor(_odd_line("e"), _odd_line("f")), ba.zero_chern(1))),
+        get("cp1").cp, ba.tensor(exterior_algebra("e"), exterior_algebra("f")), ba.zero_chern(1))),
 ]
 
 
