@@ -9,7 +9,6 @@ torus bundle: one degree-2 element per standard character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -19,6 +18,7 @@ from .charpair import CheckResult, ValidationReport
 from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_int, as_scalar, scalar_str
 from .poly import MultiPoly, weighted_monomials
+from .record import Record
 
 Element = dict[int, Fraction]
 
@@ -284,10 +284,10 @@ def tensor(a: GradedBaseAlgebra, b: GradedBaseAlgebra) -> GradedBaseAlgebra:
 # ---------------------------------------------------------------------------
 # Chern data.
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Images of the n standard characters: degree-2 base elements."""
 
+    __slots__ = ("n", "images")
     n: int
     images: tuple[tuple[tuple[int, Fraction], ...], ...]
 

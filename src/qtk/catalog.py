@@ -9,27 +9,35 @@ which the tests use for a triangulation volume oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import basealg as ba
 from . import charpair as cpm
 from .errors import MalformedInputError
+from .record import Record
 from .srbundle import BundleRing
 
 
-@dataclass(frozen=True)
-class InstanceBundle:
-    """A named, validated-on-demand triple defining a bundle ring."""
+class InstanceBundle(Record):
+    """A named, validated-on-demand triple defining a bundle ring.
 
+    `expected` (a fresh dict unless given) is not compared."""
+
+    __slots__ = ("name", "params", "cp", "base", "chern", "convex", "ample_h", "expected")
+    _defaults = {"convex": False, "ample_h": None, "expected": None}
+    _uncompared = ("expected",)
     name: str
     params: tuple[tuple[str, int], ...]
     cp: cpm.CharacteristicPair
     base: ba.GradedBaseAlgebra
     chern: ba.ChernData
-    convex: bool = False
-    ample_h: tuple[Fraction, ...] | None = None
-    expected: dict = field(default_factory=dict, compare=False)
+    convex: bool
+    ample_h: tuple[Fraction, ...] | None
+    expected: dict
+
+    def _check(self):
+        if self.expected is None:
+            object.__setattr__(self, "expected", {})
 
     @property
     def label(self) -> str:

@@ -9,7 +9,6 @@ determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -17,19 +16,20 @@ from typing import Sequence
 
 from .errors import MalformedInputError, NotAConeError, NotAFaceError, SingularMatrixError
 from .exact import as_int, as_scalar, det, scalar_str, solve_exact
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CharacteristicPair:
+class CharacteristicPair(Record):
     """Fan dimension n, s rays with geometric directions and lattice vectors,
     and the maximal cones as n-element index tuples."""
 
+    __slots__ = ("n", "ray_dirs", "lam", "max_cones", "_hash")
     n: int
     ray_dirs: tuple[tuple[Fraction, ...], ...]
     lam: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def _check(self):
         n, s = self.n, len(self.ray_dirs)
         if n < 1:
             raise MalformedInputError("fan dimension must be positive")
@@ -52,8 +52,7 @@ class CharacteristicPair:
             raise MalformedInputError("duplicate maximal cone")
         # Every cached layer keys on the pair; hashing its Fractions on each
         # lookup would cost more than many of the lookups save.
-        object.__setattr__(self, "_hash",
-                           hash((self.n, self.ray_dirs, self.lam, self.max_cones)))
+        object.__setattr__(self, "_hash", super().__hash__())
 
     def __hash__(self) -> int:
         return self._hash
@@ -128,8 +127,8 @@ def facet_table(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...],
 # ---------------------------------------------------------------------------
 # Signs, vertices, dual frames.
 
-@dataclass(frozen=True)
-class ConeSign:
+class ConeSign(Record):
+    __slots__ = ("rays", "value")
     rays: tuple[int, ...]
     value: int
 
@@ -231,15 +230,16 @@ def _dual_character(cp: CharacteristicPair, key: tuple[int, ...], j: int) -> tup
 # ---------------------------------------------------------------------------
 # Validation.
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+    _defaults = {"detail": ""}
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
+    __slots__ = ("checks",)
     checks: tuple[CheckResult, ...]
 
     @property

@@ -31,6 +31,11 @@ from .literals import parse_class, parse_gamma, parse_h
 from .srbundle import BundleRing
 
 
+# `brion` pads its dimension list with zeros up to --max-degree, so the
+# option is capped where that list stays small.
+MAX_DEGREE = 10 ** 6
+
+
 class CheckFailure(Exception):
     """A mathematical check failed (exit code 1)."""
 
@@ -142,8 +147,12 @@ def _require_samples(samples: int) -> None:
 
 
 def _require_max_degree(max_degree: int | None) -> None:
-    if max_degree is not None and max_degree < 0:
+    if max_degree is None:
+        return
+    if max_degree < 0:
         raise MalformedInputError(f"--max-degree must be non-negative, got {max_degree}")
+    if max_degree > MAX_DEGREE:
+        raise MalformedInputError(f"--max-degree must be at most {MAX_DEGREE}, got {max_degree}")
 
 
 def _seed(default: int) -> int:

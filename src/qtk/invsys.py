@@ -17,7 +17,6 @@ symbolically in h (Khovanskii-Pukhlikov), and directly, as the sum of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
@@ -28,19 +27,20 @@ from .errors import MalformedInputError, OddClassesPresentError
 from .exact import scalar_str
 from .multipoly import integral_polynomial_symbolic
 from .poly import MultiPoly, weighted_monomials
+from .record import Record
 from .srbundle import BundleRing, evaluate_top
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(Record):
     """Quasi-homogeneous polynomial on a named, weighted generating space."""
 
+    __slots__ = ("var_names", "weights", "poly", "degree")
     var_names: tuple[str, ...]
     weights: tuple[int, ...]
     poly: MultiPoly
     degree: int
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.weights) != self.poly.nvars or any(w <= 0 or w % 2 for w in self.weights):
             raise MalformedInputError("weights must be positive even ints, one per variable")
         if any(sum(w * e for w, e in zip(self.weights, expo)) != self.degree
@@ -60,10 +60,10 @@ class Potential:
         }
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
+class HilbertFunction(Record):
     """Graded dimensions of Sym(V)/Ann indexed by weighted degree."""
 
+    __slots__ = ("dims",)
     dims: tuple[int, ...]
 
     @property

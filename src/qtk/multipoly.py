@@ -29,7 +29,6 @@ integrand f_gamma per (gamma, i); the intersection side lives in srbundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -40,15 +39,16 @@ from .charpair import CharacteristicPair, cone_sign, dual_edge_frame
 from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_scalar, cleared_dense, dot, int_if_integral
 from .poly import MultiPoly, power_of_linear_forms
+from .record import Record
 from .srbundle import BundleRing, evaluate_top, rho_power
 
 
-@dataclass(frozen=True)
-class MultiPolytope:
+class MultiPolytope(Record):
+    __slots__ = ("cp", "h")
     cp: CharacteristicPair
     h: tuple[Fraction, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.h) != self.cp.s:
             raise MalformedInputError("support vector length must equal the ray count")
 
@@ -308,8 +308,8 @@ def F_gamma(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> F
     return evaluate_top(ring, rho_power(ring, big_h, k, gamma)) / den ** k
 
 
-@dataclass(frozen=True)
-class BkkResult:
+class BkkResult(Record):
+    __slots__ = ("lhs", "rhs", "equal")
     lhs: Fraction  # (n+i)! * I_gamma
     rhs: Fraction  # i! * F_gamma
     equal: bool

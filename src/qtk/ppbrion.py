@@ -15,7 +15,6 @@ exact rank and match the Stanley-Reisner graded dimensions degree by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,19 +23,20 @@ from .basealg import make_point, zero_chern
 from .charpair import CharacteristicPair, dual_edge_frame, facet_table
 from .errors import MalformedInputError, PairMismatchError
 from .poly import MultiPoly, weighted_monomials
+from .record import Record
 from .srbundle import BundleRing
 
 
-@dataclass(frozen=True)
-class PPElement:
+class PPElement(Record):
     """Per maximal cone, a homogeneous degree-d polynomial on the
     cocharacter space (graded degree 2d)."""
 
+    __slots__ = ("cp", "degree", "polys")
     cp: CharacteristicPair
     degree: int
     polys: tuple[MultiPoly, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.polys) != len(self.cp.max_cones):
             raise MalformedInputError("need one polynomial per maximal cone")
         for g in self.polys:

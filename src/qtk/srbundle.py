@@ -19,7 +19,6 @@ the fundamental class against every base class (`evaluate_top`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -31,18 +30,19 @@ from .basealg import ChernData, Element, GradedBaseAlgebra, el_add, el_scale
 from .charpair import (CharacteristicPair, cone_sign, dual_character, faces,
                        is_face)
 from .errors import DegreeMismatchError, MalformedInputError
+from .record import Record
 
 Expo = tuple[int, ...]
 BundleElement = dict[tuple[Expo, int], Fraction]
 
 
-@dataclass(frozen=True)
-class BundleRing:
+class BundleRing(Record):
+    __slots__ = ("cp", "base", "chern", "_hash")
     cp: CharacteristicPair
     base: GradedBaseAlgebra
     chern: ChernData
 
-    def __post_init__(self):
+    def _check(self):
         if self.chern.n != self.cp.n:
             raise MalformedInputError("chern rank does not match fan dimension")
         for name in self.base.names:
@@ -50,7 +50,7 @@ class BundleRing:
                 raise MalformedInputError(
                     f"base name {name!r} collides with divisor or support variables")
         # Cached reductions key on the ring; hash the Chern data's Fractions once.
-        object.__setattr__(self, "_hash", hash((self.cp, self.base, self.chern)))
+        object.__setattr__(self, "_hash", super().__hash__())
 
     def __hash__(self) -> int:
         return self._hash

@@ -3,7 +3,6 @@ cache never hides an error, and the BKK sample loop does no h-independent
 exact work once per sample."""
 
 import contextlib
-import dataclasses
 import io
 import itertools
 import json
@@ -253,8 +252,7 @@ def test_flipped_cone_sign_fails_the_intersection_side(monkeypatch, capsys, cold
 
     def cone_sign(cp, cone, _real=sr.cone_sign):
         sign = _real(cp, cone)
-        return dataclasses.replace(sign, value=-sign.value) \
-            if sign.rays == flipped else sign
+        return cpm.ConeSign(sign.rays, -sign.value) if sign.rays == flipped else sign
 
     monkeypatch.setattr(sr, "cone_sign", cone_sign)
     code, result = check_all_report("cp2", capsys)

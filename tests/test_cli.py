@@ -18,7 +18,7 @@ from qtk import charpair as cpm
 from qtk import exact
 from qtk import ppbrion as pp
 from qtk.catalog import all_instances, get
-from qtk.cli import main
+from qtk.cli import MAX_DEGREE, main
 from qtk.literals import parse_class
 
 from conftest import clear_caches, exterior_algebra
@@ -516,6 +516,14 @@ class TestMalformedInput:
     def test_negative_max_degree(self, capsys, command):
         err = self.assert_bad_input(capsys, command, "cp2", "--max-degree", "-3")
         assert "--max-degree must be non-negative, got -3" in err
+
+    @pytest.mark.parametrize("value", [10 ** 30, MAX_DEGREE + 1])
+    @pytest.mark.parametrize("command", ["brion", "ann-generators"])
+    def test_max_degree_above_the_cap(self, capsys, command, value):
+        start = time.monotonic()
+        err = self.assert_bad_input(capsys, command, "cp2", "--max-degree", str(value))
+        assert time.monotonic() - start < 5
+        assert f"--max-degree must be at most {MAX_DEGREE}, got {value}" in err
 
     @pytest.mark.parametrize("spec, unknown", [
         ("cp2?zz=3", "zz for 'cp2'"), ("hirzebruch?a=1,b=2", "b for 'hirzebruch'")])

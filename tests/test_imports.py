@@ -11,10 +11,18 @@ a test still calls it.  A public function or method is read if the
 package, the tests or the benchmark read it; the benchmark's tracer names
 the functions it rebinds in strings ("multipoly.integrate_polynomial"), so
 there the parts of dotted-name strings count as reads too.
+
+A start-up guard runs `import qtk.cli` in a fresh interpreter: it must not
+load `dataclasses` (its import and the methods it generated cost each
+process about 25 ms of start-up), and it must load every module the benchmark's tracer rebinds, so
+that no lazy import can silently leave a module untraced.
 """
 
 import ast
+import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -157,3 +165,18 @@ def test_no_unread_public_functions():
     bench = read_sources(PERFBENCH)
     readers = read_sources([os.path.join(ROOT, "tests")]) + bench
     assert unread_public_functions(package, readers, bench) == []
+
+
+def test_cli_import_loads_no_dataclasses_and_every_traced_module():
+    script = "import sys, qtk.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    loaded = set(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert "dataclasses" not in loaded
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {f"qtk.{qual.split('.')[0]}" for qual in tracing.SPANS + tracing.DISTINCT}
+    traced |= {f"qtk.{mod}" for mod, _, _ in tracing.COUNTED.values()}
+    assert traced <= loaded
