@@ -1,5 +1,5 @@
-"""`qtk check-all`, `qtk brion` and `qtk potential` reports compared byte for
-byte against committed files.
+"""`qtk check-all`, `qtk brion`, `qtk potential` and `qtk bkk` reports
+compared byte for byte against committed files.
 
 The files under tests/golden/<command> were written once from
 `qtk <command> <spec>` (default options, samples and seed) and are never
@@ -7,20 +7,33 @@ regenerated by a refactor: any change in a report means a change in the
 mathematics.  The brion reports also cover `fiber_quotient_dims`, which
 check-all does not print.  The potential reports pin every coefficient of
 the integral potential; a fault shared by both potential builders (and so
-invisible to comparing them) shows here.
+invisible to comparing them) shows here.  The bkk reports pin both sides
+of the BKK identity, lhs and rhs, which check-all never prints, so a fault
+shared by the integral and the intersection side shows too.  They are
+written from `qtk bkk <spec> --gamma 1 --i <top/2> --h <BKK_H>`, with h cut
+to the spec's ray count.
 """
 
 import os
 
 import pytest
 
-from qtk.catalog import all_instances
+from qtk.catalog import all_instances, get
 from qtk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-COMMANDS = ["check-all", "brion", "potential"]
+COMMANDS = ["check-all", "brion", "potential", "bkk"]
 EXTRA_SPECS = ["cp2-bundle-over-cp1?a=1,b=2"]
 SPECS = sorted({inst.label for inst in all_instances()} | set(EXTRA_SPECS))
+# The bkk support vector: negative and fractional entries, mixed denominators.
+BKK_H = ["3/2", "-1", "2/3", "-5/4"]
+
+
+def bkk_args(spec):
+    """The bkk options of a spec's golden report: gamma = 1, i = top/2."""
+    ring = get(spec).ring()
+    return ["--gamma", "1", "--i", str(ring.base.top // 2),
+            "--h", ",".join(BKK_H[:ring.cp.s])]
 
 
 def test_every_spec_has_a_golden_file():
@@ -30,9 +43,9 @@ def test_every_spec_has_a_golden_file():
         assert set(SPECS) <= on_disk, command
 
 
-def _assert_matches_golden(command, spec, capsys, monkeypatch):
+def _assert_matches_golden(command, spec, capsys, monkeypatch, options=()):
     monkeypatch.delenv("QTK_SEED", raising=False)
-    code = main([command, spec])
+    code = main([command, spec, *options])
     out = capsys.readouterr().out.encode("utf-8")
     with open(os.path.join(GOLDEN, command, spec + ".json"), "rb") as fh:
         assert out == fh.read()
@@ -52,3 +65,8 @@ def test_brion_matches_golden(spec, capsys, monkeypatch):
 @pytest.mark.parametrize("spec", SPECS)
 def test_potential_matches_golden(spec, capsys, monkeypatch):
     _assert_matches_golden("potential", spec, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_bkk_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("bkk", spec, capsys, monkeypatch, bkk_args(spec))
