@@ -94,8 +94,8 @@ class GradedBaseAlgebra:
                     v = out.get(k, Fraction(0)) + c * ck
                     if v:
                         out[k] = v
-                    else:
-                        del out[k]
+                    else:  # cancelled, or a zero coefficient of b
+                        out.pop(k, None)
         return out
 
     def integrate(self, a: Element) -> Fraction:

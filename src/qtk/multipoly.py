@@ -23,15 +23,21 @@ direction) the cone data of the vertex sum, and per (pair, integrand) the
 distinct (form, degree) pairs of its decomposition with merged
 coefficients, over one common denominator so that a sample runs in ints
 (h = H / D with integer H).  One plan serves numeric h (a Fraction) and
-symbolic h (a MultiPoly in h_1..h_s).  The BKK comparison caches its
-integrand f_gamma per (gamma, i); the intersection side lives in srbundle.
+symbolic h (a MultiPoly in h_1..h_s).
+
+The BKK comparison caches one sampler per (ring, gamma, i): the
+integration plan of f_gamma, and a table with one int weight
+k!/alpha! * <gamma x^alpha, [M]> per face monomial x^alpha of degree
+k = n + i, paired once through srbundle's `evaluate_top`.  A sample clears
+h = H / D once and runs the vertex sums and the table in ints; I_gamma,
+F_gamma and bkk_check all read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
@@ -40,7 +46,7 @@ from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_scalar, cleared_dense, dot, int_if_integral
 from .poly import MultiPoly, power_of_linear_forms
 from .record import Record
-from .srbundle import BundleRing, evaluate_top, rho_power
+from .srbundle import BundleRing, evaluate_top, face_monomials
 
 
 class MultiPolytope(Record):
@@ -217,6 +223,22 @@ def _vertex_sum(cones, power: int, hvals):
     return const
 
 
+def _plan_sum(plan, hvals, scale: int, zero=0):
+    """A scaled plan's integral at h = hvals / scale, as (numerator, denominator).
+
+    Each form's vertex sum is homogeneous of degree n + d in hvals, so it is
+    brought to the largest such degree, top, by scale^(top - power); the
+    denominator is den * scale^top.
+    """
+    den, forms = plan
+    top = max((power for power, _ in forms), default=0)
+    total = zero
+    for power, cones in forms:
+        part = _vertex_sum(cones, power, hvals)
+        total = total + (part if power == top else part * scale ** (top - power))
+    return total, den * scale ** top
+
+
 def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
     """A scaled plan's integral: a Fraction for numeric h, a MultiPoly in
     h_1..h_s when h is None.
@@ -224,18 +246,11 @@ def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
     Numeric h is written once as H / D with integer H, so every vertex sum
     runs in ints and one division by den * D^top ends it.
     """
-    den, forms = plan
     if h is None:
-        hvals, scale = [MultiPoly.variable(cp.s, i) for i in range(cp.s)], 1
-        total = MultiPoly.zero(cp.s)
-    else:
-        hvals, scale = cleared_dense(h)
-        total = 0
-    top = max((power for power, _ in forms), default=0)
-    for power, cones in forms:
-        part = _vertex_sum(cones, power, hvals)
-        total = total + (part if power == top else part * scale ** (top - power))
-    return total * Fraction(1, den * scale ** top)
+        hvals = [MultiPoly.variable(cp.s, i) for i in range(cp.s)]
+        total, den = _plan_sum(plan, hvals, 1, MultiPoly.zero(cp.s))
+        return total * Fraction(1, den)
+    return Fraction(*_plan_sum(plan, *cleared_dense(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +293,67 @@ def volume(delta: MultiPolytope) -> Fraction:
 # ---------------------------------------------------------------------------
 # The two intersection pipelines and their comparison.
 
+@lru_cache(maxsize=None)
+def _bkk_sampler(ring: BundleRing, gamma: tuple[tuple[int, Fraction], ...], i: int):
+    """Everything in a BKK sample of (gamma, i) that does not depend on h.
+
+    Returns (plan, table, wden).  plan integrates f_gamma.  table has one
+    entry per face monomial x^alpha of degree k = n + i whose pairing is
+    nonzero: its (j, alpha_j) with alpha_j > 0, and the int weight
+    wden * k!/alpha! * <gamma x^alpha, [M]>, wden clearing every weight's
+    denominator.  By the multinomial theorem gamma * rho(h)^k is the sum of
+    k!/alpha! * h^alpha * gamma x^alpha over the x-monomials of degree k:
+    the x_i are even, rho has unit base part, and a monomial whose support
+    is no face is zero in the ring.  So at h = H / D the intersection side
+    is sum weight * H^alpha / (wden * D^k).
+    """
+    f = f_gamma(ring.base, ring.chern, dict(gamma), i)
+    k = ring.cp.n + i
+    weights = []
+    for alpha in face_monomials(ring.cp, k):
+        pairing = evaluate_top(ring, {(alpha, idx): g for idx, g in gamma})
+        if pairing:
+            weights.append((tuple((j, e) for j, e in enumerate(alpha) if e),
+                            factorial(k) // prod(map(factorial, alpha)) * pairing))
+    wden = lcm(*(w.denominator for _, w in weights))
+    table = tuple((factors, int(w * wden)) for factors, w in weights)
+    return _integration_plan(ring.cp, f, None), table, wden
+
+
+def _sampler(ring: BundleRing, gamma: Element, i: int):
+    """The cached sampler of (gamma, i); zero coefficients of gamma are dropped."""
+    return _bkk_sampler(ring, tuple(sorted((idx, c) for idx, c in gamma.items() if c)), i)
+
+
+def _table_sum(table, big_h: list[int]) -> int:
+    """sum weight * H^alpha over the sampler's table, in ints."""
+    total = 0
+    for factors, weight in table:
+        for j, e in factors:
+            weight *= big_h[j] ** e
+        total += weight
+    return total
+
+
 def I_gamma(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> Fraction:
     """Integral pipeline: integral over Delta of <c(x)^i gamma, [B]>."""
-    f = _integrand(ring, tuple(sorted(gamma.items())), i)
-    return integrate_polynomial(delta, f)
-
-
-@lru_cache(maxsize=None)
-def _integrand(ring: BundleRing, gamma: tuple[tuple[int, Fraction], ...],
-               i: int) -> MultiPoly:
-    """f_gamma once per (base, Chern data, gamma, i); every BKK sample with
-    the same class and i integrates the same polynomial."""
-    return f_gamma(ring.base, ring.chern, dict(gamma), i)
+    plan, _, _ = _sampler(ring, gamma, i)
+    return _evaluate(ring.cp, plan, delta.h)
 
 
 def F_gamma(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> Fraction:
     """Topological pipeline: <rho(Delta)^(n+i) gamma, [M]>.
 
-    With h = H / D for integer H, gamma * rho(H)^(n+i) is expanded by the
-    multinomial theorem over the face monomials (`rho_power`) and paired by
-    `evaluate_top` in ints; one division by D^(n+i) ends it.
+    With h = H / D for integer H, the sampler's table of weighted face
+    monomials is summed at H in ints; one division by wden * D^(n+i) ends it.
     """
     dg = ring.base.degree_of(gamma)
     if dg is not None and dg != ring.base.top - 2 * i:
         raise DegreeMismatchError(
             f"gamma has degree {dg}, expected {ring.base.top - 2 * i}")
-    k = ring.cp.n + i
+    _, table, wden = _sampler(ring, gamma, i)
     big_h, den = cleared_dense(delta.h)
-    return evaluate_top(ring, rho_power(ring, big_h, k, gamma)) / den ** k
+    return Fraction(_table_sum(table, big_h), wden * den ** (ring.cp.n + i))
 
 
 class BkkResult(Record):
@@ -316,12 +364,18 @@ class BkkResult(Record):
 
 
 def bkk_check(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> BkkResult:
-    """Both sides of (n+i)! * integral = i! * intersection, compared exactly."""
+    """Both sides of (n+i)! * integral = i! * intersection, compared exactly.
+
+    One sampler serves both sides, and h = H / D is cleared once for both.
+    """
     if i < 0 or 2 * i > ring.base.top:
         raise DegreeMismatchError(f"need 0 <= 2*{i} <= {ring.base.top}")
-    n = ring.cp.n
-    lhs = factorial(n + i) * I_gamma(ring, gamma, i, delta)
-    rhs = factorial(i) * F_gamma(ring, gamma, i, delta)
+    plan, table, wden = _sampler(ring, gamma, i)
+    big_h, den = cleared_dense(delta.h)
+    k = ring.cp.n + i
+    num, iden = _plan_sum(plan, big_h, den)
+    lhs = Fraction(factorial(k) * num, iden)
+    rhs = Fraction(factorial(i) * _table_sum(table, big_h), wden * den ** k)
     return BkkResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

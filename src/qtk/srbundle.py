@@ -14,7 +14,10 @@ eliminating one factor of a repeated variable through a dual character; the
 multiplicity of every produced monomial drops by one, so it terminates.
 With the canonical characters the rewriting is linear over the base, so each
 x-monomial is reduced once per ring and cached, and so is its pairing with
-the fundamental class against every base class (`evaluate_top`).
+the fundamental class against every base class (`evaluate_top`).  Powers
+of rho are not expanded here: the BKK sampler in multipoly pairs
+gamma x^alpha once per face monomial (`face_monomials`) and sums the
+multinomial expansion of gamma * rho(h)^k itself, in ints.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
 from typing import Callable, Sequence
 
 from . import exact
@@ -95,37 +97,6 @@ def rho(ring: BundleRing, h: Sequence) -> BundleElement:
         if v:
             out[(_bump(zero, i), unit)] = v
     return out
-
-
-def rho_power(ring: BundleRing, h: Sequence[int], k: int,
-              gamma: Element) -> BundleElement:
-    """gamma * rho(h)^k by the multinomial theorem.
-
-    rho(h)^k is the sum over x-monomials x^alpha of degree k of
-    k!/alpha! * h^alpha * x^alpha; the monomials whose support is no face
-    are zero in the ring, so only `_face_monomials` are kept, which is
-    exact.  The x_i are even and rho has unit base part, so gamma only
-    scales each term.  Integer h and gamma give int coefficients.
-    """
-    scales = [(idx, exact.int_if_integral(g)) for idx, g in gamma.items() if g]
-    out: BundleElement = {}
-    for expo, factors, mult in _multinomials(ring.cp, k):
-        c = mult
-        for i, e in factors:
-            c *= h[i] ** e
-        if c:
-            for idx, g in scales:
-                out[expo, idx] = c * g
-    return out
-
-
-@lru_cache(maxsize=None)
-def _multinomials(cp: CharacteristicPair, k: int):
-    """Per face monomial x^alpha of degree k: (alpha, its (i, alpha_i) with
-    alpha_i > 0, k!/alpha!)."""
-    return tuple((expo, tuple((i, e) for i, e in enumerate(expo) if e),
-                  factorial(k) // prod(factorial(e) for e in expo))
-                 for expo in _face_monomials(cp, k))
 
 
 def bel_mul(ring: BundleRing, a: BundleElement, b: BundleElement) -> BundleElement:
@@ -287,7 +258,7 @@ def intersection_number(ring: BundleRing, classes: Sequence[BundleElement],
 # Graded dimensions by exact linear algebra.
 
 @lru_cache(maxsize=None)
-def _face_monomials(cp: CharacteristicPair, xdeg: int) -> tuple[Expo, ...]:
+def face_monomials(cp: CharacteristicPair, xdeg: int) -> tuple[Expo, ...]:
     """x-monomials of the given degree whose support is a face, sorted."""
     if xdeg == 0:
         return ((0,) * cp.s,)
@@ -315,7 +286,7 @@ def graded_basis(ring: BundleRing, d: int) -> list[tuple[Expo, int]]:
         idxs = ring.base.indices_of_degree(base_deg)
         if not idxs:
             continue
-        for expo in _face_monomials(ring.cp, xdeg):
+        for expo in face_monomials(ring.cp, xdeg):
             for idx in idxs:
                 out.append((expo, idx))
     return out

@@ -6,6 +6,8 @@ import contextlib
 import io
 import itertools
 import json
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
 from qtk.cli import _bkk_samples, main
 from qtk.errors import MalformedInputError, NotAConeError, NotAFaceError
+from qtk.exact import cleared_dense
 from qtk.poly import MultiPoly, weighted_monomials
 
 from conftest import clear_caches
@@ -74,8 +77,8 @@ def valid_pairs(ring, c):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_multinomial_f_gamma_equals_repeated_product(inst, data):
-    """F_gamma (multinomial expansion at integer H, cached top pairings)
-    equals the repeated product behind `qtk intersect`."""
+    """F_gamma (the sampler's table of weighted face monomials, summed at
+    integer H) equals the repeated product behind `qtk intersect`."""
     ring = inst.ring()
     h = data.draw(support_vectors(ring.cp.s))
     c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
@@ -84,6 +87,62 @@ def test_multinomial_f_gamma_equals_repeated_product(inst, data):
         product = [sr.rho(ring, h)] * (ring.cp.n + i)
         assert mp.F_gamma(ring, gamma, i, delta) == \
             sr.intersection_number(ring, product, gamma)
+
+
+def reference_bkk_sides(ring, gamma, i, h):
+    """(I_gamma, F_gamma) by the route without a sampler: f_gamma integrated
+    by integrate_polynomial, and gamma * rho(H)^(n+i) expanded by the
+    multinomial theorem over every x-monomial of degree n+i (those off the
+    faces pair to zero) and paired by evaluate_top, over D^(n+i)."""
+    big_h, den = cleared_dense(h)
+    k = ring.cp.n + i
+    el = {}
+    for alpha in weighted_monomials((1,) * ring.cp.s, k):
+        c = factorial(k) // prod(map(factorial, alpha)) * \
+            prod(v ** e for v, e in zip(big_h, alpha))
+        for idx, g in gamma.items():
+            if c and g:
+                el[alpha, idx] = c * g
+    integral = mp.integrate_polynomial(mp.multipolytope(ring.cp, h),
+                                       ba.f_gamma(ring.base, ring.chern, gamma, i))
+    return integral, sr.evaluate_top(ring, el) / den ** k
+
+
+def mixed_support_vectors(s):
+    """Support vectors whose entries have independent denominators up to 6."""
+    entry = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    return st.lists(entry, min_size=s, max_size=s)
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=label)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sampler_equals_reference_route(inst, data):
+    """I_gamma, F_gamma and bkk_check read one cached sampler per (gamma, i);
+    they equal the route without it for every valid i, on the zero class,
+    on multi-term rational classes (zero coefficients included) and on the
+    same class again, with caches warm from earlier examples."""
+    ring = inst.ring()
+    top, n = ring.base.top, ring.cp.n
+    h = data.draw(mixed_support_vectors(ring.cp.s))
+    delta = mp.multipolytope(ring.cp, h)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    whole = MultiPoly.zero(n)
+    integrals = Fraction(0)
+    for i in range(top // 2 + 1):
+        drawn = {idx: data.draw(coeff) for idx in ring.base.indices_of_degree(top - 2 * i)}
+        for gamma in ({}, drawn, dict(drawn)):
+            integral, intersection = reference_bkk_sides(ring, gamma, i, h)
+            assert mp.I_gamma(ring, gamma, i, delta) == integral
+            assert mp.F_gamma(ring, gamma, i, delta) == intersection
+            res = mp.bkk_check(ring, gamma, i, delta)
+            assert (res.lhs, res.rhs, res.equal) == \
+                (factorial(n + i) * integral, factorial(i) * intersection, True)
+        whole = whole + ba.f_gamma(ring.base, ring.chern, drawn, i)
+        integrals += mp.I_gamma(ring, drawn, i, delta)
+    # The integrands of all i at once are not homogeneous: integrating their
+    # sum brings each degree's vertex sums to one power of D.
+    assert mp.integrate_polynomial(delta, whole) == integrals
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=label)
@@ -180,6 +239,28 @@ class TestErrorsAreNotCached:
                                match="distinguished index must belong to the face"):
                 cpm.dual_character(cp2, (1, 0), 2)
 
+    @pytest.mark.parametrize("options, message", [
+        (["--gamma", "t", "--i", "0"], "error: gamma has degree 2, expected 4\n"),
+        (["--gamma", "1", "--i", "3"], "error: need 0 <= 2*3 <= 4\n"),
+        (["--gamma", "1", "--i", "-1"], "error: need 0 <= 2*-1 <= 4\n")])
+    def test_bkk_errors_on_cold_and_warm_caches(self, capsys, options, message):
+        spec = "cp1-bundle-over-cp2?a=1"
+
+        def error():
+            code = main(["bkk", spec, "--h", "1,1", *options])
+            return code, capsys.readouterr()
+
+        clear_caches()
+        cold = [error(), error()]
+        # Warm the samplers of both valid (gamma, i) of the base CP^2 with a
+        # top-degree class.
+        for gamma, i in (("t", "1"), ("1", "2"), ("t^2", "0")):
+            assert main(["bkk", spec, "--h", "1,1", "--gamma", gamma, "--i", i]) == 0
+        capsys.readouterr()
+        warm = [error(), error()]
+        for code, captured in cold + warm:
+            assert (code, captured.out, captured.err) == (2, "", message)
+
     def test_non_unimodular_cone(self):
         cp = cpm.make_pair(1, [(1,), (-1,)], [(2,), (-1,)], [(0,), (1,)])
         for _ in range(2):
@@ -196,7 +277,8 @@ class TestErrorsAreNotCached:
 # samples.
 
 COUNTED = [(cpm, "det"), (cpm, "solve_exact"), (mp, "dot"),
-           (sr, "dual_character"), (mp, "f_gamma"), (mp, "power_of_linear_forms")]
+           (sr, "dual_character"), (mp, "f_gamma"), (mp, "power_of_linear_forms"),
+           (mp, "evaluate_top")]
 
 
 def exact_work(monkeypatch, spec, samples):
