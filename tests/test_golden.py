@@ -1,5 +1,6 @@
-"""`qtk check-all`, `qtk brion`, `qtk potential` and `qtk bkk` reports
-compared byte for byte against committed files.
+"""`qtk check-all`, `qtk brion`, `qtk potential`, `qtk bkk`, `qtk volume`,
+`qtk horizontal` and `qtk ann-hilbert` reports compared byte for byte
+against committed files.
 
 The files under tests/golden/<command> were written once from
 `qtk <command> <spec>` (default options, samples and seed) and are never
@@ -11,7 +12,10 @@ invisible to comparing them) shows here.  The bkk reports pin both sides
 of the BKK identity, lhs and rhs, which check-all never prints, so a fault
 shared by the integral and the intersection side shows too.  They are
 written from `qtk bkk <spec> --gamma 1 --i <top/2> --h <BKK_H>`, with h cut
-to the spec's ray count.
+to the spec's ray count.  The volume and horizontal reports use the same h,
+horizontal at the same i; the ann-hilbert reports pin the apolar Hilbert
+function in every weighted degree, odd ones included, where check-all
+prints only the even ones.
 """
 
 import os
@@ -22,18 +26,22 @@ from qtk.catalog import all_instances, get
 from qtk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-COMMANDS = ["check-all", "brion", "potential", "bkk"]
+COMMANDS = ["check-all", "brion", "potential", "bkk", "volume", "horizontal",
+            "ann-hilbert"]
 EXTRA_SPECS = ["cp2-bundle-over-cp1?a=1,b=2"]
 SPECS = sorted({inst.label for inst in all_instances()} | set(EXTRA_SPECS))
 # The bkk support vector: negative and fractional entries, mixed denominators.
 BKK_H = ["3/2", "-1", "2/3", "-5/4"]
 
 
-def bkk_args(spec):
-    """The bkk options of a spec's golden report: gamma = 1, i = top/2."""
-    ring = get(spec).ring()
-    return ["--gamma", "1", "--i", str(ring.base.top // 2),
-            "--h", ",".join(BKK_H[:ring.cp.s])]
+def h_args(spec):
+    """The --h option of a golden report: BKK_H cut to the ray count."""
+    return ["--h", ",".join(BKK_H[:get(spec).cp.s])]
+
+
+def i_args(spec):
+    """The --i option of a golden report: i = top/2."""
+    return ["--i", str(get(spec).ring().base.top // 2)]
 
 
 def test_every_spec_has_a_golden_file():
@@ -69,4 +77,21 @@ def test_potential_matches_golden(spec, capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_bkk_matches_golden(spec, capsys, monkeypatch):
-    _assert_matches_golden("bkk", spec, capsys, monkeypatch, bkk_args(spec))
+    _assert_matches_golden("bkk", spec, capsys, monkeypatch,
+                           ["--gamma", "1", *i_args(spec), *h_args(spec)])
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_volume_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("volume", spec, capsys, monkeypatch, h_args(spec))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_horizontal_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("horizontal", spec, capsys, monkeypatch,
+                           [*h_args(spec), *i_args(spec)])
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_ann_hilbert_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("ann-hilbert", spec, capsys, monkeypatch)
