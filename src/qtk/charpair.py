@@ -5,6 +5,9 @@ simplicial fan, the lattice vector attached to each ray, and the maximal
 cones.  All indices are 0-based internally; the JSON interchange format is
 1-based (see from_json / to_json).  `validate` checks a pair exactly, by
 determinants.
+
+A multi-polytope over a pair is just its support vector h, one rational per
+ray (`support_vector`); a cone's orientation sign is a plain int.
 """
 
 from __future__ import annotations
@@ -127,12 +130,6 @@ def facet_table(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...],
 # ---------------------------------------------------------------------------
 # Signs, vertices, dual frames.
 
-class ConeSign(Record):
-    __slots__ = ("rays", "value")
-    rays: tuple[int, ...]
-    value: int
-
-
 @lru_cache(maxsize=None)
 def _cone(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[
         Fraction, Fraction, tuple[tuple[Fraction, ...], ...] | None]:
@@ -162,27 +159,32 @@ def _frame(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[tuple[Fraction
     return frame
 
 
-def cone_sign(cp: CharacteristicPair, cone: Sequence[int]) -> ConeSign:
-    """Orientation sign of a maximal cone.
+def cone_sign(cp: CharacteristicPair, cone: Sequence[int]) -> int:
+    """Orientation sign of a maximal cone, +1 or -1.
 
     sgn(det of geometric ray directions) times det of the lattice vectors;
     permuting the cone flips both determinants, so the product is
-    ordering-independent and is read from the cone's record.
+    ordering-independent and is read from the sorted cone's determinants.
     """
-    key = _maximal(cp, cone)
-    d_ray, d_lam, _ = _cone(cp, key)
+    d_ray, d_lam, _ = _cone(cp, _maximal(cp, cone))
     if d_ray == 0 or abs(d_lam) != 1:
         raise MalformedInputError("cone fails simpliciality or unimodularity")
-    return ConeSign(rays=key, value=(1 if d_ray > 0 else -1) * int(d_lam))
+    return (1 if d_ray > 0 else -1) * int(d_lam)
+
+
+def support_vector(cp: CharacteristicPair, h: Sequence) -> tuple[Fraction, ...]:
+    """The support numbers of a multi-polytope, one rational per ray."""
+    hs = tuple(as_scalar(v) for v in h)
+    if len(hs) != cp.s:
+        raise MalformedInputError("support vector length must equal the ray count")
+    return hs
 
 
 def vertex(cp: CharacteristicPair, h: Sequence, cone: Sequence[int]) -> tuple[Fraction, ...]:
     """The point x with <lam_i, x> = h_i for every ray i of the maximal cone:
     sum_j h_{cone[j]} w_j over its dual edge frame."""
     key = _maximal(cp, cone)
-    hs = [as_scalar(v) for v in h]
-    if len(hs) != cp.s:
-        raise MalformedInputError("support vector has wrong length")
+    hs = support_vector(cp, h)
     frame = _frame(cp, key)
     return tuple(sum((hs[i] * w[r] for i, w in zip(key, frame)), Fraction(0))
                  for r in range(cp.n))

@@ -198,7 +198,7 @@ def cmd_volume(args) -> tuple[dict, int]:
     inst = resolve_instance(args.instance)
     ring = _validated_ring(inst)
     h = parse_h(args.h, inst.cp.s)
-    val = mp.volume(mp.multipolytope(inst.cp, h))
+    val = mp.volume(inst.cp, h)
     return _report("volume", inst, {"h": args.h},
                    {"volume": scalar_str(val)}), 0
 
@@ -218,20 +218,20 @@ def cmd_bkk(args) -> tuple[dict, int]:
     ring = _validated_ring(inst)
     gamma = parse_gamma(ring, args.gamma)
     h = parse_h(args.h, inst.cp.s)
-    res = mp.bkk_check(ring, gamma, args.i, mp.multipolytope(inst.cp, h))
+    lhs, rhs = mp.bkk_check(ring, gamma, args.i, h)
     report = _report("bkk", inst, {"gamma": args.gamma, "i": args.i, "h": args.h}, {
-        "lhs": scalar_str(res.lhs),
-        "rhs": scalar_str(res.rhs),
-        "equal": res.equal,
+        "lhs": scalar_str(lhs),
+        "rhs": scalar_str(rhs),
+        "equal": lhs == rhs,
     })
-    return report, 0 if res.equal else 1
+    return report, 0 if lhs == rhs else 1
 
 
 def cmd_horizontal(args) -> tuple[dict, int]:
     inst = resolve_instance(args.instance)
     ring = _validated_ring(inst)
     h = parse_h(args.h, inst.cp.s)
-    el = mp.horizontal_part(ring, mp.multipolytope(inst.cp, h), args.i)
+    el = mp.horizontal_part(ring, h, args.i)
     result = {
         "class": {ring.base.names[idx]: scalar_str(c) for idx, c in sorted(el.items())},
         "pretty": ba.el_str(ring.base, el),
@@ -254,8 +254,7 @@ def cmd_ann_hilbert(args) -> tuple[dict, int]:
     inst = resolve_instance(args.instance)
     ring = _validated_ring(inst)
     pot = iv.bundle_potential_integral(ring)
-    hf = iv.ann_hilbert(pot)
-    return _report("ann-hilbert", inst, {}, iv.hilbert_json(hf)), 0
+    return _report("ann-hilbert", inst, {}, iv.hilbert_json(iv.ann_hilbert(pot))), 0
 
 
 def cmd_ann_generators(args) -> tuple[dict, int]:
@@ -326,21 +325,21 @@ def cmd_check_all(args) -> tuple[dict, int]:
     even_base = not any(d % 2 for d in ring.base.degrees)
     if even_base:
         pot = iv.bundle_potential_integral(ring)
-        hf = iv.ann_hilbert(pot)
-        result["ann_hilbert_even"] = list(hf.even())
+        even = list(iv.ann_hilbert(pot)[0::2])
+        result["ann_hilbert_even"] = even
         result["betti_even"] = dims[0::2]
-        result["hilbert_matches"] = list(hf.even()) == dims[0::2]
+        result["hilbert_matches"] = even == dims[0::2]
     else:  # the apolar Hilbert function is only defined over even bases
         result["hilbert_matches"] = "skipped"
         result["ann_hilbert_even"] = None
     failures = []
     for gamma, i, h in _bkk_samples(ring, args.samples, seed):
-        res = mp.bkk_check(ring, gamma, i, mp.multipolytope(inst.cp, h))
-        if not res.equal:
+        lhs, rhs = mp.bkk_check(ring, gamma, i, h)
+        if lhs != rhs:
             failures.append({
                 "gamma": ba.el_str(ring.base, gamma), "i": i,
                 "h": [scalar_str(v) for v in h],
-                "lhs": scalar_str(res.lhs), "rhs": scalar_str(res.rhs),
+                "lhs": scalar_str(lhs), "rhs": scalar_str(rhs),
             })
     result["bkk_samples"] = args.samples
     result["bkk_seed"] = seed

@@ -12,7 +12,8 @@ fixed by gamma = b^beta / beta!, and it is built twice, on one skeleton over
 the base monomials b^beta, and the two must coincide: by integration, the
 generalized BKK integral of <c(x)^i gamma, [B]> / i! over the multi-polytope
 symbolically in h (Khovanskii-Pukhlikov), and directly, as the sum of
-<gamma x^alpha, [M]> h^alpha / alpha! over top-degree evaluations.
+<gamma x^alpha, [M]> h^alpha / alpha! over top-degree evaluations.  A
+Hilbert function is the plain tuple of dimensions by weighted degree.
 """
 
 from __future__ import annotations
@@ -58,23 +59,6 @@ class Potential(Record):
                 for expo, c in self.poly.items()
             },
         }
-
-
-class HilbertFunction(Record):
-    """Graded dimensions of Sym(V)/Ann indexed by weighted degree."""
-
-    __slots__ = ("dims",)
-    dims: tuple[int, ...]
-
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
-    def even(self) -> tuple[int, ...]:
-        return tuple(self.dims[0::2])
-
-    def is_symmetric(self) -> bool:
-        return self.dims == tuple(reversed(self.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +149,14 @@ def _apolar_rows(p: Potential, d: int) -> tuple[list[tuple[int, ...]], list[dict
     return monos, rows
 
 
-def ann_hilbert(p: Potential) -> HilbertFunction:
-    """Graded dimensions of Sym(V)/Ann(p) by exact rank, per weighted degree."""
+def ann_hilbert(p: Potential) -> tuple[int, ...]:
+    """Graded dimensions of Sym(V)/Ann(p) by exact rank, per weighted degree
+    0 .. p.degree."""
     dims = []
     for d in range(p.degree + 1):
         monos, rows = _apolar_rows(p, d)
         dims.append(exact.rank(rows, len(monos)))
-    return HilbertFunction(tuple(dims))
+    return tuple(dims)
 
 
 def ann_generators(p: Potential, up_to_degree: int | None = None) -> dict[int, list[MultiPoly]]:
@@ -242,5 +227,5 @@ def frobenius_kernel(alg: GradedBaseAlgebra, top: int | None = None) -> dict[int
     return out
 
 
-def hilbert_json(hf: HilbertFunction) -> dict:
-    return {"dims_by_weighted_degree": list(hf.dims), "dims_even": list(hf.even())}
+def hilbert_json(dims: tuple[int, ...]) -> dict:
+    return {"dims_by_weighted_degree": list(dims), "dims_even": list(dims[0::2])}

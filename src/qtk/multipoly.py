@@ -1,8 +1,9 @@
 """Multi-polytopes and exact integration of polynomials over them.
 
-A multi-polytope over a characteristic pair is just a support vector h (one
-rational per ray); no convexity is assumed.  Integrals are computed by the
-signed vertex expansion: for a linear form l generic on the dual edge frames,
+A multi-polytope over a characteristic pair is just its support vector h,
+one rational per ray (`charpair.support_vector`); no convexity is assumed.
+Integrals are computed by the signed vertex expansion: for a linear form l
+generic on the dual edge frames,
 
     integral over Delta of l^d  =  d!/(n+d)! * sum over maximal cones sigma of
         sign(sigma) * l(A_sigma)^(n+d) / prod_j l(w_sigma_j)
@@ -30,7 +31,8 @@ integration plan of f_gamma, and a table with one int weight
 k!/alpha! * <gamma x^alpha, [M]> per face monomial x^alpha of degree
 k = n + i, paired once through srbundle's `evaluate_top`.  A sample clears
 h = H / D once and runs the vertex sums and the table in ints; I_gamma,
-F_gamma and bkk_check all read it.
+F_gamma and bkk_check all read it; bkk_check returns both sides, for the
+caller to compare.
 """
 
 from __future__ import annotations
@@ -41,26 +43,11 @@ from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
-from .charpair import CharacteristicPair, cone_sign, dual_edge_frame
+from .charpair import CharacteristicPair, cone_sign, dual_edge_frame, support_vector
 from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_scalar, cleared_dense, dot, int_if_integral
 from .poly import MultiPoly, power_of_linear_forms
-from .record import Record
 from .srbundle import BundleRing, evaluate_top, face_monomials
-
-
-class MultiPolytope(Record):
-    __slots__ = ("cp", "h")
-    cp: CharacteristicPair
-    h: tuple[Fraction, ...]
-
-    def _check(self):
-        if len(self.h) != self.cp.s:
-            raise MalformedInputError("support vector length must equal the ray count")
-
-
-def multipolytope(cp: CharacteristicPair, h: Sequence) -> MultiPolytope:
-    return MultiPolytope(cp, tuple(as_scalar(v) for v in h))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +56,7 @@ def multipolytope(cp: CharacteristicPair, h: Sequence) -> MultiPolytope:
 @lru_cache(maxsize=None)
 def _cone_data(cp: CharacteristicPair):
     """Per maximal cone: (rays, sign, dual edge vectors)."""
-    return tuple((cone, cone_sign(cp, cone).value, dual_edge_frame(cp, cone))
+    return tuple((cone, cone_sign(cp, cone), dual_edge_frame(cp, cone))
                  for cone in cp.max_cones)
 
 
@@ -278,16 +265,17 @@ def integral_polynomial_symbolic(cp: CharacteristicPair, f: MultiPoly,
     return _evaluate(cp, _integration_plan(cp, f, direction), None)
 
 
-def integrate_polynomial(delta: MultiPolytope, f: MultiPoly) -> Fraction:
-    """Exact integral of a polynomial over a multi-polytope."""
-    if f.nvars != delta.cp.n:
+def integrate_polynomial(cp: CharacteristicPair, h: Sequence, f: MultiPoly) -> Fraction:
+    """Exact integral of a polynomial over the multi-polytope Delta(h)."""
+    h = support_vector(cp, h)
+    if f.nvars != cp.n:
         raise MalformedInputError("integrand must live on the character space")
-    return _evaluate(delta.cp, _integration_plan(delta.cp, f, None), delta.h)
+    return _evaluate(cp, _integration_plan(cp, f, None), h)
 
 
-def volume(delta: MultiPolytope) -> Fraction:
-    """Signed volume: the integral of 1."""
-    return integrate_polynomial(delta, MultiPoly.constant(delta.cp.n, 1))
+def volume(cp: CharacteristicPair, h: Sequence) -> Fraction:
+    """Signed volume of Delta(h): the integral of 1."""
+    return integrate_polynomial(cp, h, MultiPoly.constant(cp.n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +309,10 @@ def _bkk_sampler(ring: BundleRing, gamma: tuple[tuple[int, Fraction], ...], i: i
 
 
 def _sampler(ring: BundleRing, gamma: Element, i: int):
-    """The cached sampler of (gamma, i); zero coefficients of gamma are dropped."""
+    """The cached sampler of (gamma, i); zero coefficients of gamma are dropped.
+
+    A bad (gamma, i) is never cached, so f_gamma checks it on every call.
+    """
     return _bkk_sampler(ring, tuple(sorted((idx, c) for idx, c in gamma.items() if c)), i)
 
 
@@ -335,59 +326,51 @@ def _table_sum(table, big_h: list[int]) -> int:
     return total
 
 
-def I_gamma(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> Fraction:
-    """Integral pipeline: integral over Delta of <c(x)^i gamma, [B]>."""
+def I_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
+    """Integral pipeline: integral over Delta(h) of <c(x)^i gamma, [B]>."""
+    h = support_vector(ring.cp, h)
     plan, _, _ = _sampler(ring, gamma, i)
-    return _evaluate(ring.cp, plan, delta.h)
+    return _evaluate(ring.cp, plan, h)
 
 
-def F_gamma(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> Fraction:
-    """Topological pipeline: <rho(Delta)^(n+i) gamma, [M]>.
+def F_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
+    """Topological pipeline: <rho(h)^(n+i) gamma, [M]>.
 
     With h = H / D for integer H, the sampler's table of weighted face
     monomials is summed at H in ints; one division by wden * D^(n+i) ends it.
     """
-    dg = ring.base.degree_of(gamma)
-    if dg is not None and dg != ring.base.top - 2 * i:
-        raise DegreeMismatchError(
-            f"gamma has degree {dg}, expected {ring.base.top - 2 * i}")
+    h = support_vector(ring.cp, h)
     _, table, wden = _sampler(ring, gamma, i)
-    big_h, den = cleared_dense(delta.h)
+    big_h, den = cleared_dense(h)
     return Fraction(_table_sum(table, big_h), wden * den ** (ring.cp.n + i))
 
 
-class BkkResult(Record):
-    __slots__ = ("lhs", "rhs", "equal")
-    lhs: Fraction  # (n+i)! * I_gamma
-    rhs: Fraction  # i! * F_gamma
-    equal: bool
-
-
-def bkk_check(ring: BundleRing, gamma: Element, i: int, delta: MultiPolytope) -> BkkResult:
-    """Both sides of (n+i)! * integral = i! * intersection, compared exactly.
+def bkk_check(ring: BundleRing, gamma: Element, i: int,
+              h: Sequence) -> tuple[Fraction, Fraction]:
+    """Both sides of the BKK identity, (n+i)! * I_gamma and i! * F_gamma,
+    for the caller to compare.
 
     One sampler serves both sides, and h = H / D is cleared once for both.
     """
-    if i < 0 or 2 * i > ring.base.top:
-        raise DegreeMismatchError(f"need 0 <= 2*{i} <= {ring.base.top}")
+    h = support_vector(ring.cp, h)
     plan, table, wden = _sampler(ring, gamma, i)
-    big_h, den = cleared_dense(delta.h)
+    big_h, den = cleared_dense(h)
     k = ring.cp.n + i
     num, iden = _plan_sum(plan, big_h, den)
-    lhs = Fraction(factorial(k) * num, iden)
-    rhs = Fraction(factorial(i) * _table_sum(table, big_h), wden * den ** k)
-    return BkkResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    return (Fraction(factorial(k) * num, iden),
+            Fraction(factorial(i) * _table_sum(table, big_h), wden * den ** k))
 
 
-def horizontal_part(ring: BundleRing, delta: MultiPolytope, i: int) -> Element:
-    """The base class representing n+i-fold products of rho(Delta):
-    (n+i)!/i! times the componentwise integral of c(x)^i over Delta."""
+def horizontal_part(ring: BundleRing, h: Sequence, i: int) -> Element:
+    """The base class representing n+i-fold products of rho(h):
+    (n+i)!/i! times the componentwise integral of c(x)^i over Delta(h)."""
+    h = support_vector(ring.cp, h)
     if i < 0 or 2 * i > ring.base.top:
         raise DegreeMismatchError(f"need 0 <= 2*{i} <= {ring.base.top}")
     scale = Fraction(factorial(ring.cp.n + i), factorial(i))
     out: Element = {}
     for idx, poly in chern_power_symbolic(ring.base, ring.chern, i):
-        val = integrate_polynomial(delta, poly) * scale
+        val = integrate_polynomial(ring.cp, h, poly) * scale
         if val:
             out[idx] = val
     return out

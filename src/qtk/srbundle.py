@@ -13,8 +13,8 @@ classes keep their Koszul signs.
 eliminating one factor of a repeated variable through a dual character; the
 multiplicity of every produced monomial drops by one, so it terminates.
 With the canonical characters the rewriting is linear over the base, so each
-x-monomial is reduced once per ring and cached, and so is its pairing with
-the fundamental class against every base class (`evaluate_top`).  Powers
+x-monomial is reduced once per ring, and its pairing with the fundamental
+class against every base class is cached (`evaluate_top`).  Powers
 of rho are not expanded here: the BKK sampler in multipoly pairs
 gamma x^alpha once per face monomial (`face_monomials`) and sums the
 multinomial expansion of gamma * rho(h)^k itself, in ints.
@@ -140,22 +140,12 @@ def reduce(ring: BundleRing, el: BundleElement,
     factor of x_j; the default is the canonical minimal one,
     `dual_character`.  Any valid choice yields the same pairings (not
     necessarily the same terms).  Nothing here is cached: the cached
-    pairings of `evaluate_top` read `_reduced_monomial` instead.
+    pairings of `evaluate_top` reduce each x-monomial once instead.
     """
     if chooser is None:
         cp = ring.cp
         chooser = lambda face, j: dual_character(cp, face, j)
     return _rewrite(ring, el, chooser)
-
-
-@lru_cache(maxsize=None)
-def _reduced_monomial(ring: BundleRing,
-                      expo: Expo) -> tuple[tuple[tuple[Expo, int], Fraction], ...]:
-    """Canonical normal form of x^expo with unit coefficient, as items."""
-    cp = ring.cp
-    nf = _rewrite(ring, {(expo, ring.base.unit_index()): Fraction(1)},
-                  lambda face, j: dual_character(cp, face, j))
-    return tuple(nf.items())
 
 
 def _rewrite(ring: BundleRing, el: BundleElement,
@@ -218,7 +208,7 @@ def evaluate_top(ring: BundleRing, el: BundleElement,
         supp = _support(expo)
         if len(supp) != ring.cp.n:
             continue
-        total += cone_sign(ring.cp, supp).value * c * ring.base.fundamental[idx]
+        total += cone_sign(ring.cp, supp) * c * ring.base.fundamental[idx]
     return total
 
 
@@ -232,11 +222,13 @@ def _top_pairing(ring: BundleRing, expo: Expo) -> tuple[int | Fraction, ...]:
     r b_j x^e on a maximal cone pair to sign(e) r <b_g b_j, [B]>.
     """
     base, cp = ring.base, ring.cp
+    nf = _rewrite(ring, {(expo, base.unit_index()): Fraction(1)},
+                  lambda face, j: dual_character(cp, face, j))
     top = []
-    for (e, j), r in _reduced_monomial(ring, expo):
+    for (e, j), r in nf.items():
         supp = _support(e)
         if len(supp) == cp.n:
-            top.append((cone_sign(cp, supp).value * r, j))
+            top.append((cone_sign(cp, supp) * r, j))
     out = []
     for g in range(base.dim):
         val = sum((v * base.integrate(base.products.get((g, j), {})) for v, j in top),

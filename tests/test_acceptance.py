@@ -47,8 +47,7 @@ def test_criterion_1_cp2_sanity():
     with criterion(1, "cp2 volume 9/2 and divisor square 9 = 2! * 9/2", 1.0):
         inst = get("cp2")
         ring = inst.ring()
-        delta = mp.multipolytope(inst.cp, [1, 1, 1])
-        vol = mp.volume(delta)
+        vol = mp.volume(inst.cp, [1, 1, 1])
         assert vol == F(9, 2)
         s = sr.rho(ring, [1, 1, 1])
         top = sr.intersection_number(ring, [s, s])
@@ -67,11 +66,9 @@ def test_criterion_2_hirzebruch_cross_check():
             x1 = sr.x_class(ring, 0)
             assert sr.evaluate_top(ring, sr.bel_mul(ring, x1, x1)) == a
             for h1, h2 in points:
-                delta = mp.multipolytope(ring.cp, [h1, h2])
-                res = mp.bkk_check(ring, ring.base.unit(), 1, delta)
+                lhs, rhs = mp.bkk_check(ring, ring.base.unit(), 1, [h1, h2])
                 expected = a * (h1 ** 2 - h2 ** 2)
-                assert res.equal
-                assert res.lhs == expected and res.rhs == expected
+                assert lhs == expected and rhs == expected
 
 
 def test_criterion_3_bkk_property_suite():
@@ -90,8 +87,8 @@ def test_criterion_3_bkk_property_suite():
                 gamma = {gamma_idx: F(1)}
                 h = [F(rng.randint(-3 * d, 3 * d), d)
                      for d in (rng.randint(1, 4) for _ in range(inst.cp.s))]
-                res = mp.bkk_check(ring, gamma, i, mp.multipolytope(inst.cp, h))
-                assert res.equal, (inst.label, gamma, i, h)
+                lhs, rhs = mp.bkk_check(ring, gamma, i, h)
+                assert lhs == rhs, (inst.label, gamma, i, h)
                 cases += 1
         assert cases >= 100
 
@@ -117,7 +114,7 @@ def test_criterion_4_ider_law():
                             acc = acc + MultiPoly.variable(cp.s, idx) * w[r]
                         vertex_coords.append(acc)
                     expected = f.substitute(vertex_coords) * \
-                        cpm.cone_sign(cp, cone).value
+                        cpm.cone_sign(cp, cone)
                     assert deriv == expected, (inst.label, cone)
                 for multiset in itertools.combinations_with_replacement(
                         range(cp.s), cp.n):
@@ -146,18 +143,18 @@ def test_criterion_6_hilbert_match():
                       "h-vector for toric point-base pairs", 10.0):
         for inst in all_instances():
             ring = inst.ring()
-            hf = iv.ann_hilbert(iv.bundle_potential_integral(ring))
+            hilbert = iv.ann_hilbert(iv.bundle_potential_integral(ring))
             dims = sr.betti(ring)
-            assert list(hf.even()) == dims[0::2], inst.label
-            assert all(d == 0 for d in hf.dims[1::2])
+            assert list(hilbert[0::2]) == dims[0::2], inst.label
+            assert all(d == 0 for d in hilbert[1::2])
         for name in ("cp1", "cp2", "cp3", "cp1xcp1", "hirzebruch-toric"):
             inst = get(name)
-            hf = iv.ann_hilbert(iv.volume_potential(inst.cp))
-            assert list(hf.even()) == fan_h_vector(inst.cp), name
-        assert iv.ann_hilbert(iv.volume_potential(get("cp2").cp)).even() == (1, 1, 1)
+            hilbert = iv.ann_hilbert(iv.volume_potential(inst.cp))
+            assert list(hilbert[0::2]) == fan_h_vector(inst.cp), name
+        assert iv.ann_hilbert(iv.volume_potential(get("cp2").cp))[0::2] == (1, 1, 1)
         assert iv.ann_hilbert(
             iv.bundle_potential_integral(get("hirzebruch?a=1").ring())
-        ).even() == (1, 2, 1)
+        )[0::2] == (1, 2, 1)
 
 
 def test_criterion_7_brion_match():

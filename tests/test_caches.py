@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 from fractions import Fraction
 from math import factorial, prod
 
@@ -19,9 +20,10 @@ from qtk import multipoly as mp
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
 from qtk.cli import _bkk_samples, main
-from qtk.errors import MalformedInputError, NotAConeError, NotAFaceError
+from qtk.errors import DegreeMismatchError, MalformedInputError, NotAConeError, NotAFaceError
 from qtk.exact import cleared_dense
 from qtk.poly import MultiPoly, weighted_monomials
+from qtk.record import Record
 
 from conftest import clear_caches
 
@@ -38,8 +40,8 @@ def label(inst):
 def test_default_reduce_equals_explicit_chooser(inst, data):
     """reduce's default chooser is the canonical character, and the
     rewriting is linear over the base: it equals the sum of the terms' base
-    classes times the cached normal forms of their x-monomials, which is
-    what evaluate_top's cached pairings rely on."""
+    classes times the normal forms of their x-monomials, which is what
+    evaluate_top's cached pairings rely on."""
     ring = inst.ring()
     cp = ring.cp
     terms = data.draw(st.lists(st.tuples(
@@ -54,7 +56,8 @@ def test_default_reduce_equals_explicit_chooser(inst, data):
     assert nf == sr.reduce(ring, el, chooser=canonical)
     linear = {}
     for (expo, i), c in el.items():
-        for (e, j), r in sr._reduced_monomial(ring, expo):
+        monomial = {(expo, ring.base.unit_index()): 1}
+        for (e, j), r in sr.reduce(ring, monomial).items():
             linear = ba.el_add(linear, {(e, k): c * r * ck for k, ck
                                         in ring.base.products.get((i, j), {}).items()})
     assert nf == linear
@@ -82,10 +85,9 @@ def test_multinomial_f_gamma_equals_repeated_product(inst, data):
     ring = inst.ring()
     h = data.draw(support_vectors(ring.cp.s))
     c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
-    delta = mp.multipolytope(ring.cp, h)
     for gamma, i in valid_pairs(ring, c):
         product = [sr.rho(ring, h)] * (ring.cp.n + i)
-        assert mp.F_gamma(ring, gamma, i, delta) == \
+        assert mp.F_gamma(ring, gamma, i, h) == \
             sr.intersection_number(ring, product, gamma)
 
 
@@ -103,7 +105,7 @@ def reference_bkk_sides(ring, gamma, i, h):
         for idx, g in gamma.items():
             if c and g:
                 el[alpha, idx] = c * g
-    integral = mp.integrate_polynomial(mp.multipolytope(ring.cp, h),
+    integral = mp.integrate_polynomial(ring.cp, h,
                                        ba.f_gamma(ring.base, ring.chern, gamma, i))
     return integral, sr.evaluate_top(ring, el) / den ** k
 
@@ -125,7 +127,6 @@ def test_sampler_equals_reference_route(inst, data):
     ring = inst.ring()
     top, n = ring.base.top, ring.cp.n
     h = data.draw(mixed_support_vectors(ring.cp.s))
-    delta = mp.multipolytope(ring.cp, h)
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     whole = MultiPoly.zero(n)
     integrals = Fraction(0)
@@ -133,16 +134,15 @@ def test_sampler_equals_reference_route(inst, data):
         drawn = {idx: data.draw(coeff) for idx in ring.base.indices_of_degree(top - 2 * i)}
         for gamma in ({}, drawn, dict(drawn)):
             integral, intersection = reference_bkk_sides(ring, gamma, i, h)
-            assert mp.I_gamma(ring, gamma, i, delta) == integral
-            assert mp.F_gamma(ring, gamma, i, delta) == intersection
-            res = mp.bkk_check(ring, gamma, i, delta)
-            assert (res.lhs, res.rhs, res.equal) == \
-                (factorial(n + i) * integral, factorial(i) * intersection, True)
+            assert mp.I_gamma(ring, gamma, i, h) == integral
+            assert mp.F_gamma(ring, gamma, i, h) == intersection
+            lhs, rhs = mp.bkk_check(ring, gamma, i, h)
+            assert lhs == factorial(n + i) * integral == factorial(i) * intersection == rhs
         whole = whole + ba.f_gamma(ring.base, ring.chern, drawn, i)
-        integrals += mp.I_gamma(ring, drawn, i, delta)
+        integrals += mp.I_gamma(ring, drawn, i, h)
     # The integrands of all i at once are not homogeneous: integrating their
     # sum brings each degree's vertex sums to one power of D.
-    assert mp.integrate_polynomial(delta, whole) == integrals
+    assert mp.integrate_polynomial(ring.cp, h, whole) == integrals
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=label)
@@ -181,7 +181,7 @@ def test_planned_integral_equals_symbolic(inst, data):
     f = MultiPoly(cp.n, {alpha: data.draw(coeffs)
                          for alpha in weighted_monomials((1,) * cp.n, degree)})
     h = data.draw(support_vectors(cp.s))
-    assert mp.integrate_polynomial(mp.multipolytope(cp, h), f) == \
+    assert mp.integrate_polynomial(cp, h, f) == \
         mp.integral_polynomial_symbolic(cp, f).evaluate(h)
 
 
@@ -193,10 +193,9 @@ def test_values_survive_cache_clear(inst):
     def values():
         out = []
         for gamma, i, h in samples:
-            delta = mp.multipolytope(ring.cp, h)
             f = ba.f_gamma(ring.base, ring.chern, gamma, i)
-            out.append((mp.integrate_polynomial(delta, f),
-                        mp.bkk_check(ring, gamma, i, delta)))
+            out.append((mp.integrate_polynomial(ring.cp, h, f),
+                        mp.bkk_check(ring, gamma, i, h)))
         return out
 
     clear_caches()
@@ -204,7 +203,7 @@ def test_values_survive_cache_clear(inst):
     warm = values()
     clear_caches()
     assert cold == warm == values()
-    assert all(res.equal for _, res in cold)
+    assert all(lhs == rhs for _, (lhs, rhs) in cold)
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=label)
@@ -261,6 +260,31 @@ class TestErrorsAreNotCached:
         for code, captured in cold + warm:
             assert (code, captured.out, captured.err) == (2, "", message)
 
+    @pytest.mark.parametrize("gamma, i, message", [
+        ("1", -1, "need 0 <= 2*-1 <= 4"),
+        ("1", 3, "need 0 <= 2*3 <= 4"),
+        ("t", 0, "gamma has degree 2, expected 4"),
+        ("t", 3, "need 0 <= 2*3 <= 4")])
+    def test_bkk_sides_errors_on_cold_and_warm_caches(self, gamma, i, message):
+        """I_gamma, F_gamma and bkk_check leave the (gamma, i) check to
+        f_gamma, reached through the sampler on every call."""
+        ring = get("cp1-bundle-over-cp2?a=1").ring()
+        gamma = ring.base.element(gamma)
+        sides = (mp.I_gamma, mp.F_gamma, mp.bkk_check)
+
+        def raise_every_time():
+            for side in sides:
+                for _ in range(2):
+                    with pytest.raises(DegreeMismatchError, match=f"^{re.escape(message)}$"):
+                        side(ring, gamma, i, [1, 1])
+
+        clear_caches()
+        raise_every_time()
+        for warm_gamma, warm_i in (("t2", 0), ("t", 1), ("1", 2)):
+            for side in sides:
+                side(ring, ring.base.element(warm_gamma), warm_i, [1, 1])
+        raise_every_time()
+
     def test_non_unimodular_cone(self):
         cp = cpm.make_pair(1, [(1,), (-1,)], [(2,), (-1,)], [(0,), (1,)])
         for _ in range(2):
@@ -307,6 +331,27 @@ def test_exact_work_independent_of_sample_count(monkeypatch, spec):
                for name, count in few.items()), few
 
 
+@pytest.mark.parametrize("spec", ["cp3", "cp2-bundle-over-cp1?a=1,b=2"])
+def test_check_all_records_independent_of_sample_count(monkeypatch, spec):
+    """The BKK sample loop builds no value record per sample."""
+    def records(samples):
+        count = 0
+
+        def counting(self, *args, _real=Record.__init__, **kwargs):
+            nonlocal count
+            count += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Record, "__init__", counting)
+        clear_caches()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check-all", spec, "--samples", str(samples)]) == 0
+        monkeypatch.undo()
+        return count
+
+    assert records(100) == records(300)
+
+
 def test_check_all_solves_once_per_maximal_cone(monkeypatch):
     # One elimination of [lambda_sigma | I] gives a cone's whole dual edge frame.
     assert exact_work(monkeypatch, "cp3", 20)["solve_exact"] == len(get("cp3").cp.max_cones)
@@ -334,7 +379,7 @@ def test_flipped_cone_sign_fails_the_intersection_side(monkeypatch, capsys, cold
 
     def cone_sign(cp, cone, _real=sr.cone_sign):
         sign = _real(cp, cone)
-        return cpm.ConeSign(sign.rays, -sign.value) if sign.rays == flipped else sign
+        return -sign if tuple(sorted(cone)) == flipped else sign
 
     monkeypatch.setattr(sr, "cone_sign", cone_sign)
     code, result = check_all_report("cp2", capsys)

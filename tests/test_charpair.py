@@ -112,28 +112,28 @@ def test_coverage_agrees_with_sampling(cp):
 
 class TestConeSign:
     def test_cp1_both_positive(self, cp1):
-        assert cpm.cone_sign(cp1, (0,)).value == 1
-        assert cpm.cone_sign(cp1, (1,)).value == 1
+        assert cpm.cone_sign(cp1, (0,)) == 1
+        assert cpm.cone_sign(cp1, (1,)) == 1
 
     def test_cp2_identity_cone(self, cp2):
-        assert cpm.cone_sign(cp2, (0, 1)).value == 1
+        assert cpm.cone_sign(cp2, (0, 1)) == 1
 
     def test_toric_pairs_all_positive(self):
         for name in ("cp2", "cp3", "cp1xcp1", "hirzebruch-toric"):
             cp = get(name).cp
             for cone in cp.max_cones:
-                assert cpm.cone_sign(cp, cone).value == 1, (name, cone)
+                assert cpm.cone_sign(cp, cone) == 1, (name, cone)
 
     def test_twist_has_negative_signs(self):
         cp = get("cp2-twist").cp
-        signs = sorted(cpm.cone_sign(cp, c).value for c in cp.max_cones)
+        signs = sorted(cpm.cone_sign(cp, c) for c in cp.max_cones)
         assert signs == [-1, -1, 1]
 
     def test_ordering_independence(self, cp3):
         for cone in cp3.max_cones:
-            base = cpm.cone_sign(cp3, cone).value
+            base = cpm.cone_sign(cp3, cone)
             for perm in itertools.permutations(cone):
-                assert cpm.cone_sign(cp3, perm).value == base
+                assert cpm.cone_sign(cp3, perm) == base
 
     def test_not_a_cone(self, cp2):
         with pytest.raises(NotAConeError):
@@ -148,6 +148,13 @@ class TestVertex:
 
     def test_cp1_negative_ray(self, cp1):
         assert cpm.vertex(cp1, [F(2), F(7)], (1,)) == (F(-7),)
+
+    def test_support_vector_coerces_and_checks_length(self, cp2):
+        assert cpm.support_vector(cp2, [1, "1/2", F(-3)]) == (F(1), F(1, 2), F(-3))
+        for h in ([1, 1], [1, 1, 1, 1]):
+            with pytest.raises(MalformedInputError,
+                               match="^support vector length must equal the ray count$"):
+                cpm.vertex(cp2, h, (0, 1))
 
     def test_adjacent_cones_share_facet_equations(self):
         rng = random.Random(8)

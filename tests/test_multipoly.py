@@ -21,7 +21,7 @@ from qtk import basealg as ba
 from qtk import charpair as cpm
 from qtk import multipoly as mp
 from qtk.catalog import all_instances, get
-from qtk.errors import DegreeMismatchError
+from qtk.errors import DegreeMismatchError, MalformedInputError
 from qtk.poly import MultiPoly, power_of_linear_forms, weighted_monomials
 
 from conftest import hirzebruch_ring
@@ -81,8 +81,7 @@ class TestConvexOracle:
         for inst in all_instances():
             if not inst.convex:
                 continue
-            delta = mp.multipolytope(inst.cp, inst.ample_h)
-            assert mp.volume(delta) == convex_oracle_integral(
+            assert mp.volume(inst.cp, inst.ample_h) == convex_oracle_integral(
                 inst, MultiPoly.constant(inst.cp.n, 1)), inst.label
 
     def test_polynomial_integrals_match_triangulation(self):
@@ -91,49 +90,44 @@ class TestConvexOracle:
             if not inst.convex:
                 continue
             n = inst.cp.n
-            delta = mp.multipolytope(inst.cp, inst.ample_h)
             for degree in (1, 2):
                 terms = {m: F(rng.randint(-3, 3))
                          for m in weighted_monomials((1,) * n, degree)}
                 f = MultiPoly(n, terms)
-                assert mp.integrate_polynomial(delta, f) == \
+                assert mp.integrate_polynomial(inst.cp, inst.ample_h, f) == \
                     convex_oracle_integral(inst, f), (inst.label, degree)
 
 
 class TestIntegrateLinearPower:
     def test_interval_length(self, cp1):
-        delta = mp.multipolytope(cp1, [F(3), F(5)])
-        assert mp.integrate_polynomial(delta, MultiPoly.linear_form([F(1)]) ** 0) == 8
+        one = MultiPoly.linear_form([F(1)]) ** 0
+        assert mp.integrate_polynomial(cp1, [F(3), F(5)], one) == 8
 
     def test_triangle_area_direction_independent(self, cp2):
-        delta = mp.multipolytope(cp2, [1, 1, 1])
         one = MultiPoly.linear_form([1, 2]) ** 0
-        assert mp.integrate_polynomial(delta, one) == F(9, 2)
+        assert mp.integrate_polynomial(cp2, [1, 1, 1], one) == F(9, 2)
         for direction in ([1, 2], [3, 7]):
             sym = mp.integral_polynomial_symbolic(cp2, one, direction=direction)
             assert sym.evaluate([1, 1, 1]) == F(9, 2)
 
     def test_interval_first_moment(self, cp1):
         h1, h2 = F(2), F(3)
-        delta = mp.multipolytope(cp1, [h1, h2])
-        assert mp.integrate_polynomial(delta, MultiPoly.linear_form([1]) ** 1) \
+        assert mp.integrate_polynomial(cp1, [h1, h2], MultiPoly.linear_form([1]) ** 1) \
             == (h1 ** 2 - h2 ** 2) / 2
 
 
 class TestIntegratePolynomial:
     def test_degenerate_interval(self, cp1):
-        delta = mp.multipolytope(cp1, [1, -1])
-        assert mp.volume(delta) == 0
+        assert mp.volume(cp1, [1, -1]) == 0
 
     def test_reversed_interval_negative_length(self, cp1):
-        delta = mp.multipolytope(cp1, [-2, 1])  # [-1, -2] reversed
-        assert mp.volume(delta) == -1
+        assert mp.volume(cp1, [-2, 1]) == -1  # [-1, -2] reversed
 
     def test_perturbed_monomials(self, cp2):
-        delta = mp.multipolytope(cp2, [1, 1, 1])
+        h = [1, 1, 1]
         # triangle (1,1), (-2,1), (1,-2): both need the perturbation path
-        assert mp.integrate_polynomial(delta, MultiPoly.monomial((2, 0))) == F(9, 4)
-        assert mp.integrate_polynomial(delta, MultiPoly.monomial((1, 1))) == -F(9, 8)
+        assert mp.integrate_polynomial(cp2, h, MultiPoly.monomial((2, 0))) == F(9, 4)
+        assert mp.integrate_polynomial(cp2, h, MultiPoly.monomial((1, 1))) == -F(9, 8)
 
 
 class TestOneVertexSum:
@@ -154,13 +148,12 @@ class TestOneVertexSum:
                     break
             for d in range(3):
                 h = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(cp.s)]
-                delta = mp.multipolytope(cp, h)
                 f = MultiPoly.linear_form(ell) ** d
                 weight = F(factorial(d), factorial(cp.n + d))
                 plan = mp._scaled_plans(cp, [(ell, d, weight)])
                 assert all(m == 0 for _, cones in plan[1] for _, _, _, m, _ in cones)
                 assert mp._evaluate(cp, plan, h) \
-                    == mp.integrate_polynomial(delta, f), (inst.label, ell, d, h)
+                    == mp.integrate_polynomial(cp, h, f), (inst.label, ell, d, h)
                 for alpha, _ in f.items():
                     if sum(alpha) and any(
                             m > 0 for _, form in power_of_linear_forms(alpha)
@@ -193,8 +186,7 @@ class TestSymbolicIntegral:
                 for _ in range(3):
                     h = [F(rng.randint(-9, 9), rng.randint(1, 3))
                          for _ in range(cp.s)]
-                    delta = mp.multipolytope(cp, h)
-                    assert sym.evaluate(h) == mp.integrate_polynomial(delta, f)
+                    assert sym.evaluate(h) == mp.integrate_polynomial(cp, h, f)
 
     def test_direction_independence(self):
         from qtk import exact
@@ -238,7 +230,7 @@ class TestIderLaw:
                             acc = acc + MultiPoly.variable(cp.s, idx) * w[r]
                         vertex_coords.append(acc)
                     expected = f.substitute(vertex_coords) * \
-                        cpm.cone_sign(cp, cone).value
+                        cpm.cone_sign(cp, cone)
                     assert deriv == expected, (inst.label, cone)
 
     def test_non_face_multisets_vanish(self):
@@ -263,9 +255,8 @@ class TestIderLaw:
 
 class TestGammaPipelines:
     def test_volume_cases(self, point_ring_cp2, cp2):
-        delta = mp.multipolytope(cp2, [1, 1, 1])
         ring = point_ring_cp2
-        assert mp.I_gamma(ring, ring.base.unit(), 0, delta) == F(9, 2)
+        assert mp.I_gamma(ring, ring.base.unit(), 0, [1, 1, 1]) == F(9, 2)
 
     def test_hirzebruch_examples(self):
         ring = hirzebruch_ring(1)
@@ -274,36 +265,48 @@ class TestGammaPipelines:
         for _ in range(5):
             h1 = F(rng.randint(-5, 5), rng.randint(1, 2))
             h2 = F(rng.randint(-5, 5), rng.randint(1, 2))
-            delta = mp.multipolytope(cp, [h1, h2])
-            assert mp.I_gamma(ring, ring.base.unit(), 1, delta) == \
+            assert mp.I_gamma(ring, ring.base.unit(), 1, [h1, h2]) == \
                 (h1 ** 2 - h2 ** 2) / 2
-            assert mp.I_gamma(ring, ring.base.element("t"), 0, delta) == h1 + h2
+            assert mp.I_gamma(ring, ring.base.element("t"), 0, [h1, h2]) == h1 + h2
 
     def test_bkk_examples(self, point_ring_cp2, cp2):
-        delta = mp.multipolytope(cp2, [1, 1, 1])
-        res = mp.bkk_check(point_ring_cp2, point_ring_cp2.base.unit(), 0, delta)
-        assert (res.lhs, res.rhs, res.equal) == (9, 9, True)
+        assert mp.bkk_check(point_ring_cp2, point_ring_cp2.base.unit(), 0,
+                            [1, 1, 1]) == (9, 9)
 
         ring = hirzebruch_ring(2)
-        res = mp.bkk_check(ring, ring.base.unit(), 1,
-                           mp.multipolytope(ring.cp, [1, 0]))
-        assert (res.lhs, res.rhs, res.equal) == (2, 2, True)
+        assert mp.bkk_check(ring, ring.base.unit(), 1, [1, 0]) == (2, 2)
 
     def test_bkk_symbolic_cp1(self, point_ring_cp1, cp1):
         rng = random.Random(17)
         for _ in range(5):
             h = [F(rng.randint(-6, 6)) for _ in range(2)]
-            delta = mp.multipolytope(cp1, h)
-            res = mp.bkk_check(point_ring_cp1, point_ring_cp1.base.unit(), 0, delta)
-            assert res.equal and res.lhs == h[0] + h[1]
+            lhs, rhs = mp.bkk_check(point_ring_cp1, point_ring_cp1.base.unit(), 0, h)
+            assert lhs == rhs == h[0] + h[1]
 
     def test_degree_errors(self):
         ring = hirzebruch_ring(1)
-        delta = mp.multipolytope(ring.cp, [1, 1])
         with pytest.raises(DegreeMismatchError):
-            mp.bkk_check(ring, ring.base.unit(), 2, delta)
+            mp.bkk_check(ring, ring.base.unit(), 2, [1, 1])
         with pytest.raises(DegreeMismatchError):
-            mp.I_gamma(ring, ring.base.element("t"), 1, delta)
+            mp.I_gamma(ring, ring.base.element("t"), 1, [1, 1])
+
+
+class TestSupportVector:
+    def test_every_h_taker_checks_the_length(self):
+        ring = hirzebruch_ring(1)
+        one, unit = MultiPoly.constant(ring.cp.n, 1), ring.base.unit()
+        calls = [lambda h: mp.volume(ring.cp, h),
+                 lambda h: mp.integrate_polynomial(ring.cp, h, one),
+                 lambda h: mp.I_gamma(ring, unit, 1, h),
+                 lambda h: mp.F_gamma(ring, unit, 1, h),
+                 lambda h: mp.bkk_check(ring, unit, 1, h),
+                 lambda h: mp.horizontal_part(ring, h, 1)]
+        for call in calls:
+            assert call(["1/2", 3]) == call([F(1, 2), F(3)])
+            for h in ([1], [1, 1, 1]):
+                with pytest.raises(MalformedInputError,
+                                   match="^support vector length must equal the ray count$"):
+                    call(h)
 
 
 class TestHorizontalPart:
@@ -313,15 +316,13 @@ class TestHorizontalPart:
             rng = random.Random(a)
             for _ in range(4):
                 h = [F(rng.randint(-4, 4)) for _ in range(2)]
-                delta = mp.multipolytope(ring.cp, h)
-                el = mp.horizontal_part(ring, delta, 1)
+                el = mp.horizontal_part(ring, h, 1)
                 expected = ba.el_scale(ring.base.element("t"),
                                        a * (h[0] ** 2 - h[1] ** 2))
                 assert el == expected
 
     def test_point_base_is_scaled_volume(self, point_ring_cp2, cp2):
-        delta = mp.multipolytope(cp2, [1, 1, 1])
-        el = mp.horizontal_part(point_ring_cp2, delta, 0)
+        el = mp.horizontal_part(point_ring_cp2, [1, 1, 1], 0)
         assert el == {0: F(9)}  # 2! * 9/2
 
     def test_pairing_against_complementary_classes(self):
@@ -332,19 +333,17 @@ class TestHorizontalPart:
             k = ring.base.top
             for i in range(k // 2 + 1):
                 h = [F(rng.randint(-3, 3)) for _ in range(ring.cp.s)]
-                delta = mp.multipolytope(ring.cp, h)
-                b2i = mp.horizontal_part(ring, delta, i)
+                b2i = mp.horizontal_part(ring, h, i)
                 for eta_idx in ring.base.indices_of_degree(k - 2 * i):
                     eta = {eta_idx: F(1)}
                     lhs = ring.base.integrate(ring.base.mul(b2i, eta))
-                    rhs = mp.F_gamma(ring, eta, i, delta)
+                    rhs = mp.F_gamma(ring, eta, i, h)
                     assert lhs == rhs, (label, i)
 
     def test_i_out_of_range(self):
         ring = hirzebruch_ring(1)
-        delta = mp.multipolytope(ring.cp, [1, 1])
         with pytest.raises(DegreeMismatchError):
-            mp.horizontal_part(ring, delta, 2)
+            mp.horizontal_part(ring, [1, 1], 2)
 
 
 class TestBkkRandomized:
@@ -360,7 +359,7 @@ class TestBkkRandomized:
                 gamma = {rng.choice(candidates): F(1)}
                 h = [F(rng.randint(-12, 12), rng.randint(1, 4))
                      for _ in range(inst.cp.s)]
-                res = mp.bkk_check(ring, gamma, i, mp.multipolytope(inst.cp, h))
-                assert res.equal, (inst.label, gamma, i, h)
+                lhs, rhs = mp.bkk_check(ring, gamma, i, h)
+                assert lhs == rhs, (inst.label, gamma, i, h)
                 cases += 1
         assert cases >= 100

@@ -9,9 +9,9 @@ from qtk import basealg as ba
 from qtk import catalog as cat
 from qtk import charpair as cpm
 from qtk import invsys as iv
-from qtk import multipoly as mp
 from qtk import ppbrion as pp
 from qtk import srbundle as sr
+from qtk.record import Record
 
 
 def cases():
@@ -27,13 +27,9 @@ def cases():
          ("cp2", (), cp, base, chern, True, (F(1),) * 3, {"betti": [1, 0, 1, 0, 1]}),
          {"convex": False, "ample_h": None, "expected": {}}),
         (cpm.CharacteristicPair, (cp.n, cp.ray_dirs, cp.lam, cp.max_cones), {}),
-        (cpm.ConeSign, ((0, 1), -1), {}),
         (cpm.CheckResult, ("unimodular", False, "det 2"), {"detail": ""}),
         (cpm.ValidationReport, ((check,),), {}),
         (iv.Potential, (pot.var_names, pot.weights, pot.poly, pot.degree), {}),
-        (iv.HilbertFunction, ((1, 0, 1, 0, 1),), {}),
-        (mp.MultiPolytope, (cp, (F(1), F(1, 2), F(0))), {}),
-        (mp.BkkResult, (F(6), F(6), True), {}),
         (pp.PPElement, (cp, pp_el.degree, pp_el.polys), {}),
         (sr.BundleRing, (cp, base, chern), {}),
     ]
@@ -42,6 +38,11 @@ def cases():
 CASES = cases()
 UNCOMPARED = {cat.InstanceBundle: ("expected",)}
 CACHED_HASH = (cpm.CharacteristicPair, sr.BundleRing)
+
+
+def test_cases_cover_every_record_class():
+    assert len(CASES) == 8
+    assert {case[0] for case in CASES} == set(Record.__subclasses__())
 
 
 @pytest.mark.parametrize("cls, args, defaults", CASES, ids=[case[0].__name__ for case in CASES])
