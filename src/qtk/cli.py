@@ -6,12 +6,16 @@ catalog names ("catalog:cp2", "hirzebruch?a=2") or paths to bundle JSON
 files.  Reports are byte-deterministic; rationals are serialized as strings.
 
 Exit codes: 0 success / verified, 1 mathematical check failed, 2 bad input.
+
+Every command runs in a fresh process, so start-up is kept small: the
+report digest is hashed with CPython's built-in `_sha256`, not `hashlib`
+(which loads OpenSSL), and `COMMANDS` is one table of the subcommands from
+which `main` builds the parser for the one command it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -29,6 +33,11 @@ from .errors import MalformedInputError, QtkError
 from .exact import scalar_str
 from .literals import parse_class, parse_gamma, parse_h
 from .srbundle import BundleRing
+
+try:  # CPython's built-in SHA-256; hashlib would also load OpenSSL's _hashlib
+    from _sha256 import sha256
+except ImportError:  # CPython 3.12 renamed the module to _sha2
+    from hashlib import sha256
 
 
 # `brion` pads its dimension list with zeros up to --max-degree, so the
@@ -89,7 +98,7 @@ def instance_digest(inst: cat.InstanceBundle) -> str:
         "chern": ba.chern_to_json(inst.base, inst.chern),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +298,13 @@ def cmd_brion(args) -> tuple[dict, int]:
                    {"bundle_dims": bundle_dims, "fiber_quotient_dims": fiber}), 0
 
 
+# The sampled support entries k/den, one tuple per den = 1..4, |k| <= 3*den.
+# Choosing from a tuple of n draws the same random number as randint over n
+# values, so this stream equals that of randint(1, 4), randint(-3den, 3den).
+_SUPPORT_ENTRIES = tuple(tuple(Fraction(k, den) for k in range(-3 * den, 3 * den + 1))
+                         for den in (1, 2, 3, 4))
+
+
 def _bkk_samples(ring: BundleRing, count: int, seed: int):
     rng = random.Random(seed)
     k = ring.base.top
@@ -299,10 +315,7 @@ def _bkk_samples(ring: BundleRing, count: int, seed: int):
             if candidates:
                 break
         gamma = {rng.choice(candidates): Fraction(1)}
-        h = []
-        for _ in range(ring.cp.s):
-            den = rng.randint(1, 4)
-            h.append(Fraction(rng.randint(-3 * den, 3 * den), den))
+        h = [rng.choice(rng.choice(_SUPPORT_ENTRIES)) for _ in range(ring.cp.s)]
         yield gamma, i, h
 
 
@@ -363,82 +376,64 @@ def cmd_catalog(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
-def _add_instance(p, plural=False):
-    if plural:
-        p.add_argument("instance", nargs="+", help="catalog name or bundle file")
-    else:
-        p.add_argument("instance", help="catalog name or bundle file")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+_INSTANCE = ("instance", {"help": "catalog name or bundle file"})
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+
+# One entry per subcommand: name -> (help, function, options), each option
+# the (name, keywords) of one add_argument call, in the order usage lists them.
+COMMANDS = {
+    "validate": ("validate instances", cmd_validate, (
+        ("instance", {"nargs": "+", "help": "catalog name or bundle file"}), _FORMAT)),
+    "betti": ("graded dimensions of the bundle ring", cmd_betti, (_INSTANCE, _FORMAT)),
+    "volume": ("signed volume of a multi-polytope", cmd_volume, (
+        _INSTANCE, _FORMAT,
+        ("--h", {"required": True, "help": "support numbers, e.g. 1,1/2,-3"}))),
+    "intersect": ("top intersection number of classes", cmd_intersect, (
+        _INSTANCE, _FORMAT,
+        ("--classes", {"required": True, "help": "semicolon-separated class literals"}),
+        ("--gamma", {"default": "1", "help": "base class literal"}))),
+    "bkk": ("compare integral and intersection pipelines", cmd_bkk, (
+        _INSTANCE, _FORMAT, ("--gamma", {"default": "1"}),
+        ("--i", {"type": int, "default": 0}), ("--h", {"required": True}))),
+    "horizontal": ("horizontal part of a power of rho", cmd_horizontal, (
+        _INSTANCE, _FORMAT, ("--h", {"required": True}),
+        ("--i", {"type": int, "default": 0}))),
+    "potential": ("bundle potential", cmd_potential, (
+        _INSTANCE, _FORMAT,
+        ("--mode", {"choices": ("integral", "direct"), "default": "integral"}))),
+    "ann-hilbert": ("Hilbert function of the potential quotient", cmd_ann_hilbert,
+                    (_INSTANCE, _FORMAT)),
+    "ann-generators": ("annihilator generators of the potential", cmd_ann_generators, (
+        _INSTANCE, _FORMAT, ("--max-degree", {"type": int, "default": None}))),
+    "brion": ("piecewise-polynomial quotient dimensions", cmd_brion, (
+        _INSTANCE, _FORMAT, ("--max-degree", {"type": int, "default": None}))),
+    "check-all": ("cross-check all three presentations", cmd_check_all, (
+        _INSTANCE, _FORMAT, ("--samples", {"type": int, "default": 20}),
+        ("--seed", {"type": int, "default": 0}))),
+    "catalog": ("list built-in instances", cmd_catalog, (_FORMAT,)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every command, or for `command` alone.
+
+    A run parses one command, so `main` registers only that one: the other
+    eleven would cost each process a few milliseconds.  The one-command
+    parser names every command in its usage, as the full parser does; the
+    full parser keeps the default metavar, so an unknown command is still
+    reported as "argument command: invalid choice".
+    """
     parser = argparse.ArgumentParser(
         prog="qtk",
         description="exact cohomology of generalized quasitoric manifolds and bundles")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate instances")
-    _add_instance(p, plural=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("betti", help="graded dimensions of the bundle ring")
-    _add_instance(p)
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("volume", help="signed volume of a multi-polytope")
-    _add_instance(p)
-    p.add_argument("--h", required=True, help="support numbers, e.g. 1,1/2,-3")
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("intersect", help="top intersection number of classes")
-    _add_instance(p)
-    p.add_argument("--classes", required=True,
-                   help="semicolon-separated class literals")
-    p.add_argument("--gamma", default="1", help="base class literal")
-    p.set_defaults(func=cmd_intersect)
-
-    p = sub.add_parser("bkk", help="compare integral and intersection pipelines")
-    _add_instance(p)
-    p.add_argument("--gamma", default="1")
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--h", required=True)
-    p.set_defaults(func=cmd_bkk)
-
-    p = sub.add_parser("horizontal", help="horizontal part of a power of rho")
-    _add_instance(p)
-    p.add_argument("--h", required=True)
-    p.add_argument("--i", type=int, default=0)
-    p.set_defaults(func=cmd_horizontal)
-
-    p = sub.add_parser("potential", help="bundle potential")
-    _add_instance(p)
-    p.add_argument("--mode", choices=("integral", "direct"), default="integral")
-    p.set_defaults(func=cmd_potential)
-
-    p = sub.add_parser("ann-hilbert", help="Hilbert function of the potential quotient")
-    _add_instance(p)
-    p.set_defaults(func=cmd_ann_hilbert)
-
-    p = sub.add_parser("ann-generators", help="annihilator generators of the potential")
-    _add_instance(p)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.set_defaults(func=cmd_ann_generators)
-
-    p = sub.add_parser("brion", help="piecewise-polynomial quotient dimensions")
-    _add_instance(p)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.set_defaults(func=cmd_brion)
-
-    p = sub.add_parser("check-all", help="cross-check all three presentations")
-    _add_instance(p)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check_all)
-
-    p = sub.add_parser("catalog", help="list built-in instances")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_catalog)
-
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_, func, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -467,9 +462,9 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_dash_values(
-        sys.argv[1:] if argv is None else list(argv)))
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else list(argv))
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if [] in vars(args).values():  # argparse before 3.12 reads "--opt=--" as []
         sys.stderr.write("error: an option value must not be '--'\n")
         return 2

@@ -1,13 +1,18 @@
 """Command-line surface: exit codes, reports, determinism, file loading."""
 
+import argparse
 import contextlib
 import copy
+import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +23,8 @@ from qtk import charpair as cpm
 from qtk import exact
 from qtk import ppbrion as pp
 from qtk.catalog import all_instances, get
-from qtk.cli import MAX_DEGREE, main
+from qtk import cli
+from qtk.cli import COMMANDS, MAX_DEGREE, _bkk_samples, instance_digest, load_bundle_file, main
 from qtk.literals import parse_class
 
 from conftest import clear_caches, exterior_algebra
@@ -355,6 +361,123 @@ class TestCheckAll:
         # the checks that ran passed, and the skipped one does not count
         assert result["betti_equals_brion"] and result["bkk_ok"]
         assert result["ok"] is True and code == 0
+
+
+def randint_samples(ring, count, seed):
+    """Reference BKK sampler: two randint calls and a Fraction per support
+    entry."""
+    rng = random.Random(seed)
+    k = ring.base.top
+    for _ in range(count):
+        while True:
+            i = rng.randint(0, k // 2)
+            candidates = ring.base.indices_of_degree(k - 2 * i)
+            if candidates:
+                break
+        gamma = {rng.choice(candidates): Fraction(1)}
+        h = []
+        for _ in range(ring.cp.s):
+            den = rng.randint(1, 4)
+            h.append(Fraction(rng.randint(-3 * den, 3 * den), den))
+        yield gamma, i, h
+
+
+@pytest.mark.parametrize("inst", all_instances(), ids=lambda inst: inst.label)
+def test_bkk_samples_equal_the_randint_stream(inst):
+    """Drawing support entries from prebuilt tuples keeps every check-all
+    report: the samples are exactly those of the randint sampler."""
+    ring = inst.ring()
+    for seed in range(5):
+        assert list(_bkk_samples(ring, 300, seed)) == list(randint_samples(ring, 300, seed))
+
+
+def generated_bundle_file(tmp_path, monkeypatch):
+    """P(L0 + L1 + L2) over CP2 with twists (1, 2), from the benchmark's generator."""
+    spec = importlib.util.spec_from_file_location(
+        "instances", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                  "perfbench", "instances.py"))
+    instances = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "instances", instances)  # its dataclass looks itself up
+    spec.loader.exec_module(instances)
+    path = tmp_path / "p-l0-l1-l2-over-cp2.json"
+    instances.write_bundle(str(path), instances.projective_bundle(2, 2, [1, 2]))
+    return str(path)
+
+
+def test_digest_equals_hashlib_sha256(tmp_path, monkeypatch):
+    """The digest, hashed without hashlib, is hashlib's SHA-256 of the
+    canonical JSON of the bundle."""
+    for inst in all_instances() + [load_bundle_file(generated_bundle_file(tmp_path, monkeypatch))]:
+        blob = json.dumps(bundle_payload(inst), sort_keys=True, separators=(",", ":"))
+        assert instance_digest(inst) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# A valid argument list per command, then edits of it that argparse rejects,
+# answers itself or rewrites before parsing.
+VALID_ARGS = {
+    "validate": ["cp2"], "betti": ["cp2"], "volume": ["cp2", "--h", "1,1,1"],
+    "intersect": ["cp2", "--classes", "x1*x1"], "bkk": ["cp2", "--h", "1,1,1"],
+    "horizontal": ["cp2", "--h", "1,1,1"], "potential": ["cp2"], "ann-hilbert": ["cp2"],
+    "ann-generators": ["cp2"], "brion": ["cp2"], "check-all": ["cp2", "--samples", "3"],
+    "catalog": [],
+}
+EDITS = [[], ["--help"], ["--bogus"], ["--format", "xml"], ["--mode", "x"],
+         ["--samples", "x"], ["--sam", "3"], ["--h=--"], ["--classes", "-x1"]]
+
+
+class TestOneCommandParser:
+    def test_table_names_every_command(self):
+        assert sorted(VALID_ARGS) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_output_equals_the_full_parser(self, capsys, monkeypatch, command):
+        """main parses with build_parser(command); with build_parser() the
+        stdout, stderr and exit code of each argument list are the same."""
+        monkeypatch.setenv("COLUMNS", "80")
+        full_parser = cli.build_parser
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        valid = VALID_ARGS[command]
+        corpus = [[command, *valid[1:]]] + [[command, *valid, *edit] for edit in EDITS]
+        one = [outcome(argv) for argv in corpus]
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert [outcome(argv) for argv in corpus] == one
+
+    def test_unknown_command_names_the_argument(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        choices = ", ".join(repr(name) for name in COMMANDS)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"qtk: error: argument command: invalid choice: 'bogus' (choose from {choices})\n")
+
+    @pytest.mark.parametrize("argv,registered", [
+        (["betti", "cp3"], ["betti"]),
+        (["bogus"], list(COMMANDS)),
+        (["--", "betti", "cp3"], list(COMMANDS)),
+    ])
+    def test_a_run_registers_only_its_command(self, capsys, monkeypatch, argv, registered):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert names == registered
 
 
 class TestCatalogAndFormats:
