@@ -14,12 +14,20 @@ generalized BKK integral of <c(x)^i gamma, [B]> / i! over the multi-polytope
 symbolically in h (Khovanskii-Pukhlikov), and directly, as the sum of
 <gamma x^alpha, [M]> h^alpha / alpha! over top-degree evaluations.  A
 Hilbert function is the plain tuple of dimensions by weighted degree.
+
+Ann(p) in degree d is the kernel of the catalecticant matrix of p
+(Iarrobino-Kanev, Power Sums, Gorenstein Algebras, and Determinantal Loci,
+1999), read straight off p's terms: a term c x^e puts c e!/(e-m)! at row
+e - m and column m for each degree-d monomial m dividing x^e.  The rows of
+a lower generator times x^m are its exponents shifted by m.  Only the
+check that each generator kills p differentiates p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, perm, prod
+from operator import add, sub
 
 from . import exact
 from .basealg import Element, GradedBaseAlgebra, el_scale, f_gamma, power_product
@@ -136,16 +144,43 @@ def apply_operator(q: MultiPoly, p: MultiPoly) -> MultiPoly:
     return out
 
 
+def _divisors(e: tuple[int, ...], weights: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
+    """The exponents m <= e (componentwise) of weighted degree d."""
+    support = [k for k, a in enumerate(e) if a]
+    room = [0]  # room[j]: the largest weighted degree of the last j support entries
+    for k in reversed(support):
+        room.append(room[-1] + e[k] * weights[k])
+    picks = [((), d)]
+    for j, k in enumerate(support):
+        a, w, rest = e[k], weights[k], room[len(support) - 1 - j]
+        picks = [(bs + (b,), r - b * w) for bs, r in picks
+                 for b in range(max(0, -((rest - r) // w)), min(a, r // w) + 1)]
+    out = []
+    for bs, r in picks:
+        if r == 0:
+            m = [0] * len(e)
+            for k, b in zip(support, bs):
+                m[k] = b
+            out.append(tuple(m))
+    return out
+
+
 def _apolar_rows(p: Potential, d: int) -> tuple[list[tuple[int, ...]], list[dict]]:
     """The degree-d monomials and the map m -> m(p) as sparse rows: one row
     per monomial of degree p.degree - d, holding its coefficient in each
-    image, so the row kernel is Ann(p) in degree d."""
+    image, so the row kernel is Ann(p) in degree d.
+
+    This is the catalecticant matrix of p, read off its terms: a term
+    c x^e gives c e!/(e-m)! at row e - m, column m, for every degree-d
+    monomial m dividing x^e, and no two terms meet at one entry.
+    """
     monos = weighted_monomials(p.weights, d)
+    column = {m: k for k, m in enumerate(monos)}
     index = {t: k for k, t in enumerate(weighted_monomials(p.weights, p.degree - d))}
     rows: list[dict[int, Fraction]] = [{} for _ in index]
-    for i, m in enumerate(monos):
-        for t, c in p.poly.apply_derivative(m).terms.items():
-            rows[index[t]][i] = c
+    for e, c in p.poly.terms.items() if monos else ():
+        for m in _divisors(e, p.weights, d):
+            rows[index[tuple(map(sub, e, m))]][column[m]] = c * prod(map(perm, e, m))
     return monos, rows
 
 
@@ -180,8 +215,9 @@ def ann_generators(p: Potential, up_to_degree: int | None = None) -> dict[int, l
         span = exact.RowSpace(len(monos))
         for gd, g in gens_flat:
             for m in weighted_monomials(p.weights, d - gd):
-                prod = g * MultiPoly.monomial(m)
-                span.insert({index[expo]: c for expo, c in prod.terms.items()})
+                # the row of g * x^m: g's exponents shifted by m
+                span.insert({index[tuple(map(add, expo, m))]: c
+                             for expo, c in g.terms.items()})
         new: list[MultiPoly] = []
         for vec in exact.kernel_basis(rows, len(monos)):
             if span.insert(vec):

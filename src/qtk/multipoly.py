@@ -24,7 +24,12 @@ direction) the cone data of the vertex sum, and per (pair, integrand) the
 distinct (form, degree) pairs of its decomposition with merged
 coefficients, over one common denominator so that a sample runs in ints
 (h = H / D with integer H).  One plan serves numeric h (a Fraction) and
-symbolic h (a MultiPoly in h_1..h_s).
+symbolic h (a MultiPoly in h_1..h_s), and both run in ints: the vertex sum
+needs only the t-expansion of (l + t zeta)(A)^(n+d), which is an int power
+for numeric h and, for symbolic h, the multinomial theorem over the cone's
+rays, one int coefficient per h-monomial.  The Laurent bookkeeping that
+combines it with the plan, the pole check included, is the same for both,
+and each path divides by the common denominator once at the end.
 
 The BKK comparison caches one sampler per (ring, gamma, i): the
 integration plan of f_gamma, and a table with one int weight
@@ -38,15 +43,16 @@ caller to compare.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, lcm, prod
+from operator import add
 from typing import Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
 from .charpair import CharacteristicPair, cone_sign, dual_edge_frame, support_vector
 from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_scalar, cleared_dense, dot, int_if_integral
-from .poly import MultiPoly, power_of_linear_forms
+from .poly import MultiPoly, power_of_linear_forms, weighted_monomials
 from .srbundle import BundleRing, evaluate_top, face_monomials
 
 
@@ -83,7 +89,38 @@ def generic_direction(cp: CharacteristicPair) -> tuple[Fraction, ...]:
 
 # ---------------------------------------------------------------------------
 # The vertex expansion engine.  Values are ints (numeric h = H / D) or
-# MultiPoly in h (symbolic); the code is generic over both.
+# _HPoly in h (symbolic); the bookkeeping is generic over both.
+
+class _HPoly(dict):
+    """A polynomial in h_1..h_s as {exponent: int or Fraction}: a symbolic
+    value of the vertex sum, with the sums, products and scalar multiples
+    that the expansion and the Laurent bookkeeping take.  Zero entries may
+    stay; a polynomial whose entries are all zero is falsy."""
+
+    __slots__ = ()
+
+    def __add__(self, other):  # other is an _HPoly or the int 0
+        out = _HPoly(self)
+        if isinstance(other, _HPoly):
+            for e, v in other.items():
+                out[e] = out.get(e, 0) + v
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, _HPoly):
+            return _HPoly({e: v * other for e, v in self.items()})
+        out = _HPoly()
+        for e1, v1 in self.items():
+            for e2, v2 in other.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + v1 * v2
+        return out
+
+    def __bool__(self):
+        return any(self.values())
+
 
 def _series_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
     """Power series inverse of sum coeffs[k] t^k (coeffs[0] != 0), to t^order."""
@@ -176,26 +213,69 @@ def _integration_plan(cp: CharacteristicPair, f: MultiPoly,
     return _scaled_plans(cp, [(ell, d, w) for (ell, d), w in merged.items() if w])
 
 
-def _vertex_sum(cones, power: int, hvals):
-    """Numerator of one form's vertex sum at h = hvals / D, exactly.
+def _numeric_power(big_h: list[int], cone, lw, zw, m: int, power: int):
+    """The t^j coefficients, j <= min(power, m), of (l + t zeta)(A)^power at
+    h = big_h / D, times D^power: l(A) = sum H_i l(w_i) over the cone's
+    rays (and zeta(A) on cones with m > 0), in ints."""
+    la0 = sum(big_h[i] * a for i, a in zip(cone, lw))
+    if m == 0:
+        return (la0 ** power,)
+    la1 = sum(big_h[i] * b for i, b in zip(cone, zw))
+    return [la0 ** (power - j) * la1 ** j * comb(power, j)
+            for j in range(min(power, m) + 1)]
+
+
+@lru_cache(maxsize=None)
+def _multinomials(rays: tuple[int, ...], s: int, power: int):
+    """Per exponent vector a on the rays with |a| = power: the exponent of
+    h_1..h_s it gives, a itself and power!/a!."""
+    terms = []
+    for a in weighted_monomials((1,) * len(rays), power):
+        key = [0] * s
+        for i, e in zip(rays, a):
+            key[i] = e
+        terms.append((tuple(key), a, factorial(power) // prod(map(factorial, a))))
+    return tuple(terms)
+
+
+def _linear_power(rays: tuple[int, ...], coeffs, s: int, power: int) -> "_HPoly":
+    """(sum_k coeffs[k] h_rays[k])^power by the multinomial theorem: the
+    coefficient of h^a is power!/a! * prod_k coeffs[k]^a_k."""
+    pows = [[x ** e for e in range(power + 1)] for x in coeffs]
+    return _HPoly({key: coeff * prod(map(list.__getitem__, pows, a))
+                   for key, a, coeff in _multinomials(rays, s, power)})
+
+
+def _symbolic_power(s: int, cone, lw, zw, m: int, power: int):
+    """The t^j coefficients, j <= min(power, m), of (l + t zeta)(A)^power
+    for symbolic h, as _HPoly in h_1..h_s: C(power, j) l(A)^(power-j)
+    zeta(A)^j, each power of a linear form in h expanded by the
+    multinomial theorem.  l(A) = sum h_i l(w_i) runs over the n - m rays
+    with l(w) != 0."""
+    if m == 0:
+        return (_linear_power(cone, lw, s, power),)
+    rays = tuple(i for i, a in zip(cone, lw) if a)
+    coeffs = [a for a in lw if a]
+    return [_linear_power(rays, coeffs, s, power - j) * _linear_power(cone, zw, s, j)
+            * comb(power, j) for j in range(min(power, m) + 1)]
+
+
+def _vertex_sum(cones, power: int, expand):
+    """Numerator of one form's vertex sum, exactly.
 
     Per cone it is the constant Laurent coefficient at t = 0 of
     sign * (l + t zeta)(A)^power / prod (l + t zeta)(w), times the plan's
-    den and D^power: l(A) = sum hvals_i l(w_i) over the cone's rays (and
-    zeta(A) on cones with m > 0).  hvals are ints for numeric h and the
-    variables h_1..h_s (D = 1) for symbolic h.  The pole terms must cancel.
+    den.  expand(cone, l(w), zeta(w), m, power) gives the numerator's t^j
+    coefficients for j <= min(power, m) (_numeric_power, _symbolic_power).
+    The pole terms must cancel.
     """
     const = 0
     poles: dict[int, object] = {}  # pole order j -> coefficient of t^-j
     for cone, lw, zw, m, c in cones:
-        la0 = sum(hvals[i] * a for i, a in zip(cone, lw))
+        num = expand(cone, lw, zw, m, power)
         if m == 0:
-            const = const + la0 ** power * c[0]
+            const = const + num[0] * c[0]
             continue
-        la1 = sum(hvals[i] * b for i, b in zip(cone, zw))
-        # numerator (la0 + t la1)^power: coefficients of t^0..t^m suffice
-        num = [(la0 ** (power - j)) * (la1 ** j) * comb(power, j)
-               for j in range(min(power, m) + 1)]
         for k in range(m + 1):
             # coefficient of t^(k-m) in the cone's Laurent expansion
             acc = num[0] * c[k]
@@ -210,18 +290,19 @@ def _vertex_sum(cones, power: int, hvals):
     return const
 
 
-def _plan_sum(plan, hvals, scale: int, zero=0):
-    """A scaled plan's integral at h = hvals / scale, as (numerator, denominator).
+def _plan_sum(plan, expand, scale: int):
+    """A scaled plan's integral at h = H / scale, as (numerator, denominator),
+    with expand reading H (see _vertex_sum).
 
-    Each form's vertex sum is homogeneous of degree n + d in hvals, so it is
+    Each form's vertex sum is homogeneous of degree n + d in H, so it is
     brought to the largest such degree, top, by scale^(top - power); the
     denominator is den * scale^top.
     """
     den, forms = plan
     top = max((power for power, _ in forms), default=0)
-    total = zero
+    total = 0
     for power, cones in forms:
-        part = _vertex_sum(cones, power, hvals)
+        part = _vertex_sum(cones, power, expand)
         total = total + (part if power == top else part * scale ** (top - power))
     return total, den * scale ** top
 
@@ -231,13 +312,15 @@ def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
     h_1..h_s when h is None.
 
     Numeric h is written once as H / D with integer H, so every vertex sum
-    runs in ints and one division by den * D^top ends it.
+    runs in ints and one division by den * D^top ends it; symbolic h has
+    int coefficients over den, divided once at the end.
     """
     if h is None:
-        hvals = [MultiPoly.variable(cp.s, i) for i in range(cp.s)]
-        total, den = _plan_sum(plan, hvals, 1, MultiPoly.zero(cp.s))
-        return total * Fraction(1, den)
-    return Fraction(*_plan_sum(plan, *cleared_dense(h)))
+        total, den = _plan_sum(plan, partial(_symbolic_power, cp.s), 1)
+        terms = total.items() if total else ()  # total is the int 0 without forms
+        return MultiPoly._trusted(cp.s, {e: Fraction(v, den) for e, v in terms if v})
+    big_h, scale = cleared_dense(h)
+    return Fraction(*_plan_sum(plan, partial(_numeric_power, big_h), scale))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +439,7 @@ def bkk_check(ring: BundleRing, gamma: Element, i: int,
     plan, table, wden = _sampler(ring, gamma, i)
     big_h, den = cleared_dense(h)
     k = ring.cp.n + i
-    num, iden = _plan_sum(plan, big_h, den)
+    num, iden = _plan_sum(plan, partial(_numeric_power, big_h), den)
     return (Fraction(factorial(k) * num, iden),
             Fraction(factorial(i) * _table_sum(table, big_h), wden * den ** k))
 

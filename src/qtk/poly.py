@@ -3,12 +3,22 @@
 A polynomial maps exponent tuples (one int per variable) to nonzero Fraction
 coefficients.  Iteration and serialization are in lexicographic exponent
 order, so all emitted output is byte-stable.
+
+The checks live at the edges.  The public constructor, the classmethods and
+every reader of outside input check each exponent (one non-negative int per
+variable) and convert each coefficient to a Fraction, dropping zeros.  Ring
+operations, partial derivatives, `apply_derivative` and the symbolic
+integrals of `multipoly` build their results from terms that are already
+clean, through the private `_trusted` constructor, which checks nothing;
+`partial` and `apply_derivative` check their own argument (a variable
+index, a derivative exponent) on entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
+from operator import ge, sub
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatchError, MalformedInputError
@@ -40,6 +50,16 @@ class MultiPoly:
                     if not clean[expo]:
                         del clean[expo]
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """A polynomial on terms that are already clean: int-tuple keys of
+        length nvars and nonzero Fraction values.  Nothing is checked or
+        copied."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = terms
+        return self
 
     # -- constructors -------------------------------------------------------
 
@@ -84,13 +104,13 @@ class MultiPoly:
                 out[expo] = v
             else:
                 out.pop(expo, None)
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -102,8 +122,8 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return MultiPoly(self.nvars, {})
-            return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+                return MultiPoly._trusted(self.nvars, {})
+            return MultiPoly._trusted(self.nvars, {e: v * c for e, v in self.terms.items()})
         other = self._coerce(other)
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -114,14 +134,14 @@ class MultiPoly:
                     out[e] = v
                 else:
                     del out[e]
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, scalar) -> "MultiPoly":
         c = Fraction(scalar)
-        return MultiPoly(self.nvars, {e: v / c for e, v in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: v / c for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -206,6 +226,8 @@ class MultiPoly:
 
     def partial(self, index: int) -> "MultiPoly":
         """Partial derivative with respect to variable `index`."""
+        if not (isinstance(index, int) and 0 <= index < self.nvars):
+            raise MalformedInputError(f"no variable {index!r} among {self.nvars}")
         out = {}
         for expo, coeff in self.terms.items():
             e = expo[index]
@@ -213,30 +235,21 @@ class MultiPoly:
                 new = list(expo)
                 new[index] = e - 1
                 out[tuple(new)] = coeff * e
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out)
 
     def apply_derivative(self, expo: Sequence[int]) -> "MultiPoly":
         """Apply the constant-coefficient operator prod_i d/dx_i^expo[i].
 
         Monomial action: d^b x^a = a!/(a-b)! x^(a-b), zero when any b_i > a_i.
+        The exponent must hold one non-negative int per variable.  Distinct
+        monomials x^a give distinct x^(a-b), so no two terms meet.
         """
-        out = {}
-        for mono, coeff in self.terms.items():
-            if any(b > a for a, b in zip(mono, expo)):
-                continue
-            c = coeff
-            new = []
-            for a, b in zip(mono, expo):
-                new.append(a - b)
-                if b:
-                    c *= Fraction(factorial(a), factorial(a - b))
-            key = tuple(new)
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        return MultiPoly(self.nvars, out)
+        expo = tuple(expo)
+        if len(expo) != self.nvars or not all(isinstance(b, int) and b >= 0 for b in expo):
+            raise MalformedInputError(f"bad exponent {expo} for {self.nvars} variables")
+        return MultiPoly._trusted(self.nvars, {
+            tuple(map(sub, mono, expo)): coeff * prod(map(perm, mono, expo))
+            for mono, coeff in self.terms.items() if all(map(ge, mono, expo))})
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
         if not self.terms:

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtk import basealg as ba
 from qtk.catalog import all_instances
@@ -93,6 +95,25 @@ class TestValidatorMutants:
         alg = ba.GradedBaseAlgebra(cp4.names, cp4.degrees, products, cp4.fundamental)
         report = alg.validate()
         assert not [c for c in report.checks if c.name == "associative"][0].passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_associativity_equals_triple_products(self, data):
+        """The check read off the structure constants agrees with
+        multiplying every basis triple both ways, on mutated tables."""
+        uv = ba.tensor(ba.make_cp(1, "u"), ba.make_cp(1, "v"))
+        products = {k: dict(v) for k, v in uv.products.items()}
+        index = st.integers(0, uv.dim - 1)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i, j, k = data.draw(index), data.draw(index), data.draw(index)
+            products[(i, j)] = {k: data.draw(st.fractions(min_value=-2, max_value=2,
+                                                          max_denominator=2))}
+        alg = ba.GradedBaseAlgebra(uv.names, uv.degrees, products, uv.fundamental)
+        unit = [{i: F(1)} for i in range(alg.dim)]
+        expected = all(alg.mul(alg.mul(a, b), c) == alg.mul(a, alg.mul(b, c))
+                       for a in unit for b in unit for c in unit)
+        report = alg.validate()
+        assert [c for c in report.checks if c.name == "associative"][0].passed == expected
 
     def test_pairing_mutant(self, base_cp2):
         fundamental = [F(0)] * base_cp2.dim  # kill the functional

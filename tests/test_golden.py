@@ -1,6 +1,6 @@
 """`qtk check-all`, `qtk brion`, `qtk potential`, `qtk bkk`, `qtk volume`,
-`qtk horizontal` and `qtk ann-hilbert` reports compared byte for byte
-against committed files.
+`qtk horizontal`, `qtk ann-hilbert` and `qtk ann-generators` reports
+compared byte for byte against committed files.
 
 The files under tests/golden/<command> were written once from
 `qtk <command> <spec>` (default options, samples and seed) and are never
@@ -15,7 +15,9 @@ written from `qtk bkk <spec> --gamma 1 --i <top/2> --h <BKK_H>`, with h cut
 to the spec's ray count.  The volume and horizontal reports use the same h,
 horizontal at the same i; the ann-hilbert reports pin the apolar Hilbert
 function in every weighted degree, odd ones included, where check-all
-prints only the even ones.
+prints only the even ones.  The ann-generators reports pin the generator
+strings, which depend on the kernel basis of the apolar rows, so a change
+in the order or scale of those rows shows.
 """
 
 import os
@@ -27,7 +29,7 @@ from qtk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 COMMANDS = ["check-all", "brion", "potential", "bkk", "volume", "horizontal",
-            "ann-hilbert"]
+            "ann-hilbert", "ann-generators"]
 EXTRA_SPECS = ["cp2-bundle-over-cp1?a=1,b=2"]
 SPECS = sorted({inst.label for inst in all_instances()} | set(EXTRA_SPECS))
 # The bkk support vector: negative and fractional entries, mixed denominators.
@@ -95,3 +97,8 @@ def test_horizontal_matches_golden(spec, capsys, monkeypatch):
 @pytest.mark.parametrize("spec", SPECS)
 def test_ann_hilbert_matches_golden(spec, capsys, monkeypatch):
     _assert_matches_golden("ann-hilbert", spec, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_ann_generators_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("ann-generators", spec, capsys, monkeypatch)

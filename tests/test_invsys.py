@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtk import basealg as ba
 from qtk import charpair as cpm
@@ -13,7 +15,7 @@ from qtk import multipoly as mp
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
 from qtk.errors import MalformedInputError, OddClassesPresentError
-from qtk.poly import MultiPoly
+from qtk.poly import MultiPoly, weighted_monomials
 
 from conftest import exterior_algebra, hirzebruch_ring, two_character_cases
 
@@ -130,6 +132,48 @@ class TestAnnHilbert:
         p = iv.volume_potential(cp2)
         scaled = iv.Potential(p.var_names, p.weights, p.poly * 7, p.degree)
         assert iv.ann_hilbert(scaled) == iv.ann_hilbert(p)
+
+
+def apolar_rows_by_derivatives(p, d):
+    """The apolar rows the direct way: the whole potential differentiated
+    once per degree-d monomial, each image's coefficients read into the
+    rows of the degree p.degree - d monomials."""
+    monos = weighted_monomials(p.weights, d)
+    index = {t: k for k, t in enumerate(weighted_monomials(p.weights, p.degree - d))}
+    rows = [{} for _ in index]
+    for i, m in enumerate(monos):
+        for t, c in p.poly.apply_derivative(m).terms.items():
+            rows[index[t]][i] = c
+    return monos, rows
+
+
+class TestApolarRows:
+    """The catalecticant rows, read off the potential's terms, equal the
+    rows of one derivative per monomial."""
+
+    def test_catalog_potentials(self, all_instances):
+        for inst in all_instances:
+            p = iv.bundle_potential_integral(inst.ring())
+            for d in range(p.degree + 1):
+                assert iv._apolar_rows(p, d) == apolar_rows_by_derivatives(p, d), \
+                    (inst.label, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_quasi_homogeneous(self, data):
+        weights = tuple(data.draw(st.lists(st.sampled_from((2, 4)), min_size=1, max_size=3)))
+        degree = 2 * data.draw(st.integers(0, 6))
+        monos = weighted_monomials(weights, degree)
+        chosen = data.draw(st.lists(st.sampled_from(monos), unique=True)
+                           if monos else st.just([]))
+        coeffs = data.draw(st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+            min_size=len(chosen), max_size=len(chosen)))
+        names = tuple(f"y{k}" for k in range(len(weights)))
+        p = iv.Potential(names, weights,
+                         MultiPoly(len(weights), dict(zip(chosen, coeffs))), degree)
+        for d in range(degree + 1):
+            assert iv._apolar_rows(p, d) == apolar_rows_by_derivatives(p, d), d
 
 
 class TestAnnGenerators:

@@ -13,9 +13,11 @@ frames: a genuinely different computation path.
 
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtk import basealg as ba
 from qtk import charpair as cpm
@@ -201,6 +203,86 @@ class TestSymbolicIntegral:
             p1 = mp.integral_polynomial_symbolic(cp, one, direction=d1)
             p2 = mp.integral_polynomial_symbolic(cp, one, direction=d2)
             assert p1 == p2, inst.label
+
+
+def symbolic_by_multipoly(cp, f, direction=None):
+    """The symbolic integral of f the way it was once taken, as a reference:
+    per monomial of f and form of its decomposition, the vertex sum of the
+    unscaled cone plan with l(A) and zeta(A) as MultiPoly linear forms in h,
+    raised to powers in Fractions, with no common denominator."""
+    hs = [MultiPoly.variable(cp.s, i) for i in range(cp.s)]
+    zero = MultiPoly.zero(cp.s)
+    ell0 = mp.generic_direction(cp) if direction is None else tuple(map(F, direction))
+    total = zero
+    for alpha, coeff in f.items():
+        d = sum(alpha)
+        power = cp.n + d
+        scale = coeff * F(factorial(d), factorial(power))
+        for c, form in power_of_linear_forms(alpha) if d else [(F(1), ell0)]:
+            for cone, lw, zw, m, cs in mp._vertex_plan(cp, tuple(form)):
+                la0 = sum((hs[i] * a for i, a in zip(cone, lw)), zero)
+                la1 = sum((hs[i] * b for i, b in zip(cone, zw)), zero)
+                # t^0 of (la0 + t la1)^power / (t^m * ...): t^j of the
+                # numerator against t^(m-j) of the cone's series
+                for j in range(min(power, m) + 1):
+                    total = total + la0 ** (power - j) * la1 ** j \
+                        * (comb(power, j) * cs[m - j] * c * scale)
+    return total
+
+
+def degenerate_directions(cp):
+    """Directions vanishing on a dual edge vector of the first cone, so some
+    cones have m > 0: one per dual edge vector (n > 1), its third, and 0."""
+    out = [(0,) * cp.n]
+    for w in mp._cone_data(cp)[0][2]:
+        i = next(k for k, x in enumerate(w) if x)
+        if cp.n > 1:
+            j = (i + 1) % cp.n
+            ell = [0] * cp.n
+            ell[j], ell[i] = w[i], -w[j]
+            out += [tuple(ell), tuple(F(x, 3) for x in ell)]
+    return out
+
+
+class TestSymbolicInInts:
+    """The int vertex sums equal the Fraction MultiPoly vertex sums."""
+
+    def test_degenerate_directions(self, all_instances):
+        for inst in all_instances:
+            cp = inst.cp
+            one = MultiPoly.constant(cp.n, 1)
+            for ell in degenerate_directions(cp):
+                assert any(m > 0 for *_, m, _ in mp._vertex_plan(cp, tuple(map(F, ell))))
+                assert mp.integral_polynomial_symbolic(cp, one, direction=ell) \
+                    == symbolic_by_multipoly(cp, one, ell), (inst.label, ell)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_integrands(self, data):
+        cp = data.draw(st.sampled_from(all_instances())).cp
+        degree = data.draw(st.integers(0, 3))
+        monos = weighted_monomials((1,) * cp.n, degree)
+        chosen = data.draw(st.lists(st.sampled_from(monos), unique=True))
+        coeffs = data.draw(st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+            min_size=len(chosen), max_size=len(chosen)))
+        f = MultiPoly(cp.n, dict(zip(chosen, coeffs)))
+        ell = data.draw(st.sampled_from([None] + degenerate_directions(cp)))
+        assert mp.integral_polynomial_symbolic(cp, f, direction=ell) \
+            == symbolic_by_multipoly(cp, f, ell)
+
+    def test_uncancelled_poles_are_rejected(self, cp2):
+        """A cone with m > 0 whose sign is flipped leaves its poles
+        uncancelled, for symbolic and for numeric h."""
+        den, forms = mp._integration_plan(cp2, MultiPoly.constant(2, 1), (F(0), F(1)))
+        (power, cones), = forms
+        k = next(k for k, (*_, m, _) in enumerate(cones) if m > 0)
+        cone, lw, zw, m, c = cones[k]
+        flipped = cones[:k] + ((cone, lw, zw, m, tuple(-v for v in c)),) + cones[k + 1:]
+        plan = (den, ((power, flipped),))
+        for h in (None, [F(1), F(2), F(3)]):
+            with pytest.raises(MalformedInputError, match="pole terms"):
+                mp._evaluate(cp2, plan, h)
 
 
 class TestIderLaw:

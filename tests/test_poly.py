@@ -45,6 +45,33 @@ class TestArithmetic:
         assert p.apply_derivative((2, 0)) == MultiPoly(2, {(1, 1): F(6)})
         assert p.apply_derivative((4, 0)) == MultiPoly.zero(2)
 
+    @pytest.mark.parametrize("expo", [(1, 0, 0), (-1, 0), (1,), (1.0, 0), (True, "1")])
+    def test_apply_derivative_checks_its_exponent(self, expo):
+        # one non-negative int per variable: a longer exponent used to be
+        # truncated, a negative entry gave an antiderivative
+        with pytest.raises(MalformedInputError, match="bad exponent"):
+            MultiPoly(2, {(2, 1): F(3)}).apply_derivative(expo)
+
+    @pytest.mark.parametrize("index", [2, -1, 1.0])
+    def test_partial_checks_its_index(self, index):
+        with pytest.raises(MalformedInputError, match="no variable"):
+            MultiPoly(2, {(2, 1): F(3)}).partial(index)
+
+    def test_ring_results_are_clean(self):
+        """Results built without the constructor's checks still hold only
+        int-tuple keys of the right length and nonzero Fraction values."""
+        x = MultiPoly.variable(2, 0)
+        p = MultiPoly(2, {(3, 1): 2, (0, 2): F(-1, 2)})
+        results = [p + x, x + 1, -p, p - p, p * x, p * 3, 3 * p, p * F(1, 3),
+                   p * 0, p / 4, p ** 2, p.partial(0), p.partial(1),
+                   p.apply_derivative((1, 1)), p.apply_derivative((0, 0))]
+        for q in results:
+            assert q.nvars == 2
+            for expo, c in q.terms.items():
+                assert type(c) is F and c
+                assert len(expo) == 2 and all(type(e) is int and e >= 0 for e in expo)
+            assert MultiPoly(2, q.terms) == q
+
     def test_weighted_degrees(self):
         p = MultiPoly(2, {(1, 1): F(1)})
         assert Potential(("x", "y"), (2, 4), p, 6).degree == 6
