@@ -225,11 +225,11 @@ def el_str(alg: GradedBaseAlgebra, a: Element) -> str:
         c = a[idx]
         name = alg.names[idx]
         if name == "1":
-            parts.append(str(c))
+            parts.append(scalar_str(c))
         elif c == 1:
             parts.append(name)
         else:
-            parts.append(f"{c}*{name}")
+            parts.append(f"{scalar_str(c)}*{name}")
     return " + ".join(parts).replace("+ -", "- ")
 
 

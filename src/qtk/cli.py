@@ -43,6 +43,10 @@ except ImportError:  # CPython 3.12 renamed the module to _sha2
 # `brion` pads its dimension list with zeros up to --max-degree, so the
 # option is capped where that list stays small.
 MAX_DEGREE = 10 ** 6
+# `check-all` runs one BKK sample after another; a million of them take 27 s
+# on cp2 and 35 s on cp3 (2-vCPU host), so --samples is capped there.  A
+# sample costs more on larger bundles: about 1 ms on P(L0+...+L4) over CP^4.
+MAX_SAMPLES = 10 ** 6
 
 
 class CheckFailure(Exception):
@@ -153,6 +157,8 @@ def _validated_ring(inst: cat.InstanceBundle) -> BundleRing:
 def _require_samples(samples: int) -> None:
     if samples < 1:
         raise MalformedInputError(f"--samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise MalformedInputError(f"--samples must be at most {MAX_SAMPLES}, got {samples}")
 
 
 def _require_max_degree(max_degree: int | None) -> None:
@@ -227,7 +233,7 @@ def cmd_bkk(args) -> tuple[dict, int]:
     ring = _validated_ring(inst)
     gamma = parse_gamma(ring, args.gamma)
     h = parse_h(args.h, inst.cp.s)
-    lhs, rhs = mp.bkk_check(ring, gamma, args.i, h)
+    lhs, rhs = mp.bkk_sides(ring, gamma, args.i, h)
     report = _report("bkk", inst, {"gamma": args.gamma, "i": args.i, "h": args.h}, {
         "lhs": scalar_str(lhs),
         "rhs": scalar_str(rhs),
@@ -305,16 +311,21 @@ _SUPPORT_ENTRIES = tuple(tuple(Fraction(k, den) for k in range(-3 * den, 3 * den
                          for den in (1, 2, 3, 4))
 
 
+# One shared coefficient: equal classes then compare by identity in
+# multipoly.bkk_check's table of samplers.
+_ONE = Fraction(1)
+
+
 def _bkk_samples(ring: BundleRing, count: int, seed: int):
     rng = random.Random(seed)
     k = ring.base.top
+    candidates = [ring.base.indices_of_degree(k - 2 * i) for i in range(k // 2 + 1)]
     for _ in range(count):
         while True:
             i = rng.randint(0, k // 2)
-            candidates = ring.base.indices_of_degree(k - 2 * i)
-            if candidates:
+            if candidates[i]:
                 break
-        gamma = {rng.choice(candidates): Fraction(1)}
+        gamma = {rng.choice(candidates[i]): _ONE}
         h = [rng.choice(rng.choice(_SUPPORT_ENTRIES)) for _ in range(ring.cp.s)]
         yield gamma, i, h
 
@@ -345,15 +356,11 @@ def cmd_check_all(args) -> tuple[dict, int]:
     else:  # the apolar Hilbert function is only defined over even bases
         result["hilbert_matches"] = "skipped"
         result["ann_hilbert_even"] = None
-    failures = []
-    for gamma, i, h in _bkk_samples(ring, args.samples, seed):
-        lhs, rhs = mp.bkk_check(ring, gamma, i, h)
-        if lhs != rhs:
-            failures.append({
-                "gamma": ba.el_str(ring.base, gamma), "i": i,
-                "h": [scalar_str(v) for v in h],
-                "lhs": scalar_str(lhs), "rhs": scalar_str(rhs),
-            })
+    failures = [{"gamma": ba.el_str(ring.base, gamma), "i": i,
+                 "h": [scalar_str(v) for v in h],
+                 "lhs": scalar_str(lhs), "rhs": scalar_str(rhs)}
+                for gamma, i, h, lhs, rhs
+                in mp.bkk_check(ring, _bkk_samples(ring, args.samples, seed))]
     result["bkk_samples"] = args.samples
     result["bkk_seed"] = seed
     result["bkk_failures"] = failures

@@ -27,6 +27,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError, SingularMatrixError
@@ -67,8 +68,29 @@ def as_int(x) -> int:
 
 
 def scalar_str(x: Fraction) -> str:
-    """Serialize a rational as 'p' or 'p/q'; inverse of as_scalar."""
-    return str(x)
+    """Serialize a rational as 'p' or 'p/q'; inverse of as_scalar.
+
+    Integers of any length are written out: CPython's str() refuses one of
+    more digits than sys.get_int_max_str_digits() (4300 by default), so
+    long ones are converted in pieces below it, and that process-wide
+    limit is left as it is.
+    """
+    num = x.numerator
+    digits = "-" + _decimal(-num) if num < 0 else _decimal(num)
+    return digits if x.denominator == 1 else f"{digits}/{_decimal(x.denominator)}"
+
+
+# Below every digit limit CPython accepts (at least 640 digits).
+_PIECE = 10 ** 600
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n >= 0, split in halves until each is below _PIECE."""
+    if n < _PIECE:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half of n's digits, since log10(2) > 0.3
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
 
 
 def check_matrix(rows: Matrix) -> tuple[int, int]:
@@ -299,6 +321,6 @@ def solve_exact(a: Matrix, rhs: Sequence[Row]) -> list[list[Fraction]]:
     return solutions
 
 
-def dot(u: Row, v: Row) -> Fraction:
-    """Rational inner product."""
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def dot(u: Row, v: Row) -> int | Fraction:
+    """Exact inner product: an int for int vectors, else a Fraction."""
+    return sum(map(mul, u, v))

@@ -36,17 +36,20 @@ integration plan of f_gamma, and a table with one int weight
 k!/alpha! * <gamma x^alpha, [M]> per face monomial x^alpha of degree
 k = n + i, paired once through srbundle's `evaluate_top`.  A sample clears
 h = H / D once and runs the vertex sums and the table in ints; I_gamma,
-F_gamma and bkk_check all read it; bkk_check returns both sides, for the
-caller to compare.
+F_gamma, bkk_sides and bkk_check all read it.  bkk_sides returns both
+sides of one sample, for the caller to compare.  bkk_check takes a whole
+stream of samples, finds each (gamma, i)'s sampler once in a table of its
+own, compares the sides as int cross products and returns only the failing
+samples; both read one int core, so there is one formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm, prod
-from operator import add
-from typing import Sequence
+from math import comb, factorial, gcd, lcm, prod
+from operator import add, mul
+from typing import Iterable, Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
 from .charpair import CharacteristicPair, cone_sign, dual_edge_frame, support_vector
@@ -61,8 +64,10 @@ from .srbundle import BundleRing, evaluate_top, face_monomials
 
 @lru_cache(maxsize=None)
 def _cone_data(cp: CharacteristicPair):
-    """Per maximal cone: (rays, sign, dual edge vectors)."""
-    return tuple((cone, cone_sign(cp, cone), dual_edge_frame(cp, cone))
+    """Per maximal cone: (rays, sign, dual edge vectors), the vectors' entries
+    ints where integral (always, on a unimodular cone)."""
+    return tuple((cone, cone_sign(cp, cone),
+                  tuple(tuple(map(int_if_integral, w)) for w in dual_edge_frame(cp, cone)))
                  for cone in cp.max_cones)
 
 
@@ -72,7 +77,7 @@ def _all_dual_vectors(cp: CharacteristicPair):
 
 
 @lru_cache(maxsize=None)
-def generic_direction(cp: CharacteristicPair) -> tuple[Fraction, ...]:
+def generic_direction(cp: CharacteristicPair) -> tuple[int, ...]:
     """Deterministic direction nonvanishing on every dual edge vector.
 
     Walks the moment curve (1, c, c^2, ...) for c = 1, 2, ...; each dual edge
@@ -81,7 +86,7 @@ def generic_direction(cp: CharacteristicPair) -> tuple[Fraction, ...]:
     vectors = list(_all_dual_vectors(cp))
     c = 1
     while True:
-        ell = tuple(Fraction(c ** k) for k in range(cp.n))
+        ell = tuple(c ** k for k in range(cp.n))
         if all(dot(ell, w) != 0 for w in vectors):
             return ell
         c += 1
@@ -122,70 +127,70 @@ class _HPoly(dict):
         return any(self.values())
 
 
-def _series_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    """Power series inverse of sum coeffs[k] t^k (coeffs[0] != 0), to t^order."""
-    inv = [Fraction(1) / coeffs[0]]
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(coeffs) - 1) + 1):
-            acc += coeffs[j] * inv[k - j]
-        inv.append(-acc / coeffs[0])
-    return inv
-
-
 @lru_cache(maxsize=None)
 def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...]):
     """Everything in the vertex sum for direction l that does not depend on h.
 
     The direction is read as l + t*zeta, with zeta the generic direction.
-    Per maximal cone the plan is (rays, l(w), zeta(w), m, c): the m rays
-    with l(w) = 0 give t^m * lead, the others Q(t) = prod (l(w) + t zeta(w))
-    with Q(0) != 0, and c[k] is sign / lead times the t^k coefficient of
-    1/Q, for k <= m.  A cone on which l is generic has m = 0 and
-    c = (sign / prod l(w),).
+    Per maximal cone the plan is (rays, l(w), zeta(w), m, c, den): the m
+    rays with l(w) = 0 give t^m * lead, the others Q(t) = prod (l(w) +
+    t zeta(w)) with Q(0) != 0, and c[k] / den is sign / lead times the t^k
+    coefficient of 1/Q, for k <= m.  A cone on which l is generic has m = 0
+    and c / den = (sign / prod l(w),).
+
+    It runs in ints, since l, zeta and the dual edge vectors are integral
+    (a rational l only clears its denominators at the end): with Q = q_0 +
+    q_1 t + ..., the t^k coefficient of 1/Q is P_k / q_0^(k+1), where P_0 =
+    1 and P_k = -sum_{j=1..k} q_j q_0^(j-1) P_(k-j), so c[k] = sign * P_k *
+    q_0^(m-k) and den = lead * q_0^(m+1), both negated when den < 0.
     """
     zeta = generic_direction(cp)
+    ell = tuple(map(int_if_integral, ell))
     plan = []
     for cone, sign, frame in _cone_data(cp):
         lw = tuple(dot(ell, w) for w in frame)
         zw = tuple(dot(zeta, w) for w in frame)
-        factor, q = Fraction(sign), [Fraction(1)]  # factor = sign / lead
+        lead, q = 1, [1]
         for a, b in zip(lw, zw):
             if a == 0:
-                factor /= b
+                lead *= b
             else:
-                q = _poly_mul_scalar(q, [a, b])
+                q = [x * a + y * b for x, y in zip(q + [0], [0] + q)]
         m = lw.count(0)
-        plan.append((cone, lw, zw, m, tuple(factor * v for v in _series_inverse(q, m))))
+        p = [1]
+        for k in range(1, m + 1):
+            p.append(-sum(q[j] * q[0] ** (j - 1) * p[k - j]
+                          for j in range(1, min(k, len(q) - 1) + 1)))
+        c = [sign * v * q[0] ** (m - k) for k, v in enumerate(p)]
+        den = lead * q[0] ** (m + 1)
+        scale = lcm(den.denominator, *(v.denominator for v in c))  # 1 in ints
+        if den < 0:
+            scale = -scale
+        plan.append((cone, lw, zw, m, tuple(int(v * scale) for v in c), int(den * scale)))
     return tuple(plan)
-
-
-def _poly_mul_scalar(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _scaled_plans(cp: CharacteristicPair, weighted):
     """The vertex plans of weighted = ((l, d, weight), ...), ready for ints.
 
-    Returns (den, ((n + d, cones), ...)): each cone's c is multiplied by its
-    form's weight and by den, the one common denominator of all of them, so
-    it is an int; l(w) and zeta(w) are ints where integral.  The weighted
-    integral is then the sum of the cones' numerators over den.
+    Returns (den, ((n + d, cones), ...)): each cone's c / den is multiplied
+    by its form's weight and brought to den, the least common denominator
+    of all of them, so c is an int.  The weighted integral is then the sum
+    of the cones' numerators over den.
     """
-    scaled = [(cp.n + d, [(cone, lw, zw, m, [weight * v for v in c])
-                          for cone, lw, zw, m, c in _vertex_plan(cp, ell)])
-              for ell, d, weight in weighted]
-    den = lcm(*(v.denominator for _, cones in scaled
-                for *_, c in cones for v in c))
+    scaled = []
+    for ell, d, weight in weighted:
+        cones = []
+        for cone, lw, zw, m, c, cden in _vertex_plan(cp, ell):
+            c = [weight.numerator * v for v in c]
+            cden *= weight.denominator
+            g = gcd(cden, *c)
+            cones.append((cone, lw, zw, m, [v // g for v in c], cden // g))
+        scaled.append((cp.n + d, cones))
+    den = lcm(*(cden for _, cones in scaled for *_, cden in cones))
     return den, tuple(
-        (power, tuple((cone, tuple(map(int_if_integral, lw)),
-                       tuple(map(int_if_integral, zw)), m,
-                       tuple(int(v * den) for v in c))
-                      for cone, lw, zw, m, c in cones))
+        (power, tuple((cone, lw, zw, m, tuple(v * (den // cden) for v in c))
+                      for cone, lw, zw, m, c, cden in cones))
         for power, cones in scaled)
 
 
@@ -217,10 +222,11 @@ def _numeric_power(big_h: list[int], cone, lw, zw, m: int, power: int):
     """The t^j coefficients, j <= min(power, m), of (l + t zeta)(A)^power at
     h = big_h / D, times D^power: l(A) = sum H_i l(w_i) over the cone's
     rays (and zeta(A) on cones with m > 0), in ints."""
-    la0 = sum(big_h[i] * a for i, a in zip(cone, lw))
+    hs = [big_h[i] for i in cone]
+    la0 = sum(map(mul, hs, lw))
     if m == 0:
         return (la0 ** power,)
-    la1 = sum(big_h[i] * b for i, b in zip(cone, zw))
+    la1 = sum(map(mul, hs, zw))
     return [la0 ** (power - j) * la1 ** j * comb(power, j)
             for j in range(min(power, m) + 1)]
 
@@ -428,20 +434,51 @@ def F_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
     return Fraction(_table_sum(table, big_h), wden * den ** (ring.cp.n + i))
 
 
-def bkk_check(ring: BundleRing, gamma: Element, i: int,
-              h: Sequence) -> tuple[Fraction, Fraction]:
-    """Both sides of the BKK identity, (n+i)! * I_gamma and i! * F_gamma,
-    for the caller to compare.
+def _bkk_ints(ring: BundleRing, sampler, i: int, h: tuple[Fraction, ...]):
+    """Both sides of the BKK identity at one sample, (n+i)! * I_gamma and
+    i! * F_gamma, as (lnum, lden, rnum, rden) with lhs = lnum / lden and
+    rhs = rnum / rden, both denominators positive.
 
-    One sampler serves both sides, and h = H / D is cleared once for both.
+    h = H / D is cleared once for both sides, which read the one sampler.
     """
-    h = support_vector(ring.cp, h)
-    plan, table, wden = _sampler(ring, gamma, i)
+    plan, table, wden = sampler
     big_h, den = cleared_dense(h)
     k = ring.cp.n + i
-    num, iden = _plan_sum(plan, partial(_numeric_power, big_h), den)
-    return (Fraction(factorial(k) * num, iden),
-            Fraction(factorial(i) * _table_sum(table, big_h), wden * den ** k))
+    lnum, lden = _plan_sum(plan, partial(_numeric_power, big_h), den)
+    return (factorial(k) * lnum, lden,
+            factorial(i) * _table_sum(table, big_h), wden * den ** k)
+
+
+def bkk_sides(ring: BundleRing, gamma: Element, i: int,
+              h: Sequence) -> tuple[Fraction, Fraction]:
+    """Both sides of the BKK identity, (n+i)! * I_gamma and i! * F_gamma,
+    for the caller to compare."""
+    h = support_vector(ring.cp, h)
+    lnum, lden, rnum, rden = _bkk_ints(ring, _sampler(ring, gamma, i), i, h)
+    return Fraction(lnum, lden), Fraction(rnum, rden)
+
+
+def bkk_check(ring: BundleRing, samples: Iterable[tuple[Element, int, Sequence]]):
+    """The samples (gamma, i, h) at which the BKK identity fails, as
+    (gamma, i, h, lhs, rhs) in sample order, lhs and rhs as in bkk_sides.
+
+    One sampler per distinct (gamma, i) is looked up in a table local to
+    the call, and the sides are compared as lnum * rden == rnum * lden in
+    ints; Fractions are built only for a failure's report.  An error
+    raises at the sample that causes it, as bkk_sides would.
+    """
+    samplers = {}
+    failures = []
+    for gamma, i, h in samples:
+        hs = support_vector(ring.cp, h)
+        key = (tuple(gamma.items()), i)
+        sampler = samplers.get(key)
+        if sampler is None:
+            sampler = samplers[key] = _sampler(ring, gamma, i)
+        lnum, lden, rnum, rden = _bkk_ints(ring, sampler, i, hs)
+        if lnum * rden != rnum * lden:
+            failures.append((gamma, i, h, Fraction(lnum, lden), Fraction(rnum, rden)))
+    return failures
 
 
 def horizontal_part(ring: BundleRing, h: Sequence, i: int) -> Element:

@@ -66,7 +66,7 @@ def test_criterion_2_hirzebruch_cross_check():
             x1 = sr.x_class(ring, 0)
             assert sr.evaluate_top(ring, sr.bel_mul(ring, x1, x1)) == a
             for h1, h2 in points:
-                lhs, rhs = mp.bkk_check(ring, ring.base.unit(), 1, [h1, h2])
+                lhs, rhs = mp.bkk_sides(ring, ring.base.unit(), 1, [h1, h2])
                 expected = a * (h1 ** 2 - h2 ** 2)
                 assert lhs == expected and rhs == expected
 
@@ -87,7 +87,7 @@ def test_criterion_3_bkk_property_suite():
                 gamma = {gamma_idx: F(1)}
                 h = [F(rng.randint(-3 * d, 3 * d), d)
                      for d in (rng.randint(1, 4) for _ in range(inst.cp.s))]
-                lhs, rhs = mp.bkk_check(ring, gamma, i, h)
+                lhs, rhs = mp.bkk_sides(ring, gamma, i, h)
                 assert lhs == rhs, (inst.label, gamma, i, h)
                 cases += 1
         assert cases >= 100

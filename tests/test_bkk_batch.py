@@ -1,0 +1,185 @@
+"""The batch BKK check against the one-sample form.
+
+`multipoly.bkk_check(ring, samples)` checks a stream of (gamma, i, h) in
+one call and returns the failing samples; `bkk_sides` gives both sides of
+one sample.  The batch must fail exactly where the per-sample comparison
+fails, with the same values, raise the same error at the same sample, and
+be what `check-all` calls, once.  A mutant sampler, with one table weight
+raised by 1, makes samples fail, so the failure lists are not all empty.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtk import basealg as ba
+from qtk import multipoly as mp
+from qtk.catalog import all_instances, get
+from qtk.cli import _bkk_samples, load_bundle_file, main
+from qtk.errors import DegreeMismatchError, MalformedInputError
+from qtk.exact import scalar_str
+
+from conftest import clear_caches
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPECS = sorted({inst.label for inst in all_instances()} | {"cp2-bundle-over-cp1?a=1,b=2"})
+
+
+@pytest.fixture(scope="module")
+def pb33(tmp_path_factory):
+    """P(L0 + L1 + L2 + L3) over CP^3 with twists (1, 2, -1), from the
+    benchmark's generator."""
+    spec = importlib.util.spec_from_file_location(
+        "instances", os.path.join(ROOT, "perfbench", "instances.py"))
+    instances = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setitem(sys.modules, "instances", instances)  # its dataclass looks itself up
+        spec.loader.exec_module(instances)
+        path = str(tmp_path_factory.mktemp("pb33") / "pb33.json")
+        instances.write_bundle(path, instances.projective_bundle(3, 3, [1, 2, -1]))
+    return load_bundle_file(path).ring()
+
+
+def raise_first_weight(monkeypatch):
+    """Make every sampler's first table weight 1 larger."""
+    real = mp._bkk_sampler
+
+    def mutant(ring, gamma, i):
+        plan, table, wden = real(ring, gamma, i)
+        if table:
+            (factors, weight), *rest = table
+            table = ((factors, weight + 1), *rest)
+        return plan, table, wden
+    monkeypatch.setattr(mp, "_bkk_sampler", mutant)
+
+
+def reference_failures(ring, samples):
+    """The failing samples by one bkk_sides comparison per sample."""
+    out = []
+    for gamma, i, h in samples:
+        lhs, rhs = mp.bkk_sides(ring, gamma, i, h)
+        if lhs != rhs:
+            out.append((gamma, i, h, lhs, rhs))
+    return out
+
+
+def assert_batch_equals_reference(ring, monkeypatch):
+    for mutated in (False, True):
+        if mutated:
+            raise_first_weight(monkeypatch)
+        for seed in range(5):
+            samples = list(_bkk_samples(ring, 300, seed))
+            failures = mp.bkk_check(ring, samples)
+            assert failures == reference_failures(ring, samples)
+            assert bool(failures) == mutated
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_batch_equals_per_sample_sides(spec, monkeypatch):
+    assert_batch_equals_reference(get(spec).ring(), monkeypatch)
+
+
+def test_batch_equals_per_sample_sides_pb33(pb33, monkeypatch):
+    assert_batch_equals_reference(pb33, monkeypatch)
+
+
+@pytest.mark.parametrize("inst", all_instances(), ids=lambda inst: inst.label)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_classes_written_differently(inst, data):
+    """Multi-term rational classes, with zero coefficients and in either key
+    order, and the zero class, fail as the per-sample comparison does."""
+    ring = inst.ring()
+    top = ring.base.top
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    entry = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+    samples = []
+    for i in range(top // 2 + 1):
+        gamma = {idx: data.draw(coeff) for idx in ring.base.indices_of_degree(top - 2 * i)}
+        for written in ({}, gamma, dict(reversed(gamma.items()))):
+            h = data.draw(st.lists(entry, min_size=ring.cp.s, max_size=ring.cp.s))
+            samples.append((written, i, h))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        raise_first_weight(monkeypatch)
+        assert mp.bkk_check(ring, samples) == reference_failures(ring, samples)
+    assert mp.bkk_check(ring, samples) == []
+
+
+@pytest.mark.parametrize("spec", ["cp3", "cp1-bundle-over-cp2?a=1", "cp1xcp1-bundle"])
+def test_mutant_sampler_fails_check_all(spec, monkeypatch, capsys):
+    """check-all exits 1 and lists the failures of the per-sample
+    comparison: same order, gamma, i, h, lhs and rhs strings."""
+    monkeypatch.delenv("QTK_SEED", raising=False)
+    raise_first_weight(monkeypatch)
+    clear_caches()
+    code = main(["check-all", spec, "--samples", "60", "--seed", "3"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    ring = get(spec).ring()
+    expected = [{"gamma": ba.el_str(ring.base, gamma), "i": i,
+                 "h": [scalar_str(v) for v in h],
+                 "lhs": scalar_str(lhs), "rhs": scalar_str(rhs)}
+                for gamma, i, h, lhs, rhs
+                in reference_failures(ring, _bkk_samples(ring, 60, 3))]
+    assert (code, result["bkk_ok"], result["ok"]) == (1, False, False)
+    assert 0 < len(expected) < 60
+    assert result["bkk_failures"] == expected
+
+
+class TestErrorsInTheStream:
+    """A bad sample raises the error bkk_sides raises for it, when the
+    batch reaches it, and not before."""
+
+    SPEC = "cp1-bundle-over-cp2?a=1"
+
+    @pytest.mark.parametrize("gamma, i, h, error", [
+        ("t", 0, [1, 1], DegreeMismatchError),
+        ("1", 3, [1, 1], DegreeMismatchError),
+        ("1", -1, [1, 1], DegreeMismatchError),
+        ("t", 1, [1], MalformedInputError),
+        ("t", 5, [1, 1, 1], MalformedInputError),
+        ("t", 1, ["1.5", 1], MalformedInputError)])
+    def test_same_error_at_the_same_sample(self, gamma, i, h, error):
+        ring = get(self.SPEC).ring()
+        bad = (ring.base.element(gamma), i, h)
+        with pytest.raises(error) as expected:
+            mp.bkk_sides(ring, *bad)
+        # The good samples warm the samplers of every valid (gamma, i).
+        good = list(_bkk_samples(ring, 40, 0))
+        clear_caches()
+        for _ in range(2):  # cold, then warm caches
+            consumed = []
+
+            def stream():
+                for sample in good[:30] + [bad] + good[30:]:
+                    consumed.append(sample)
+                    yield sample
+            with pytest.raises(error) as raised:
+                mp.bkk_check(ring, stream())
+            assert str(raised.value) == str(expected.value)
+            assert consumed[-1] is bad and len(consumed) == 31
+
+
+def test_check_all_calls_the_batch_once(monkeypatch):
+    """cmd_check_all reaches multipoly.bkk_check once, through the module
+    attribute a tracer rebinds, with the whole sample stream."""
+    calls = []
+    real = mp.bkk_check
+
+    def counting(ring, samples):
+        samples = list(samples)
+        calls.append(len(samples))
+        return real(ring, samples)
+    monkeypatch.setattr(mp, "bkk_check", counting)
+    monkeypatch.delenv("QTK_SEED", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check-all", "cp3", "--samples", "40"]) == 0
+    assert calls == [40]

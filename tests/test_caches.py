@@ -120,7 +120,7 @@ def mixed_support_vectors(s):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_sampler_equals_reference_route(inst, data):
-    """I_gamma, F_gamma and bkk_check read one cached sampler per (gamma, i);
+    """I_gamma, F_gamma and bkk_sides read one cached sampler per (gamma, i);
     they equal the route without it for every valid i, on the zero class,
     on multi-term rational classes (zero coefficients included) and on the
     same class again, with caches warm from earlier examples."""
@@ -136,7 +136,7 @@ def test_sampler_equals_reference_route(inst, data):
             integral, intersection = reference_bkk_sides(ring, gamma, i, h)
             assert mp.I_gamma(ring, gamma, i, h) == integral
             assert mp.F_gamma(ring, gamma, i, h) == intersection
-            lhs, rhs = mp.bkk_check(ring, gamma, i, h)
+            lhs, rhs = mp.bkk_sides(ring, gamma, i, h)
             assert lhs == factorial(n + i) * integral == factorial(i) * intersection == rhs
         whole = whole + ba.f_gamma(ring.base, ring.chern, drawn, i)
         integrals += mp.I_gamma(ring, drawn, i, h)
@@ -195,7 +195,7 @@ def test_values_survive_cache_clear(inst):
         for gamma, i, h in samples:
             f = ba.f_gamma(ring.base, ring.chern, gamma, i)
             out.append((mp.integrate_polynomial(ring.cp, h, f),
-                        mp.bkk_check(ring, gamma, i, h)))
+                        mp.bkk_sides(ring, gamma, i, h)))
         return out
 
     clear_caches()
@@ -266,11 +266,11 @@ class TestErrorsAreNotCached:
         ("t", 0, "gamma has degree 2, expected 4"),
         ("t", 3, "need 0 <= 2*3 <= 4")])
     def test_bkk_sides_errors_on_cold_and_warm_caches(self, gamma, i, message):
-        """I_gamma, F_gamma and bkk_check leave the (gamma, i) check to
+        """I_gamma, F_gamma and bkk_sides leave the (gamma, i) check to
         f_gamma, reached through the sampler on every call."""
         ring = get("cp1-bundle-over-cp2?a=1").ring()
         gamma = ring.base.element(gamma)
-        sides = (mp.I_gamma, mp.F_gamma, mp.bkk_check)
+        sides = (mp.I_gamma, mp.F_gamma, mp.bkk_sides)
 
         def raise_every_time():
             for side in sides:

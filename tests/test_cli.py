@@ -24,7 +24,8 @@ from qtk import exact
 from qtk import ppbrion as pp
 from qtk.catalog import all_instances, get
 from qtk import cli
-from qtk.cli import COMMANDS, MAX_DEGREE, _bkk_samples, instance_digest, load_bundle_file, main
+from qtk.cli import (COMMANDS, MAX_DEGREE, MAX_SAMPLES, _bkk_samples, instance_digest,
+                     load_bundle_file, main)
 from qtk.literals import parse_class
 
 from conftest import clear_caches, exterior_algebra
@@ -258,6 +259,51 @@ class TestHorizontal:
         assert report["result"]["class"] == {"t": "3"}
 
 
+def long_str(n):
+    """str(n) by 100-digit pieces, each far below CPython's digit limit."""
+    pieces = []
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    while n >= 10 ** 100:
+        n, low = divmod(n, 10 ** 100)
+        pieces.append(f"{low:0100d}")
+    return sign + str(n) + "".join(reversed(pieces))
+
+
+class TestLongResults:
+    """Results longer than CPython's int-to-str digit limit (4300 digits) are
+    written out in full, against the closed forms on cp2: the volume at
+    h = (H, 1, 1) is (H+2)^2/2, so both BKK sides and the horizontal part
+    at i = 0 are (H+2)^2."""
+
+    BIG = [10 ** 3000, 10 ** 3000 + 1, 7 ** 3500]  # (H+2)^2 even, odd, 5900 digits
+
+    @pytest.mark.parametrize("big_h", BIG)
+    def test_volume_bkk_horizontal(self, capsys, big_h):
+        limit = sys.get_int_max_str_digits()
+        h = f"{long_str(big_h)},1,1"
+        square = (big_h + 2) ** 2
+        half = long_str(square // 2) if square % 2 == 0 else f"{long_str(square)}/2"
+        assert len(half) > 4300
+        code, report = run_json(capsys, "volume", "cp2", "--h", h)
+        assert (code, report["result"]) == (0, {"volume": half})
+        code, report = run_json(capsys, "bkk", "cp2", "--h", h)
+        assert (code, report["result"]) == \
+            (0, {"equal": True, "lhs": long_str(square), "rhs": long_str(square)})
+        code, report = run_json(capsys, "horizontal", "cp2", "--h", h)
+        assert (code, report["result"]) == \
+            (0, {"class": {"1": long_str(square)}, "pretty": long_str(square)})
+        code, out, err = run(capsys, "volume", "cp2", "--h", h, "--format", "text")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"\nresult.volume: {half}\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_negative_intersection(self, capsys):
+        big = long_str(10 ** 3000 + 3)
+        code, report = run_json(capsys, "intersect", "cp2",
+                                "--classes", f"{big}*x1;-{big}*x1")
+        assert (code, report["result"]) == (0, {"value": long_str(-(10 ** 3000 + 3) ** 2)})
+
+
 class TestPotential:
     def test_modes_agree(self, capsys):
         _, integral = run_json(capsys, "potential", "hirzebruch?a=1",
@@ -345,6 +391,12 @@ class TestCheckAll:
                                 "--samples", "5")
         assert code == 0
         assert report["result"]["bkk_seed"] == 99
+
+    def test_default_sample_count(self, capsys, monkeypatch):
+        monkeypatch.delenv("QTK_SEED", raising=False)
+        code, report = run_json(capsys, "check-all", "cp1")
+        assert code == 0
+        assert report["input"]["samples"] == report["result"]["bkk_samples"] == 20
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QTK_SEED", "1234")
@@ -634,6 +686,16 @@ class TestMalformedInput:
     def test_samples_below_one(self, capsys, argv):
         err = self.assert_bad_input(capsys, *argv)
         assert "--samples must be at least 1" in err
+
+    @pytest.mark.parametrize("value", [10 ** 30, MAX_SAMPLES + 1])
+    def test_samples_above_the_cap(self, capsys, value):
+        start = time.monotonic()
+        err = self.assert_bad_input(capsys, "check-all", "cp2", "--samples", str(value))
+        assert time.monotonic() - start < 5
+        assert err == f"error: --samples must be at most {MAX_SAMPLES}, got {value}\n"
+
+    def test_samples_cap_is_inclusive(self):
+        cli._require_samples(MAX_SAMPLES)
 
     @pytest.mark.parametrize("command", ["brion", "ann-generators"])
     def test_negative_max_degree(self, capsys, command):

@@ -1,6 +1,7 @@
 """Exact linear algebra: solving, kernels, determinants, row spaces."""
 
 import random
+import sys
 from fractions import Fraction as F
 from math import lcm
 
@@ -150,6 +151,40 @@ class TestAsScalar:
     def test_rejects_everything_else(self, bad):
         with pytest.raises(MalformedInputError):
             exact.as_scalar(bad)
+
+
+def from_digits(digits):
+    """The int of a decimal digit string, read 1000 digits at a time."""
+    n = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i:i + 1000]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
+
+
+class TestScalarStr:
+    @pytest.mark.parametrize("value", [F(0), F(7), F(-7), F(-3, 4), F(10 ** 600 - 1, 2)])
+    def test_short_values_are_str(self, value):
+        assert exact.scalar_str(value) == str(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), length=st.integers(1, 14000),
+           negative=st.booleans())
+    def test_any_length(self, seed, length, negative):
+        """Numerators and denominators of any length are written out
+        digit for digit, and CPython's digit limit is left as it is."""
+        limit = sys.get_int_max_str_digits()
+        rng = random.Random(seed)
+        digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789")
+                                                 for _ in range(length - 1))
+        odd = digits[:-1] + "1"
+        sign = "-" if negative else ""
+        assert exact.scalar_str(F(from_digits(digits)) * (-1) ** negative) == sign + digits
+        assert exact.scalar_str(F(from_digits(odd), 2) * (-1) ** negative) \
+            == f"{sign}{odd}/2"
+        if from_digits(digits) > 1:
+            assert exact.scalar_str(F(1, from_digits(digits))) == f"1/{digits}"
+        assert sys.get_int_max_str_digits() == limit
 
 
 # ---------------------------------------------------------------------------
