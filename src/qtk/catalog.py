@@ -3,7 +3,7 @@
 Names accept query-style integer parameters, e.g. "hirzebruch?a=2".  Toric
 entries set their lattice vectors equal to the ray directions; the two
 "generalized" entries (cp1-flip, cp2-twist) exercise nontrivial orientation
-signs.  Entries flagged convex admit an honest simple polytope at `ample_h`,
+signs.  Entries with an `ample_h` admit an honest simple polytope there,
 which the tests use for a triangulation volume oracle.
 """
 
@@ -23,15 +23,14 @@ class InstanceBundle(Record):
 
     `expected` (a fresh dict unless given) is not compared."""
 
-    __slots__ = ("name", "params", "cp", "base", "chern", "convex", "ample_h", "expected")
-    _defaults = {"convex": False, "ample_h": None, "expected": None}
+    __slots__ = ("name", "params", "cp", "base", "chern", "ample_h", "expected")
+    _defaults = {"ample_h": None, "expected": None}
     _uncompared = ("expected",)
     name: str
     params: tuple[tuple[str, int], ...]
     cp: cpm.CharacteristicPair
     base: ba.GradedBaseAlgebra
     chern: ba.ChernData
-    convex: bool
     ample_h: tuple[Fraction, ...] | None
     expected: dict
 
@@ -87,34 +86,34 @@ def _pair_cp2_twist():
                          [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
 
 
-def _point_instance(name, params, cp, convex, ample, betti):
+def _point_instance(name, params, cp, ample, betti):
     return InstanceBundle(
         name=name, params=params, cp=cp, base=ba.make_point(),
-        chern=ba.zero_chern(cp.n), convex=convex,
+        chern=ba.zero_chern(cp.n),
         ample_h=tuple(Fraction(v) for v in ample) if ample else None,
         expected={"betti": betti})
 
 
 def _build(name: str, params: dict[str, int]) -> InstanceBundle:
     if name == "cp1":
-        return _point_instance("cp1", (), _pair_cp1(), True, (1, 1), [1, 0, 1])
+        return _point_instance("cp1", (), _pair_cp1(), (1, 1), [1, 0, 1])
     if name == "cp2":
-        return _point_instance("cp2", (), _pair_cp2(), True, (1, 1, 1), [1, 0, 1, 0, 1])
+        return _point_instance("cp2", (), _pair_cp2(), (1, 1, 1), [1, 0, 1, 0, 1])
     if name == "cp3":
-        return _point_instance("cp3", (), _pair_cp3(), True, (1, 1, 1, 1),
+        return _point_instance("cp3", (), _pair_cp3(), (1, 1, 1, 1),
                                [1, 0, 1, 0, 1, 0, 1])
     if name == "cp1xcp1":
-        return _point_instance("cp1xcp1", (), _pair_cp1xcp1(), True, (1, 1, 1, 1),
+        return _point_instance("cp1xcp1", (), _pair_cp1xcp1(), (1, 1, 1, 1),
                                [1, 0, 2, 0, 1])
     if name == "hirzebruch-toric":
         m = params.pop("m", 1)
         return _point_instance("hirzebruch-toric", (("m", m),),
-                               _pair_hirzebruch_toric(m), True, (1, 1, 1, 1),
+                               _pair_hirzebruch_toric(m), (1, 1, 1, 1),
                                [1, 0, 2, 0, 1])
     if name == "cp1-flip":
-        return _point_instance("cp1-flip", (), _pair_cp1_flip(), False, None, [1, 0, 1])
+        return _point_instance("cp1-flip", (), _pair_cp1_flip(), None, [1, 0, 1])
     if name == "cp2-twist":
-        return _point_instance("cp2-twist", (), _pair_cp2_twist(), False, None,
+        return _point_instance("cp2-twist", (), _pair_cp2_twist(), None,
                                [1, 0, 1, 0, 1])
     if name == "hirzebruch":
         a = params.pop("a", 1)

@@ -8,8 +8,8 @@ files.  Reports are byte-deterministic; rationals are serialized as strings.
 Exit codes: 0 success / verified, 1 mathematical check failed, 2 bad input.
 
 Every command runs in a fresh process, so start-up is kept small: the
-report digest is hashed with CPython's built-in `_sha256`, not `hashlib`
-(which loads OpenSSL), and `COMMANDS` is one table of the subcommands from
+report digest is hashed with CPython's built-in `_sha256` (`_sha2` from
+3.12 on), not `hashlib` (which loads OpenSSL), and `COMMANDS` is one table of the subcommands from
 which `main` builds the parser for the one command it runs.
 """
 
@@ -36,8 +36,11 @@ from .srbundle import BundleRing
 
 try:  # CPython's built-in SHA-256; hashlib would also load OpenSSL's _hashlib
     from _sha256 import sha256
-except ImportError:  # CPython 3.12 renamed the module to _sha2
-    from hashlib import sha256
+except ImportError:
+    try:  # CPython 3.12 renamed the module to _sha2
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 # `brion` pads its dimension list with zeros up to --max-degree, so the

@@ -40,23 +40,25 @@ Row = Sequence[Scalar]
 Matrix = Sequence[Row]
 
 _ONE = Fraction(1)
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 def as_scalar(x) -> Fraction:
     """Coerce ints, Fractions, and 'p' or 'p/q' strings of decimal digits to
     an exact rational.  Decimal points and exponents are rejected:
     Fraction('1e10000000') builds a ten-million-digit integer, and larger
-    exponents take hours."""
+    exponents take hours.  Digit strings of any length are read, through
+    `decimal_int`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str) and _RATIONAL.fullmatch(x.strip()):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInputError(f"not a rational: {x!r}") from exc
+    match = _RATIONAL.fullmatch(x.strip()) if isinstance(x, str) else None
+    if match:
+        sign, num, den = match.groups("1")
+        num, den = decimal_int(num), decimal_int(den)
+        if den:
+            return Fraction(-num if sign == "-" else num, den)
     raise MalformedInputError(f"not a rational: {x!r}")
 
 
@@ -81,7 +83,8 @@ def scalar_str(x: Fraction) -> str:
 
 
 # Below every digit limit CPython accepts (at least 640 digits).
-_PIECE = 10 ** 600
+_PIECE_DIGITS = 600
+_PIECE = 10 ** _PIECE_DIGITS
 
 
 def _decimal(n: int) -> str:
@@ -91,6 +94,18 @@ def _decimal(n: int) -> str:
     half = n.bit_length() * 3 // 20  # about half of n's digits, since log10(2) > 0.3
     high, low = divmod(n, 10 ** half)
     return _decimal(high) + _decimal(low).zfill(half)
+
+
+def decimal_int(digits: str) -> int:
+    """The int written by a string of decimal digits of any length; the
+    inverse of _decimal.  CPython's int() refuses more digits than
+    sys.get_int_max_str_digits(), so a long string is split in halves
+    until each has at most _PIECE_DIGITS, and that process-wide limit is
+    left as it is."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return decimal_int(digits[:-half]) * 10 ** half + decimal_int(digits[-half:])
 
 
 def check_matrix(rows: Matrix) -> tuple[int, int]:
@@ -131,7 +146,7 @@ def _eliminate(rows: dict[int, dict[int, int]], vec: dict[int, int],
     """Subtract pivot rows from the integer vector `vec` in place, last column first.
 
     Returns (m, lead): afterwards vec equals m * (vec before) minus a
-    combination of `rows`, with m > 0, and lead is the last column left
+    combination of `rows`, with m != 0, and lead is the last column left
     nonzero (-1 if none).  Stops at the first column without a pivot row
     unless `full`, in which case every pivot column is cleared.  A partial
     run may leave zero entries below lead.
@@ -176,11 +191,11 @@ def _eliminate(rows: dict[int, dict[int, int]], vec: dict[int, int],
 class RowSpace:
     """The span over the rationals of row vectors of a fixed width.
 
-    Rows are kept as integer dicts {column: entry} with gcd 1 and a positive
-    pivot, keyed by the pivot: the row's last nonzero column.  No two rows
-    share a pivot, so the pivots count the rank, and a vector lies in the
-    span iff clearing its last column by the row keyed there, again and
-    again, empties it.
+    Rows are kept as integer dicts {column: entry} with gcd 1, keyed by the
+    pivot: the row's last nonzero column.  No two rows share a pivot, so the
+    pivots count the rank, and a vector lies in the span iff clearing its
+    last column by the row keyed there, again and again, empties it.  The
+    pivot's sign is whatever elimination left: every use divides by it.
     """
 
     def __init__(self, ncols: int, rows: Iterable[SparseRow] = ()):
@@ -216,8 +231,6 @@ class RowSpace:
             return False
         vec = {c: x for c, x in vec.items() if x}
         g = gcd(*vec.values())
-        if vec[lead] < 0:
-            g = -g
         self.rows[lead] = {c: x // g for c, x in vec.items()}
         return True
 

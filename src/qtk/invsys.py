@@ -11,9 +11,11 @@ and the support numbers h.  Its coefficient of y^beta is a polynomial in h
 fixed by gamma = b^beta / beta!, and it is built twice, on one skeleton over
 the base monomials b^beta, and the two must coincide: by integration, the
 generalized BKK integral of <c(x)^i gamma, [B]> / i! over the multi-polytope
-symbolically in h (Khovanskii-Pukhlikov), and directly, as the sum of
-<gamma x^alpha, [M]> h^alpha / alpha! over top-degree evaluations.  A
-Hilbert function is the plain tuple of dimensions by weighted degree.
+symbolically in h (Khovanskii-Pukhlikov), and directly, as srbundle's
+pairing polynomial: the sum of <gamma x^alpha, [M]> h^alpha / alpha! over
+the face monomials x^alpha of degree n + i, which the BKK sampler of
+multipoly reads too.  A Hilbert function is the plain tuple of dimensions
+by weighted degree.
 
 Ann(p) in degree d is the kernel of the catalecticant matrix of p
 (Iarrobino-Kanev, Power Sums, Gorenstein Algebras, and Determinantal Loci,
@@ -37,7 +39,7 @@ from .exact import scalar_str
 from .multipoly import integral_polynomial_symbolic
 from .poly import MultiPoly, weighted_monomials
 from .record import Record
-from .srbundle import BundleRing, evaluate_top
+from .srbundle import BundleRing, pairing_polynomial
 
 
 class Potential(Record):
@@ -122,15 +124,10 @@ def bundle_potential_integral(ring: BundleRing) -> Potential:
 
 def bundle_potential_direct(ring: BundleRing) -> Potential:
     """Potential of the bundle from the ring itself: the coefficient of gamma
-    is sum over |alpha| = n + i of <gamma x^alpha, [M]> h^alpha / alpha!."""
-    def h_part(gamma: Element, i: int) -> MultiPoly:
-        terms = {}
-        for alpha in weighted_monomials((1,) * ring.cp.s, ring.cp.n + i):
-            val = evaluate_top(ring, {(alpha, k): c for k, c in gamma.items()})
-            if val:
-                terms[alpha] = val / prod(map(factorial, alpha))
-        return MultiPoly(ring.cp.s, terms)
-    return _bundle_potential(ring, h_part)
+    is its pairing polynomial, the sum over the face monomials x^alpha of
+    degree n + i of <gamma x^alpha, [M]> h^alpha / alpha!."""
+    return _bundle_potential(
+        ring, lambda gamma, i: pairing_polynomial(ring, gamma, ring.cp.n + i))
 
 
 # ---------------------------------------------------------------------------

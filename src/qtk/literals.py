@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .basealg import Element, el_add, el_scale
 from .errors import DegreeMismatchError, MalformedInputError
-from .exact import as_scalar
+from .exact import as_scalar, decimal_int
 from .srbundle import BundleElement, BundleRing, bel_mul, lift, one, x_class
 
 MAX_NESTING = 100
@@ -49,13 +49,6 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 out.append((kind, val))
                 break
     return out
-
-
-def _int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError as exc:  # more digits than int() converts
-        raise MalformedInputError(f"number too long in literal: {exc}") from exc
 
 
 class _Parser:
@@ -134,7 +127,7 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise MalformedInputError("exponent must be a number")
-            power = _int(val)
+            power = decimal_int(val)
             bound = self.ring.total_degree
             if power > bound:
                 raise MalformedInputError(
@@ -148,14 +141,14 @@ class _Parser:
     def atom(self) -> BundleElement:
         kind, val = self.take()
         if kind == "num":
-            value = Fraction(_int(val))
+            value = Fraction(decimal_int(val))
             nk, nv = self.peek()
             if nk == "op" and nv == "/":
                 self.take()
                 dk, dv = self.take()
                 if dk != "num":
                     raise MalformedInputError("denominator must be a number")
-                den = _int(dv)
+                den = decimal_int(dv)
                 if not den:
                     raise MalformedInputError(f"zero denominator in literal: {val}/{dv}")
                 value /= den

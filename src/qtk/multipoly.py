@@ -27,14 +27,15 @@ coefficients, over one common denominator so that a sample runs in ints
 symbolic h (a MultiPoly in h_1..h_s), and both run in ints: the vertex sum
 needs only the t-expansion of (l + t zeta)(A)^(n+d), which is an int power
 for numeric h and, for symbolic h, the multinomial theorem over the cone's
-rays, one int coefficient per h-monomial.  The Laurent bookkeeping that
-combines it with the plan, the pole check included, is the same for both,
-and each path divides by the common denominator once at the end.
+rays, an int-coefficient MultiPoly.  The Laurent bookkeeping that combines
+it with the plan, the pole check included, is the same for both, and each
+path divides by the common denominator once at the end.
 
 The BKK comparison caches one sampler per (ring, gamma, i): the
 integration plan of f_gamma, and a table with one int weight
 k!/alpha! * <gamma x^alpha, [M]> per face monomial x^alpha of degree
-k = n + i, paired once through srbundle's `evaluate_top`.  A sample clears
+k = n + i, cleared from srbundle's `pairing_polynomial`, the same
+polynomial the direct potential reads.  A sample clears
 h = H / D once and runs the vertex sums and the table in ints; I_gamma,
 F_gamma, bkk_sides and bkk_check all read it.  bkk_sides returns both
 sides of one sample, for the caller to compare.  bkk_check takes a whole
@@ -48,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
@@ -56,7 +57,7 @@ from .charpair import CharacteristicPair, cone_sign, dual_edge_frame, support_ve
 from .errors import DegreeMismatchError, MalformedInputError
 from .exact import as_scalar, cleared_dense, dot, int_if_integral
 from .poly import MultiPoly, power_of_linear_forms, weighted_monomials
-from .srbundle import BundleRing, evaluate_top, face_monomials
+from .srbundle import BundleRing, pairing_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -94,38 +95,8 @@ def generic_direction(cp: CharacteristicPair) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # The vertex expansion engine.  Values are ints (numeric h = H / D) or
-# _HPoly in h (symbolic); the bookkeeping is generic over both.
-
-class _HPoly(dict):
-    """A polynomial in h_1..h_s as {exponent: int or Fraction}: a symbolic
-    value of the vertex sum, with the sums, products and scalar multiples
-    that the expansion and the Laurent bookkeeping take.  Zero entries may
-    stay; a polynomial whose entries are all zero is falsy."""
-
-    __slots__ = ()
-
-    def __add__(self, other):  # other is an _HPoly or the int 0
-        out = _HPoly(self)
-        if isinstance(other, _HPoly):
-            for e, v in other.items():
-                out[e] = out.get(e, 0) + v
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, _HPoly):
-            return _HPoly({e: v * other for e, v in self.items()})
-        out = _HPoly()
-        for e1, v1 in self.items():
-            for e2, v2 in other.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + v1 * v2
-        return out
-
-    def __bool__(self):
-        return any(self.values())
-
+# int-coefficient MultiPolys in h (symbolic); the bookkeeping is generic
+# over both.
 
 @lru_cache(maxsize=None)
 def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...]):
@@ -244,17 +215,18 @@ def _multinomials(rays: tuple[int, ...], s: int, power: int):
     return tuple(terms)
 
 
-def _linear_power(rays: tuple[int, ...], coeffs, s: int, power: int) -> "_HPoly":
+def _linear_power(rays: tuple[int, ...], coeffs, s: int, power: int) -> MultiPoly:
     """(sum_k coeffs[k] h_rays[k])^power by the multinomial theorem: the
-    coefficient of h^a is power!/a! * prod_k coeffs[k]^a_k."""
+    coefficient of h^a is power!/a! * prod_k coeffs[k]^a_k, nonzero since
+    every coeffs[k] is."""
     pows = [[x ** e for e in range(power + 1)] for x in coeffs]
-    return _HPoly({key: coeff * prod(map(list.__getitem__, pows, a))
-                   for key, a, coeff in _multinomials(rays, s, power)})
+    return MultiPoly._trusted(s, {key: coeff * prod(map(list.__getitem__, pows, a))
+                                  for key, a, coeff in _multinomials(rays, s, power)})
 
 
 def _symbolic_power(s: int, cone, lw, zw, m: int, power: int):
     """The t^j coefficients, j <= min(power, m), of (l + t zeta)(A)^power
-    for symbolic h, as _HPoly in h_1..h_s: C(power, j) l(A)^(power-j)
+    for symbolic h, as MultiPolys in h_1..h_s: C(power, j) l(A)^(power-j)
     zeta(A)^j, each power of a linear form in h expanded by the
     multinomial theorem.  l(A) = sum h_i l(w_i) runs over the n - m rays
     with l(w) != 0."""
@@ -276,7 +248,7 @@ def _vertex_sum(cones, power: int, expand):
     The pole terms must cancel.
     """
     const = 0
-    poles: dict[int, object] = {}  # pole order j -> coefficient of t^-j
+    poles: dict[int, int | MultiPoly] = {}  # pole order j -> coefficient of t^-j
     for cone, lw, zw, m, c in cones:
         num = expand(cone, lw, zw, m, power)
         if m == 0:
@@ -323,8 +295,8 @@ def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
     """
     if h is None:
         total, den = _plan_sum(plan, partial(_symbolic_power, cp.s), 1)
-        terms = total.items() if total else ()  # total is the int 0 without forms
-        return MultiPoly._trusted(cp.s, {e: Fraction(v, den) for e, v in terms if v})
+        terms = total.terms if total else {}  # total is the int 0 without forms
+        return MultiPoly._trusted(cp.s, {e: Fraction(v, den) for e, v in terms.items()})
     big_h, scale = cleared_dense(h)
     return Fraction(*_plan_sum(plan, partial(_numeric_power, big_h), scale))
 
@@ -375,23 +347,16 @@ def _bkk_sampler(ring: BundleRing, gamma: tuple[tuple[int, Fraction], ...], i: i
     """Everything in a BKK sample of (gamma, i) that does not depend on h.
 
     Returns (plan, table, wden).  plan integrates f_gamma.  table has one
-    entry per face monomial x^alpha of degree k = n + i whose pairing is
-    nonzero: its (j, alpha_j) with alpha_j > 0, and the int weight
-    wden * k!/alpha! * <gamma x^alpha, [M]>, wden clearing every weight's
-    denominator.  By the multinomial theorem gamma * rho(h)^k is the sum of
-    k!/alpha! * h^alpha * gamma x^alpha over the x-monomials of degree k:
-    the x_i are even, rho has unit base part, and a monomial whose support
-    is no face is zero in the ring.  So at h = H / D the intersection side
-    is sum weight * H^alpha / (wden * D^k).
+    entry per term c h^alpha of the pairing polynomial of gamma in degree
+    k = n + i: its (j, alpha_j) with alpha_j > 0, and the int weight
+    wden * k! * c, wden clearing every weight's denominator.  The pairing
+    polynomial is <gamma * rho(h)^k, [M]> / k!, so at h = H / D the
+    intersection side is sum weight * H^alpha / (wden * D^k).
     """
     f = f_gamma(ring.base, ring.chern, dict(gamma), i)
     k = ring.cp.n + i
-    weights = []
-    for alpha in face_monomials(ring.cp, k):
-        pairing = evaluate_top(ring, {(alpha, idx): g for idx, g in gamma})
-        if pairing:
-            weights.append((tuple((j, e) for j, e in enumerate(alpha) if e),
-                            factorial(k) // prod(map(factorial, alpha)) * pairing))
+    weights = [(tuple((j, e) for j, e in enumerate(alpha) if e), factorial(k) * c)
+               for alpha, c in pairing_polynomial(ring, dict(gamma), k).terms.items()]
     wden = lcm(*(w.denominator for _, w in weights))
     table = tuple((factors, int(w * wden)) for factors, w in weights)
     return _integration_plan(ring.cp, f, None), table, wden

@@ -1,24 +1,29 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial maps exponent tuples (one int per variable) to nonzero Fraction
-coefficients.  Iteration and serialization are in lexicographic exponent
-order, so all emitted output is byte-stable.
+A polynomial maps exponent tuples (one int per variable) to nonzero int or
+Fraction coefficients.  Iteration and serialization are in lexicographic
+exponent order, so all emitted output is byte-stable.
 
 The checks live at the edges.  The public constructor, the classmethods and
 every reader of outside input check each exponent (one non-negative int per
 variable) and convert each coefficient to a Fraction, dropping zeros.  Ring
-operations, partial derivatives, `apply_derivative` and the symbolic
-integrals of `multipoly` build their results from terms that are already
+operations, partial derivatives, `apply_derivative`, the symbolic integrals
+of `multipoly`, the facet restrictions of `ppbrion` and the pairing
+polynomial of `srbundle` build their results from terms that are already
 clean, through the private `_trusted` constructor, which checks nothing;
 `partial` and `apply_derivative` check their own argument (a variable
-index, a derivative exponent) on entry.
+index, a derivative exponent) on entry.  Sums and products of
+polynomials, negatives, powers and scalar multiples keep the coefficients'
+types, so a polynomial built from int terms stays in ints and pays no gcd.
+A scalar summand is read as a constant polynomial, through the
+constructor, and division makes Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, perm, prod
-from operator import ge, sub
+from operator import add, ge, sub
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatchError, MalformedInputError
@@ -52,10 +57,10 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "MultiPoly":
+    def _trusted(cls, nvars: int, terms: dict[Exponent, int | Fraction]) -> "MultiPoly":
         """A polynomial on terms that are already clean: int-tuple keys of
-        length nvars and nonzero Fraction values.  Nothing is checked or
-        copied."""
+        length nvars and nonzero int or Fraction values.  Nothing is
+        checked, copied or converted."""
         self = object.__new__(cls)
         self.nvars = nvars
         self.terms = terms
@@ -99,7 +104,7 @@ class MultiPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for expo, c in other.terms.items():
-            v = out.get(expo, Fraction(0)) + c
+            v = out.get(expo, 0) + c
             if v:
                 out[expo] = v
             else:
@@ -120,16 +125,15 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return MultiPoly._trusted(self.nvars, {})
-            return MultiPoly._trusted(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return MultiPoly._trusted(self.nvars, {e: v * other for e, v in self.terms.items()})
         other = self._coerce(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
@@ -146,7 +150,7 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise MalformedInputError("negative power of a polynomial")
-        result = MultiPoly.constant(self.nvars, 1)
+        result = MultiPoly._trusted(self.nvars, {(0,) * self.nvars: 1})
         base = self
         while k:
             if k & 1:
@@ -160,7 +164,8 @@ class MultiPoly:
             if other.nvars != self.nvars:
                 raise MalformedInputError("mixed variable counts")
             return other
-        return MultiPoly.constant(self.nvars, other)
+        c = Fraction(other)
+        return MultiPoly._trusted(self.nvars, {(0,) * self.nvars: c} if c else {})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -2,9 +2,11 @@
 
 An element stores one polynomial on the cocharacter space per maximal cone;
 adjacent cones must agree on the span of the lattice vectors of their shared
-facet.  In coordinates (one coefficient per cone and monomial) that is one
-set of integer restriction rows per degree, one row per shared facet and
-monomial in the facet's ray parameters.  The graded pieces are the kernels
+facet.  A monomial restricts to that span as a product of the facet's
+linear forms, an int-coefficient MultiPoly in one parameter per facet ray.
+In coordinates (one coefficient per cone and monomial) that is one set of
+integer restriction rows per degree, one row per shared facet and monomial
+in the facet's ray parameters.  The graded pieces are the kernels
 of these rows; an element is compatible iff every row annihilates it.
 Multiplying by a standard character x_a moves the coefficient of m to
 m + e_a, so character products are index maps on kernel vectors.  Each map
@@ -125,26 +127,25 @@ def _from_vector(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> PP
 
 
 def _facet_restrictions(cp: CharacteristicPair, facet: tuple[int, ...],
-                        d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+                        d: int) -> dict[tuple[int, ...], MultiPoly]:
     """Per degree-d monomial x^m, its restriction to the span of the facet's
-    lattice vectors, as {exponent in one parameter t_j per facet ray: int}.
+    lattice vectors: an int-coefficient polynomial in one parameter t_j per
+    facet ray.
 
-    x_a restricts to sum_j lam_{facet[j]}[a] t_j, and x^m to x_a times the
-    restriction of x^(m - e_a), a being m's first nonzero index.
+    x_a restricts to the linear form sum_j lam_{facet[j]}[a] t_j, and x^m to
+    that form times the restriction of x^(m - e_a), a being m's first
+    nonzero index.
     """
-    out = {(0,) * cp.n: {(0,) * len(facet): 1}}
+    t = len(facet)
+    forms = [MultiPoly._trusted(t, {tuple(int(i == j) for i in range(t)): cp.lam[ray][a]
+                                    for j, ray in enumerate(facet) if cp.lam[ray][a]})
+             for a in range(cp.n)]
+    out = {(0,) * cp.n: MultiPoly._trusted(t, {(0,) * t: 1})}
     for degree in range(1, d + 1):
         lower, out = out, {}
         for m in _coefficient_layout(cp, degree)[0]:
             a = next(r for r, e in enumerate(m) if e)
-            poly: dict[tuple[int, ...], int] = {}
-            for sm, c in lower[m[:a] + (m[a] - 1,) + m[a + 1:]].items():
-                for j, ray in enumerate(facet):
-                    x = cp.lam[ray][a]
-                    if x:
-                        key = sm[:j] + (sm[j] + 1,) + sm[j + 1:]
-                        poly[key] = poly.get(key, 0) + c * x
-            out[m] = {sm: c for sm, c in poly.items() if c}
+            out[m] = forms[a] * lower[m[:a] + (m[a] - 1,) + m[a + 1:]]
     return out
 
 
@@ -160,7 +161,7 @@ def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int],
         restricted = _facet_restrictions(cp, facet, d)
         by_monomial: dict[tuple[int, ...], dict[int, int]] = {}
         for k, m in enumerate(monos):
-            for sm, c in restricted[m].items():
+            for sm, c in restricted[m].terms.items():
                 row = by_monomial.setdefault(sm, {})
                 row[c1 * per + k] = c
                 row[c2 * per + k] = -c

@@ -15,9 +15,12 @@ multiplicity of every produced monomial drops by one, so it terminates.
 With the canonical characters the rewriting is linear over the base, so each
 x-monomial is reduced once per ring, and its pairing with the fundamental
 class against every base class is cached (`evaluate_top`).  Powers
-of rho are not expanded here: the BKK sampler in multipoly pairs
-gamma x^alpha once per face monomial (`face_monomials`) and sums the
-multinomial expansion of gamma * rho(h)^k itself, in ints.
+of rho are not expanded: by the multinomial theorem
+<gamma * rho(h)^k, [M]> is k! times the pairing polynomial
+sum <gamma x^alpha, [M]> h^alpha / alpha! over the face monomials x^alpha
+of degree k (`pairing_polynomial`), since the x_i are even, rho has unit
+base part, and a monomial whose support is no face is zero in the ring.  The direct potential of invsys and the BKK
+sampler of multipoly both read it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, prod
 from typing import Callable, Sequence
 
 from . import exact
@@ -32,6 +36,7 @@ from .basealg import ChernData, Element, GradedBaseAlgebra, el_add, el_scale
 from .charpair import (CharacteristicPair, cone_sign, dual_character, faces,
                        is_face)
 from .errors import DegreeMismatchError, MalformedInputError
+from .poly import MultiPoly
 from .record import Record
 
 Expo = tuple[int, ...]
@@ -235,6 +240,18 @@ def _top_pairing(ring: BundleRing, expo: Expo) -> tuple[int | Fraction, ...]:
                   Fraction(0))
         out.append(exact.int_if_integral(val))
     return tuple(out)
+
+
+def pairing_polynomial(ring: BundleRing, gamma: Element, k: int) -> MultiPoly:
+    """sum <gamma x^alpha, [M]> h^alpha / alpha! over the face monomials
+    x^alpha of degree k, a polynomial in h_1..h_s: the intersection side
+    of the generalized BKK theorem, <gamma * rho(h)^k, [M]> / k!."""
+    terms = {}
+    for alpha in face_monomials(ring.cp, k):
+        val = evaluate_top(ring, {(alpha, idx): c for idx, c in gamma.items()})
+        if val:
+            terms[alpha] = val / prod(map(factorial, alpha))
+    return MultiPoly._trusted(ring.cp.s, terms)
 
 
 def intersection_number(ring: BundleRing, classes: Sequence[BundleElement],

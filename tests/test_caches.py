@@ -296,13 +296,13 @@ class TestErrorsAreNotCached:
 
 
 # ---------------------------------------------------------------------------
-# Regression guard: the exact work charpair and multipoly do during check-all,
-# and the characters reduce asks for, must not grow with the number of BKK
-# samples.
+# Regression guard: the exact work charpair, multipoly and srbundle do during
+# check-all, and the characters reduce asks for, must not grow with the number
+# of BKK samples.
 
 COUNTED = [(cpm, "det"), (cpm, "solve_exact"), (mp, "dot"),
            (sr, "dual_character"), (mp, "f_gamma"), (mp, "power_of_linear_forms"),
-           (mp, "evaluate_top")]
+           (sr, "evaluate_top")]
 
 
 def exact_work(monkeypatch, spec, samples):

@@ -161,6 +161,16 @@ class TestVolume:
         assert code == 0
         assert report["result"]["volume"] == "1/4"
 
+    def test_entries_longer_than_the_digit_limit(self, capsys):
+        """An h entry of more digits than int() converts is read in full:
+        at h = (N, 1, 1) on cp2 the volume is (N+2)^2/2."""
+        big = 10 ** 5000
+        code, report = run_json(capsys, "volume", "cp2", "--h", f"{long_str(big)},1,1")
+        assert (code, report["result"]) == (0, {"volume": long_str((big + 2) ** 2 // 2)})
+        code, report = run_json(capsys, "volume", "cp1", "--h",
+                                f"-{long_str(big)}/{long_str(2 * big)},1")
+        assert (code, report["result"]) == (0, {"volume": "1/2"})
+
 
 class TestIntersect:
     def test_cp2_square(self, capsys):
@@ -180,6 +190,15 @@ class TestIntersect:
                                 "--classes", "x1^2 - (2)t*x1")
         assert code == 0
         assert report["result"]["value"] == "0"
+
+    def test_coefficient_longer_than_the_digit_limit(self, capsys):
+        big = 10 ** 5000
+        code, report = run_json(capsys, "intersect", "cp2",
+                                "--classes", f"{long_str(big)}*x1;(1/{long_str(big)})*x1")
+        assert (code, report["result"]) == (0, {"value": "1"})
+        code, report = run_json(capsys, "intersect", "cp2",
+                                "--classes", f"{long_str(big)}*x1;x1")
+        assert (code, report["result"]) == (0, {"value": long_str(big)})
 
     def test_powers_up_to_the_bound(self):
         ring = get("cp2").ring()
@@ -414,6 +433,28 @@ class TestCheckAll:
         assert result["betti_equals_brion"] and result["bkk_ok"]
         assert result["ok"] is True and code == 0
 
+    def test_wrong_brion_dims_fail(self, capsys, monkeypatch):
+        def brion_bundle_dims(ring, max_degree=None, _real=cli.pp.brion_bundle_dims):
+            dims = _real(ring, max_degree)
+            return dims[:-1] + [dims[-1] + 1]
+
+        monkeypatch.setattr(cli.pp, "brion_bundle_dims", brion_bundle_dims)
+        code, report = run_json(capsys, "check-all", "cp2", "--samples", "3")
+        result = report["result"]
+        assert (code, result["betti_equals_brion"], result["ok"]) == (1, False, False)
+        assert result["hilbert_matches"] is True and result["bkk_ok"] is True
+
+    def test_wrong_ann_hilbert_fails(self, capsys, monkeypatch):
+        def ann_hilbert(p, _real=cli.iv.ann_hilbert):
+            dims = _real(p)
+            return dims[:-1] + (dims[-1] + 1,)
+
+        monkeypatch.setattr(cli.iv, "ann_hilbert", ann_hilbert)
+        code, report = run_json(capsys, "check-all", "cp2", "--samples", "3")
+        result = report["result"]
+        assert (code, result["hilbert_matches"], result["ok"]) == (1, False, False)
+        assert result["betti_equals_brion"] is True and result["bkk_ok"] is True
+
 
 def randint_samples(ring, count, seed):
     """Reference BKK sampler: two randint calls and a Fraction per support
@@ -619,7 +660,9 @@ class TestMalformedInput:
         assert "nest deeper than 100 levels" in err
 
     def test_number_with_too_many_digits(self, capsys):
-        self.assert_bad_input(capsys, "intersect", "cp2", "--classes", "1" + "0" * 5000)
+        # The number is read in full; a bare constant is not of top degree.
+        err = self.assert_bad_input(capsys, "intersect", "cp2", "--classes", "1" + "0" * 5000)
+        assert "element has degrees [0], expected 4" in err
 
     def test_option_value_double_dash(self, capsys):
         self.assert_bad_input(capsys, "intersect", "cp2", "--classes=--")

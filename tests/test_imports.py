@@ -15,9 +15,9 @@ there the parts of dotted-name strings count as reads too.
 A start-up guard runs `import qtk.cli` in a fresh interpreter: it must not
 load `dataclasses` (its import and the methods it generated cost each
 process about 25 ms of start-up) nor, where CPython's built-in `_sha256`
-exists, `hashlib` (whose OpenSSL module `_hashlib` cost about 4 ms), and it
-must load every module the benchmark's tracer rebinds, so that no lazy
-import can silently leave a module untraced.
+or `_sha2` exists, `hashlib` (whose OpenSSL module `_hashlib` cost about
+4 ms), and it must load every module the benchmark's tracer rebinds, so
+that no lazy import can silently leave a module untraced.
 """
 
 import ast
@@ -175,7 +175,7 @@ def test_cli_import_loads_no_dataclasses_and_every_traced_module():
     loaded = set(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                 capture_output=True, text=True).stdout.split())
     assert "dataclasses" not in loaded
-    if importlib.util.find_spec("_sha256") is not None:
+    if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
         assert not {"hashlib", "_hashlib"} & loaded
     spec = importlib.util.spec_from_file_location(
         "tracing", os.path.join(ROOT, "perfbench", "tracing.py"))

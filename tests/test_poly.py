@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from qtk import ppbrion as pp
+from qtk.catalog import all_instances
 from qtk.errors import MalformedInputError
 from qtk.invsys import Potential
 from qtk.poly import MultiPoly, power_of_linear_forms, weighted_monomials
@@ -71,6 +73,22 @@ class TestArithmetic:
                 assert type(c) is F and c
                 assert len(expo) == 2 and all(type(e) is int and e >= 0 for e in expo)
             assert MultiPoly(2, q.terms) == q
+
+    def test_int_terms_stay_int(self):
+        """Ring operations keep int coefficients int; the constructor, the
+        reader of outside terms, still makes Fractions.  So the facet
+        restrictions behind the compatibility rows stay in ints."""
+        p = MultiPoly._trusted(2, {(1, 0): 2, (0, 1): -3})
+        q = MultiPoly._trusted(2, {(1, 1): 5, (0, 0): 1})
+        for r in (p + q, p - q, -p, p * q, p * 3, 3 * p, p * p * q, p ** 3, p.partial(0),
+                  p.apply_derivative((1, 0))):
+            assert r and all(type(c) is int for c in r.terms.values()), r
+        assert all(type(c) is F for c in MultiPoly(2, p.terms).terms.values())
+        assert all(type(c) is F for c in (p * F(1, 2)).terms.values())
+        for inst in all_instances():
+            for d in range(inst.cp.n + 1):
+                for row in pp._compatibility_rows(inst.cp, d):
+                    assert all(type(c) is int for c in row.values()), (inst.label, d)
 
     def test_weighted_degrees(self):
         p = MultiPoly(2, {(1, 1): F(1)})

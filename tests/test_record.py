@@ -24,8 +24,8 @@ def cases():
     return [
         (ba.ChernData, (chern.n, chern.images), {}),
         (cat.InstanceBundle,
-         ("cp2", (), cp, base, chern, True, (F(1),) * 3, {"betti": [1, 0, 1, 0, 1]}),
-         {"convex": False, "ample_h": None, "expected": {}}),
+         ("cp2", (), cp, base, chern, (F(1),) * 3, {"betti": [1, 0, 1, 0, 1]}),
+         {"ample_h": None, "expected": {}}),
         (cpm.CharacteristicPair, (cp.n, cp.ray_dirs, cp.lam, cp.max_cones), {}),
         (cpm.CheckResult, ("unimodular", False, "det 2"), {"detail": ""}),
         (cpm.ValidationReport, ((check,),), {}),
