@@ -1,6 +1,7 @@
 """`qtk check-all`, `qtk brion`, `qtk potential`, `qtk bkk`, `qtk volume`,
-`qtk horizontal`, `qtk ann-hilbert` and `qtk ann-generators` reports
-compared byte for byte against committed files.
+`qtk horizontal`, `qtk ann-hilbert`, `qtk ann-generators`, `qtk betti`,
+`qtk validate` and `qtk catalog` reports compared byte for byte against
+committed files.
 
 The files under tests/golden/<command> were written once from
 `qtk <command> <spec>` (default options, samples and seed) and are never
@@ -17,7 +18,10 @@ horizontal at the same i; the ann-hilbert reports pin the apolar Hilbert
 function in every weighted degree, odd ones included, where check-all
 prints only the even ones.  The ann-generators reports pin the generator
 strings, which depend on the kernel basis of the apolar rows, so a change
-in the order or scale of those rows shows.
+in the order or scale of those rows shows.  The betti and validate reports
+pin every instance label and digest, and so the parameters and data each
+catalog entry builds; the catalog reports, one per --format, pin the
+listing of names and descriptions.
 """
 
 import os
@@ -29,7 +33,7 @@ from qtk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 COMMANDS = ["check-all", "brion", "potential", "bkk", "volume", "horizontal",
-            "ann-hilbert", "ann-generators"]
+            "ann-hilbert", "ann-generators", "betti", "validate"]
 EXTRA_SPECS = ["cp2-bundle-over-cp1?a=1,b=2"]
 SPECS = sorted({inst.label for inst in all_instances()} | set(EXTRA_SPECS))
 # The bkk support vector: negative and fractional entries, mixed denominators.
@@ -102,3 +106,22 @@ def test_ann_hilbert_matches_golden(spec, capsys, monkeypatch):
 @pytest.mark.parametrize("spec", SPECS)
 def test_ann_generators_matches_golden(spec, capsys, monkeypatch):
     _assert_matches_golden("ann-generators", spec, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_betti_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("betti", spec, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_validate_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("validate", spec, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_catalog_matches_golden(fmt, capsys):
+    code = main(["catalog", "--format", fmt])
+    out = capsys.readouterr().out.encode("utf-8")
+    with open(os.path.join(GOLDEN, "catalog", f"catalog.{fmt}"), "rb") as fh:
+        assert out == fh.read()
+    assert code == 0
