@@ -1,15 +1,20 @@
 """Built-in example instances: characteristic pair + base algebra + chern data.
 
-Names accept query-style integer parameters, e.g. "hirzebruch?a=2".  Toric
-entries set their lattice vectors equal to the ray directions; the two
-"generalized" entries (cp1-flip, cp2-twist) exercise nontrivial orientation
-signs.  Entries with an `ample_h` admit an honest simple polytope there,
-which the tests use for a triangulation volume oracle.
+`CATALOG` is the one table of the instance families: each name maps to its
+description, its integer parameters and a builder, so a new family is one
+entry.  Names accept query-style integer parameters, e.g. "hirzebruch?a=2";
+a parameter value is an optional sign and ASCII digits 0-9.  Toric entries
+set their lattice vectors equal to the ray directions; the two "generalized"
+entries (the flipped projective line and the twisted plane) exercise
+nontrivial orientation signs.  Entries with an `ample_h` admit an honest
+simple polytope there, which the tests use for a triangulation volume oracle.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import product
 
 from . import basealg as ba
 from . import charpair as cpm
@@ -19,24 +24,16 @@ from .srbundle import BundleRing
 
 
 class InstanceBundle(Record):
-    """A named, validated-on-demand triple defining a bundle ring.
+    """A named, validated-on-demand triple defining a bundle ring."""
 
-    `expected` (a fresh dict unless given) is not compared."""
-
-    __slots__ = ("name", "params", "cp", "base", "chern", "ample_h", "expected")
-    _defaults = {"ample_h": None, "expected": None}
-    _uncompared = ("expected",)
+    __slots__ = ("name", "params", "cp", "base", "chern", "ample_h")
+    _defaults = {"ample_h": None}
     name: str
     params: tuple[tuple[str, int], ...]
     cp: cpm.CharacteristicPair
     base: ba.GradedBaseAlgebra
     chern: ba.ChernData
     ample_h: tuple[Fraction, ...] | None
-    expected: dict
-
-    def _check(self):
-        if self.expected is None:
-            object.__setattr__(self, "expected", {})
 
     @property
     def label(self) -> str:
@@ -57,116 +54,73 @@ def _pair_cp2():
     return cpm.toric_pair([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 
-def _pair_cp3():
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    return cpm.toric_pair(rays, cones)
+def _over_point(cp, ample=None):
+    """A fan over a point; `ample` is a support vector with a simple polytope."""
+    ample_h = tuple(Fraction(v) for v in ample) if ample else None
+    return cp, ba.make_point(), ba.zero_chern(cp.n), ample_h
 
 
-def _pair_cp1xcp1():
-    rays = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    cones = [(0, 2), (0, 3), (1, 2), (1, 3)]
-    return cpm.toric_pair(rays, cones)
+def _bundle(cp, base, images):
+    """The fan over `base`, its torus characters sent to the classes `images`."""
+    return cp, base, ba.make_chern(base, cp.n, images), None
 
 
-def _pair_hirzebruch_toric(m: int):
-    rays = [(1, 0), (0, 1), (-1, m), (0, -1)]
-    cones = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    return cpm.toric_pair(rays, cones)
+def _cp1xcp1_bundle():
+    base = ba.tensor(ba.make_cp(1, "u"), ba.make_cp(1, "v"))
+    return _bundle(_pair_cp1(), base, [ba.el_add(base.element("u"), base.element("v"))])
 
 
-def _pair_cp1_flip():
-    # same fan as cp1 but both lattice vectors point the same way
-    return cpm.make_pair(1, [(1,), (-1,)], [(1,), (1,)], [(0,), (1,)])
-
-
-def _pair_cp2_twist():
-    # cp2 fan with the third lattice vector replaced; two cones get sign -1
-    return cpm.make_pair(2, [(1, 0), (0, 1), (-1, -1)],
-                         [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
-
-
-def _point_instance(name, params, cp, ample, betti):
-    return InstanceBundle(
-        name=name, params=params, cp=cp, base=ba.make_point(),
-        chern=ba.zero_chern(cp.n),
-        ample_h=tuple(Fraction(v) for v in ample) if ample else None,
-        expected={"betti": betti})
-
-
-def _build(name: str, params: dict[str, int]) -> InstanceBundle:
-    if name == "cp1":
-        return _point_instance("cp1", (), _pair_cp1(), (1, 1), [1, 0, 1])
-    if name == "cp2":
-        return _point_instance("cp2", (), _pair_cp2(), (1, 1, 1), [1, 0, 1, 0, 1])
-    if name == "cp3":
-        return _point_instance("cp3", (), _pair_cp3(), (1, 1, 1, 1),
-                               [1, 0, 1, 0, 1, 0, 1])
-    if name == "cp1xcp1":
-        return _point_instance("cp1xcp1", (), _pair_cp1xcp1(), (1, 1, 1, 1),
-                               [1, 0, 2, 0, 1])
-    if name == "hirzebruch-toric":
-        m = params.pop("m", 1)
-        return _point_instance("hirzebruch-toric", (("m", m),),
-                               _pair_hirzebruch_toric(m), (1, 1, 1, 1),
-                               [1, 0, 2, 0, 1])
-    if name == "cp1-flip":
-        return _point_instance("cp1-flip", (), _pair_cp1_flip(), None, [1, 0, 1])
-    if name == "cp2-twist":
-        return _point_instance("cp2-twist", (), _pair_cp2_twist(), None,
-                               [1, 0, 1, 0, 1])
-    if name == "hirzebruch":
-        a = params.pop("a", 1)
-        base = ba.make_cp(1)
-        chern = ba.make_chern(base, 1, [{1: Fraction(a)}])
-        return InstanceBundle(
-            name="hirzebruch", params=(("a", a),), cp=_pair_cp1(), base=base,
-            chern=chern, expected={"betti": [1, 0, 2, 0, 1]})
-    if name == "cp1-bundle-over-cp2":
-        a = params.pop("a", 1)
-        base = ba.make_cp(2)
-        chern = ba.make_chern(base, 1, [{1: Fraction(a)}])
-        return InstanceBundle(
-            name="cp1-bundle-over-cp2", params=(("a", a),), cp=_pair_cp1(),
-            base=base, chern=chern, expected={"betti": [1, 0, 2, 0, 2, 0, 1]})
-    if name == "cp1xcp1-bundle":
-        base = ba.tensor(ba.make_cp(1, "u"), ba.make_cp(1, "v"))
-        image = ba.el_add(base.element("u"), base.element("v"))
-        chern = ba.make_chern(base, 1, [image])
-        return InstanceBundle(
-            name="cp1xcp1-bundle", params=(), cp=_pair_cp1(), base=base,
-            chern=chern, expected={"betti": [1, 0, 3, 0, 3, 0, 1]})
-    if name == "cp2-bundle-over-cp1":
-        a = params.pop("a", 1)
-        b = params.pop("b", 0)
-        base = ba.make_cp(1)
-        chern = ba.make_chern(base, 2, [{1: Fraction(a)}, {1: Fraction(b)}])
-        return InstanceBundle(
-            name="cp2-bundle-over-cp1", params=(("a", a), ("b", b)),
-            cp=_pair_cp2(), base=base, chern=chern,
-            expected={"betti": [1, 0, 2, 0, 2, 0, 1]})
-    raise MalformedInputError(f"unknown catalog instance {name!r}")
-
-
-CATALOG_NAMES = [
-    "cp1", "cp2", "cp3", "cp1xcp1", "hirzebruch-toric", "cp1-flip",
-    "cp2-twist", "hirzebruch", "cp1-bundle-over-cp2", "cp1xcp1-bundle",
-    "cp2-bundle-over-cp1",
-]
-
-DESCRIPTIONS = {
-    "cp1": "projective line over a point",
-    "cp2": "projective plane over a point",
-    "cp3": "projective 3-space over a point",
-    "cp1xcp1": "product of two projective lines over a point",
-    "hirzebruch-toric": "Hirzebruch surface as a 2-dimensional fan over a point (m)",
-    "cp1-flip": "1-dimensional fan with reversed orientation data",
-    "cp2-twist": "cp2 fan with twisted lattice vectors (two negative cone signs)",
-    "hirzebruch": "projective-line bundle over the projective line (a)",
-    "cp1-bundle-over-cp2": "projective-line bundle over the projective plane (a)",
-    "cp1xcp1-bundle": "projective-line bundle over a product base",
-    "cp2-bundle-over-cp1": "projective-plane bundle over the projective line (a, b)",
+# name -> (description, parameters, build).  The parameters map each integer
+# parameter to the values all_instances takes, its default first; build takes
+# them as keywords and returns (cp, base, chern, ample_h).
+CATALOG = {
+    "cp1": (
+        "projective line over a point", {},
+        lambda: _over_point(_pair_cp1(), (1, 1))),
+    "cp2": (
+        "projective plane over a point", {},
+        lambda: _over_point(_pair_cp2(), (1, 1, 1))),
+    "cp3": (
+        "projective 3-space over a point", {},
+        lambda: _over_point(cpm.toric_pair(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+            [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]), (1, 1, 1, 1))),
+    "cp1xcp1": (
+        "product of two projective lines over a point", {},
+        lambda: _over_point(cpm.toric_pair(
+            [(1, 0), (-1, 0), (0, 1), (0, -1)],
+            [(0, 2), (0, 3), (1, 2), (1, 3)]), (1, 1, 1, 1))),
+    "hirzebruch-toric": (
+        "Hirzebruch surface as a 2-dimensional fan over a point (m)", {"m": (1, 2)},
+        lambda m: _over_point(cpm.toric_pair(
+            [(1, 0), (0, 1), (-1, m), (0, -1)],
+            [(0, 1), (1, 2), (2, 3), (0, 3)]), (1, 1, 1, 1))),
+    # the projective line's fan, both lattice vectors pointing the same way
+    "cp1-flip": (
+        "1-dimensional fan with reversed orientation data", {},
+        lambda: _over_point(cpm.make_pair(
+            1, [(1,), (-1,)], [(1,), (1,)], [(0,), (1,)]))),
+    # the plane's fan with the third lattice vector replaced; two cones get sign -1
+    "cp2-twist": (
+        "cp2 fan with twisted lattice vectors (two negative cone signs)", {},
+        lambda: _over_point(cpm.make_pair(
+            2, [(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (1, 1)],
+            [(0, 1), (1, 2), (0, 2)]))),
+    "hirzebruch": (
+        "projective-line bundle over the projective line (a)", {"a": (1, 0, 2, 3)},
+        lambda a: _bundle(_pair_cp1(), ba.make_cp(1), [{1: a}])),
+    "cp1-bundle-over-cp2": (
+        "projective-line bundle over the projective plane (a)", {"a": (1, 2)},
+        lambda a: _bundle(_pair_cp1(), ba.make_cp(2), [{1: a}])),
+    "cp1xcp1-bundle": (
+        "projective-line bundle over a product base", {},
+        _cp1xcp1_bundle),
+    "cp2-bundle-over-cp1": (
+        "projective-plane bundle over the projective line (a, b)", {"a": (1,), "b": (0,)},
+        lambda a, b: _bundle(_pair_cp2(), ba.make_cp(1), [{1: a}, {1: b}])),
 }
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_spec(spec: str) -> tuple[str, dict[str, int]]:
@@ -184,7 +138,9 @@ def parse_spec(spec: str) -> tuple[str, dict[str, int]]:
             if key in params:
                 raise MalformedInputError(f"parameter {key!r} given twice")
             try:
-                params[key] = int(value)
+                if not _INTEGER.fullmatch(value.strip()):
+                    raise ValueError(value)
+                params[key] = int(value)  # int() refuses more than 4300 digits
             except ValueError as exc:
                 raise MalformedInputError(f"parameter {key!r} must be an integer") from exc
     return name.strip(), params
@@ -192,30 +148,31 @@ def parse_spec(spec: str) -> tuple[str, dict[str, int]]:
 
 def get(spec: str) -> InstanceBundle:
     """Look up a catalog instance by name with optional parameters."""
-    name, params = parse_spec(spec)
-    inst = _build(name, params)
-    # _build pops every parameter it reads; anything left is unknown.
-    if params:
+    name, given = parse_spec(spec)
+    if name not in CATALOG:
+        raise MalformedInputError(f"unknown catalog instance {name!r}")
+    declared = CATALOG[name][1]
+    unknown = given.keys() - declared.keys()
+    if unknown:
         raise MalformedInputError(
-            f"unknown parameter(s) {', '.join(sorted(params))} for {name!r}")
-    return inst
+            f"unknown parameter(s) {', '.join(sorted(unknown))} for {name!r}")
+    return _instance(name, {key: given.get(key, values[0])
+                            for key, values in declared.items()})
+
+
+def _instance(name: str, params: dict[str, int]) -> InstanceBundle:
+    """The entry `name` built at `params`, every declared parameter given."""
+    return InstanceBundle(name, tuple(params.items()), *CATALOG[name][2](**params))
 
 
 def all_instances() -> list[InstanceBundle]:
-    """Every catalog entry, with a small spread of parameters."""
-    out = []
-    for name in CATALOG_NAMES:
-        if name == "hirzebruch":
-            out.extend(get(f"hirzebruch?a={a}") for a in (0, 1, 2, 3))
-        elif name == "hirzebruch-toric":
-            out.extend(get(f"hirzebruch-toric?m={m}") for m in (1, 2))
-        elif name == "cp1-bundle-over-cp2":
-            out.extend(get(f"cp1-bundle-over-cp2?a={a}") for a in (1, 2))
-        else:
-            out.append(get(name))
-    return out
+    """Every catalog entry at every combination of its parameters' values,
+    each taken in increasing order."""
+    return [_instance(name, dict(zip(declared, values)))
+            for name, (_, declared, _) in CATALOG.items()
+            for values in product(*map(sorted, declared.values()))]
 
 
 def default_instances() -> list[InstanceBundle]:
     """One representative per catalog name (default parameters)."""
-    return [get(name) for name in CATALOG_NAMES]
+    return [get(name) for name in CATALOG]

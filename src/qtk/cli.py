@@ -377,8 +377,8 @@ def cmd_check_all(args) -> tuple[dict, int]:
 
 
 def cmd_catalog(args) -> tuple[dict, int]:
-    entries = [{"name": name, "description": cat.DESCRIPTIONS[name]}
-               for name in cat.CATALOG_NAMES]
+    entries = [{"name": name, "description": description}
+               for name, (description, _, _) in cat.CATALOG.items()]
     return {"command": "catalog", "input": {},
             "result": {"instances": entries}}, 0
 

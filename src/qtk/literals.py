@@ -7,8 +7,9 @@ Grammar (whitespace ignored):
     factor := atom ['^' INT]
     atom   := NUMBER ['/' NUMBER] | NAME | '(' expr ')'
 
-NAME is a base-algebra basis name or a divisor variable x1, x2, ...
-(1-based).  Examples: "x1^2*x3 + (2/3)*t*x2", "x1+x2+x3".  A bare
+NUMBER is one or more ASCII digits 0-9, as in the support numbers of --h
+and the catalog's parameters; any other digit is a bad character.  NAME is
+a base-algebra basis name or a divisor variable x1, x2, ... (1-based).  Examples: "x1^2*x3 + (2/3)*t*x2", "x1+x2+x3".  A bare
 juxtaposition like "(2/3)t" is accepted as multiplication.
 
 An exponent, and the x-degree of every term of a product or power, may not
@@ -30,7 +31,7 @@ from .srbundle import BundleElement, BundleRing, bel_mul, lift, one, x_class
 
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()]))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -154,7 +155,7 @@ class _Parser:
                 value /= den
             return el_scale(one(self.ring), value)
         if kind == "name":
-            m = re.fullmatch(r"x(\d+)", val)
+            m = re.fullmatch(r"x([0-9]+)", val)
             if m:
                 idx = int(m.group(1)) - 1
                 if not 0 <= idx < self.ring.cp.s:

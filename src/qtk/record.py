@@ -5,8 +5,8 @@ order; slots whose names start with "_" are private state, not fields.
 Fields may be passed positionally or by keyword, and `_defaults` supplies
 the trailing ones left out.  The constructor runs `_check`, which validates
 the fields and may fill private slots with object.__setattr__.  Records of
-the same class are equal when their compared fields (all but `_uncompared`)
-are, and then hash alike; after construction no attribute can be assigned.
+the same class are equal when all their fields are, and then hash alike;
+after construction no attribute can be assigned.
 
 These are plain slotted classes rather than dataclasses: importing
 `dataclasses` and generating its methods cost each qtk process about 25 ms
@@ -19,16 +19,13 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
     _defaults: dict = {}
-    _uncompared: tuple[str, ...] = ()
     # Set per class by __init_subclass__: the inherited fields, then its own.
     _fields: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__slots__", ())
         cls._fields += tuple(name for name in own if not name.startswith("_"))
-        cls._compared = tuple(name for name in cls._fields if name not in cls._uncompared)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -54,7 +51,7 @@ class Record:
         """Validate the fields; raise on bad input."""
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -69,6 +69,24 @@ class TestConstructors:
         assert prod.integrate(prod.mul(e, f)) == 1
 
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"degrees": [0, 2]}, "need one degree per basis name"),
+        ({"names": ["1", "1"], "degrees": [0, 0], "fundamental": [1, 0]},
+         "duplicate basis names"),
+        ({"degrees": [-1]}, "negative degree"),
+        ({"products": {(0, 1): {0: 1}}}, "product index out of range"),
+        ({"products": {(0, 0): {1: 1}}}, "product result index out of range"),
+        ({"fundamental": [1, 0]}, "need one fundamental value per basis element"),
+    ])
+    def test_malformed_point(self, edit, message):
+        """Each constructor check, on the point algebra with one part edited."""
+        args = {"names": ["1"], "degrees": [0], "products": {(0, 0): {0: 1}},
+                "fundamental": [1], **edit}
+        with pytest.raises(MalformedInputError) as exc:
+            ba.GradedBaseAlgebra(**args)
+        assert str(exc.value) == message
+
+
 class TestValidatorMutants:
     def test_unit_mutant(self):
         # two degree-0 elements

@@ -444,6 +444,19 @@ class TestCheckAll:
         assert (code, result["betti_equals_brion"], result["ok"]) == (1, False, False)
         assert result["hilbert_matches"] is True and result["bkk_ok"] is True
 
+    def test_invalid_pair_reports_validation_only(self, capsys, tmp_path):
+        """A pair whose lambda has a cone of determinant 2 stops check-all
+        after validation: no Betti, Hilbert or BKK keys, and exit 1."""
+        payload = bundle_payload(get("cp1"))
+        payload["charpair"]["lambda"] = [[2], [-1]]
+        path = tmp_path / "det2.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, report = run_json(capsys, "check-all", str(path), "--samples", "3")
+        assert code == 1
+        assert report["input"] == {"instance": "det2.json",
+                                   "digest": instance_digest(load_bundle_file(str(path)))}
+        assert report["result"] == {"validation": False, "ok": False}
+
     def test_wrong_ann_hilbert_fails(self, capsys, monkeypatch):
         def ann_hilbert(p, _real=cli.iv.ann_hilbert):
             dims = _real(p)
@@ -585,6 +598,16 @@ class TestCatalogAndFormats:
         code, out, _ = run(capsys, "betti", "cp2", "--format", "text")
         assert code == 0
         assert "result.dims: [1, 0, 1, 0, 1]" in out
+
+    def test_text_format_indexes_lists_of_dicts(self, capsys):
+        code, out, _ = run(capsys, "validate", "cp2", "cp3", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["command: validate", "input.instances: ['cp2', 'cp3']",
+                             "result.instances[0].base.checks[0].detail: "]
+        assert "result.instances[1].charpair.checks[0].name: simplicial" in lines
+        assert "result.instances[1].instance: cp3" in lines
+        assert lines[-1] == "result.ok: True"
 
     def test_json_is_sorted_and_stable(self, capsys):
         _, out1, _ = run(capsys, "betti", "cp2")
@@ -762,6 +785,46 @@ class TestMalformedInput:
     def test_catalog_parameter_given_twice(self, capsys):
         err = self.assert_bad_input(capsys, "betti", "hirzebruch?a=2,a=3")
         assert "parameter 'a' given twice" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("hirzebruch?a", "bad parameter 'a'"),
+        ("hirzebruch?a=1&b", "bad parameter 'b'"),
+        ("hirzebruch?a=x", "parameter 'a' must be an integer"),
+        ("hirzebruch?a=1.5", "parameter 'a' must be an integer"),
+        ("hirzebruch?a=" + "1" * 5000, "parameter 'a' must be an integer"),
+        # a parameter value is an optional sign and ASCII digits; int() reads these three
+        ("hirzebruch?a=\u0663", "parameter 'a' must be an integer"),
+        ("hirzebruch?a=1_0", "parameter 'a' must be an integer"),
+        ("cp2-bundle-over-cp1?a=1,b=\uff12", "parameter 'b' must be an integer"),
+    ])
+    def test_bad_catalog_parameter(self, capsys, spec, message):
+        err = self.assert_bad_input(capsys, "validate", spec)
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
+    def test_literal_digits_are_ascii(self, capsys, digit):
+        """--classes reads numbers by the rule of --h: a non-ASCII digit, here
+        ARABIC-INDIC DIGIT THREE or FULLWIDTH DIGIT THREE, is bad input in both."""
+        err = self.assert_bad_input(capsys, "intersect", "cp2", "--classes", f"{digit}*x1;x1")
+        assert err == f"error: bad character in literal: '{digit}*x1'\n"
+        err = self.assert_bad_input(capsys, "volume", "cp2", "--h", f"{digit},1,1")
+        assert err == f"error: not a rational: '{digit}'\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("basis", [{"name": "1", "deg": 0}, {"name": "1", "deg": 2}], "duplicate basis names"),
+        ("basis", [{"name": "1", "deg": -2}], "negative degree"),
+        ("products", {"0,1": [["1", "1"]]}, "product index out of range"),
+    ])
+    def test_malformed_base_algebra(self, capsys, tmp_path, key, value, message):
+        """The base-algebra checks a bundle file can reach; the degree count,
+        product result index and fundamental count follow from one basis
+        list there, and are tested on the constructor in test_basealg."""
+        payload = bundle_payload(get("cp2"))
+        payload["base"][key] = value
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        err = self.assert_bad_input(capsys, "validate", str(path))
+        assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
