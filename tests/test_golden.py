@@ -1,4 +1,4 @@
-"""`qtk check-all`, `qtk brion`, `qtk potential`, `qtk bkk`, `qtk volume`,
+"""`qtk check-all`, `qtk brion`, `qtk potential` (both modes), `qtk bkk`, `qtk volume`,
 `qtk horizontal`, `qtk ann-hilbert`, `qtk ann-generators`, `qtk betti`,
 `qtk validate` and `qtk catalog` reports compared byte for byte against
 committed files.
@@ -9,7 +9,10 @@ regenerated by a refactor: any change in a report means a change in the
 mathematics.  The brion reports also cover `fiber_quotient_dims`, which
 check-all does not print.  The potential reports pin every coefficient of
 the integral potential; a fault shared by both potential builders (and so
-invisible to comparing them) shows here.  The bkk reports pin both sides
+invisible to comparing them) shows here.  The potential-direct reports,
+from `qtk potential <spec> --mode direct`, pin the direct potential, whose
+coefficients are the pairings <gamma x^alpha, [M]> of srbundle's
+`evaluate_top`.  The bkk reports pin both sides
 of the BKK identity, lhs and rhs, which check-all never prints, so a fault
 shared by the integral and the intersection side shows too.  They are
 written from `qtk bkk <spec> --gamma 1 --i <top/2> --h <BKK_H>`, with h cut
@@ -32,8 +35,9 @@ from qtk.catalog import all_instances, get
 from qtk.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-COMMANDS = ["check-all", "brion", "potential", "bkk", "volume", "horizontal",
-            "ann-hilbert", "ann-generators", "betti", "validate"]
+# One directory per report kind: the command, or a command at one mode.
+DIRECTORIES = ["check-all", "brion", "potential", "potential-direct", "bkk", "volume",
+               "horizontal", "ann-hilbert", "ann-generators", "betti", "validate"]
 EXTRA_SPECS = ["cp2-bundle-over-cp1?a=1,b=2"]
 SPECS = sorted({inst.label for inst in all_instances()} | set(EXTRA_SPECS))
 # The bkk support vector: negative and fractional entries, mixed denominators.
@@ -51,17 +55,18 @@ def i_args(spec):
 
 
 def test_every_spec_has_a_golden_file():
-    for command in COMMANDS:
+    for directory in DIRECTORIES:
         on_disk = {name[:-len(".json")]
-                   for name in os.listdir(os.path.join(GOLDEN, command))}
-        assert set(SPECS) <= on_disk, command
+                   for name in os.listdir(os.path.join(GOLDEN, directory))}
+        assert set(SPECS) <= on_disk, directory
 
 
-def _assert_matches_golden(command, spec, capsys, monkeypatch, options=()):
+def _assert_matches_golden(command, spec, capsys, monkeypatch, options=(),
+                           directory=None):
     monkeypatch.delenv("QTK_SEED", raising=False)
     code = main([command, spec, *options])
     out = capsys.readouterr().out.encode("utf-8")
-    with open(os.path.join(GOLDEN, command, spec + ".json"), "rb") as fh:
+    with open(os.path.join(GOLDEN, directory or command, spec + ".json"), "rb") as fh:
         assert out == fh.read()
     assert code == 0
 
@@ -79,6 +84,12 @@ def test_brion_matches_golden(spec, capsys, monkeypatch):
 @pytest.mark.parametrize("spec", SPECS)
 def test_potential_matches_golden(spec, capsys, monkeypatch):
     _assert_matches_golden("potential", spec, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_potential_direct_matches_golden(spec, capsys, monkeypatch):
+    _assert_matches_golden("potential", spec, capsys, monkeypatch, ["--mode", "direct"],
+                           directory="potential-direct")
 
 
 @pytest.mark.parametrize("spec", SPECS)
