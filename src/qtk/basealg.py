@@ -311,10 +311,11 @@ class ChernData(Record):
         return dict(self.images[a])
 
     def evaluate(self, lam_vec: Sequence) -> Element:
-        """c(lambda) for lambda given in standard coordinates."""
+        """c(lambda) for lambda given in standard coordinates, ints or
+        Fractions; the images' Fraction coefficients make every value a
+        Fraction."""
         out: Element = {}
         for a, coord in enumerate(lam_vec):
-            coord = Fraction(coord)
             if not coord:
                 continue
             for k, c in self.images[a]:

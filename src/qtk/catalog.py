@@ -3,22 +3,23 @@
 `CATALOG` is the one table of the instance families: each name maps to its
 description, its integer parameters and a builder, so a new family is one
 entry.  Names accept query-style integer parameters, e.g. "hirzebruch?a=2";
-a parameter value is an optional sign and ASCII digits 0-9.  Toric entries
-set their lattice vectors equal to the ray directions; the two "generalized"
-entries (the flipped projective line and the twisted plane) exercise
-nontrivial orientation signs.  Entries with an `ample_h` admit an honest
-simple polytope there, which the tests use for a triangulation volume oracle.
+a parameter value is an optional sign and ASCII digits 0-9, read by
+`exact.ascii_int`.  Toric entries set their lattice vectors equal to the ray
+directions; the two "generalized" entries (the flipped projective line and
+the twisted plane) exercise nontrivial orientation signs.  Entries with an
+`ample_h` admit an honest simple polytope there, which the tests use for a
+triangulation volume oracle.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import product
 
 from . import basealg as ba
 from . import charpair as cpm
 from .errors import MalformedInputError
+from .exact import ascii_int
 from .record import Record
 from .srbundle import BundleRing
 
@@ -120,27 +121,23 @@ CATALOG = {
         lambda a, b: _bundle(_pair_cp2(), ba.make_cp(1), [{1: a}, {1: b}])),
 }
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def parse_spec(spec: str) -> tuple[str, dict[str, int]]:
-    """Split 'name?k=v,k2=v2' into the name and its integer parameters."""
+    """Split 'name?k=v,k2=v2' into the name and its integer parameters; a
+    '?' must be followed by parameters, each with a name."""
     if spec.startswith("catalog:"):
         spec = spec[len("catalog:"):]
-    name, _, query = spec.partition("?")
+    name, question, query = spec.partition("?")
     params: dict[str, int] = {}
-    if query:
+    if question:
         for piece in query.replace("&", ",").split(","):
             key, sep, value = piece.partition("=")
-            if not sep:
-                raise MalformedInputError(f"bad parameter {piece!r}")
             key = key.strip()
+            if not sep or not key:
+                raise MalformedInputError(f"bad parameter {piece!r}")
             if key in params:
                 raise MalformedInputError(f"parameter {key!r} given twice")
             try:
-                if not _INTEGER.fullmatch(value.strip()):
-                    raise ValueError(value)
-                params[key] = int(value)  # int() refuses more than 4300 digits
+                params[key] = ascii_int(value)
             except ValueError as exc:
                 raise MalformedInputError(f"parameter {key!r} must be an integer") from exc
     return name.strip(), params

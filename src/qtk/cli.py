@@ -30,7 +30,7 @@ from . import multipoly as mp
 from . import ppbrion as pp
 from . import srbundle as sr
 from .errors import MalformedInputError, QtkError
-from .exact import scalar_str
+from .exact import ascii_int, scalar_str
 from .literals import parse_class, parse_gamma, parse_h
 from .srbundle import BundleRing
 
@@ -179,7 +179,7 @@ def _seed(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        return ascii_int(raw)
     except ValueError:
         raise MalformedInputError(f"QTK_SEED must be an integer, got {raw!r}") from None
 
@@ -314,11 +314,6 @@ _SUPPORT_ENTRIES = tuple(tuple(Fraction(k, den) for k in range(-3 * den, 3 * den
                          for den in (1, 2, 3, 4))
 
 
-# One shared coefficient: equal classes then compare by identity in
-# multipoly.bkk_check's table of samplers.
-_ONE = Fraction(1)
-
-
 def _bkk_samples(ring: BundleRing, count: int, seed: int):
     rng = random.Random(seed)
     k = ring.base.top
@@ -328,7 +323,7 @@ def _bkk_samples(ring: BundleRing, count: int, seed: int):
             i = rng.randint(0, k // 2)
             if candidates[i]:
                 break
-        gamma = {rng.choice(candidates[i]): _ONE}
+        gamma = {rng.choice(candidates[i]): Fraction(1)}
         h = [rng.choice(rng.choice(_SUPPORT_ENTRIES)) for _ in range(ring.cp.s)]
         yield gamma, i, h
 
@@ -404,22 +399,22 @@ COMMANDS = {
         ("--gamma", {"default": "1", "help": "base class literal"}))),
     "bkk": ("compare integral and intersection pipelines", cmd_bkk, (
         _INSTANCE, _FORMAT, ("--gamma", {"default": "1"}),
-        ("--i", {"type": int, "default": 0}), ("--h", {"required": True}))),
+        ("--i", {"type": ascii_int, "default": 0}), ("--h", {"required": True}))),
     "horizontal": ("horizontal part of a power of rho", cmd_horizontal, (
         _INSTANCE, _FORMAT, ("--h", {"required": True}),
-        ("--i", {"type": int, "default": 0}))),
+        ("--i", {"type": ascii_int, "default": 0}))),
     "potential": ("bundle potential", cmd_potential, (
         _INSTANCE, _FORMAT,
         ("--mode", {"choices": ("integral", "direct"), "default": "integral"}))),
     "ann-hilbert": ("Hilbert function of the potential quotient", cmd_ann_hilbert,
                     (_INSTANCE, _FORMAT)),
     "ann-generators": ("annihilator generators of the potential", cmd_ann_generators, (
-        _INSTANCE, _FORMAT, ("--max-degree", {"type": int, "default": None}))),
+        _INSTANCE, _FORMAT, ("--max-degree", {"type": ascii_int, "default": None}))),
     "brion": ("piecewise-polynomial quotient dimensions", cmd_brion, (
-        _INSTANCE, _FORMAT, ("--max-degree", {"type": int, "default": None}))),
+        _INSTANCE, _FORMAT, ("--max-degree", {"type": ascii_int, "default": None}))),
     "check-all": ("cross-check all three presentations", cmd_check_all, (
-        _INSTANCE, _FORMAT, ("--samples", {"type": int, "default": 20}),
-        ("--seed", {"type": int, "default": 0}))),
+        _INSTANCE, _FORMAT, ("--samples", {"type": ascii_int, "default": 20}),
+        ("--seed", {"type": ascii_int, "default": 0}))),
     "catalog": ("list built-in instances", cmd_catalog, (_FORMAT,)),
 }
 

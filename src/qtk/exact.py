@@ -41,6 +41,7 @@ Matrix = Sequence[Row]
 
 _ONE = Fraction(1)
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def as_scalar(x) -> Fraction:
@@ -67,6 +68,21 @@ def as_int(x) -> int:
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise MalformedInputError(f"not an integer: {x!r}")
+
+
+def ascii_int(text: str) -> int:
+    """An optional sign and ASCII digits 0-9, surrounding whitespace
+    allowed, as an int: the one rule for integers typed by hand (options,
+    QTK_SEED, catalog parameters).  Anything else raises ValueError, the
+    other Unicode digits and the `_` separators that int() takes included,
+    as do more digits than int() reads (4300 by default)."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+# argparse reports a value its type rejects as "invalid <__name__> value".
+ascii_int.__name__ = "int"
 
 
 def scalar_str(x: Fraction) -> str:

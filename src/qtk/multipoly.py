@@ -39,9 +39,9 @@ polynomial the direct potential reads.  A sample clears
 h = H / D once and runs the vertex sums and the table in ints; I_gamma,
 F_gamma, bkk_sides and bkk_check all read it.  bkk_sides returns both
 sides of one sample, for the caller to compare.  bkk_check takes a whole
-stream of samples, finds each (gamma, i)'s sampler once in a table of its
-own, compares the sides as int cross products and returns only the failing
-samples; both read one int core, so there is one formula.
+stream of samples, reads each one's sampler from the same cache, compares
+the sides as int cross products and returns only the failing samples; both
+read one int core, so there is one formula.
 """
 
 from __future__ import annotations
@@ -427,20 +427,15 @@ def bkk_check(ring: BundleRing, samples: Iterable[tuple[Element, int, Sequence]]
     """The samples (gamma, i, h) at which the BKK identity fails, as
     (gamma, i, h, lhs, rhs) in sample order, lhs and rhs as in bkk_sides.
 
-    One sampler per distinct (gamma, i) is looked up in a table local to
-    the call, and the sides are compared as lnum * rden == rnum * lden in
-    ints; Fractions are built only for a failure's report.  An error
-    raises at the sample that causes it, as bkk_sides would.
+    Each sample reads the cached sampler of its (gamma, i), and the sides
+    are compared as lnum * rden == rnum * lden in ints; Fractions are built
+    only for a failure's report.  An error raises at the sample that causes
+    it, as bkk_sides would.
     """
-    samplers = {}
     failures = []
     for gamma, i, h in samples:
         hs = support_vector(ring.cp, h)
-        key = (tuple(gamma.items()), i)
-        sampler = samplers.get(key)
-        if sampler is None:
-            sampler = samplers[key] = _sampler(ring, gamma, i)
-        lnum, lden, rnum, rden = _bkk_ints(ring, sampler, i, hs)
+        lnum, lden, rnum, rden = _bkk_ints(ring, _sampler(ring, gamma, i), i, hs)
         if lnum * rden != rnum * lden:
             failures.append((gamma, i, h, Fraction(lnum, lden), Fraction(rnum, rden)))
     return failures

@@ -12,9 +12,9 @@ classes keep their Koszul signs.
 `reduce` rewrites any element into square-free face form by repeatedly
 eliminating one factor of a repeated variable through a dual character; the
 multiplicity of every produced monomial drops by one, so it terminates.
-With the canonical characters the rewriting is linear over the base, so each
-x-monomial is reduced once per ring, and its pairing with the fundamental
-class against every base class is cached (`evaluate_top`).  Powers
+`evaluate_top` reduces a top-degree element with the canonical characters
+and pairs each surviving term, a maximal cone times a base class, with the
+fundamental class; it caches nothing.  Powers
 of rho are not expanded: by the multinomial theorem
 <gamma * rho(h)^k, [M]> is k! times the pairing polynomial
 sum <gamma x^alpha, [M]> h^alpha / alpha! over the face monomials x^alpha
@@ -144,18 +144,11 @@ def reduce(ring: BundleRing, el: BundleElement,
     `chooser(face, j)` supplies the dual character used to eliminate one
     factor of x_j; the default is the canonical minimal one,
     `dual_character`.  Any valid choice yields the same pairings (not
-    necessarily the same terms).  Nothing here is cached: the cached
-    pairings of `evaluate_top` reduce each x-monomial once instead.
+    necessarily the same terms).  Nothing here is cached.
     """
-    if chooser is None:
-        cp = ring.cp
-        chooser = lambda face, j: dual_character(cp, face, j)
-    return _rewrite(ring, el, chooser)
-
-
-def _rewrite(ring: BundleRing, el: BundleElement,
-             chooser: CharacterChooser) -> BundleElement:
     cp = ring.cp
+    if chooser is None:
+        chooser = lambda face, j: dual_character(cp, face, j)
     out: BundleElement = {}
     # Work items carry a whole base coefficient so that c(chi) multiplies it
     # once, from the right, as base.mul(coeff, c(chi)).
@@ -189,57 +182,21 @@ def _rewrite(ring: BundleRing, el: BundleElement,
 # ---------------------------------------------------------------------------
 # Evaluation against the fundamental class.
 
-def evaluate_top(ring: BundleRing, el: BundleElement,
-                 chooser: CharacterChooser | None = None) -> Fraction:
+def evaluate_top(ring: BundleRing, el: BundleElement) -> Fraction:
     """Pairing of a top-degree element with the fundamental class.
 
-    After reduction, a square-free face monomial on a maximal cone J with
-    base coefficient g contributes sign(J) * <g, [B]>; smaller supports force
-    the coefficient above the base's top degree, hence vanish.  With the
-    default chooser every term reads its cached `_top_pairing`; integer
-    coefficients are then summed as ints.
+    After reduction every term is a square-free face monomial b_idx x^J of
+    top degree; a face smaller than a maximal cone would need a base class
+    above the base's top degree, so J is a maximal cone, and the term
+    contributes sign(J) * <b_idx, [B]>.
     """
     degs = term_degrees(ring, el)
     if degs - {ring.total_degree}:
         raise DegreeMismatchError(
             f"element has degrees {sorted(degs)}, expected {ring.total_degree}")
-    if chooser is None:
-        total = 0
-        for (expo, idx), c in el.items():
-            total += c * _top_pairing(ring, expo)[idx]
-        return Fraction(total)
-    total = Fraction(0)
-    for (expo, idx), c in reduce(ring, el, chooser).items():
-        supp = _support(expo)
-        if len(supp) != ring.cp.n:
-            continue
-        total += cone_sign(ring.cp, supp) * c * ring.base.fundamental[idx]
-    return total
-
-
-@lru_cache(maxsize=None)
-def _top_pairing(ring: BundleRing, expo: Expo) -> tuple[int | Fraction, ...]:
-    """<b_g x^expo, [M]> for every base index g, as ints where integral.
-
-    The rewriting only multiplies coefficients on the right by base classes
-    and rationals, so by associativity (which the base's validation checks)
-    b_g x^expo reduces to b_g times the normal form of x^expo, whose terms
-    r b_j x^e on a maximal cone pair to sign(e) r <b_g b_j, [B]>.
-    """
-    base, cp = ring.base, ring.cp
-    nf = _rewrite(ring, {(expo, base.unit_index()): Fraction(1)},
-                  lambda face, j: dual_character(cp, face, j))
-    top = []
-    for (e, j), r in nf.items():
-        supp = _support(e)
-        if len(supp) == cp.n:
-            top.append((cone_sign(cp, supp) * r, j))
-    out = []
-    for g in range(base.dim):
-        val = sum((v * base.integrate(base.products.get((g, j), {})) for v, j in top),
-                  Fraction(0))
-        out.append(exact.int_if_integral(val))
-    return tuple(out)
+    cp, fundamental = ring.cp, ring.base.fundamental
+    return sum((cone_sign(cp, _support(expo)) * c * fundamental[idx]
+                for (expo, idx), c in reduce(ring, el).items()), Fraction(0))
 
 
 def pairing_polynomial(ring: BundleRing, gamma: Element, k: int) -> MultiPoly:

@@ -25,7 +25,7 @@ from qtk.exact import cleared_dense
 from qtk.poly import MultiPoly, weighted_monomials
 from qtk.record import Record
 
-from conftest import clear_caches
+from conftest import clear_caches, two_character_cases
 
 INSTANCES = all_instances()
 
@@ -40,8 +40,8 @@ def label(inst):
 def test_default_reduce_equals_explicit_chooser(inst, data):
     """reduce's default chooser is the canonical character, and the
     rewriting is linear over the base: it equals the sum of the terms' base
-    classes times the normal forms of their x-monomials, which is what
-    evaluate_top's cached pairings rely on."""
+    classes times the normal forms of their x-monomials, the associativity
+    that associativity_top_pairing relies on."""
     ring = inst.ring()
     cp = ring.cp
     terms = data.draw(st.lists(st.tuples(
@@ -145,13 +145,38 @@ def test_sampler_equals_reference_route(inst, data):
     assert mp.integrate_polynomial(ring.cp, h, whole) == integrals
 
 
-@pytest.mark.parametrize("inst", INSTANCES, ids=label)
+def associativity_top_pairing(ring, el):
+    """<el, [M]> by associativity: a term c b_g x^expo pairs to
+    c * sum sign(J) r <b_g b_j, [B]> over the terms r b_j x^e of the normal
+    form of the unit monomial x^expo whose support J is a maximal cone."""
+    base, cp = ring.base, ring.cp
+    total = Fraction(0)
+    for (expo, g), c in el.items():
+        for (e, j), r in sr.reduce(ring, {(expo, base.unit_index()): Fraction(1)}).items():
+            supp = tuple(k for k, v in enumerate(e) if v)
+            if len(supp) == cp.n:
+                total += c * cpm.cone_sign(cp, supp) * r * \
+                    base.integrate(base.products.get((g, j), {}))
+    return total
+
+
+def top_pairing_rings():
+    """(id, ring): every catalog ring, and cp2's fan over the two bases with
+    nonzero Chern data in two characters, where reduce multiplies base
+    classes."""
+    cp2 = get("cp2").cp
+    return [(inst.label, inst.ring()) for inst in INSTANCES] + \
+        [(name, sr.BundleRing(cp2, alg, chern)) for name, alg, chern in two_character_cases()]
+
+
+@pytest.mark.parametrize("ring", [pytest.param(ring, id=name)
+                                  for name, ring in top_pairing_rings()])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_cached_top_pairing_equals_explicit_chooser(inst, data):
-    """evaluate_top through the cached pairings equals the rewriting with
-    the canonical characters passed explicitly, on top-degree elements."""
-    ring = inst.ring()
+def test_cached_top_pairing_equals_explicit_chooser(ring, data):
+    """evaluate_top, which reduces the whole element, equals the pairing by
+    associativity from the normal forms of unit x-monomials, on random
+    top-degree elements with rational coefficients."""
     cp = ring.cp
     terms = []
     for xdeg in range(ring.total_degree // 2 + 1):
@@ -165,8 +190,7 @@ def test_cached_top_pairing_equals_explicit_chooser(inst, data):
     for slots, idx, c in data.draw(st.lists(st.one_of(terms), max_size=6)):
         expo = tuple(slots.count(i) for i in range(cp.s))
         el = ba.el_add(el, {(expo, idx): c})
-    canonical = lambda face, j: cpm.dual_character(cp, face, j)
-    assert sr.evaluate_top(ring, el) == sr.evaluate_top(ring, el, chooser=canonical)
+    assert sr.evaluate_top(ring, el) == associativity_top_pairing(ring, el)
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=label)

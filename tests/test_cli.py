@@ -796,10 +796,41 @@ class TestMalformedInput:
         ("hirzebruch?a=\u0663", "parameter 'a' must be an integer"),
         ("hirzebruch?a=1_0", "parameter 'a' must be an integer"),
         ("cp2-bundle-over-cp1?a=1,b=\uff12", "parameter 'b' must be an integer"),
+        # a '?' must be followed by parameters, each with a name
+        ("hirzebruch?=1", "bad parameter '=1'"),
+        ("hirzebruch?a=1, =2", "bad parameter ' =2'"),
+        ("cp2?", "bad parameter ''"),
+        ("catalog:cp2?", "bad parameter ''"),
     ])
     def test_bad_catalog_parameter(self, capsys, spec, message):
         err = self.assert_bad_input(capsys, "validate", spec)
         assert err == f"error: {message}\n"
+
+    # ARABIC-INDIC DIGIT THREE, FULLWIDTH DIGIT ZERO and a `_` separator,
+    # which int() reads as 3, 0 and 10.
+    @pytest.mark.parametrize("value", ["\u0663", "\uff10", "1_0"])
+    @pytest.mark.parametrize("argv, option", [
+        (("check-all", "cp1", "--samples"), "--samples"),
+        (("check-all", "cp1", "--seed"), "--seed"),
+        (("brion", "cp1", "--max-degree"), "--max-degree"),
+        (("ann-generators", "cp1", "--max-degree"), "--max-degree"),
+        (("bkk", "cp1", "--h", "1,1", "--i"), "--i"),
+        (("horizontal", "cp1", "--h", "1,1", "--i"), "--i")],
+        ids=["samples", "seed", "brion-max-degree", "generators-max-degree", "bkk-i",
+             "horizontal-i"])
+    def test_integer_options_are_ascii(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["\u0667", "\uff17", "7_0"])
+    def test_seed_variable_is_ascii(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QTK_SEED", value)
+        err = self.assert_bad_input(capsys, "check-all", "cp1", "--samples", "1")
+        assert err == f"error: QTK_SEED must be an integer, got {value!r}\n"
 
     @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])
     def test_literal_digits_are_ascii(self, capsys, digit):

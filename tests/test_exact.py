@@ -139,6 +139,23 @@ class TestAsInt:
             exact.as_int(bad)
 
 
+class TestAsciiInt:
+    @pytest.mark.parametrize("text, value", [
+        ("7", 7), (" -7 ", -7), ("+007", 7), ("1" * 4300, int("1" * 4300))])
+    def test_accepts_sign_and_ascii_digits(self, text, value):
+        assert exact.ascii_int(text) == value
+
+    # ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT THREE, which int() reads
+    @pytest.mark.parametrize("bad", ["\u0663", "\uff13", "1_0", "1 0", "", "+", "1.0",
+                                     "1" * 4301])
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(ValueError):
+            exact.ascii_int(bad)
+
+    def test_argparse_names_it_int(self):
+        assert exact.ascii_int.__name__ == "int"
+
+
 class TestAsScalar:
     @pytest.mark.parametrize("text, value", [
         ("-3/4", F(-3, 4)), (" 5 ", F(5)), ("+2/6", F(1, 3)), ("007", F(7))])
