@@ -25,6 +25,10 @@ in the order or scale of those rows shows.  The betti and validate reports
 pin every instance label and digest, and so the parameters and data each
 catalog entry builds; the catalog reports, one per --format, pin the
 listing of names and descriptions.
+
+The brion-fans reports pin `qtk brion` on generated fans of dimension 4
+and 5 (tests/fans.py), each written beside the bundle file it was run on;
+the bundle files themselves must still be what tests/fans.py writes.
 """
 
 import os
@@ -33,6 +37,8 @@ import pytest
 
 from qtk.catalog import all_instances, get
 from qtk.cli import main
+
+import fans
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 # One directory per report kind: the command, or a command at one mode.
@@ -134,5 +140,17 @@ def test_catalog_matches_golden(fmt, capsys):
     code = main(["catalog", "--format", fmt])
     out = capsys.readouterr().out.encode("utf-8")
     with open(os.path.join(GOLDEN, "catalog", f"catalog.{fmt}"), "rb") as fh:
+        assert out == fh.read()
+    assert code == 0
+
+
+@pytest.mark.parametrize("name", sorted(fans.GOLDEN))
+def test_generated_fan_brion_matches_golden(name, capsys, monkeypatch):
+    with open(fans.bundle_path(name), encoding="utf-8") as fh:
+        assert fh.read() == fans.bundle_text(fans.GOLDEN[name])
+    monkeypatch.delenv("QTK_SEED", raising=False)
+    code = main(["brion", fans.bundle_path(name)])
+    out = capsys.readouterr().out.encode("utf-8")
+    with open(fans.report_path(name), "rb") as fh:
         assert out == fh.read()
     assert code == 0
