@@ -91,8 +91,12 @@ def _bundle_potential(ring: BundleRing, h_part) -> Potential:
     monomials b^beta of degree top - 2i, i = 0 .. top/2, on the
     positive-degree base classes y and the support numbers h_1..h_s.
 
-    h_part(gamma, i) is a polynomial in h of degree n + i.  A base with
-    odd-degree classes is rejected here, for both builders.
+    h_part(gamma, i) is a polynomial in h of degree n + i, linear in gamma,
+    so it is called once per i and class up to scale: on gamma divided by
+    its coefficient at its lowest basis index, the result multiplied back.
+    Many base monomials share a class (on CP^m every b^beta of one degree
+    is a multiple of the same power of t).  A base with odd-degree classes
+    is rejected here, for both builders.
     """
     base = ring.base
     _require_even(base)
@@ -100,13 +104,18 @@ def _bundle_potential(ring: BundleRing, h_part) -> Potential:
     weights = tuple(base.degrees[k] for k in pos)
     units = [{k: Fraction(1)} for k in pos]
     terms = {}
+    parts: dict[tuple, MultiPoly] = {}
     for i in range(base.top // 2 + 1):
         for beta in weighted_monomials(weights, base.top - 2 * i):
-            gamma = power_product(base, units, beta)
+            gamma = el_scale(power_product(base, units, beta),
+                             Fraction(1, prod(map(factorial, beta))))
             if gamma:
-                scale = Fraction(1, prod(map(factorial, beta)))
-                for alpha, c in h_part(el_scale(gamma, scale), i).terms.items():
-                    terms[beta + alpha] = c
+                lead = gamma[min(gamma)]
+                key = (i, tuple(sorted((k, x / lead) for k, x in gamma.items())))
+                if key not in parts:
+                    parts[key] = h_part(dict(key[1]), i)
+                for alpha, c in parts[key].terms.items():
+                    terms[beta + alpha] = c * lead
     names = tuple(base.names[k] for k in pos) + tuple(f"h{j + 1}" for j in range(ring.cp.s))
     return Potential(names, weights + (2,) * ring.cp.s,
                      MultiPoly(len(pos) + ring.cp.s, terms), ring.total_degree)

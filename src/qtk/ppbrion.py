@@ -3,26 +3,45 @@
 An element stores one polynomial on the cocharacter space per maximal cone;
 adjacent cones must agree on the span of the lattice vectors of their shared
 facet.  A monomial restricts to that span as a product of the facet's
-linear forms, an int-coefficient MultiPoly in one parameter per facet ray.
-In coordinates (one coefficient per cone and monomial) that is one set of
-integer restriction rows per degree, one row per shared facet and monomial
-in the facet's ray parameters.  The graded pieces are the kernels
-of these rows; an element is compatible iff every row annihilates it.
-Multiplying by a standard character x_a moves the coefficient of m to
-m + e_a, so character products are index maps on kernel vectors.  Each map
-is proved compatible once: every row of the next degree, read through it,
-lies in the span of the rows of this degree.  Quotient dimensions come from
-exact rank and match the Stanley-Reisner graded dimensions degree by degree.
+linear forms, an int-coefficient MultiPoly in one parameter per facet ray;
+an element is compatible iff every difference across a facet restricts to
+zero.
+
+The graded pieces are computed in spline coordinates (the matrix form of
+Billera and Rose, A dimension series for multivariate splines, DCG 1991).
+Two cones agree on a facet's span exactly when the facet's normal form
+divides their difference.  So fix a breadth-first spanning tree of the dual
+graph, rooted at cone 0, and write f_sigma = f_root + sum l_e g_e over the
+tree edges e on sigma's path, l_e being the child cone's integral dual edge
+vector opposite the shared facet.  In degree d the coordinates are one root
+block of degree-d monomials and one block of degree-(d-1) monomials per
+tree edge; every tuple that agrees across the tree's facets has exactly one
+such form.  What is left is one cycle condition per facet off the tree, in
+which the root block cancels: integer cycle rows, one per such facet and
+monomial in its ray parameters.  dim PP_d is the width minus their rank,
+and a kernel basis, primitive int vectors, is built only in the degrees
+whose vectors a quotient row needs.
+
+Multiplying by a standard character x_a multiplies f_root and every g_e by
+x_a, so it is an index map on the root and edge blocks.  Each map is proved
+once per pair and degree: every cycle row of a facet in the next degree,
+read through it, lies in the span of that facet's rows in this degree.
+Quotient dimensions come from exact rank, on the free coordinates of the
+cycle rows, which read each graded piece isomorphically, and match the
+Stanley-Reisner graded dimensions degree by degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 
 from . import exact
 from .basealg import make_point, zero_chern
 from .charpair import CharacteristicPair, dual_edge_frame, facet_table
+from .exact import int_if_integral
 from .errors import MalformedInputError, PairMismatchError
 from .poly import MultiPoly, weighted_monomials
 from .record import Record
@@ -55,10 +74,17 @@ def facet_pairs(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...], int, int
 
 
 def is_compatible(el: PPElement) -> bool:
-    """Whether every compatibility row of the element's degree vanishes on it."""
-    ints, _ = exact.cleared(_to_vector(el))
-    return not any(sum(x * ints.get(c, 0) for c, x in row.items())
-                   for row in _compatibility_rows(el.cp, el.degree))
+    """Whether the polynomials of every two cones agree on the span of
+    their shared facet: the difference restricts to zero there."""
+    for facet, c1, c2 in facet_pairs(el.cp):
+        restricted = _facet_restrictions(el.cp, facet, el.degree)
+        total: dict[tuple[int, ...], int | Fraction] = {}
+        for m, x in (el.polys[c1] - el.polys[c2]).terms.items():
+            for sm, c in restricted[m].terms.items():
+                total[sm] = total.get(sm, 0) + x * c
+        if any(total.values()):
+            return False
+    return True
 
 
 def multiply(f: PPElement, g: PPElement) -> PPElement:
@@ -98,32 +124,74 @@ def courant_basis(cp: CharacteristicPair) -> list[PPElement]:
 
 
 # ---------------------------------------------------------------------------
-# Graded pieces as kernels of the compatibility system.
+# Spline coordinates: a spanning tree of the dual graph and the cycle rows.
 
 @lru_cache(maxsize=None)
-def _coefficient_layout(cp: CharacteristicPair, d: int):
-    """(monomials, cones, width): coefficient ci * len(monomials) + k is that
-    of monomial k on cone ci."""
-    monos = tuple(weighted_monomials((1,) * cp.n, d))
-    ncones = len(cp.max_cones)
-    return monos, ncones, len(monos) * ncones
+def _monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The degree-d monomials in n variables, in lexicographic order; none
+    for d < 0."""
+    return tuple(weighted_monomials((1,) * n, d)) if d >= 0 else ()
 
 
-def _to_vector(el: PPElement) -> dict[int, Fraction]:
-    """The element's coefficients as a sparse vector."""
-    monos, _, _ = _coefficient_layout(el.cp, el.degree)
-    index = {m: k for k, m in enumerate(monos)}
-    return {ci * len(monos) + index[m]: x
-            for ci, g in enumerate(el.polys) for m, x in g.terms.items()}
+@lru_cache(maxsize=None)
+def _spanning_tree(cp: CharacteristicPair):
+    """(edges, paths, off_tree) of a breadth-first spanning tree of the dual
+    graph, rooted at cone 0, neighbours taken in facet_pairs order.
+
+    edges[e] is (parent cone, child cone, l_e), edges in the order the search
+    found their child cones; l_e is the child's dual edge vector opposite the
+    shared facet (cleared of denominators, which a unimodular cone has none
+    of): an int vector that vanishes on the facet's lattice vectors and pairs
+    positively with the child's other ray.
+    paths[c] is the tuple of edges from the root to cone c, and off_tree the
+    facet_pairs entries of the facets that no tree edge crosses.
+    """
+    pairs = facet_pairs(cp)
+    around: list[list[tuple[int, int]]] = [[] for _ in cp.max_cones]
+    for k, (_, c1, c2) in enumerate(pairs):
+        around[c1].append((k, c2))
+        around[c2].append((k, c1))
+    paths: dict[int, tuple[int, ...]] = {0: ()}
+    order, edges, on_tree = [0], [], set()
+    for parent in order:
+        for k, child in around[parent]:
+            if child in paths:
+                continue
+            cone = cp.max_cones[child]
+            ray = next(r for r in cone if r not in pairs[k][0])
+            form, _ = exact.cleared(dict(enumerate(dual_edge_frame(cp, cone)[cone.index(ray)])))
+            paths[child] = paths[parent] + (len(edges),)
+            edges.append((parent, child, tuple(form.get(a, 0) for a in range(cp.n))))
+            on_tree.add(k)
+            order.append(child)
+    if len(paths) < len(cp.max_cones):
+        raise MalformedInputError("the maximal cones are not connected through shared facets")
+    return (tuple(edges), tuple(paths[c] for c in range(len(cp.max_cones))),
+            tuple(p for k, p in enumerate(pairs) if k not in on_tree))
 
 
-def _from_vector(cp: CharacteristicPair, d: int, vec: dict[int, Fraction]) -> PPElement:
-    monos, ncones, _ = _coefficient_layout(cp, d)
-    terms: list[dict] = [{} for _ in range(ncones)]
+def _width(cp: CharacteristicPair, d: int) -> int:
+    """The number of degree-d coordinates: the root block of degree-d
+    monomials, then one block of degree-(d-1) monomials per tree edge."""
+    return len(_monomials(cp.n, d)) + len(_spanning_tree(cp)[0]) * len(_monomials(cp.n, d - 1))
+
+
+def _from_vector(cp: CharacteristicPair, d: int, vec: dict[int, int | Fraction]) -> PPElement:
+    """The element with these degree-d coordinates: f_root on cone 0, and
+    f_child = f_parent + l_e g_e down each tree edge e."""
+    edges, _, _ = _spanning_tree(cp)
+    top, lower = _monomials(cp.n, d), _monomials(cp.n, d - 1)
+    blocks: list[dict] = [{} for _ in range(len(edges) + 1)]
     for c, x in vec.items():
-        ci, k = divmod(c, len(monos))
-        terms[ci][monos[k]] = x
-    return PPElement(cp, d, tuple(MultiPoly(cp.n, t) for t in terms))
+        if c < len(top):
+            blocks[0][top[c]] = x
+        else:
+            e, k = divmod(c - len(top), len(lower))
+            blocks[e + 1][lower[k]] = x
+    polys = [MultiPoly(cp.n, blocks[0])] + [MultiPoly.zero(cp.n)] * len(edges)
+    for (parent, child, form), block in zip(edges, blocks[1:]):
+        polys[child] = polys[parent] + MultiPoly.linear_form(form) * MultiPoly(cp.n, block)
+    return PPElement(cp, d, tuple(polys))
 
 
 def _facet_restrictions(cp: CharacteristicPair, facet: tuple[int, ...],
@@ -143,70 +211,108 @@ def _facet_restrictions(cp: CharacteristicPair, facet: tuple[int, ...],
     out = {(0,) * cp.n: MultiPoly._trusted(t, {(0,) * t: 1})}
     for degree in range(1, d + 1):
         lower, out = out, {}
-        for m in _coefficient_layout(cp, degree)[0]:
+        for m in _monomials(cp.n, degree):
             a = next(r for r, e in enumerate(m) if e)
             out[m] = forms[a] * lower[m[:a] + (m[a] - 1,) + m[a + 1:]]
     return out
 
 
 @lru_cache(maxsize=None)
-def _compatibility_rows(cp: CharacteristicPair, d: int) -> tuple[dict[int, int], ...]:
-    """The degree-d compatibility rows as sparse integer dicts: one per
-    shared facet and facet monomial that some coefficient restricts to, in
-    facet then monomial order."""
-    monos, _, _ = _coefficient_layout(cp, d)
-    per = len(monos)
-    rows = []
-    for facet, c1, c2 in facet_pairs(cp):
-        restricted = _facet_restrictions(cp, facet, d)
+def _cycle_rows(cp: CharacteristicPair, d: int) -> tuple[tuple[dict[int, int], ...], ...]:
+    """The degree-d cycle rows as sparse int dicts, one tuple of rows per
+    off-tree facet (F, sigma, tau): f_sigma - f_tau restricted to F's span,
+    which is the sum of +-l_e g_e over the tree edges on one of the two
+    paths only.  One row per facet monomial that some coefficient restricts
+    to, in monomial order."""
+    edges, paths, off_tree = _spanning_tree(cp)
+    if d < 1:
+        return tuple(() for _ in off_tree)
+    lower = _monomials(cp.n, d - 1)
+    root = len(_monomials(cp.n, d))
+    out = []
+    for facet, c1, c2 in off_tree:
+        restricted = _facet_restrictions(cp, facet, d - 1)
+        t = len(facet)
+        on1, on2 = set(paths[c1]), set(paths[c2])
         by_monomial: dict[tuple[int, ...], dict[int, int]] = {}
-        for k, m in enumerate(monos):
-            for sm, c in restricted[m].terms.items():
-                row = by_monomial.setdefault(sm, {})
-                row[c1 * per + k] = c
-                row[c2 * per + k] = -c
-        rows.extend(by_monomial[sm] for sm in sorted(by_monomial))
-    return tuple(rows)
+        for e in sorted(on1 ^ on2):
+            sign = 1 if e in on1 else -1
+            form = edges[e][2]
+            # l_e on the facet's span: sum_j <lam_{facet[j]}, l_e> t_j
+            values = (sign * sum(map(mul, cp.lam[ray], form)) for ray in facet)
+            restricted_form = MultiPoly._trusted(t, {
+                tuple(int(i == j) for i in range(t)): v for j, v in enumerate(values) if v})
+            start = root + e * len(lower)
+            for k, m in enumerate(lower):
+                for sm, c in (restricted_form * restricted[m]).terms.items():
+                    by_monomial.setdefault(sm, {})[start + k] = c
+        out.append(tuple(by_monomial[sm] for sm in sorted(by_monomial)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _pp_kernel(cp: CharacteristicPair, d: int) -> tuple[dict[int, Fraction], ...]:
-    """The canonical kernel basis of the degree-d compatibility rows."""
-    return tuple(exact.kernel_basis(_compatibility_rows(cp, d),
-                                    _coefficient_layout(cp, d)[2]))
+def _cycle_space(cp: CharacteristicPair, d: int) -> exact.RowSpace:
+    """The span of all degree-d cycle rows; read only, never extended."""
+    return exact.RowSpace(_width(cp, d), chain.from_iterable(_cycle_rows(cp, d)))
 
 
 def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
     """Dimension of the compatible piecewise polynomials of degree d."""
     if d < 0:
         raise MalformedInputError("degree must be non-negative")
-    return len(_pp_kernel(cp, d))
-
-
-def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
-    return [_from_vector(cp, d, vec) for vec in _pp_kernel(cp, d)]
+    return _width(cp, d) - _cycle_space(cp, d).rank
 
 
 @lru_cache(maxsize=None)
-def _character_shifts(cp: CharacteristicPair, d: int) -> tuple[tuple[int, ...], ...]:
+def _spline_kernel(cp: CharacteristicPair, d: int) -> tuple[dict[int, int], ...]:
+    """A basis of PP_d in coordinates: the kernel of the cycle rows, one
+    primitive int vector per free column.  Clearing the denominators of a
+    vector with entry 1 leaves gcd 1, so the cleared vector is primitive."""
+    return tuple(exact.cleared(v)[0] for v in _cycle_space(cp, d).kernel())
+
+
+@lru_cache(maxsize=None)
+def _free_positions(cp: CharacteristicPair, d: int) -> dict[int, int]:
+    """Column -> position among the free columns of the degree-d cycle rows.
+    An element of PP_d is determined by its free coordinates, and any
+    values there extend to one, so reading them is an isomorphism of PP_d
+    onto the rationals of that many coordinates."""
+    return {c: k for k, c in enumerate(_cycle_space(cp, d).free_columns())}
+
+
+def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
+    return [_from_vector(cp, d, vec) for vec in _spline_kernel(cp, d)]
+
+
+@lru_cache(maxsize=None)
+def _shift_maps(cp: CharacteristicPair, d: int) -> tuple[tuple[int, ...], ...]:
     """Multiplication by each x_a from degree d-1 to degree d as an index map:
-    coefficient j of degree d-1 becomes coefficient shifts[a][j] of degree d.
+    coordinate j of degree d-1 becomes coordinate shifts[a][j] of degree d.
+    x_a f_sigma = x_a f_root + sum l_e (x_a g_e), so the map moves the
+    monomial m of the root block and of every edge block to m + e_a.
 
     Each map is proved once to send compatible elements to compatible ones:
-    every degree-d row read through it lies in the span of the degree-(d-1)
-    rows, so it vanishes on every kernel vector."""
-    lower, ncones, width = _coefficient_layout(cp, d - 1)
-    upper, _, _ = _coefficient_layout(cp, d)
-    index = {m: k for k, m in enumerate(upper)}
-    span = exact.RowSpace(width, _compatibility_rows(cp, d - 1))
+    every degree-d cycle row of a facet, read through it, lies in the span
+    of that facet's degree-(d-1) cycle rows, so it vanishes on every kernel
+    vector.  (It is x_a restricted to the facet times those rows, so the
+    smaller span suffices.)"""
+    top, mid, low = (_monomials(cp.n, k) for k in (d, d - 1, d - 2))
+    top_index = {m: k for k, m in enumerate(top)}
+    mid_index = {m: k for k, m in enumerate(mid)}
+    nedges = len(_spanning_tree(cp)[0])
+    width = _width(cp, d - 1)
+    spans = [exact.RowSpace(width, rows) for rows in _cycle_rows(cp, d - 1)]
     shifts = []
     for a in range(cp.n):
-        step = [index[m[:a] + (m[a] + 1,) + m[a + 1:]] for m in lower]
-        shift = tuple(ci * len(upper) + k for ci in range(ncones) for k in step)
+        up = lambda m: m[:a] + (m[a] + 1,) + m[a + 1:]
+        shift = tuple([top_index[up(m)] for m in mid]
+                      + [len(top) + e * len(mid) + mid_index[up(m)]
+                         for e in range(nedges) for m in low])
         back = {c: j for j, c in enumerate(shift)}
-        for row in _compatibility_rows(cp, d):
-            if not span.contains({back[c]: x for c, x in row.items() if c in back}):
-                raise MalformedInputError("product violates facet compatibility")
+        for span, rows in zip(spans, _cycle_rows(cp, d), strict=True):
+            for row in rows:
+                if not span.contains({back[c]: x for c, x in row.items() if c in back}):
+                    raise MalformedInputError("product violates facet compatibility")
         shifts.append(shift)
     return tuple(shifts)
 
@@ -234,14 +340,15 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
         max_degree = top
     dims = []
     for total in range(min(max_degree, top) + 1):
-        offset = {}  # base index -> first column of its block b tensor PP_d
+        # base index -> first column of its block b tensor PP_d, each PP_d
+        # read on its free coordinates
+        offset = {}
         width = 0
         for b in range(base.dim):
             rem = total - base.degrees[b]
             if rem >= 0 and rem % 2 == 0:
                 offset[b] = width
-                width += _coefficient_layout(cp, rem // 2)[2]
-        space_dim = sum(pp_graded_dim(cp, (total - base.degrees[b]) // 2) for b in offset)
+                width += pp_graded_dim(cp, rem // 2)
         rows = []
         for a in range(cp.n):
             c_a = ring.chern.evaluate([int(r == a) for r in range(cp.n)])
@@ -251,17 +358,21 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
                     continue
                 d = rem // 2 + 1
                 # (c(x_a) b) tensor q  minus  b tensor (x_a q)
-                cb = [(offset[b2], coeff) for b2, coeff
+                cb = [(offset[b2], int_if_integral(coeff)) for b2, coeff
                       in base.mul(c_a, {b: Fraction(1)}).items() if b2 in offset]
                 off = offset[b]
-                shift = _character_shifts(cp, d)[a]
-                for q in _pp_kernel(cp, d - 1):
+                shift = _shift_maps(cp, d)[a]
+                low, high = _free_positions(cp, d - 1), _free_positions(cp, d)
+                for q in _spline_kernel(cp, d - 1):
                     vec = {}
-                    for o, coeff in cb:
-                        for j, x in q.items():
-                            vec[o + j] = vec.get(o + j, 0) + coeff * x
                     for j, x in q.items():
-                        vec[off + shift[j]] = vec.get(off + shift[j], 0) - x
+                        k = low.get(j)
+                        if k is not None:
+                            for o, coeff in cb:
+                                vec[o + k] = vec.get(o + k, 0) + coeff * x
+                        k = high.get(shift[j])
+                        if k is not None:
+                            vec[off + k] = vec.get(off + k, 0) - x
                     rows.append(vec)
-        dims.append(space_dim - exact.rank(rows, width))
+        dims.append(width - exact.rank(rows, width))
     return dims + [0] * (max_degree - top)

@@ -370,7 +370,7 @@ class TestBrion:
         clear_caches()
         code, _ = run_json(capsys, "brion", "cp2-bundle-over-cp1?a=1,b=0")
         assert code == 0
-        info = pp._character_shifts.cache_info()
+        info = pp._shift_maps.cache_info()
         assert info.hits > 0
         # one proof per degree, d = 1, 2 and 3; the fibre's d = 1 and 2 are hits
         assert info.misses == 3

@@ -177,10 +177,35 @@ def test_cli_import_loads_no_dataclasses_and_every_traced_module():
     assert "dataclasses" not in loaded
     if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
         assert not {"hashlib", "_hashlib"} & loaded
+    tracing = load_tracing()
+    traced = {f"qtk.{qual.split('.')[0]}" for qual in tracing.SPANS + tracing.DISTINCT}
+    traced |= {f"qtk.{mod}" for mod, _, _ in tracing.COUNTED.values()}
+    assert traced <= loaded
+
+
+def load_tracing():
+    """The benchmark's tracer module, read from its file."""
     spec = importlib.util.spec_from_file_location(
         "tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    traced = {f"qtk.{qual.split('.')[0]}" for qual in tracing.SPANS + tracing.DISTINCT}
-    traced |= {f"qtk.{mod}" for mod, _, _ in tracing.COUNTED.values()}
-    assert traced <= loaded
+    return tracing
+
+
+def test_every_traced_name_exists():
+    """Every function the benchmark's tracer rebinds is still there, so a
+    refactor that renames or deletes one fails here, naming it, instead of
+    in the traced benchmark run."""
+    tracing = load_tracing()
+    missing = []
+    for qual in tracing.SPANS + tracing.DISTINCT:
+        mod, attr = qual.split(".")
+        if not callable(getattr(importlib.import_module(f"qtk.{mod}"), attr, None)):
+            missing.append(qual)
+    for qual, (mod, cls, attr) in tracing.COUNTED.items():
+        owner = importlib.import_module(f"qtk.{mod}")
+        if cls:
+            owner = getattr(owner, cls, None)
+        if not callable(getattr(owner, attr, None)):
+            missing.append(qual)
+    assert missing == []

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +68,41 @@ class TestBundlePotentials:
             p = iv.bundle_potential_integral(ring)
             v = iv.volume_potential(inst.cp)
             assert p.poly == v.poly and p.degree == v.degree, name
+
+    @pytest.mark.parametrize("spec", ["cp1-bundle-over-cp2?a=2", "cp1xcp1-bundle"])
+    def test_one_pairing_polynomial_per_class_up_to_scale(self, spec, monkeypatch):
+        # Both bases have one top class, which several base monomials are
+        # multiples of (t^2 and t2 on CP^2, u*v and uv on CP^1 x CP^1), so
+        # the direct potential needs one pairing polynomial per i and class
+        # up to scale, and the rescaled results equal the pairing
+        # polynomials of every monomial.
+        ring = get(spec).ring()
+        base = ring.base
+        pos = [k for k, d in enumerate(base.degrees) if d > 0]
+        weights = tuple(base.degrees[k] for k in pos)
+        units = [{k: F(1)} for k in pos]
+        expected, monomials, classes = {}, 0, []
+        for i in range(base.top // 2 + 1):
+            for beta in weighted_monomials(weights, base.top - 2 * i):
+                gamma = ba.el_scale(ba.power_product(base, units, beta),
+                                    F(1, prod(factorial(e) for e in beta)))
+                monomials += bool(gamma)
+                if gamma and not any(j == i and g.keys() == gamma.keys()
+                           and len({gamma[k] / g[k] for k in g}) == 1 for j, g in classes):
+                    classes.append((i, gamma))
+                part = sr.pairing_polynomial(ring, gamma, ring.cp.n + i)
+                expected.update({beta + alpha: c for alpha, c in part.terms.items()})
+        calls = []
+
+        def counted(ring, gamma, degree, _real=sr.pairing_polynomial):
+            calls.append(degree)
+            return _real(ring, gamma, degree)
+
+        monkeypatch.setattr(iv, "pairing_polynomial", counted)
+        pot = iv.bundle_potential_direct(ring)
+        assert sorted(calls) == [ring.cp.n + i for i, _ in classes]
+        assert monomials > len(calls)
+        assert pot.poly == MultiPoly(len(pos) + ring.cp.s, expected)
 
     def test_direct_equals_integral_everywhere(self, all_instances, cp2):
         # the two-character rings reach f_gamma's multinomial at i = 2

@@ -77,7 +77,7 @@ class TestArithmetic:
     def test_int_terms_stay_int(self):
         """Ring operations keep int coefficients int; the constructor, the
         reader of outside terms, still makes Fractions.  So the facet
-        restrictions behind the compatibility rows stay in ints."""
+        restrictions behind the cycle rows stay in ints."""
         p = MultiPoly._trusted(2, {(1, 0): 2, (0, 1): -3})
         q = MultiPoly._trusted(2, {(1, 1): 5, (0, 0): 1})
         for r in (p + q, p - q, -p, p * q, p * 3, 3 * p, p * p * q, p ** 3, p.partial(0),
@@ -87,8 +87,9 @@ class TestArithmetic:
         assert all(type(c) is F for c in (p * F(1, 2)).terms.values())
         for inst in all_instances():
             for d in range(inst.cp.n + 1):
-                for row in pp._compatibility_rows(inst.cp, d):
-                    assert all(type(c) is int for c in row.values()), (inst.label, d)
+                for rows in pp._cycle_rows(inst.cp, d):
+                    for row in rows:
+                        assert all(type(c) is int for c in row.values()), (inst.label, d)
 
     def test_weighted_degrees(self):
         p = MultiPoly(2, {(1, 1): F(1)})

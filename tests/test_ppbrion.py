@@ -15,6 +15,8 @@ from qtk.errors import MalformedInputError, PairMismatchError
 from qtk.poly import MultiPoly, weighted_monomials
 from qtk.srbundle import BundleRing
 
+import fans
+
 
 class TestCourantBasis:
     def test_cp1_shape(self, cp1):
@@ -50,8 +52,8 @@ class TestCourantBasis:
     def test_courant_functions_span_degree_one(self):
         for inst in all_instances():
             cp = inst.cp
-            vectors = [pp._to_vector(phi) for phi in pp.courant_basis(cp)]
-            assert exact.rank(vectors, pp._coefficient_layout(cp, 1)[2]) == cp.s
+            vectors = [per_cone_vector(phi) for phi in pp.courant_basis(cp)]
+            assert exact.rank(vectors, len(cp.max_cones) * cp.n) == cp.s
             assert pp.pp_graded_dim(cp, 1) == cp.s, inst.label
 
 
@@ -178,66 +180,205 @@ class TestBrionBundle:
             assert pp.brion_bundle_dims(ring) == expected
 
 
+def per_cone_vector(el):
+    """The element's coefficients, one block of degree-d monomials per cone."""
+    monos = weighted_monomials((1,) * el.cp.n, el.degree)
+    index = {m: k for k, m in enumerate(monos)}
+    return {ci * len(monos) + index[m]: x
+            for ci, g in enumerate(el.polys) for m, x in g.terms.items()}
+
+
+def restricted(g, cp, facet):
+    """The polynomial g on the span of the facet's lattice vectors, in one
+    parameter per facet ray, by substitution."""
+    forms = [MultiPoly.linear_form([cp.lam[j][r] for j in facet])
+             if facet else MultiPoly.zero(0) for r in range(cp.n)]
+    return g.substitute(forms)
+
+
+def reference_rows(cp, d):
+    """The facet compatibility rows in per-cone coordinates (one block of
+    degree-d monomials per cone): per shared facet and facet monomial, the
+    coefficient there of f_sigma - f_tau on the facet's span."""
+    monos = weighted_monomials((1,) * cp.n, d)
+    per = len(monos)
+    rows = []
+    for facet, c1, c2 in pp.facet_pairs(cp):
+        parts = [restricted(MultiPoly.monomial(m, 1), cp, facet) for m in monos]
+        for sm in weighted_monomials((1,) * len(facet), d):
+            row = {}
+            for k, g in enumerate(parts):
+                c = g.coefficient(sm)
+                if c:
+                    row[c1 * per + k] = c
+                    row[c2 * per + k] = -c
+            if row:
+                rows.append(row)
+    return rows
+
+
+def reference_dim(cp, d):
+    """dim PP_d as the kernel dimension of the reference rows."""
+    width = len(cp.max_cones) * len(weighted_monomials((1,) * cp.n, d))
+    return width - exact.rank(reference_rows(cp, d), width)
+
+
+def fan_pair(fan):
+    n, rays, lam, cones = fan
+    return cpm.make_pair(n, rays, lam, cones)
+
+
+# Products, blow-ups and Bott towers of dimension 2-4, small enough for the
+# reference rows in every degree up to n + 1.
+GENERATED = {
+    "cp1xcp1xcp1": fans.product_fan(fans.product_fan(fans.cp_fan(1), fans.cp_fan(1)),
+                                    fans.cp_fan(1)),
+    "cp1xcp2": fans.product_fan(fans.cp_fan(1), fans.cp_fan(2)),
+    "cp2-blowup-twice": fans.blow_up(fans.blow_up(fans.cp_fan(2), 0), 1),
+    "cp3-twist-blowup": fans.blow_up(fans.cp_fan(3, (1, -1, -1)), 2),
+    "bott3": fans.bott_tower(3, {(0, 1): 2, (0, 2): -1, (1, 2): 1}),
+    "cp2xcp2": fans.product_fan(fans.cp_fan(2), fans.cp_fan(2)),
+    "cp4-blowup": fans.blow_up(fans.cp_fan(4), 3),
+}
+
+
+def spline_pairs():
+    """Every catalog pair and every generated one, with a label."""
+    seen = {}
+    for inst in all_instances():
+        seen.setdefault(inst.cp, inst.label)
+    return [(label, cp) for cp, label in seen.items()] + \
+        [(name, fan_pair(fan)) for name, fan in GENERATED.items()]
+
+
+class TestSplineCoordinates:
+    """The spanning tree, the cycle rows and the dimensions they give,
+    against the facet compatibility rows in per-cone coordinates."""
+
+    @pytest.mark.parametrize("label, cp", spline_pairs(), ids=[p[0] for p in spline_pairs()])
+    def test_dims_equal_reference_kernel_dims(self, label, cp):
+        for d in range(cp.n + 2):
+            assert pp.pp_graded_dim(cp, d) == reference_dim(cp, d), (label, d)
+
+    @pytest.mark.parametrize("label, cp", spline_pairs(), ids=[p[0] for p in spline_pairs()])
+    def test_tree_spans_every_cone(self, label, cp):
+        edges, paths, off_tree = pp._spanning_tree(cp)
+        assert len(edges) == len(cp.max_cones) - 1
+        assert paths[0] == ()
+        assert {child for _, child, _ in edges} == set(range(1, len(cp.max_cones)))
+        for e, (parent, child, _) in enumerate(edges):
+            assert paths[child] == paths[parent] + (e,), label
+        assert len(off_tree) == len(pp.facet_pairs(cp)) - len(edges)
+
+    @pytest.mark.parametrize("label, cp", spline_pairs(), ids=[p[0] for p in spline_pairs()])
+    def test_edge_form_is_the_child_dual_edge_vector(self, label, cp):
+        # l_e vanishes on the shared facet and pairs to +1 with the ray that
+        # completes the child cone.
+        pairs = {(c1, c2): facet for facet, c1, c2 in pp.facet_pairs(cp)}
+        for parent, child, form in pp._spanning_tree(cp)[0]:
+            facet = pairs.get((parent, child), pairs.get((child, parent)))
+            assert all(type(x) is int for x in form)
+            for ray in cp.max_cones[child]:
+                pairing = sum(x * y for x, y in zip(cp.lam[ray], form))
+                assert pairing == (0 if ray in facet else 1), (label, parent, child)
+
+    def test_disconnected_cones_raise(self):
+        # Two copies of the cp2 fan in one pair: every facet lies on exactly
+        # two cones, but no facet joins the copies, so no tree spans them.
+        rays = [(1, 0), (0, 1), (-1, -1)] * 2
+        cp = cpm.toric_pair(rays, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        for d in (0, 1, 2):
+            with pytest.raises(MalformedInputError, match="not connected"):
+                pp.pp_graded_dim(cp, d)
+        with pytest.raises(MalformedInputError, match="not connected"):
+            pp.brion_quotient_dims(cp)
+
+    @pytest.mark.parametrize("label, cp", spline_pairs(), ids=[p[0] for p in spline_pairs()])
+    def test_free_coordinates_read_the_kernel_faithfully(self, label, cp):
+        # brion_bundle_dims ranks its rows on the free columns only.
+        for d in range(cp.n):
+            free = pp._free_positions(cp, d)
+            kernel = pp._spline_kernel(cp, d)
+            assert len(free) == len(kernel) == pp.pp_graded_dim(cp, d)
+            read = [{free[c]: x for c, x in q.items() if c in free} for q in kernel]
+            assert exact.rank(read, len(free)) == len(kernel), (label, d)
+            assert all(type(x) is int for q in kernel for x in q.values())
+
+
 class TestLinearPaths:
-    """The compatibility rows and the character index maps against the
-    polynomial definitions they replace."""
+    """The cycle rows and the character index maps against the polynomial
+    definitions they replace."""
 
     def test_index_shift_products_equal_multiply(self):
-        # multiply() checks each product against the rows of its degree, so
-        # this is also the per-product reference for _character_shifts' proof.
+        # multiply() checks each product against the facets directly, so
+        # this is also the per-product reference for _shift_maps' proof.
         for inst in all_instances():
             cp = inst.cp
             for d in range(1, cp.n + 1):
-                for a, shift in enumerate(pp._character_shifts(cp, d)):
+                for a, shift in enumerate(pp._shift_maps(cp, d)):
                     char = pp.global_character(cp, [int(r == a) for r in range(cp.n)])
-                    for q, el in zip(pp._pp_kernel(cp, d - 1), pp.pp_basis(cp, d - 1)):
-                        expected = pp._to_vector(pp.multiply(char, el))
-                        assert {shift[j]: x for j, x in q.items()} == expected, \
-                            (inst.label, d, a)
+                    for q, el in zip(pp._spline_kernel(cp, d - 1), pp.pp_basis(cp, d - 1)):
+                        shifted = pp._from_vector(cp, d, {shift[j]: x for j, x in q.items()})
+                        assert shifted == pp.multiply(char, el), (inst.label, d, a)
 
     def test_restriction_rows_equal_substitution(self):
-        for inst in all_instances():
-            cp = inst.cp
+        # Per off-tree facet, the rows are the coefficients of the facet
+        # restriction of sum +-l_e m over the two paths' own edges, by
+        # substitution.
+        for label, cp in spline_pairs()[:-2]:
+            edges, paths, off_tree = pp._spanning_tree(cp)
             for d in range(cp.n + 1):
-                monos = weighted_monomials((1,) * cp.n, d)
-                per = len(monos)
+                lower = weighted_monomials((1,) * cp.n, d - 1) if d else []
+                root = len(weighted_monomials((1,) * cp.n, d))
                 expected = []
-                for facet, c1, c2 in pp.facet_pairs(cp):
-                    forms = [MultiPoly.linear_form([cp.lam[j][r] for j in facet])
-                             if facet else MultiPoly.zero(0) for r in range(cp.n)]
-                    restricted = [MultiPoly.monomial(m, 1).substitute(forms) for m in monos]
+                for facet, c1, c2 in off_tree:
+                    parts = {}
+                    for e in set(paths[c1]) ^ set(paths[c2]):
+                        sign = 1 if e in paths[c1] else -1
+                        form = MultiPoly.linear_form(edges[e][2]) * sign
+                        for k, m in enumerate(lower):
+                            parts[root + e * len(lower) + k] = restricted(
+                                form * MultiPoly.monomial(m, 1), cp, facet)
+                    rows = []
                     for sm in weighted_monomials((1,) * len(facet), d):
-                        row = {}
-                        for k, g in enumerate(restricted):
-                            c = g.coefficient(sm)
-                            if c:
-                                row[c1 * per + k] = c
-                                row[c2 * per + k] = -c
+                        row = {c: g.coefficient(sm) for c, g in sorted(parts.items())
+                               if g.coefficient(sm)}
                         if row:
-                            expected.append(row)
-                assert pp._compatibility_rows(cp, d) == tuple(expected), (inst.label, d)
+                            rows.append(row)
+                    expected.append(tuple(rows))
+                assert pp._cycle_rows(cp, d) == tuple(expected), (label, d)
 
     def test_changed_kernel_vector_is_incompatible(self):
         for inst in all_instances():
             cp = inst.cp
             for d in range(1, cp.n + 1):
-                q = pp._pp_kernel(cp, d)[0]
+                q = pp._spline_kernel(cp, d)[0]
                 assert pp.is_compatible(pp._from_vector(cp, d, q))
-                # every coefficient that some row reads (cp1 has no rows for d > 0)
-                for j in {j for row in pp._compatibility_rows(cp, d) for j in row}:
+                # every coordinate that some cycle row reads (cp1 has none)
+                for j in {j for rows in pp._cycle_rows(cp, d) for row in rows for j in row}:
                     changed = dict(q)
                     changed[j] = changed.get(j, 0) + 1
                     assert not pp.is_compatible(pp._from_vector(cp, d, changed)), inst.label
 
+    def test_basis_vectors_satisfy_the_reference_rows(self):
+        for label, cp in spline_pairs()[:-2]:
+            for d in range(cp.n + 1):
+                rows = reference_rows(cp, d)
+                for el in pp.pp_basis(cp, d):
+                    vec = per_cone_vector(el)
+                    assert not any(sum(x * vec.get(c, 0) for c, x in row.items())
+                                   for row in rows), (label, d)
+
     def test_shift_check_rejects_an_extra_row(self, cp2, monkeypatch):
-        # Requiring coefficient 0 (x_2^2 on the first cone) to vanish at
+        # Requiring root coordinate 0 (x_2^2 on every cone) to vanish at
         # degree 2 is not implied by degree 1, where x_2 is compatible.
-        rows = pp._compatibility_rows
-        monkeypatch.setattr(pp, "_compatibility_rows",
-                            lambda cp, d: rows(cp, d) + (({0: 1},) if d == 2 else ()))
-        pp._character_shifts.cache_clear()
+        rows = pp._cycle_rows
+        monkeypatch.setattr(pp, "_cycle_rows", lambda cp, d: (
+            (rows(cp, d)[0] + ({0: 1},),) + rows(cp, d)[1:] if d == 2 else rows(cp, d)))
+        pp._shift_maps.cache_clear()
         with pytest.raises(MalformedInputError, match="product violates facet compatibility"):
-            pp._character_shifts(cp2, 2)
+            pp._shift_maps(cp2, 2)
+        pp._shift_maps.cache_clear()
 
     def test_quotient_dims_are_point_bundle_betti(self):
         for inst in all_instances():
