@@ -7,11 +7,13 @@ standard ones (CP^n, products, the stellar subdivision of a maximal cone,
 Bott towers) and read nothing from qtk, so a test can compare qtk's answer
 on them with what the construction predicts.
 
-GOLDEN names the fans whose `qtk brion` reports are pinned under
-tests/golden/brion-fans, each beside the bundle file it was computed from.
-Run `PYTHONPATH=src python tests/fans.py` to write both files for every
-fan; the tests check that the bundle files still equal what this module
-writes.
+GOLDEN names the fans whose `qtk brion`, `qtk validate` and `qtk betti`
+reports are pinned under tests/golden/brion-fans, each beside the bundle
+file it was computed from.  Each report is run from that directory on the
+bundle file's bare name, which the validate report echoes.  Run
+`PYTHONPATH=src python tests/fans.py` to write the bundle file and every
+report of every fan; the tests check that the bundle files still equal
+what this module writes.
 """
 
 from __future__ import annotations
@@ -104,24 +106,30 @@ def bundle_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, name + ".bundle.json")
 
 
-def report_path(name: str) -> str:
-    return os.path.join(GOLDEN_DIR, name + ".json")
+# The pinned commands; a brion report is <name>.json, any other <name>.<command>.json.
+COMMANDS = ("brion", "validate", "betti")
+
+
+def report_path(name: str, command: str = "brion") -> str:
+    suffix = ".json" if command == "brion" else f".{command}.json"
+    return os.path.join(GOLDEN_DIR, name + suffix)
 
 
 def write_golden() -> None:
-    """Write every GOLDEN fan's bundle file and its `qtk brion` report."""
+    """Write every GOLDEN fan's bundle file and each of its COMMANDS reports."""
     from qtk.cli import main
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, fan in GOLDEN.items():
         with open(bundle_path(name), "w", encoding="utf-8") as fh:
             fh.write(bundle_text(fan))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            if main(["brion", bundle_path(name)]) != 0:
-                raise SystemExit(f"qtk brion failed on {name}")
-        with open(report_path(name), "w", encoding="utf-8") as fh:
-            fh.write(out.getvalue())
+        for command in COMMANDS:
+            out = io.StringIO()
+            with contextlib.chdir(GOLDEN_DIR), contextlib.redirect_stdout(out):
+                if main([command, os.path.basename(bundle_path(name))]) != 0:
+                    raise SystemExit(f"qtk {command} failed on {name}")
+            with open(report_path(name, command), "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
 
 
 if __name__ == "__main__":

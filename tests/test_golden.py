@@ -26,9 +26,11 @@ pin every instance label and digest, and so the parameters and data each
 catalog entry builds; the catalog reports, one per --format, pin the
 listing of names and descriptions.
 
-The brion-fans reports pin `qtk brion` on generated fans of dimension 4
-and 5 (tests/fans.py), each written beside the bundle file it was run on;
-the bundle files themselves must still be what tests/fans.py writes.
+The brion-fans reports pin `qtk brion`, `qtk validate` and `qtk betti` on
+generated fans of dimension 4 and 5 (tests/fans.py), each written beside
+the bundle file it was run on; the validate reports pin the coverage
+detail strings at dimensions the catalog does not reach.  The bundle files
+themselves must still be what tests/fans.py writes.
 """
 
 import os
@@ -144,13 +146,28 @@ def test_catalog_matches_golden(fmt, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("name", sorted(fans.GOLDEN))
-def test_generated_fan_brion_matches_golden(name, capsys, monkeypatch):
+def _assert_fan_matches_golden(command, name, capsys, monkeypatch):
     with open(fans.bundle_path(name), encoding="utf-8") as fh:
         assert fh.read() == fans.bundle_text(fans.GOLDEN[name])
     monkeypatch.delenv("QTK_SEED", raising=False)
-    code = main(["brion", fans.bundle_path(name)])
+    monkeypatch.chdir(fans.GOLDEN_DIR)
+    code = main([command, os.path.basename(fans.bundle_path(name))])
     out = capsys.readouterr().out.encode("utf-8")
-    with open(fans.report_path(name), "rb") as fh:
+    with open(fans.report_path(name, command), "rb") as fh:
         assert out == fh.read()
     assert code == 0
+
+
+@pytest.mark.parametrize("name", sorted(fans.GOLDEN))
+def test_generated_fan_brion_matches_golden(name, capsys, monkeypatch):
+    _assert_fan_matches_golden("brion", name, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(fans.GOLDEN))
+def test_generated_fan_validate_matches_golden(name, capsys, monkeypatch):
+    _assert_fan_matches_golden("validate", name, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(fans.GOLDEN))
+def test_generated_fan_betti_matches_golden(name, capsys, monkeypatch):
+    _assert_fan_matches_golden("betti", name, capsys, monkeypatch)
