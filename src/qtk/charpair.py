@@ -3,8 +3,9 @@
 A CharacteristicPair stores the geometric ray directions of a complete
 simplicial fan, the lattice vector attached to each ray, and the maximal
 cones.  All indices are 0-based internally; the JSON interchange format is
-1-based (see from_json / to_json).  `validate` checks a pair exactly, by
-determinants.
+1-based (see from_json / to_json).  `validate` checks a pair exactly, in
+integers: determinants of the cleared ray directions and of the lattice
+vectors, and the signs of integer dot products with facet normals.
 
 A multi-polytope over a pair is just its support vector h, one rational per
 ray (`support_vector`); a cone's orientation sign is a plain int.
@@ -18,7 +19,8 @@ from itertools import count
 from typing import Sequence
 
 from .errors import MalformedInputError, NotAConeError, NotAFaceError, SingularMatrixError
-from .exact import as_int, as_scalar, det, scalar_str, solve_exact
+from .exact import (RowSpace, as_int, as_scalar, cleared, cleared_dense, det, inverse_int,
+                    scalar_str)
 from .record import Record
 
 
@@ -67,9 +69,6 @@ class CharacteristicPair(Record):
     def lam_rows(self, cone: Sequence[int]) -> list[list[int]]:
         """Rows are the lattice vectors of the given rays, in the given order."""
         return [list(self.lam[i]) for i in cone]
-
-    def ray_rows(self, cone: Sequence[int]) -> list[list[Fraction]]:
-        return [list(self.ray_dirs[i]) for i in cone]
 
 
 def make_pair(n, ray_dirs, lam, max_cones) -> CharacteristicPair:
@@ -131,18 +130,31 @@ def facet_table(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...],
 # Signs, vertices, dual frames.
 
 @lru_cache(maxsize=None)
+def _cleared_rays(cp: CharacteristicPair) -> tuple[tuple[int, ...], ...]:
+    """Each ray direction times the positive lcm of its denominators.
+
+    Validation and cone signs read ray determinants and facet sides only for
+    their signs and zero tests, and a positive row scale changes neither.
+    """
+    return tuple(tuple(cleared_dense(v)[0]) for v in cp.ray_dirs)
+
+
+@lru_cache(maxsize=None)
 def _cone(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[
-        Fraction, Fraction, tuple[tuple[Fraction, ...], ...] | None]:
+        Fraction, int, tuple[tuple[Fraction, ...], ...] | None]:
     """Everything read from one maximal cone's matrices, once per pair and
-    sorted cone: (det of the ray directions, det of the lattice vectors,
-    the dual edge frame, or None when the lattice vectors are dependent)."""
-    lam = cp.lam_rows(key)
-    d_lam = det(lam)
+    sorted cone, in two integer eliminations: (det of the cleared ray
+    directions, a positive multiple of the ray directions' det; det of the
+    lattice vectors; the dual edge frame, or None when the lattice vectors
+    are dependent).
+    One elimination of [lambda_sigma | I] gives both det lambda_sigma and
+    the adjugate, and the frame is the adjugate over the determinant."""
+    rays = _cleared_rays(cp)
+    d_lam, adjugate = inverse_int(cp.lam_rows(key))
     frame = None
-    if d_lam:
-        units = [[int(j == k) for j in range(cp.n)] for k in range(cp.n)]
-        frame = tuple(map(tuple, solve_exact(lam, units)))
-    return det(cp.ray_rows(key)), d_lam, frame
+    if adjugate is not None:
+        frame = tuple(tuple(Fraction(x, d_lam) for x in col) for col in adjugate)
+    return det([rays[i] for i in key]), d_lam, frame
 
 
 def _maximal(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[int, ...]:
@@ -169,7 +181,7 @@ def cone_sign(cp: CharacteristicPair, cone: Sequence[int]) -> int:
     d_ray, d_lam, _ = _cone(cp, _maximal(cp, cone))
     if d_ray == 0 or abs(d_lam) != 1:
         raise MalformedInputError("cone fails simpliciality or unimodularity")
-    return (1 if d_ray > 0 else -1) * int(d_lam)
+    return (1 if d_ray > 0 else -1) * d_lam
 
 
 def support_vector(cp: CharacteristicPair, h: Sequence) -> tuple[Fraction, ...]:
@@ -284,14 +296,22 @@ def _check_facet_pairing(cp: CharacteristicPair) -> CheckResult:
     return CheckResult("facet_pairing", True)
 
 
-def _side(rows: list[list[Fraction]], v: Sequence) -> int:
-    """Sign of det(rows, then v): the side of the rows' hyperplane v is on."""
-    d = det(rows + [v])
+def _facet_normal(n: int, rows: list[tuple[int, ...]]) -> dict[int, int]:
+    """A primitive integer normal, as a sparse row, of the hyperplane
+    spanned by n - 1 independent integer rows."""
+    (normal,) = RowSpace(n, ({c: x for c, x in enumerate(row) if x} for row in rows)).kernel()
+    return cleared(normal)[0]
+
+
+def _side(normal: dict[int, int], v: Sequence[int]) -> int:
+    """Sign of <normal, v>: the side of the normal's hyperplane v is on."""
+    d = sum(x * v[c] for c, x in normal.items())
     return (d > 0) - (d < 0)
 
 
 def _check_coverage(cp: CharacteristicPair) -> CheckResult:
-    """Every generic direction lies in exactly one maximal cone.
+    """Every generic direction lies in exactly one maximal cone; the pair
+    must be simplicial.
 
     A generic path crosses walls only inside facets, and crossing one moves
     only its two cones; on opposite sides, one is left as the other is
@@ -299,19 +319,24 @@ def _check_coverage(cp: CharacteristicPair) -> CheckResult:
     the two rays are opposite), and one off every facet hyperplane decides.
     Each hyperplane meets the moment curve (1, c, c^2, ...) at most n - 1
     times, so the walk over c = 1, 2, ... ends.
+
+    Each facet gets one integer normal, the kernel of its cleared rays, and
+    every side is the sign of an integer dot product with it.  Sides are
+    only compared within one facet, so the normal's sign does not matter.
     """
-    walls = []  # (facet rays, ((cone index, side of its completing ray), ...))
+    rays = _cleared_rays(cp)
+    walls = []  # (facet normal, ((cone index, side of its completing ray), ...))
     for facet, sides in facet_table(cp):
-        rows = cp.ray_rows(facet)
-        (c1, s1), (c2, s2) = signed = [(ci, _side(rows, cp.ray_dirs[p])) for ci, p in sides]
+        normal = _facet_normal(cp.n, [rays[i] for i in facet])
+        (c1, s1), (c2, s2) = signed = [(ci, _side(normal, rays[p])) for ci, p in sides]
         if s1 == s2:
             return CheckResult("point_coverage", False,
                                f"cones {list(cp.max_cones[c1])} and {list(cp.max_cones[c2])} "
                                f"lie on the same side of facet {list(facet)}")
-        walls.append((rows, signed))
+        walls.append((normal, signed))
     for c in count(1):
         v = [c ** k for k in range(cp.n)]
-        at = [_side(rows, v) for rows, _ in walls]
+        at = [_side(normal, v) for normal, _ in walls]
         if all(at):
             break
     outside = {ci for s, (_, signed) in zip(at, walls) for ci, sc in signed if sc != s}

@@ -14,11 +14,17 @@ it.  The vectors it returns (`normal_form`, `kernel`, `kernel_basis`) are
 sparse as well: Fraction dicts of the nonzero entries in increasing column
 order.
 
-Determinants and square solves take dense matrices, nested lists in
-row-major order, and use the one dense fraction-free Bareiss elimination,
-qtk.kernels.echelon_int.  There is no integer normal form: the cones of a
-valid pair are unimodular, so every lattice question about them is answered
-by the columns of an inverse (see charpair.dual_edge_frame).
+Rows whose entries are all int skip the clearing: RowSpace takes a copy of
+them as they are, and `det` reads an int matrix as it is.
+
+Determinants, square solves and integer inverses take dense matrices,
+nested lists in row-major order, and use the one dense fraction-free
+Bareiss elimination, qtk.kernels.echelon_int.  Where a solution is wanted,
+`_back_substitute` follows it with the one fraction-free back-substitution,
+so that no Fraction arises before the final quotients (Nakos, Turner and
+Williams, SIGSAM Bull. 1997).  There is no integer normal form: the cones of
+a valid pair are unimodular, so every lattice question about them is
+answered by the columns of an inverse (see charpair.dual_edge_frame).
 """
 
 from __future__ import annotations
@@ -234,9 +240,13 @@ class RowSpace:
         return [c for c in range(self.ncols) if c not in self.rows]
 
     def _integer_row(self, v: SparseRow) -> tuple[dict[int, int], int]:
+        """An integer copy of v, which elimination may change, and its scale."""
         if v and not (min(v) >= 0 and max(v) < self.ncols):
             raise MalformedInputError(
                 f"row on columns {min(v)}..{max(v)} in a row space of width {self.ncols}")
+        # A Fraction row fails the test at its first entry.
+        if all(type(x) is int for x in v.values()):
+            return dict(v), 1
         return cleared(v)
 
     def insert(self, v: SparseRow) -> bool:
@@ -314,6 +324,9 @@ def det(rows: Matrix) -> Fraction:
     scaled = []
     scale = 1
     for row in rows:
+        if all(type(x) is int for x in row):
+            scaled.append(row)
+            continue
         ints, s = cleared_dense(row)
         scale *= s
         scaled.append(ints)
@@ -322,6 +335,49 @@ def det(rows: Matrix) -> Fraction:
         return Fraction(0)
     # One-step Bareiss leaves det(int matrix) = swap_sign * last pivot.
     return Fraction(sign * ech[nrows - 1][ncols - 1], scale)
+
+
+def _back_substitute(aug: list[list[int]], n: int) -> tuple[int, list[list[int]], int] | None:
+    """Fraction-free elimination of [a | b_1 ... b_m], a square of size n,
+    and fraction-free back-substitution: (d, ys, swap sign) with a x = b_k
+    iff x = ys[k] / d, d being the last pivot, or None when a is singular.
+
+    d is det a times the swap sign, so ys[k] = d x is integral by Cramer's
+    rule and each division below is exact.
+    """
+    _, ech, pivot_cols, sign = echelon_int(aug, len(aug[0]))
+    if pivot_cols[:n] != list(range(n)):
+        return None
+    d = ech[n - 1][n - 1]
+    ys = []
+    for col in range(n, len(aug[0])):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = ech[i]
+            acc = d * row[col]
+            for j in range(i + 1, n):
+                acc -= row[j] * y[j]
+            y[i] = acc // row[i]
+        ys.append(y)
+    return d, ys, sign
+
+
+def inverse_int(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """det a and the columns of adj a = det(a) a^-1 for a square int matrix,
+    from one elimination of [a | I]; column k of a^-1 is the k-th column
+    over the determinant.  The columns are None when a is singular."""
+    n, ncols = check_matrix(a)
+    if n != ncols:
+        raise MalformedInputError("inverse of a non-square matrix")
+    if n == 0:
+        return 1, []
+    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(a)]
+    solved = _back_substitute(aug, n)
+    if solved is None:
+        return 0, None
+    d, ys, sign = solved
+    # d = sign * det a and each y = d a^-1 e_k, so sign * y is an adjugate column.
+    return sign * d, [[sign * x for x in y] for y in ys]
 
 
 def solve_exact(a: Matrix, rhs: Sequence[Row]) -> list[list[Fraction]]:
@@ -335,19 +391,11 @@ def solve_exact(a: Matrix, rhs: Sequence[Row]) -> list[list[Fraction]]:
     if nrows == 0:
         return [[] for _ in rhs]
     aug = [cleared_dense(list(row) + [b[i] for b in rhs])[0] for i, row in enumerate(a)]
-    r, ech, pivot_cols, _ = echelon_int(aug, ncols + len(rhs))
-    if r < nrows or pivot_cols != list(range(nrows)):
+    solved = _back_substitute(aug, nrows)
+    if solved is None:
         raise SingularMatrixError("matrix is singular")
-    solutions = []
-    for col in range(ncols, ncols + len(rhs)):
-        x = [Fraction(0)] * ncols
-        for i in range(nrows - 1, -1, -1):
-            acc = Fraction(ech[i][col])
-            for j in range(i + 1, ncols):
-                acc -= Fraction(ech[i][j]) * x[j]
-            x[i] = acc / ech[i][i]
-        solutions.append(x)
-    return solutions
+    d, ys, _ = solved
+    return [[Fraction(x, d) for x in y] for y in ys]
 
 
 def dot(u: Row, v: Row) -> int | Fraction:

@@ -1,10 +1,11 @@
 """Dense fraction-free integer row reduction (one-step Bareiss).
 
-This is the one dense elimination in the package: exact.det and
-exact.solve_exact reduce through it, and the tests use it as the oracle for
-the sparse RowSpace.  Every intermediate entry is a minor of the input
-matrix, so entries stay integral and their bit growth is polynomial instead
-of exponential (Bareiss, Math. Comp. 1968).
+This is the one dense elimination in the package: exact.det,
+exact.solve_exact and exact.inverse_int reduce through it (the last two
+then back-substitute without fractions, in exact._back_substitute), and
+the tests use it as the oracle for the sparse RowSpace.  Every intermediate
+entry is a minor of the input matrix, so entries stay integral and their
+bit growth is polynomial instead of exponential (Bareiss, Math. Comp. 1968).
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qtk import basealg as ba
 from qtk import charpair as cpm
+from qtk import exact
 from qtk import multipoly as mp
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
@@ -25,6 +26,7 @@ from qtk.exact import cleared_dense
 from qtk.poly import MultiPoly, weighted_monomials
 from qtk.record import Record
 
+import fans
 from conftest import clear_caches, two_character_cases
 
 INSTANCES = all_instances()
@@ -324,7 +326,7 @@ class TestErrorsAreNotCached:
 # check-all, and the characters reduce asks for, must not grow with the number
 # of BKK samples.
 
-COUNTED = [(cpm, "det"), (cpm, "solve_exact"), (mp, "dot"),
+COUNTED = [(cpm, "det"), (cpm, "inverse_int"), (mp, "dot"),
            (sr, "dual_character"), (mp, "f_gamma"), (mp, "power_of_linear_forms"),
            (sr, "evaluate_top")]
 
@@ -378,7 +380,32 @@ def test_check_all_records_independent_of_sample_count(monkeypatch, spec):
 
 def test_check_all_solves_once_per_maximal_cone(monkeypatch):
     # One elimination of [lambda_sigma | I] gives a cone's whole dual edge frame.
-    assert exact_work(monkeypatch, "cp3", 20)["solve_exact"] == len(get("cp3").cp.max_cones)
+    assert exact_work(monkeypatch, "cp3", 20)["inverse_int"] == len(get("cp3").cp.max_cones)
+
+
+@pytest.mark.parametrize("fan", [fans.cp_fan(3), fans.GOLDEN["cp4-blowup"],
+                                 fans.GOLDEN["bott4"], fans.GOLDEN["cp2xcp2"]],
+                         ids=["cp3", "cp4-blowup", "bott4", "cp2xcp2"])
+def test_validate_eliminates_at_most_twice_per_maximal_cone(monkeypatch, fan):
+    """validate runs the dense elimination for the ray determinant and for
+    [lambda_sigma | I] of each maximal cone, never per facet or walk step:
+    every facet normal comes from a sparse kernel and every side from a dot
+    product."""
+    n, rays, lam, cones = fan
+    cp = cpm.make_pair(n, rays, lam, cones)
+    calls = 0
+
+    def counting(*args, _real=exact.echelon_int):
+        nonlocal calls
+        calls += 1
+        return _real(*args)
+
+    clear_caches()
+    monkeypatch.setattr(exact, "echelon_int", counting)
+    assert cpm.validate(cp).ok
+    monkeypatch.undo()
+    clear_caches()
+    assert 0 < calls <= 2 * len(cones)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from qtk import exact
 from qtk.catalog import all_instances, get
 from qtk.errors import MalformedInputError, NotAConeError, NotAFaceError
 
+import fans
+
 
 class TestValidate:
     def test_cp2_passes(self, cp2):
@@ -108,6 +110,43 @@ def test_coverage_agrees_with_sampling(cp):
     checks = {c.name: c for c in cpm.validate(cp).checks}
     assume(checks["simplicial"].passed)
     assert checks["point_coverage"].passed == _sampled_coverage(cp)
+
+
+def _generated_pair(fan):
+    n, rays, lam, cones = fan
+    return cpm.make_pair(n, rays, lam, cones)
+
+
+# Catalog pairs, generated fans of dimension 4 and 5, and pairs failing
+# simpliciality, unimodularity, pairing and coverage.
+SCALED_PAIRS = [inst.cp for inst in all_instances()] + \
+    [_generated_pair(fan) for _, fan in sorted(fans.GOLDEN.items())] + [
+        cpm.make_pair(2, [(1, 0), (2, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)],
+                      [(0, 1), (1, 2), (0, 2)]),
+        cpm.make_pair(2, [(1, 0), (0, 1), (-1, -1)], [(2, 0), (0, 1), (-1, -1)],
+                      [(0, 1), (1, 2), (0, 2)]),
+        cpm.toric_pair([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
+        cpm.toric_pair([(1, 0), (0, 1), (1, -1)], [(0, 1), (1, 2), (0, 2)]),
+        cpm.toric_pair([(1, 0), (-1, 1), (0, -1)] * 2, [(i, (i + 1) % 6) for i in range(6)]),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_positive_ray_scales_change_no_report_and_no_sign(data):
+    """Validation and cone signs read ray directions only up to a positive
+    scale per ray, Fraction scales included: the reports, detail strings
+    included, and the signs stay the same."""
+    cp = data.draw(st.sampled_from(SCALED_PAIRS))
+    scales = data.draw(st.lists(st.sampled_from([1, 1, F(3, 7), 5, F(1, 2), F(7, 3)]),
+                                min_size=cp.s, max_size=cp.s))
+    scaled = cpm.make_pair(cp.n, [[x * t for x in v] for v, t in zip(cp.ray_dirs, scales)],
+                           cp.lam, cp.max_cones)
+    report = cpm.validate(cp)
+    assert cpm.validate(scaled).as_dict() == report.as_dict()
+    if report.ok:
+        for cone in cp.max_cones:
+            assert cpm.cone_sign(scaled, cone) == cpm.cone_sign(cp, cone)
 
 
 class TestConeSign:

@@ -72,6 +72,66 @@ class TestSolve:
             done += 1
 
 
+def gauss_jordan(rows):
+    """Reference: (det, inverse columns or None) of a square int matrix by
+    Gauss-Jordan elimination over Fraction."""
+    n = len(rows)
+    aug = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    d = F(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            d = -d
+        p = aug[col][col]
+        d *= p
+        aug[col] = [x / p for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return d, [[aug[r][n + k] for r in range(n)] for k in range(n)]
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Square int matrices up to 6x6; often the last row is a combination
+    of the others, so singular matrices come up as well as |det| > 1."""
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * row[k] for c, row in zip(cs, rows)) for k in range(n)]
+    return rows
+
+
+class TestInverseInt:
+    @settings(max_examples=300, deadline=None)
+    @given(square_int_matrices())
+    def test_matches_fraction_gauss_jordan(self, a):
+        d, adjugate = exact.inverse_int(a)
+        ref_det, ref_inverse = gauss_jordan(a)
+        assert d == ref_det and type(d) is int
+        if ref_inverse is None:
+            assert adjugate is None
+        else:
+            assert all(type(x) is int for col in adjugate for x in col)
+            assert [[F(x, d) for x in col] for col in adjugate] == ref_inverse
+        assert exact.det(a) == d
+
+    def test_unimodular_adjugate_is_the_inverse(self):
+        assert exact.inverse_int([[0, 1], [-1, -1]]) == (1, [[-1, 1], [-1, 0]])
+        assert exact.inverse_int([[2, 0], [0, 3]]) == (6, [[3, 0], [0, 2]])
+
+    def test_non_square(self):
+        with pytest.raises(MalformedInputError):
+            exact.inverse_int([[1, 2]])
+
+
 class TestKernel:
     def test_full_rank(self):
         assert exact.kernel_basis(sparse_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
@@ -117,6 +177,9 @@ class TestDet:
     ])
     def test_small(self, m, expected):
         assert exact.det(frac_rows(m)) == expected
+        assert exact.det(m) == expected
+        # One Fraction row among int rows is still cleared.
+        assert exact.det([frac_rows(m)[0]] + m[1:]) == expected
 
     def test_det_multiplicative(self):
         rng = random.Random(5)
@@ -316,6 +379,34 @@ class TestRowSpace:
             assert [v.get(c, 0) for c in free] == [int(c == f) for c in free]
             assert all(x for x in v.values()) and list(v) == sorted(v)
             assert all(sparse_dot(row, v) == 0 for row in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_system())
+    def test_rows_are_left_unchanged(self, system):
+        """Elimination works on a copy of every row, int rows included."""
+        ncols, rows, probes = system
+        before = [dict(v) for v in rows + probes]
+        space = exact.RowSpace(ncols, rows)
+        for v in probes:
+            space.contains(v)
+            space.normal_form(v)
+            space.insert(v)
+        assert rows + probes == before
+
+    def test_int_rows_skip_clearing(self, monkeypatch):
+        calls = []
+
+        def counting(vec, _real=exact.cleared):
+            calls.append(vec)
+            return _real(vec)
+
+        monkeypatch.setattr(exact, "cleared", counting)
+        space = exact.RowSpace(3, [{0: 2, 2: -4}, {1: 3, 2: 0}])
+        assert space.contains({0: 1, 2: -2}) and space.rank == 2 and calls == []
+        assert space.normal_form({0: F(1, 2), 1: 1}) == {0: F(1, 2)}
+        # An int entry before a Fraction one does not pass the row through.
+        assert space.normal_form({0: 1, 1: F(1, 2)}) == {0: F(1)}
+        assert len(calls) == 2
 
     def test_wrong_width_is_rejected(self):
         # A column outside range(width) is malformed, wherever the row goes.
