@@ -391,8 +391,7 @@ def test_validate_eliminates_at_most_twice_per_maximal_cone(monkeypatch, fan):
     [lambda_sigma | I] of each maximal cone, never per facet or walk step:
     every facet normal comes from a sparse kernel and every side from a dot
     product."""
-    n, rays, lam, cones = fan
-    cp = cpm.make_pair(n, rays, lam, cones)
+    cp = cpm.make_pair(*fan)
     calls = 0
 
     def counting(*args, _real=exact.echelon_int):
@@ -405,7 +404,7 @@ def test_validate_eliminates_at_most_twice_per_maximal_cone(monkeypatch, fan):
     assert cpm.validate(cp).ok
     monkeypatch.undo()
     clear_caches()
-    assert 0 < calls <= 2 * len(cones)
+    assert 0 < calls <= 2 * len(cp.max_cones)
 
 
 # ---------------------------------------------------------------------------

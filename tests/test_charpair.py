@@ -112,15 +112,10 @@ def test_coverage_agrees_with_sampling(cp):
     assert checks["point_coverage"].passed == _sampled_coverage(cp)
 
 
-def _generated_pair(fan):
-    n, rays, lam, cones = fan
-    return cpm.make_pair(n, rays, lam, cones)
-
-
 # Catalog pairs, generated fans of dimension 4 and 5, and pairs failing
 # simpliciality, unimodularity, pairing and coverage.
 SCALED_PAIRS = [inst.cp for inst in all_instances()] + \
-    [_generated_pair(fan) for _, fan in sorted(fans.GOLDEN.items())] + [
+    [cpm.make_pair(*fan) for _, fan in sorted(fans.GOLDEN.items())] + [
         cpm.make_pair(2, [(1, 0), (2, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)],
                       [(0, 1), (1, 2), (0, 2)]),
         cpm.make_pair(2, [(1, 0), (0, 1), (-1, -1)], [(2, 0), (0, 1), (-1, -1)],
