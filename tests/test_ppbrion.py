@@ -1,6 +1,7 @@
 """Piecewise polynomials: Courant basis, graded dimensions, quotients."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -249,6 +250,28 @@ def spline_pairs():
         seen.setdefault(inst.cp, inst.label)
     return [(label, cp) for cp, label in seen.items()] + \
         [(name, fan_pair(fan)) for name, fan in GENERATED.items()]
+
+
+def face_ring_dim(cp, d):
+    """The Hilbert function of the face ring of the fan's simplicial
+    complex: 1 at d = 0, else the sum over nonempty faces F of
+    C(d-1, |F|-1)."""
+    if d == 0:
+        return 1
+    faces = {face for cone in cp.max_cones for k in range(1, len(cone) + 1)
+             for face in itertools.combinations(sorted(cone), k)}
+    return sum(math.comb(d - 1, len(face) - 1) for face in faces)
+
+
+@pytest.mark.parametrize("label, cp, top", [
+    (label, cp, cp.n + 1 if label not in GENERATED else cp.n) for label, cp in spline_pairs()],
+    ids=[label for label, _ in spline_pairs()])
+def test_dims_equal_the_face_ring_hilbert_function(label, cp, top):
+    """Piecewise polynomials on a simplicial fan form its face ring, so
+    dim PP_d is the face ring's Hilbert function in every degree: up to
+    n + 1 on the catalog pairs, up to n on the generated fans."""
+    for d in range(top + 1):
+        assert pp.pp_graded_dim(cp, d) == face_ring_dim(cp, d), (label, d)
 
 
 class TestSplineCoordinates:
