@@ -9,18 +9,31 @@ Exit codes: 0 success / verified, 1 mathematical check failed, 2 bad input.
 
 Every command runs in a fresh process, so start-up is kept small: the
 report digest is hashed with CPython's built-in `_sha256` (`_sha2` from
-3.12 on), not `hashlib` (which loads OpenSSL), and `COMMANDS` is one table of the subcommands from
-which `main` builds the parser for the one command it runs.
+3.12 on), not `hashlib` (which loads OpenSSL), and the command line is read
+by `parse_args`, a small parser over the `COMMANDS` table, not by
+`argparse`, whose import (with `gettext`) and first parse (which imports
+`locale`) cost about 8.5 ms per process.
+
+`parse_args` keeps argparse's grammar and messages: one command, then its
+positional `instance`, `--opt value` and `--opt=value` (a unique prefix of
+the option's name will do, and the last value wins), choices, defaults,
+required options and ASCII integers.  An option takes the next token as its
+value whatever it starts with ("--h -1,0,0", "--classes -x1"), except "--",
+which is never a value.  A malformed command line exits 2, writes nothing to
+stdout and ends stderr with "qtk: error: ..." or "qtk <command>: error:
+...".  -h/--help writes to stdout a usage line and then one line per command
+(before a command) or per option (after one), and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import basealg as ba
 from . import catalog as cat
@@ -384,8 +397,10 @@ def cmd_catalog(args) -> tuple[dict, int]:
 _INSTANCE = ("instance", {"help": "catalog name or bundle file"})
 _FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
 
-# One entry per subcommand: name -> (help, function, options), each option
-# the (name, keywords) of one add_argument call, in the order usage lists them.
+# One entry per subcommand: name -> (help, function, options).  An option is
+# (name, keywords): "instance" is the positional, the rest are "--" options;
+# the keywords are nargs ("+"), help, choices, default, required and type
+# (ascii_int), with argparse's meanings.
 COMMANDS = {
     "validate": ("validate instances", cmd_validate, (
         ("instance", {"nargs": "+", "help": "catalog name or bundle file"}), _FORMAT)),
@@ -419,60 +434,216 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for every command, or for `command` alone.
+# A token that starts with "-" and names no option is still a value when it
+# is a negative number; argparse's own pattern.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    A run parses one command, so `main` registers only that one: the other
-    eleven would cost each process a few milliseconds.  The one-command
-    parser names every command in its usage, as the full parser does; the
-    full parser keeps the default metavar, so an unknown command is still
-    reported as "argument command: invalid choice".
+
+def _fail(prog: str, usage: str, message: str):
+    """Report a malformed command line as argparse does, and exit 2."""
+    sys.stderr.write(f"usage: {usage}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read_option(token: str, names: tuple[str, ...], prog: str, usage: str):
+    """How argparse reads `token` against the long option `names`.
+
+    None for a positional, else (name, explicit): name is "-h", one of
+    `names` (given in full or by a unique prefix) or "" for an unknown
+    option; explicit is the text after "=" (or after "-h"), else None.
     """
-    parser = argparse.ArgumentParser(
-        prog="qtk",
-        description="exact cohomology of generalized quasitoric manifolds and bundles")
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_, func, options = COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        for option, keywords in options:
-            p.add_argument(option, **keywords)
-        p.set_defaults(func=func)
-    return parser
+    if not token.startswith("-") or token == "-":
+        return None
+    if token == "-h" or token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and (head == "-h" or head in names):
+        return head, tail
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            _fail(prog, usage, f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], tail if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
 
 
-# Options whose values may start with "-", like the literal "-x1*x2" or the
-# support vector "-1,0,0", which argparse would otherwise take for an option.
-_DASH_VALUE_OPTIONS = ("--classes", "--gamma", "--h")
+def _help(prog: str, usage: str, name: str, explicit, rows: list[tuple[str, str]]):
+    """-h/--help: write the usage line and one line per row, and exit 0.
 
-
-def _attach_dash_values(argv: list[str]) -> list[str]:
-    """Rewrite "--classes -x1" as "--classes=-x1" (likewise --gamma, --h).
-
-    The value "--" is left alone, so it is still rejected.
+    As in argparse, "-hh" asks for help twice, and any other text after
+    "-h" or "--help=" is an error.
     """
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if (arg in _DASH_VALUE_OPTIONS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and argv[i + 1] != "--"):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
+    if explicit is not None:
+        rest = explicit.lstrip("h") if name == "-h" else explicit
+        if rest or not explicit:
+            _fail(prog, usage, f"argument -h/--help: ignored explicit argument {rest!r}")
+    width = max(len(left) for left, _ in rows) + 2
+    sys.stdout.write(f"usage: {usage}\n" + "".join(
+        f"  {left:<{width}}{right}".rstrip() + "\n" for left, right in rows))
+    raise SystemExit(0)
+
+
+def _metavar(option: str, keywords: dict) -> str:
+    choices = keywords.get("choices")
+    return "{" + ",".join(choices) + "}" if choices else option[2:].upper().replace("-", "_")
+
+
+def _option_value(prog: str, usage: str, option: str, keywords: dict, text: str):
+    """An option's value from its text, checked against its type and choices."""
+    if "type" in keywords:
+        try:
+            return keywords["type"](text)
+        except ValueError:  # the one type is ascii_int
+            _fail(prog, usage, f"argument {option}: invalid int value: {text!r}")
+    choices = keywords.get("choices")
+    if choices is not None and text not in choices:
+        _fail(prog, usage, f"argument {option}: invalid choice: {text!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+    return text
+
+
+def _usage(command: str, table) -> str:
+    options, positionals = [f"qtk {command} [-h]"], []
+    for option, keywords in table:
+        if not option.startswith("--"):
+            positionals.append(f"{option} [{option} ...]" if keywords.get("nargs") == "+"
+                               else option)
+        elif keywords.get("required"):
+            options.append(f"{option} {_metavar(option, keywords)}")
         else:
-            out.append(arg)
-            i += 1
-    return out
+            options.append(f"[{option} {_metavar(option, keywords)}]")
+    return " ".join(options + positionals)
+
+
+def _help_rows(table) -> list[tuple[str, str]]:
+    rows = [("-h, --help", "show this help and exit")]
+    for option, keywords in table:
+        notes = [keywords.get("help", "")]
+        if keywords.get("required"):
+            notes.append("(required)")
+        elif keywords.get("default") is not None:
+            notes.append(f"(default: {keywords['default']})")
+        rows.append((f"{option} {_metavar(option, keywords)}" if option.startswith("--")
+                     else option, " ".join(filter(None, notes))))
+    return rows
+
+
+def _read_tokens(tokens: list[str], options: dict, prog: str, usage: str) -> list[tuple]:
+    """Classify every token before any is used, as argparse does, so that an
+    ambiguous prefix is reported before any value is checked.
+
+    Items: ("pos", token); ("--", "--") for the first "--", after which
+    every token is positional; ("", token) for an unknown option; ("-h" or
+    "--help", explicit); and (option, value), value None where it is
+    missing.  An option takes the next token as its value whatever it
+    starts with, except "--", which is never a value ("--opt=--" neither).
+    """
+    names = ("--help", *options)
+    items = []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--":
+            return items + [("--", token)] + [("pos", rest) for rest in tokens[i:]]
+        option = _read_option(token, names, prog, usage)
+        if option is None:
+            items.append(("pos", token))
+        elif option[0] == "":
+            items.append(("", token))
+        elif option[0] in options:
+            name, value = option
+            if value is None and i < len(tokens) and tokens[i] != "--":
+                value = tokens[i]
+                i += 1
+            items.append((name, None if value == "--" else value))
+        else:
+            items.append(option)
+    return items
+
+
+def _parse_command(command: str, tokens: list[str]) -> tuple[dict, list[str]]:
+    """`command`'s values, by attribute name, and the tokens it does not
+    recognize, from the tokens that follow the command name."""
+    table = COMMANDS[command][2]
+    prog, usage = f"qtk {command}", _usage(command, table)
+    options = {option: keywords for option, keywords in table if option.startswith("--")}
+    positional = next((option for option, _ in table if option not in options), None)
+    values = {option: keywords.get("default") for option, keywords in table}
+    seen, extras, run = set(), [], []
+    for kind, value in _read_tokens(tokens, options, prog, usage) + [("end", None)]:
+        if kind in ("pos", "--"):
+            run.append((kind, value))
+            continue
+        # The first run of positional tokens that holds more than "--" fills
+        # the positional: with all of them for nargs "+", else with the
+        # first one and a "--" next to it.  What is left is unrecognized.
+        if positional and positional not in seen and any(k == "pos" for k, _ in run):
+            seen.add(positional)
+            if dict(table)[positional].get("nargs") == "+":
+                values[positional] = [v for k, v in run if k == "pos"]
+                run = []
+            else:
+                first = next(j for j, (k, _) in enumerate(run) if k == "pos")
+                values[positional] = run[first][1]
+                run = run[first + 1:]
+                if run and run[0][0] == "--":
+                    run = run[1:]
+        extras.extend(v for _, v in run)
+        run = []
+        if kind == "":
+            extras.append(value)
+        elif kind in options:
+            if value is None:
+                _fail(prog, usage, f"argument {kind}: expected one argument")
+            values[kind] = _option_value(prog, usage, kind, options[kind], value)
+            seen.add(kind)
+        elif kind != "end":
+            _help(prog, usage, kind, value, _help_rows(table))
+    missing = [option for option, keywords in table if option not in seen
+               and (option == positional or keywords.get("required"))]
+    if missing:
+        _fail(prog, usage, f"the following arguments are required: {', '.join(missing)}")
+    return {option.lstrip("-").replace("-", "_"): value
+            for option, value in values.items()}, extras
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line read as argparse read it: `command`, `func` and one
+    attribute per option of that command.  A malformed command line exits 2
+    with argparse's message; -h/--help writes help and exits 0."""
+    usage = "qtk [-h] {" + ",".join(COMMANDS) + "} ..."
+    extras = []
+    for i, token in enumerate(argv):
+        # argparse hands "--" and what follows to the command name, which
+        # "--" is not; a last "--" is left over.
+        if token == "--" and i + 1 == len(argv):
+            extras.append(token)
+            break
+        option = None if token == "--" else _read_option(token, ("--help",), "qtk", usage)
+        if option is None:
+            if token not in COMMANDS:
+                _fail("qtk", usage, f"argument command: invalid choice: {token!r} "
+                                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+            values, rest = _parse_command(token, argv[i + 1:])
+            if extras + rest:
+                _fail("qtk", usage, f"unrecognized arguments: {' '.join(extras + rest)}")
+            return SimpleNamespace(command=token, func=COMMANDS[token][1], **values)
+        if option[0]:
+            _help("qtk", usage, option[0], option[1],
+                  [("-h, --help", "show this help and exit")]
+                  + [(name, help_) for name, (help_, _, _) in COMMANDS.items()])
+        extras.append(token)
+    _fail("qtk", usage, "the following arguments are required: command")
 
 
 def main(argv=None) -> int:
-    argv = _attach_dash_values(sys.argv[1:] if argv is None else list(argv))
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
-    if [] in vars(args).values():  # argparse before 3.12 reads "--opt=--" as []
-        sys.stderr.write("error: an option value must not be '--'\n")
-        return 2
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         report, code = args.func(args)
     except CheckFailure as exc:
@@ -483,7 +654,7 @@ def main(argv=None) -> int:
     except QtkError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    sys.stdout.write(render(report, getattr(args, "format", "json")))
+    sys.stdout.write(render(report, args.format))
     return code
 
 

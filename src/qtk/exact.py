@@ -87,10 +87,6 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
-# argparse reports a value its type rejects as "invalid <__name__> value".
-ascii_int.__name__ = "int"
-
-
 def scalar_str(x: Fraction) -> str:
     """Serialize a rational as 'p' or 'p/q'; inverse of as_scalar.
 

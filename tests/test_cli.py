@@ -9,6 +9,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 import time
@@ -224,7 +225,11 @@ def test_class_literal_fuzz(literal):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         # "--classes=" lets literals that start with "-" reach the parser.
-        assert main(["intersect", "cp2", "--classes=" + literal]) in (0, 2)
+        try:
+            code = main(["intersect", "cp2", "--classes=" + literal])
+        except SystemExit as exc:  # the usage error for "--", which is never a value
+            code = exc.code
+        assert code in (0, 2)
 
 
 class TestDashValues:
@@ -518,6 +523,139 @@ def test_digest_equals_hashlib_sha256(tmp_path, monkeypatch):
         assert instance_digest(inst) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# ---------------------------------------------------------------------------
+# The command-line parser against argparse.
+#
+# The reference is argparse as qtk used it before it read its command line
+# itself: reference_parser is the old build_parser, and old_front_end adds
+# the rewrite of "--classes -x1" (likewise --gamma and --h) into
+# "--classes=-x1" that ran before it.  qtk's parser must read every command
+# line as argparse reads it after values_attached, which applies qtk's one
+# rule for option values and so subsumes that rewrite.  DEVIATIONS lists,
+# with reasons, where qtk now differs from the old front end.
+
+def reference_int(text):
+    return exact.ascii_int(text)
+
+
+reference_int.__name__ = "int"  # argparse reports "invalid <__name__> value"
+
+
+def reference_parser(command=None):
+    parser = argparse.ArgumentParser(
+        prog="qtk",
+        description="exact cohomology of generalized quasitoric manifolds and bundles")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_, func, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for option, keywords in options:
+            if keywords.get("type") is exact.ascii_int:
+                keywords = dict(keywords, type=reference_int)
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
+    return parser
+
+
+def reference_parse(argv):
+    """build_parser's reading of argv, with "--opt=--" rejected."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = reference_parser(command).parse_args(argv)
+    if [] in vars(args).values():  # argparse before 3.12 reads "--opt=--" as []
+        sys.stderr.write("error: an option value must not be '--'\n")
+        raise SystemExit(2)
+    return args
+
+
+def old_front_end(argv):
+    """The whole argparse front end: reference_parse after the rewrite."""
+    rewritten, i = [], 0
+    while i < len(argv):
+        if (argv[i] in ("--classes", "--gamma", "--h") and i + 1 < len(argv)
+                and argv[i + 1].startswith("-") and argv[i + 1] != "--"):
+            rewritten.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            rewritten.append(argv[i])
+            i += 1
+    return reference_parse(rewritten)
+
+
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def command_index(argv):
+    """Where argparse's top level hands the command line to a command: the
+    first token it reads as a positional, if that names a command."""
+    for i, token in enumerate(argv):
+        if token in COMMANDS:
+            return i
+        if (not token.startswith("-") or token in ("-", "--") or NEGATIVE_NUMBER.match(token)
+                or " " in token):
+            return None
+    return None
+
+
+def values_attached(argv):
+    """argv written so that argparse reads it by qtk's one rule for values:
+    an option that takes a value takes the next token, whatever it starts
+    with, except "--".  "--opt V" becomes "--opt=V", and "--opt=--" becomes
+    "--opt" followed by a token argparse reads as an unknown option, so that
+    the value is missing there as it is for qtk ("--opt --" needs nothing:
+    argparse already reads no value there)."""
+    start = command_index(argv)
+    if start is None:
+        return list(argv)
+    valued = [option for option, _ in COMMANDS[argv[start]][2] if option.startswith("--")]
+    names = ["--help", *valued]
+    out, i = list(argv[:start + 1]), start + 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--":
+            return out + list(argv[i - 1:])
+        head, eq, value = token.partition("=")
+        matches = [name for name in names if name == head] or \
+            [name for name in names if token.startswith("--") and name.startswith(head)]
+        if len(matches) != 1 or matches[0] not in valued:
+            out.append(token)
+        elif eq:
+            out.extend([head, "-x"] if value == "--" else [token])
+        elif i < len(argv) and argv[i] != "--":
+            out.append(f"{token}={argv[i]}")
+            i += 1
+        else:
+            out.append(token)
+    return out
+
+
+def parse_outcome(parse, argv):
+    """(attributes or exit code, stdout, last stderr line) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), (err.getvalue().splitlines() or [""])[-1]
+
+
+def assert_parses_as_argparse(argv):
+    """qtk's parser reads argv as argparse reads it with values attached:
+    equal attributes, or equal exit codes, nothing on stdout and the same
+    last stderr line.  Help (exit 0) is laid out differently, so of it only
+    the exit code and the usage line's start are compared."""
+    new = parse_outcome(cli.parse_args, argv)
+    old = parse_outcome(reference_parse, values_attached(argv))
+    if old[0] == 0:
+        assert (new[0], new[1].startswith("usage: qtk"), new[2]) == (0, True, "")
+    else:
+        assert new == old
+        assert new[1] == "" and (isinstance(new[0], dict) or new[2])
+    return new
+
+
 # A valid argument list per command, then edits of it that argparse rejects,
 # answers itself or rewrites before parsing.
 VALID_ARGS = {
@@ -530,31 +668,87 @@ VALID_ARGS = {
 EDITS = [[], ["--help"], ["--bogus"], ["--format", "xml"], ["--mode", "x"],
          ["--samples", "x"], ["--sam", "3"], ["--h=--"], ["--classes", "-x1"]]
 
+# Further command lines: the top level, prefixes, extra positionals, repeated
+# options and "--" between tokens.
+MORE_ARGV = [
+    [], ["-h"], ["bogus"], ["--", "betti", "cp3"], ["--bogus", "betti", "cp2"],
+    ["-hx"], ["--help=x"], ["-1", "betti"],
+    ["check-all", "cp2", "--s", "3"], ["check-all", "cp2", "--se", "-4", "--sa=2"],
+    ["betti", "-x"], ["betti", "cp2", "cp3"], ["catalog", "extra"],
+    ["betti", "cp2", "--format=text", "--format", "json"], ["betti", "--format", "text", "cp2"],
+    ["betti", "-- ", "cp2"], ["betti", "--", "cp2"], ["betti", "cp2", "--"],
+    ["betti", "--", "--", "cp2"], ["validate", "cp2", "--", "cp3"],
+    ["validate", "cp2", "--format", "json", "cp3"], ["validate", "--", "cp2", "--format", "json"],
+    ["volume", "cp2", "--h", "-1,0,0"], ["volume", "cp2", "--h", "--"],
+    ["volume", "cp2", "--h", "--", "1,1,1"], ["volume", "--h=1,1,1", "--", "cp2"],
+    ["volume", "cp2", "--h"], ["volume", "cp2"], ["volume"], ["volume", "cp2", "--he"],
+    ["bkk", "cp2", "--h", "1,1,1", "--i", "-1"], ["bkk", "cp2", "--h", "1", "--i", "\u0663"],
+    ["intersect", "cp2", "--classes", "x1", "--gamma", "-t"], ["intersect", "cp2", "--h", "x"],
+    ["intersect", "cp2", "--=x"], ["betti", "cp2", "-hh"], ["betti", "cp2", "-hhx"],
+    ["betti", "cp2", "-h="], ["betti", "cp2", "--format="], ["betti", "cp2", "-"],
+    ["betti", "-- x", "cp2"], ["betti", "--fo x", "cp2"], ["betti", "--fo=x y", "cp2"],
+    ["potential", "cp2", "--m", "direct"], ["brion", "cp2", "--m=3"],
+    ["ann-generators", "cp2", "--max-degree", "-2"],
+]
+
+# Where qtk deliberately reads a command line otherwise than argparse did:
+# (argv, qtk's outcome, argparse's last stderr line, reason).
+DEVIATIONS = [
+    (["check-all", "cp2", "--samples", "-x"],
+     "qtk check-all: error: argument --samples: invalid int value: '-x'",
+     "qtk check-all: error: argument --samples: expected one argument",
+     "an option takes the next token as its value whatever it starts with"),
+    (["betti", "cp2", "--format", "--help"],
+     "qtk betti: error: argument --format: invalid choice: '--help' (choose from 'json', 'text')",
+     "qtk betti: error: argument --format: expected one argument",
+     "an option takes the next token as its value whatever it starts with"),
+    (["intersect", "cp2", "--cl", "-x1"], {"classes": "-x1"},
+     "qtk intersect: error: argument --classes: expected one argument",
+     "the old rewrite matched only the full names --classes, --gamma and --h"),
+    (["intersect", "cp2", "--classes=--"],
+     "qtk intersect: error: argument --classes: expected one argument",
+     "error: an option value must not be '--'",
+     "'--' is never a value: both forms are rejected in argparse's words"),
+    (["betti", "cp2", "--classes", "-x1"],
+     "qtk: error: unrecognized arguments: --classes -x1",
+     "qtk: error: unrecognized arguments: --classes=-x1",
+     "the old rewrite joined --classes to its value even where no command reads it"),
+    (["betti", "-h"], "usage: qtk betti [-h] [--format {json,text}] instance",
+     "", "help is laid out as one line per option, not argparse's layout"),
+]
+
 
 class TestOneCommandParser:
     def test_table_names_every_command(self):
         assert sorted(VALID_ARGS) == sorted(COMMANDS)
 
     @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_output_equals_the_full_parser(self, capsys, monkeypatch, command):
-        """main parses with build_parser(command); with build_parser() the
-        stdout, stderr and exit code of each argument list are the same."""
-        monkeypatch.setenv("COLUMNS", "80")
-        full_parser = cli.build_parser
-
-        def outcome(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("exit", exc.code)
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
+    def test_output_equals_the_full_parser(self, command):
+        """The valid argument list and each edit of it parse as argparse
+        parses them, the valid one to the same attributes."""
         valid = VALID_ARGS[command]
-        corpus = [[command, *valid[1:]]] + [[command, *valid, *edit] for edit in EDITS]
-        one = [outcome(argv) for argv in corpus]
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-        assert [outcome(argv) for argv in corpus] == one
+        result, _, _ = assert_parses_as_argparse([command, *valid])
+        assert isinstance(result, dict) and result["command"] == command
+        for edit in EDITS:
+            assert_parses_as_argparse([command, *valid, *edit])
+
+    @pytest.mark.parametrize("argv", MORE_ARGV, ids=" ".join)
+    def test_more_command_lines(self, argv):
+        assert_parses_as_argparse(argv)
+
+    @pytest.mark.parametrize("argv, qtk, argparse_said, reason", DEVIATIONS,
+                             ids=[" ".join(d[0]) for d in DEVIATIONS])
+    def test_listed_deviation(self, argv, qtk, argparse_said, reason):
+        new = parse_outcome(cli.parse_args, argv)
+        old = parse_outcome(old_front_end, argv)
+        if isinstance(qtk, dict):
+            assert {k: new[0][k] for k in qtk} == qtk
+        elif new[0] == 0:
+            assert new[1].splitlines()[0] == qtk
+        else:
+            assert (new[0], new[1], new[2]) == (2, "", qtk)
+        assert old[2] == argparse_said
+        assert new != old
 
     def test_unknown_command_names_the_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -564,26 +758,40 @@ class TestOneCommandParser:
         assert capsys.readouterr().err.endswith(
             f"qtk: error: argument command: invalid choice: 'bogus' (choose from {choices})\n")
 
-    @pytest.mark.parametrize("argv,registered", [
-        (["betti", "cp3"], ["betti"]),
-        (["bogus"], list(COMMANDS)),
-        (["--", "betti", "cp3"], list(COMMANDS)),
-    ])
-    def test_a_run_registers_only_its_command(self, capsys, monkeypatch, argv, registered):
-        names = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def recording(self, name, **kwargs):
-            names.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    @pytest.mark.parametrize("argv, code", [
+        (["betti", "cp3"], 0), (["bogus"], 2), (["--", "betti", "cp3"], 2)])
+    def test_a_run_imports_no_argparse(self, capsys, monkeypatch, argv, code):
+        """A run, or a rejected command line, needs none of argparse,
+        gettext and locale: here none of them can be imported."""
+        for name in ("argparse", "gettext", "locale"):
+            monkeypatch.setitem(sys.modules, name, None)
         try:
-            main(argv)
-        except SystemExit:
-            pass
-        capsys.readouterr()
-        assert names == registered
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        out, err = capsys.readouterr()
+        assert bool(out) == (code == 0) and "Traceback" not in err
+
+
+# The parser's alphabet: command names, option names and prefixes, values,
+# "--", unknown options and "=" forms.
+PARSER_TOKENS = [
+    "betti", "volume", "intersect", "check-all", "validate", "catalog", "bkk",
+    "cp2", "cp3", "1,1,1", "-1,0,0", "x1", "-x1", "3", "-3", "x", "json", "text",
+    "--format", "--fo", "--h", "--he", "--help", "-h", "-hh", "-hx", "--classes", "--cl",
+    "--gamma", "--i", "--samples", "--sam", "--s", "--seed", "--bogus", "--", "-", "",
+    "--format=text", "--h=1,1,1", "--h=--", "--sam=3", "--s=3", "--=x", "--format=", "-h=x",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PARSER_TOKENS), max_size=7),
+       st.sampled_from([[], ["betti"], ["volume"], ["intersect"], ["check-all"],
+                        ["validate"], ["catalog"], ["bkk"]]))
+def test_parser_fuzz(tokens, command):
+    """Any command line from the alphabet parses as argparse parses it with
+    values attached."""
+    assert_parses_as_argparse(command + tokens)
 
 
 class TestCatalogAndFormats:
@@ -687,14 +895,20 @@ class TestMalformedInput:
         err = self.assert_bad_input(capsys, "intersect", "cp2", "--classes", "1" + "0" * 5000)
         assert "element has degrees [0], expected 4" in err
 
+    def assert_no_value(self, capsys, *argv):
+        """"--" is never an option's value: argparse's usage error, exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(["intersect", "cp2", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("qtk intersect: error: argument --classes: expected one argument\n")
+
     def test_option_value_double_dash(self, capsys):
-        self.assert_bad_input(capsys, "intersect", "cp2", "--classes=--")
+        self.assert_no_value(capsys, "--classes=--")
 
     def test_option_value_double_dash_after_a_space(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["intersect", "cp2", "--classes", "--"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        self.assert_no_value(capsys, "--classes", "--")
 
     def test_nested_powers_exit_quickly(self, capsys):
         start = time.monotonic()

@@ -215,9 +215,6 @@ class TestAsciiInt:
         with pytest.raises(ValueError):
             exact.ascii_int(bad)
 
-    def test_argparse_names_it_int(self):
-        assert exact.ascii_int.__name__ == "int"
-
 
 class TestAsScalar:
     @pytest.mark.parametrize("text, value", [

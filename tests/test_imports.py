@@ -17,7 +17,9 @@ load `dataclasses` (its import and the methods it generated cost each
 process about 25 ms of start-up) nor, where CPython's built-in `_sha256`
 or `_sha2` exists, `hashlib` (whose OpenSSL module `_hashlib` cost about
 4 ms), and it must load every module the benchmark's tracer rebinds, so
-that no lazy import can silently leave a module untraced.
+that no lazy import can silently leave a module untraced.  Neither that
+import nor a whole `betti` run may load `argparse`, `gettext` or `locale`
+(about 8.5 ms of start-up and first parse per process).
 """
 
 import ast
@@ -181,6 +183,20 @@ def test_cli_import_loads_no_dataclasses_and_every_traced_module():
     traced = {f"qtk.{qual.split('.')[0]}" for qual in tracing.SPANS + tracing.DISTINCT}
     traced |= {f"qtk.{mod}" for mod, _, _ in tracing.COUNTED.values()}
     assert traced <= loaded
+
+
+@pytest.mark.parametrize("script", [
+    "import sys, qtk.cli",
+    "import sys, contextlib, io, qtk.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert qtk.cli.main(['betti', 'cp2']) == 0",
+], ids=["import", "betti-run"])
+def test_cli_loads_no_argparse(script):
+    script += "\nprint(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    loaded = set(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert not {"argparse", "gettext", "locale"} & loaded
 
 
 def load_tracing():
