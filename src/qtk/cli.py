@@ -12,7 +12,7 @@ report digest is hashed with CPython's built-in `_sha256` (`_sha2` from
 3.12 on), not `hashlib` (which loads OpenSSL), and the command line is read
 by `parse_args`, a small parser over the `COMMANDS` table, not by
 `argparse`, whose import (with `gettext`) and first parse (which imports
-`locale`) cost about 8.5 ms per process.
+`locale`) cost 4–10 ms per process.
 
 `parse_args` keeps argparse's grammar and messages: one command, then its
 positional `instance`, `--opt value` and `--opt=value` (a unique prefix of

@@ -19,7 +19,7 @@ or `_sha2` exists, `hashlib` (whose OpenSSL module `_hashlib` cost about
 4 ms), and it must load every module the benchmark's tracer rebinds, so
 that no lazy import can silently leave a module untraced.  Neither that
 import nor a whole `betti` run may load `argparse`, `gettext` or `locale`
-(about 8.5 ms of start-up and first parse per process).
+(4–10 ms of start-up and first parse per process).
 """
 
 import ast
