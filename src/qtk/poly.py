@@ -8,11 +8,11 @@ The checks live at the edges.  The public constructor, the classmethods and
 every reader of outside input check each exponent (one non-negative int per
 variable) and convert each coefficient to a Fraction, dropping zeros.  Ring
 operations, partial derivatives, `apply_derivative`, the symbolic integrals
-of `multipoly`, the facet restrictions of `ppbrion` and the pairing
-polynomial of `srbundle` build their results from terms that are already
-clean, through the private `_trusted` constructor, which checks nothing;
-`partial` and `apply_derivative` check their own argument (a variable
-index, a derivative exponent) on entry.  Sums and products of
+of `multipoly` and the pairing polynomial of `srbundle` build their results
+from terms that are already clean, through the private `_trusted`
+constructor, which checks nothing; `partial` and `apply_derivative` check
+their own argument (a variable index, a derivative exponent) on entry.
+Sums and products of
 polynomials, negatives, powers and scalar multiples keep the coefficients'
 types, so a polynomial built from int terms stays in ints and pays no gcd.
 A scalar summand is read as a constant polynomial, through the

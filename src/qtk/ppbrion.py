@@ -2,10 +2,9 @@
 
 An element stores one polynomial on the cocharacter space per maximal cone;
 adjacent cones must agree on the span of the lattice vectors of their shared
-facet.  A monomial restricts to that span as a product of the facet's
-linear forms, an int-coefficient MultiPoly in one parameter per facet ray;
-an element is compatible iff every difference across a facet restricts to
-zero.
+facet F, on which x_a restricts to sum_j lam_{F_j}[a] t_j, one parameter t_j
+per facet ray.  An element is compatible iff every difference across a
+facet restricts to zero.
 
 The graded pieces are computed in spline coordinates (the matrix form of
 Billera and Rose, A dimension series for multivariate splines, DCG 1991).
@@ -23,9 +22,10 @@ and a kernel basis, primitive int vectors, is built only in the degrees
 whose vectors a quotient row needs.
 
 Multiplying by a standard character x_a multiplies f_root and every g_e by
-x_a, so it is an index map on the root and edge blocks.  Each map is proved
-once per pair and degree: every cycle row of a facet in the next degree,
-read through it, lies in the span of that facet's rows in this degree.
+x_a, so it is an index map on the root and edge blocks, and a facet's
+degree-d cycle row at t^sm, read through it, is sum_j lam_{F_j}[a] times the
+facet's degree-(d-1) row at t^(sm - e_j).  That one recurrence builds the
+rows above degree 1, and checked for every a it proves every map compatible.
 Quotient dimensions come from exact rank, on the free coordinates of the
 cycle rows, which read each graded piece isomorphically, and match the
 Stanley-Reisner graded dimensions degree by degree.
@@ -76,13 +76,10 @@ def facet_pairs(cp: CharacteristicPair) -> tuple[tuple[tuple[int, ...], int, int
 def is_compatible(el: PPElement) -> bool:
     """Whether the polynomials of every two cones agree on the span of
     their shared facet: the difference restricts to zero there."""
-    for facet, c1, c2 in facet_pairs(el.cp):
-        restricted = _facet_restrictions(el.cp, facet, el.degree)
-        total: dict[tuple[int, ...], int | Fraction] = {}
-        for m, x in (el.polys[c1] - el.polys[c2]).terms.items():
-            for sm, c in restricted[m].terms.items():
-                total[sm] = total.get(sm, 0) + x * c
-        if any(total.values()):
+    cp = el.cp
+    for facet, c1, c2 in facet_pairs(cp):
+        forms = [MultiPoly.linear_form([cp.lam[ray][a] for ray in facet]) for a in range(cp.n)]
+        if (el.polys[c1] - el.polys[c2]).substitute(forms):
             return False
     return True
 
@@ -194,66 +191,78 @@ def _from_vector(cp: CharacteristicPair, d: int, vec: dict[int, int | Fraction])
     return PPElement(cp, d, tuple(polys))
 
 
-def _facet_restrictions(cp: CharacteristicPair, facet: tuple[int, ...],
-                        d: int) -> dict[tuple[int, ...], MultiPoly]:
-    """Per degree-d monomial x^m, its restriction to the span of the facet's
-    lattice vectors: an int-coefficient polynomial in one parameter t_j per
-    facet ray.
-
-    x_a restricts to the linear form sum_j lam_{facet[j]}[a] t_j, and x^m to
-    that form times the restriction of x^(m - e_a), a being m's first
-    nonzero index.
-    """
-    t = len(facet)
-    forms = [MultiPoly._trusted(t, {tuple(int(i == j) for i in range(t)): cp.lam[ray][a]
-                                    for j, ray in enumerate(facet) if cp.lam[ray][a]})
-             for a in range(cp.n)]
-    out = {(0,) * cp.n: MultiPoly._trusted(t, {(0,) * t: 1})}
-    for degree in range(1, d + 1):
-        lower, out = out, {}
-        for m in _monomials(cp.n, degree):
-            a = next(r for r, e in enumerate(m) if e)
-            out[m] = forms[a] * lower[m[:a] + (m[a] - 1,) + m[a + 1:]]
-    return out
+def _times_character(cp: CharacteristicPair, facet: tuple[int, ...],
+                     rows: dict[tuple[int, ...], dict[int, int]],
+                     shift: tuple[int, ...], a: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """x_a on the facet's span times one facet's cycle rows, read in the next
+    degree through the shift map of x_a; zero entries and rows left out."""
+    out: dict[tuple[int, ...], dict[int, int]] = {}
+    for j, ray in enumerate(facet):
+        c = cp.lam[ray][a]
+        if not c:
+            continue
+        for sm, row in rows.items():
+            target = out.setdefault(sm[:j] + (sm[j] + 1,) + sm[j + 1:], {})
+            for col, x in row.items():
+                k = shift[col]
+                target[k] = target.get(k, 0) + c * x
+    kept = {sm: {k: x for k, x in row.items() if x} for sm, row in out.items()}
+    return {sm: row for sm, row in kept.items() if row}
 
 
 @lru_cache(maxsize=None)
-def _cycle_rows(cp: CharacteristicPair, d: int) -> tuple[tuple[dict[int, int], ...], ...]:
-    """The degree-d cycle rows as sparse int dicts, one tuple of rows per
-    off-tree facet (F, sigma, tau): f_sigma - f_tau restricted to F's span,
-    which is the sum of +-l_e g_e over the tree edges on one of the two
-    paths only.  One row per facet monomial that some coefficient restricts
-    to, in monomial order."""
+def _cycle_rows(cp: CharacteristicPair,
+                d: int) -> tuple[dict[tuple[int, ...], dict[int, int]], ...]:
+    """The degree-d cycle rows as sparse int dicts, one dict per off-tree
+    facet (F, sigma, tau), from facet monomial sm, in monomial order, to the
+    coefficients of t^sm in f_sigma - f_tau on F's span: the sum of +-l_e g_e
+    over the tree edges on one of the two paths only.  Zero rows are left out.
+
+    Degree 1 is read directly: <lam_{F_j}, l_e> with the path's sign.  Above
+    it, column (e, m) is filled by the recurrence through the first a with
+    m_a > 0, which is then checked for every a; that proves _shift_maps(cp, d)."""
     edges, paths, off_tree = _spanning_tree(cp)
     if d < 1:
-        return tuple(() for _ in off_tree)
-    lower = _monomials(cp.n, d - 1)
+        return tuple({} for _ in off_tree)
     root = len(_monomials(cp.n, d))
     out = []
-    for facet, c1, c2 in off_tree:
-        restricted = _facet_restrictions(cp, facet, d - 1)
-        t = len(facet)
-        on1, on2 = set(paths[c1]), set(paths[c2])
-        by_monomial: dict[tuple[int, ...], dict[int, int]] = {}
-        for e in sorted(on1 ^ on2):
-            sign = 1 if e in on1 else -1
-            form = edges[e][2]
-            # l_e on the facet's span: sum_j <lam_{facet[j]}, l_e> t_j
-            values = (sign * sum(map(mul, cp.lam[ray], form)) for ray in facet)
-            restricted_form = MultiPoly._trusted(t, {
-                tuple(int(i == j) for i in range(t)): v for j, v in enumerate(values) if v})
-            start = root + e * len(lower)
-            for k, m in enumerate(lower):
-                for sm, c in (restricted_form * restricted[m]).terms.items():
-                    by_monomial.setdefault(sm, {})[start + k] = c
-        out.append(tuple(by_monomial[sm] for sm in sorted(by_monomial)))
+    if d == 1:
+        for facet, c1, c2 in off_tree:
+            on1, on2 = set(paths[c1]), set(paths[c2])
+            rows: dict[tuple[int, ...], dict[int, int]] = {}
+            for sm in _monomials(len(facet), 1):
+                for e in sorted(on1 ^ on2):
+                    x = sum(map(mul, cp.lam[facet[sm.index(1)]], edges[e][2]))
+                    if x:
+                        rows.setdefault(sm, {})[root + e] = x if e in on1 else -x
+            out.append(rows)
+        return tuple(out)
+    # column root + e * len(lower) + k is edge e's monomial lower[k]
+    lower = _monomials(cp.n, d - 1)
+    first = [next(a for a, k in enumerate(m) if k) for m in lower]
+    for (facet, _, _), below in zip(off_tree, _cycle_rows(cp, d - 1), strict=True):
+        products = [_times_character(cp, facet, below, shift, a)
+                    for a, shift in enumerate(_shift_maps(cp, d))]
+        rows = {}
+        for a, product in enumerate(products):
+            for sm, row in product.items():
+                for c, x in row.items():
+                    if first[(c - root) % len(lower)] == a:
+                        rows.setdefault(sm, {})[c] = x
+        for a, product in enumerate(products):
+            read = {sm: {c: x for c, x in row.items() if lower[(c - root) % len(lower)][a]}
+                    for sm, row in rows.items()}
+            if product != {sm: row for sm, row in read.items() if row}:
+                raise MalformedInputError("product violates facet compatibility")
+        out.append(dict(sorted(rows.items())))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _cycle_space(cp: CharacteristicPair, d: int) -> exact.RowSpace:
     """The span of all degree-d cycle rows; read only, never extended."""
-    return exact.RowSpace(_width(cp, d), chain.from_iterable(_cycle_rows(cp, d)))
+    return exact.RowSpace(_width(cp, d),
+                          chain.from_iterable(rows.values() for rows in _cycle_rows(cp, d)))
 
 
 def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
@@ -291,29 +300,19 @@ def _shift_maps(cp: CharacteristicPair, d: int) -> tuple[tuple[int, ...], ...]:
     x_a f_sigma = x_a f_root + sum l_e (x_a g_e), so the map moves the
     monomial m of the root block and of every edge block to m + e_a.
 
-    Each map is proved once to send compatible elements to compatible ones:
-    every degree-d cycle row of a facet, read through it, lies in the span
-    of that facet's degree-(d-1) cycle rows, so it vanishes on every kernel
-    vector.  (It is x_a restricted to the facet times those rows, so the
-    smaller span suffices.)"""
+    Each map sends compatible elements to compatible ones: _cycle_rows(cp, d)
+    checks that every degree-d cycle row read through it is x_a on the facet
+    times that facet's degree-(d-1) rows, which vanish on every kernel vector."""
     top, mid, low = (_monomials(cp.n, k) for k in (d, d - 1, d - 2))
     top_index = {m: k for k, m in enumerate(top)}
     mid_index = {m: k for k, m in enumerate(mid)}
     nedges = len(_spanning_tree(cp)[0])
-    width = _width(cp, d - 1)
-    spans = [exact.RowSpace(width, rows) for rows in _cycle_rows(cp, d - 1)]
     shifts = []
     for a in range(cp.n):
         up = lambda m: m[:a] + (m[a] + 1,) + m[a + 1:]
-        shift = tuple([top_index[up(m)] for m in mid]
-                      + [len(top) + e * len(mid) + mid_index[up(m)]
-                         for e in range(nedges) for m in low])
-        back = {c: j for j, c in enumerate(shift)}
-        for span, rows in zip(spans, _cycle_rows(cp, d), strict=True):
-            for row in rows:
-                if not span.contains({back[c]: x for c, x in row.items() if c in back}):
-                    raise MalformedInputError("product violates facet compatibility")
-        shifts.append(shift)
+        shifts.append(tuple([top_index[up(m)] for m in mid]
+                            + [len(top) + e * len(mid) + mid_index[up(m)]
+                               for e in range(nedges) for m in low]))
     return tuple(shifts)
 
 

@@ -76,8 +76,8 @@ class TestArithmetic:
 
     def test_int_terms_stay_int(self):
         """Ring operations keep int coefficients int; the constructor, the
-        reader of outside terms, still makes Fractions.  So the facet
-        restrictions behind the cycle rows stay in ints."""
+        reader of outside terms, still makes Fractions.  The cycle rows of
+        ppbrion, built by an integer recurrence, hold ints too."""
         p = MultiPoly._trusted(2, {(1, 0): 2, (0, 1): -3})
         q = MultiPoly._trusted(2, {(1, 1): 5, (0, 0): 1})
         for r in (p + q, p - q, -p, p * q, p * 3, 3 * p, p * p * q, p ** 3, p.partial(0),
@@ -88,7 +88,7 @@ class TestArithmetic:
         for inst in all_instances():
             for d in range(inst.cp.n + 1):
                 for rows in pp._cycle_rows(inst.cp, d):
-                    for row in rows:
+                    for row in rows.values():
                         assert all(type(c) is int for c in row.values()), (inst.label, d)
 
     def test_weighted_degrees(self):

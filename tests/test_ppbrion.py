@@ -16,6 +16,7 @@ from qtk.errors import MalformedInputError, PairMismatchError
 from qtk.poly import MultiPoly, weighted_monomials
 from qtk.srbundle import BundleRing
 
+from conftest import clear_caches
 import fans
 
 
@@ -345,9 +346,9 @@ class TestLinearPaths:
                         assert shifted == pp.multiply(char, el), (inst.label, d, a)
 
     def test_restriction_rows_equal_substitution(self):
-        # Per off-tree facet, the rows are the coefficients of the facet
-        # restriction of sum +-l_e m over the two paths' own edges, by
-        # substitution.
+        # Per off-tree facet and facet monomial, in monomial order, the rows
+        # are the coefficients of the facet restriction of sum +-l_e m over
+        # the two paths' own edges, by substitution.
         for label, cp in spline_pairs()[:-2]:
             edges, paths, off_tree = pp._spanning_tree(cp)
             for d in range(cp.n + 1):
@@ -362,14 +363,17 @@ class TestLinearPaths:
                         for k, m in enumerate(lower):
                             parts[root + e * len(lower) + k] = restricted(
                                 form * MultiPoly.monomial(m, 1), cp, facet)
-                    rows = []
+                    rows = {}
                     for sm in weighted_monomials((1,) * len(facet), d):
                         row = {c: g.coefficient(sm) for c, g in sorted(parts.items())
                                if g.coefficient(sm)}
                         if row:
-                            rows.append(row)
-                    expected.append(tuple(rows))
-                assert pp._cycle_rows(cp, d) == tuple(expected), (label, d)
+                            rows[sm] = row
+                    expected.append(rows)
+                got = pp._cycle_rows(cp, d)
+                assert got == tuple(expected), (label, d)
+                assert [list(rows) for rows in got] == [list(rows) for rows in expected], \
+                    (label, d)
 
     def test_changed_kernel_vector_is_incompatible(self):
         for inst in all_instances():
@@ -378,7 +382,8 @@ class TestLinearPaths:
                 q = pp._spline_kernel(cp, d)[0]
                 assert pp.is_compatible(pp._from_vector(cp, d, q))
                 # every coordinate that some cycle row reads (cp1 has none)
-                for j in {j for rows in pp._cycle_rows(cp, d) for row in rows for j in row}:
+                for j in {j for rows in pp._cycle_rows(cp, d) for row in rows.values()
+                          for j in row}:
                     changed = dict(q)
                     changed[j] = changed.get(j, 0) + 1
                     assert not pp.is_compatible(pp._from_vector(cp, d, changed)), inst.label
@@ -392,16 +397,29 @@ class TestLinearPaths:
                     assert not any(sum(x * vec.get(c, 0) for c, x in row.items())
                                    for row in rows), (label, d)
 
-    def test_shift_check_rejects_an_extra_row(self, cp2, monkeypatch):
-        # Requiring root coordinate 0 (x_2^2 on every cone) to vanish at
-        # degree 2 is not implied by degree 1, where x_2 is compatible.
-        rows = pp._cycle_rows
-        monkeypatch.setattr(pp, "_cycle_rows", lambda cp, d: (
-            (rows(cp, d)[0] + ({0: 1},),) + rows(cp, d)[1:] if d == 2 else rows(cp, d)))
-        pp._shift_maps.cache_clear()
-        with pytest.raises(MalformedInputError, match="product violates facet compatibility"):
-            pp._shift_maps(cp2, 2)
-        pp._shift_maps.cache_clear()
+    def test_shift_check_rejects_a_changed_product(self, cp3, monkeypatch):
+        # At degree 3 the edge column of x_0 x_1 is written by both the x_0
+        # and the x_1 product of the degree-2 rows; the rows take the x_0
+        # one, so only the check for a = 1 sees a change to the x_1 one.  (At
+        # degree 2 each edge column has one writer, whose product the rows are.)
+        real = pp._times_character
+        column = len(weighted_monomials((1,) * 3, 3)) + \
+            weighted_monomials((1,) * 3, 2).index((1, 1, 0))
+
+        def changed(cp, facet, rows, shift, a):
+            out = real(cp, facet, rows, shift, a)
+            if a == 1 and len(shift) == pp._width(cp3, 2):
+                row = out.setdefault((3,) + (0,) * (len(facet) - 1), {})
+                row[column] = row.get(column, 0) + 1
+            return out
+
+        clear_caches()
+        monkeypatch.setattr(pp, "_times_character", changed)
+        try:
+            with pytest.raises(MalformedInputError, match="product violates facet compatibility"):
+                pp.brion_quotient_dims(cp3)
+        finally:
+            clear_caches()
 
     def test_quotient_dims_are_point_bundle_betti(self):
         for inst in all_instances():
