@@ -1,4 +1,5 @@
-"""Generated smooth complete fans over a point, written as bundle files.
+"""Generated smooth complete fans, written as bundle files over a point or
+over a projective space.
 
 A fan is (n, rays, cones): integer ray directions, which are also the
 lattice vectors, except where a twist sets the last lattice vector of CP^n
@@ -7,10 +8,13 @@ standard ones (CP^n, products, the stellar subdivision of a maximal cone,
 Bott towers) and read nothing from qtk, so a test can compare qtk's answer
 on them with what the construction predicts.
 
-GOLDEN names the fans whose `qtk brion`, `qtk validate` and `qtk betti`
-reports are pinned under tests/golden/brion-fans, each beside the bundle
-file it was computed from.  Each report is run from that directory on the
-bundle file's bare name, which the validate report echoes.  Run
+GOLDEN names the fans over a point, and BUNDLES the fans over CP^1 and
+CP^2 with nonzero Chern data, whose `qtk brion`, `qtk validate` and
+`qtk betti` reports are pinned under tests/golden/brion-fans, each beside
+the bundle file it was computed from.  The BUNDLES are the pinned cases of a
+fibre of dimension above 2 over a base of positive dimension.  Each report
+is run from that directory on the bundle file's bare name, which the
+validate report echoes.  Run
 `PYTHONPATH=src python tests/fans.py` to write the bundle file and every
 report of every fan; the tests check that the bundle files still equal
 what this module writes.
@@ -75,21 +79,26 @@ def bott_tower(n, entries):
     return n, tuple(rays), tuple(rays), cones
 
 
-def bundle(fan) -> dict:
-    """The bundle file of the fan over a point."""
+def bundle(fan, m=0, images=None) -> dict:
+    """The bundle file of the fan over CP^m, whose cohomology has the basis
+    1, t, t2, .., tm with tm integrating to 1 (m = 0 is a point); the a-th
+    standard character maps to images[a] * t."""
     n, rays, lam, cones = fan
+    names = ["1"] + ["t" if p == 1 else f"t{p}" for p in range(1, m + 1)]
     return {
         "charpair": {"n": n, "rays": [[str(x) for x in v] for v in rays],
                      "lambda": [list(v) for v in lam],
                      "max_cones": [[i + 1 for i in c] for c in cones]},
-        "base": {"basis": [{"name": "1", "deg": 0}], "products": {"0,0": [["1", "1"]]},
-                 "fundamental": {"1": "1"}},
-        "chern": {"n": n, "images": [[] for _ in range(n)]},
+        "base": {"basis": [{"name": name, "deg": 2 * p} for p, name in enumerate(names)],
+                 "products": {f"{i},{j}": [[names[i + j], "1"]]
+                              for i in range(m + 1) for j in range(m + 1 - i)},
+                 "fundamental": {names[m]: "1"}},
+        "chern": {"n": n, "images": [[str(c)] for c in images] if m else [[]] * n},
     }
 
 
-def bundle_text(fan) -> str:
-    return json.dumps(bundle(fan), sort_keys=True) + "\n"
+def bundle_text(fan, m=0, images=None) -> str:
+    return json.dumps(bundle(fan, m, images), sort_keys=True) + "\n"
 
 
 GOLDEN = {
@@ -100,6 +109,16 @@ GOLDEN = {
                             (2, 3): 1}),
     "cp5": cp_fan(5),
 }
+
+# name -> (fan, m, images): the bundle arguments of a fan over CP^m.
+BUNDLES = {
+    "bott4-over-cp1": (GOLDEN["bott4"], 1, (1, -1, 2, 0)),
+    "cp4-over-cp2": (cp_fan(4), 2, (1, -1, 2, 0)),
+    "cp2xcp2-over-cp2": (GOLDEN["cp2xcp2"], 2, (2, 0, -1, 1)),
+}
+
+# Every pinned bundle file: name -> the arguments of bundle_text.
+PINNED = {**{name: (fan,) for name, fan in GOLDEN.items()}, **BUNDLES}
 
 
 def bundle_path(name: str) -> str:
@@ -116,13 +135,13 @@ def report_path(name: str, command: str = "brion") -> str:
 
 
 def write_golden() -> None:
-    """Write every GOLDEN fan's bundle file and each of its COMMANDS reports."""
+    """Write every PINNED bundle file and each of its COMMANDS reports."""
     from qtk.cli import main
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, fan in GOLDEN.items():
+    for name, args in PINNED.items():
         with open(bundle_path(name), "w", encoding="utf-8") as fh:
-            fh.write(bundle_text(fan))
+            fh.write(bundle_text(*args))
         for command in COMMANDS:
             out = io.StringIO()
             with contextlib.chdir(GOLDEN_DIR), contextlib.redirect_stdout(out):
