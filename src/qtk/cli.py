@@ -306,16 +306,7 @@ def cmd_brion(args) -> tuple[dict, int]:
     _require_max_degree(args.max_degree)
     inst = resolve_instance(args.instance)
     ring = _validated_ring(inst)
-    if ring.base.dim == 1:
-        # A one-dimensional base has no degree-2 classes, so the bundle is
-        # its own fibre: rank each degree once and read both lists from it.
-        full = pp.brion_bundle_dims(ring)
-        fiber = full[0::2]
-        bundle_dims = full if args.max_degree is None else \
-            (full + [0] * args.max_degree)[:args.max_degree + 1]
-    else:
-        bundle_dims = pp.brion_bundle_dims(ring, args.max_degree)
-        fiber = pp.brion_quotient_dims(inst.cp)
+    bundle_dims, fiber = pp.brion_bundle_dims(ring, args.max_degree)
     return _report("brion", inst, {"max_degree": args.max_degree},
                    {"bundle_dims": bundle_dims, "fiber_quotient_dims": fiber}), 0
 
@@ -353,7 +344,7 @@ def cmd_check_all(args) -> tuple[dict, int]:
         return report, 1
     ring = inst.ring()
     dims = sr.betti(ring)
-    brion = pp.brion_bundle_dims(ring)
+    brion, _ = pp.brion_bundle_dims(ring)
     result["betti"] = dims
     result["brion_dims"] = brion
     result["betti_equals_brion"] = dims == brion

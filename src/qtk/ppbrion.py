@@ -324,31 +324,35 @@ def brion_quotient_dims(cp: CharacteristicPair, max_degree: int | None = None) -
     functions; entry d sits in cohomological degree 2d.  This is the bundle
     over a point with zero Chern data, read in even degrees."""
     point = BundleRing(cp, make_point(), zero_chern(cp.n))
-    return brion_bundle_dims(point, 2 * cp.n if max_degree is None else max_degree)[0::2]
+    return brion_bundle_dims(point, 2 * cp.n if max_degree is None else max_degree)[0][0::2]
 
 
-def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[int]:
-    """Graded dimensions of (base tensor piecewise polynomials) modulo the
-    relations identifying each character's image with its global linear
-    function; full list over cohomological degrees 0..max_degree.  The
-    quotient is the cohomology ring, so above the total degree the list is
-    padded with zeros instead of computed."""
+def brion_bundle_dims(ring: BundleRing,
+                      max_degree: int | None = None) -> tuple[list[int], list[int]]:
+    """(bundle, fibre) quotient dimensions from one pass.  The bundle's are
+    those of (base tensor piecewise polynomials) modulo the relations
+    identifying each character's image with its global linear function, over
+    cohomological degrees 0..max_degree, padded with zeros above the total
+    degree; the fibre's, d = 0..n, are read off the unit block, which comes
+    last, so the pass runs to total degree at least 2n."""
     cp, base = ring.cp, ring.base
     top = ring.total_degree
     if max_degree is None:
         max_degree = top
-    dims = []
-    for total in range(min(max_degree, top) + 1):
+    unit = base.unit_index()
+    blocks = [b for b in range(base.dim) if b != unit] + [unit]
+    dims, fiber = [], []
+    for total in range(max(min(max_degree, top), 2 * cp.n) + 1):
         # base index -> first column of its block b tensor PP_d, each PP_d
         # read on its free coordinates
         offset = {}
         width = 0
-        for b in range(base.dim):
+        for b in blocks:
             rem = total - base.degrees[b]
             if rem >= 0 and rem % 2 == 0:
                 offset[b] = width
                 width += pp_graded_dim(cp, rem // 2)
-        rows = []
+        space = exact.RowSpace(width)
         for a in range(cp.n):
             c_a = ring.chern.evaluate([int(r == a) for r in range(cp.n)])
             for b in range(base.dim):
@@ -372,6 +376,8 @@ def brion_bundle_dims(ring: BundleRing, max_degree: int | None = None) -> list[i
                         k = high.get(shift[j])
                         if k is not None:
                             vec[off + k] = vec.get(off + k, 0) - x
-                    rows.append(vec)
-        dims.append(width - exact.rank(rows, width))
-    return dims + [0] * (max_degree - top)
+                    space.insert(vec)
+        dims.append(width - space.rank)
+        if total % 2 == 0 and total <= 2 * cp.n:
+            fiber.append(width - offset[unit] - sum(p >= offset[unit] for p in space.rows))
+    return dims[:max_degree + 1] + [0] * (max_degree - top), fiber

@@ -371,31 +371,51 @@ class TestBrion:
         assert report["result"]["fiber_quotient_dims"] == [1, 1, 1]
         assert report["result"]["bundle_dims"] == [1, 0, 1, 0, 1]
 
-    def test_fiber_call_reuses_the_bundle_call_products(self, capsys):
+    def test_one_pass_builds_each_shift_map_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("brion_bundle_dims", "brion_quotient_dims"):
+            def counted(*args, _name=name, _real=getattr(pp, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(pp, name, counted)
         clear_caches()
         code, _ = run_json(capsys, "brion", "cp2-bundle-over-cp1?a=1,b=0")
         assert code == 0
+        assert calls == ["brion_bundle_dims"]
+        # one proof per degree, d = 1, 2 and 3, each map then read again
         info = pp._shift_maps.cache_info()
-        assert info.hits > 0
-        # one proof per degree, d = 1, 2 and 3; the fibre's d = 1 and 2 are hits
-        assert info.misses == 3
+        assert info.misses == 3 and info.hits > 0
 
     def test_point_base_ranks_each_degree_once(self, capsys, monkeypatch):
-        # Over a point the bundle is its own fibre, so the fibre list is read
-        # from the bundle's ranks: one per degree 0..6, not two.
+        # One pass reads the bundle and the fibre lists: one elimination per
+        # total degree 0..6, not one more per fibre degree.
         callers = []
 
-        def rank(rows, ncols, _real=exact.rank):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return _real(rows, ncols)
+        class RowSpace(exact.RowSpace):
+            def __init__(self, *args):
+                callers.append(sys._getframe(1).f_code.co_name)
+                super().__init__(*args)
 
         clear_caches()
-        monkeypatch.setattr(exact, "rank", rank)
+        monkeypatch.setattr(exact, "RowSpace", RowSpace)
         assert main(["brion", "cp3"]) == 0
         assert callers.count("brion_bundle_dims") == 7
         with open(os.path.join(os.path.dirname(__file__), "golden", "brion", "cp3.json"),
                   "rb") as fh:
             assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+    @pytest.mark.parametrize("spec", ["cp2-bundle-over-cp1?a=1,b=0", "cp3"])
+    @pytest.mark.parametrize("max_degree", [0, 1])
+    def test_low_max_degree_keeps_the_whole_fibre(self, capsys, spec, max_degree):
+        # The fibre is read from total degrees up to 2n, past --max-degree.
+        with open(os.path.join(os.path.dirname(__file__), "golden", "brion", spec + ".json"),
+                  encoding="utf-8") as fh:
+            full = json.load(fh)["result"]
+        code, report = run_json(capsys, "brion", spec, "--max-degree", str(max_degree))
+        assert code == 0
+        assert report["result"] == {
+            "bundle_dims": full["bundle_dims"][:max_degree + 1],
+            "fiber_quotient_dims": full["fiber_quotient_dims"]}
 
     def test_far_max_degree_pads_zeros(self, capsys):
         code, report = run_json(capsys, "brion", "cp2", "--max-degree", "100000")
@@ -440,8 +460,8 @@ class TestCheckAll:
 
     def test_wrong_brion_dims_fail(self, capsys, monkeypatch):
         def brion_bundle_dims(ring, max_degree=None, _real=cli.pp.brion_bundle_dims):
-            dims = _real(ring, max_degree)
-            return dims[:-1] + [dims[-1] + 1]
+            dims, fiber = _real(ring, max_degree)
+            return dims[:-1] + [dims[-1] + 1], fiber
 
         monkeypatch.setattr(cli.pp, "brion_bundle_dims", brion_bundle_dims)
         code, report = run_json(capsys, "check-all", "cp2", "--samples", "3")

@@ -12,6 +12,7 @@ from qtk import exact
 from qtk import ppbrion as pp
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
+from qtk.cli import load_bundle_file
 from qtk.errors import MalformedInputError, PairMismatchError
 from qtk.poly import MultiPoly, weighted_monomials
 from qtk.srbundle import BundleRing
@@ -149,17 +150,16 @@ def get_point_ring(inst):
 
 class TestBrionBundle:
     def test_point_base_reduces_to_quotient(self, point_ring_cp2, cp2):
-        dims = pp.brion_bundle_dims(point_ring_cp2)
-        assert dims == [1, 0, 1, 0, 1]
+        assert pp.brion_bundle_dims(point_ring_cp2) == ([1, 0, 1, 0, 1], [1, 1, 1])
 
     def test_matches_betti_everywhere(self, all_instances):
         for inst in all_instances:
             ring = inst.ring()
-            assert pp.brion_bundle_dims(ring) == sr.betti(ring), inst.label
+            assert pp.brion_bundle_dims(ring)[0] == sr.betti(ring), inst.label
 
     def test_trivial_bundle_kunneth(self):
         ring = get("hirzebruch?a=0").ring()
-        assert pp.brion_bundle_dims(ring) == [1, 0, 2, 0, 1]
+        assert pp.brion_bundle_dims(ring) == ([1, 0, 2, 0, 1], [1, 1])
 
     def test_dimension_four_fans_match_betti(self):
         e = [tuple(int(r == i) for r in range(4)) for i in range(4)]
@@ -179,7 +179,15 @@ class TestBrionBundle:
                              (cp2xcp2, [1, 0, 2, 0, 3, 0, 2, 0, 1])):
             ring = BundleRing(cp, ba.make_point(), ba.zero_chern(4))
             assert sr.betti(ring) == expected
-            assert pp.brion_bundle_dims(ring) == expected
+            assert pp.brion_bundle_dims(ring) == (expected, expected[0::2])
+
+    @pytest.mark.parametrize("ring", [inst.ring() for inst in all_instances()] + [
+        load_bundle_file(fans.bundle_path(name)).ring() for name in sorted(fans.BUNDLES)],
+        ids=[inst.label for inst in all_instances()] + sorted(fans.BUNDLES))
+    def test_fiber_list_is_the_fibre_quotient(self, ring):
+        # The fibre list, read off the bundle's unit block, against a pass
+        # over the fibre alone: the bundle over a point.
+        assert pp.brion_bundle_dims(ring)[1] == pp.brion_quotient_dims(ring.cp)
 
 
 def per_cone_vector(el):
