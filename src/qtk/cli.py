@@ -202,6 +202,7 @@ def cmd_validate(args) -> tuple[dict, int]:
     all_ok = True
     for spec in args.instance:
         inst = resolve_instance(spec)
+        inst.ring()  # the bundle's own checks: Chern rank and base names
         pair_rep = cpm.validate(inst.cp)
         base_rep = inst.base.validate()
         ok = pair_rep.ok and base_rep.ok

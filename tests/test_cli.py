@@ -30,6 +30,7 @@ from qtk.cli import (COMMANDS, MAX_DEGREE, MAX_SAMPLES, _bkk_samples, instance_d
 from qtk.literals import parse_class
 
 from conftest import clear_caches, exterior_algebra
+import fans
 
 
 def run(capsys, *argv):
@@ -107,6 +108,24 @@ class TestValidate:
         code, report = run_json(capsys, "validate", "cp1", "cp2", "cp3")
         assert code == 0
         assert len(report["result"]["instances"]) == 3
+
+    @pytest.mark.parametrize("text, message", [
+        # a cp4 bundle over CP^2 whose Chern data has rank 3
+        (json.dumps(dict(fans.bundle(fans.cp_fan(4), 2, (1, -1, 2, 0)),
+                         chern={"n": 3, "images": [["1"], ["-1"], ["2"]]})),
+         "chern rank does not match fan dimension"),
+        # bott4 over CP^1 with its base class t named x1
+        (fans.bundle_text(*fans.BUNDLES["bott4-over-cp1"]).replace('"t"', '"x1"'),
+         "base name 'x1' collides with divisor or support variables"),
+    ], ids=["chern-rank", "base-name"])
+    def test_malformed_bundle_exits_2_as_every_command_does(self, capsys, tmp_path,
+                                                             text, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        for command in ("validate", "betti", "brion", "check-all"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, ""), command
+            assert message in err, command
 
 
 class TestBetti:
