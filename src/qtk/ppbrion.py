@@ -29,6 +29,15 @@ rows above degree 1, and checked for every a it proves every map compatible.
 Quotient dimensions come from exact rank, on the free coordinates of the
 cycle rows, which read each graded piece isomorphically, and match the
 Stanley-Reisner graded dimensions degree by degree.
+
+One pass over the bundle's total degrees gives the fibre's quotient
+dimensions too.  The relation (c(x_a) b) tensor q - b tensor (x_a q) touches
+the unit block 1 tensor PP_d only when b = 1, since c(x_a) b has base degree
+at least 2, so the relation space projects onto that block as the span of
+the x_a q: the fibre's relations.  The unit block comes last, and a RowSpace
+pivots on last columns, so its pivots in that block count the projection's
+rank whatever the insertion order.  The fibre's degree-d dimension is dim
+PP_d minus that count at total degree 2d, and the pass runs at least to 2n.
 """
 
 from __future__ import annotations
@@ -333,8 +342,8 @@ def brion_bundle_dims(ring: BundleRing,
     those of (base tensor piecewise polynomials) modulo the relations
     identifying each character's image with its global linear function, over
     cohomological degrees 0..max_degree, padded with zeros above the total
-    degree; the fibre's, d = 0..n, are read off the unit block, which comes
-    last, so the pass runs to total degree at least 2n."""
+    degree; the fibre's, d = 0..n, are dim PP_d minus the pivots in the unit
+    block, which comes last, so the pass runs to total degree at least 2n."""
     cp, base = ring.cp, ring.base
     top = ring.total_degree
     if max_degree is None:
