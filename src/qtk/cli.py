@@ -320,16 +320,24 @@ _SUPPORT_ENTRIES = tuple(tuple(Fraction(k, den) for k in range(-3 * den, 3 * den
 
 
 def _bkk_samples(ring: BundleRing, count: int, seed: int):
-    rng = random.Random(seed)
+    """count samples (gamma, i, h) drawn from random.Random(seed).
+
+    choice over range(k//2 + 1) draws what randint(0, k//2) draws.  Every
+    gamma is {index: 1} with one shared Fraction(1), which bkk_check then
+    compares by identity.
+    """
+    choice = random.Random(seed).choice
     k = ring.base.top
-    candidates = [ring.base.indices_of_degree(k - 2 * i) for i in range(k // 2 + 1)]
+    degrees = range(k // 2 + 1)
+    candidates = [ring.base.indices_of_degree(k - 2 * i) for i in degrees]
+    one = Fraction(1)
     for _ in range(count):
         while True:
-            i = rng.randint(0, k // 2)
+            i = choice(degrees)
             if candidates[i]:
                 break
-        gamma = {rng.choice(candidates[i]): Fraction(1)}
-        h = [rng.choice(rng.choice(_SUPPORT_ENTRIES)) for _ in range(ring.cp.s)]
+        gamma = {choice(candidates[i]): one}
+        h = [choice(choice(_SUPPORT_ENTRIES)) for _ in range(ring.cp.s)]
         yield gamma, i, h
 
 
@@ -428,7 +436,7 @@ COMMANDS = {
 
 # A token that starts with "-" and names no option is still a value when it
 # is a negative number; argparse's own pattern.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _fail(prog: str, usage: str, message: str):
@@ -459,7 +467,7 @@ def _read_option(token: str, names: tuple[str, ...], prog: str, usage: str):
             return matches[0], tail if eq else None
     elif token.startswith("-h"):
         return "-h", token[2:]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
+    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
         return None
     return "", None
 

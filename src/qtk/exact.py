@@ -46,8 +46,9 @@ Row = Sequence[Scalar]
 Matrix = Sequence[Row]
 
 _ONE = Fraction(1)
-_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# Patterns are compiled on first use (re caches them), not at import.
+_RATIONAL = r"([+-]?)([0-9]+)(?:/([0-9]+))?"
+_INTEGER = r"[+-]?[0-9]+"
 
 
 def as_scalar(x) -> Fraction:
@@ -60,7 +61,7 @@ def as_scalar(x) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    match = _RATIONAL.fullmatch(x.strip()) if isinstance(x, str) else None
+    match = re.fullmatch(_RATIONAL, x.strip()) if isinstance(x, str) else None
     if match:
         sign, num, den = match.groups("1")
         num, den = decimal_int(num), decimal_int(den)
@@ -82,7 +83,7 @@ def ascii_int(text: str) -> int:
     QTK_SEED, catalog parameters).  Anything else raises ValueError, the
     other Unicode digits and the `_` separators that int() takes included,
     as do more digits than int() reads (4300 by default)."""
-    if not _INTEGER.fullmatch(text.strip()):
+    if not re.fullmatch(_INTEGER, text.strip()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 

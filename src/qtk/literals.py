@@ -31,14 +31,15 @@ from .srbundle import BundleElement, BundleRing, bel_mul, lift, one, x_class
 
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()]))")
+_TOKEN = r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()]))"
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    token = re.compile(_TOKEN).match  # compiled on first use, then re's cache
     out = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token(text, pos)
         if not m:
             if text[pos:].strip():
                 raise MalformedInputError(f"bad character in literal: {text[pos:]!r}")

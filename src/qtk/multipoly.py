@@ -23,7 +23,9 @@ Everything that does not depend on h is planned once and cached: per (pair,
 direction) the cone data of the vertex sum, and per (pair, integrand) the
 distinct (form, degree) pairs of its decomposition with merged
 coefficients, over one common denominator so that a sample runs in ints
-(h = H / D with integer H).  One plan serves numeric h (a Fraction) and
+(h = H / D with integer H).  The cones with m = 0 are laid out flat as
+(rays, l(w), c) and summed in one loop; only the others take the Laurent
+path.  One plan serves numeric h (a Fraction) and
 symbolic h (a MultiPoly in h_1..h_s), and both run in ints: the vertex sum
 needs only the t-expansion of (l + t zeta)(A)^(n+d), which is an int power
 for numeric h and, for symbolic h, the multinomial theorem over the cone's
@@ -35,13 +37,15 @@ The BKK comparison caches one sampler per (ring, gamma, i): the
 integration plan of f_gamma, and a table with one int weight
 k!/alpha! * <gamma x^alpha, [M]> per face monomial x^alpha of degree
 k = n + i, cleared from srbundle's `pairing_polynomial`, the same
-polynomial the direct potential reads.  A sample clears
-h = H / D once and runs the vertex sums and the table in ints; I_gamma,
-F_gamma, bkk_sides and bkk_check all read it.  bkk_sides returns both
-sides of one sample, for the caller to compare.  bkk_check takes a whole
-stream of samples, reads each one's sampler from the same cache, compares
-the sides as int cross products and returns only the failing samples; both
-read one int core, so there is one formula.
+polynomial the direct potential reads.  I_gamma, F_gamma, bkk_sides and
+bkk_check all read it.  bkk_sides returns both sides of one sample, for
+the caller to compare.  bkk_check takes a whole stream of samples and
+returns only the failing ones; each sample runs in ints only: h is checked
+as support_vector checks it and cleared to H / D in place, the sampler of
+each distinct (gamma, i) is read once per call, the vertex sums are the
+one numeric vertex sum that integrate_polynomial runs, and the sides are
+compared as int cross products, with Fractions built only for a failure.
+Both read one int core, so there is one formula.
 """
 
 from __future__ import annotations
@@ -144,10 +148,12 @@ def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...]):
 def _scaled_plans(cp: CharacteristicPair, weighted):
     """The vertex plans of weighted = ((l, d, weight), ...), ready for ints.
 
-    Returns (den, ((n + d, cones), ...)): each cone's c / den is multiplied
-    by its form's weight and brought to den, the least common denominator
-    of all of them, so c is an int.  The weighted integral is then the sum
-    of the cones' numerators over den.
+    Returns (den, ((n + d, flat, poles), ...)): each cone's c / den is
+    multiplied by its form's weight and brought to den, the least common
+    denominator of all of them, so c is an int.  The cones on which l is
+    generic (m = 0) are laid out flat as (rays, l(w), c[0]); the others keep
+    (rays, l(w), zeta(w), m, c) for the Laurent bookkeeping.  The weighted
+    integral is then the sum of the cones' numerators over den.
     """
     scaled = []
     for ell, d, weight in weighted:
@@ -160,8 +166,11 @@ def _scaled_plans(cp: CharacteristicPair, weighted):
         scaled.append((cp.n + d, cones))
     den = lcm(*(cden for _, cones in scaled for *_, cden in cones))
     return den, tuple(
-        (power, tuple((cone, lw, zw, m, tuple(v * (den // cden) for v in c))
-                      for cone, lw, zw, m, c, cden in cones))
+        (power,
+         tuple((cone, lw, c[0] * (den // cden))
+               for cone, lw, _, m, c, cden in cones if m == 0),
+         tuple((cone, lw, zw, m, tuple(v * (den // cden) for v in c))
+               for cone, lw, zw, m, c, cden in cones if m))
         for power, cones in scaled)
 
 
@@ -189,14 +198,18 @@ def _integration_plan(cp: CharacteristicPair, f: MultiPoly,
     return _scaled_plans(cp, [(ell, d, w) for (ell, d), w in merged.items() if w])
 
 
+def _numeric_flat(big_h: list[int], flat, power: int) -> int:
+    """sum c * l(A)^power over the flat cones at h = big_h / D, times
+    D^power: l(A) = sum H_i l(w_i) over each cone's rays, in ints."""
+    get = big_h.__getitem__
+    return sum(c * sum(map(mul, map(get, rays), lw)) ** power for rays, lw, c in flat)
+
+
 def _numeric_power(big_h: list[int], cone, lw, zw, m: int, power: int):
     """The t^j coefficients, j <= min(power, m), of (l + t zeta)(A)^power at
-    h = big_h / D, times D^power: l(A) = sum H_i l(w_i) over the cone's
-    rays (and zeta(A) on cones with m > 0), in ints."""
+    h = big_h / D, times D^power, on a cone with m > 0, in ints."""
     hs = [big_h[i] for i in cone]
     la0 = sum(map(mul, hs, lw))
-    if m == 0:
-        return (la0 ** power,)
     la1 = sum(map(mul, hs, zw))
     return [la0 ** (power - j) * la1 ** j * comb(power, j)
             for j in range(min(power, m) + 1)]
@@ -224,14 +237,18 @@ def _linear_power(rays: tuple[int, ...], coeffs, s: int, power: int) -> MultiPol
                                   for key, a, coeff in _multinomials(rays, s, power)})
 
 
+def _symbolic_flat(s: int, flat, power: int):
+    """sum c * l(A)^power over the flat cones for symbolic h, each power
+    expanded by the multinomial theorem over the cone's rays."""
+    return sum((_linear_power(rays, lw, s, power) * c for rays, lw, c in flat), 0)
+
+
 def _symbolic_power(s: int, cone, lw, zw, m: int, power: int):
     """The t^j coefficients, j <= min(power, m), of (l + t zeta)(A)^power
-    for symbolic h, as MultiPolys in h_1..h_s: C(power, j) l(A)^(power-j)
-    zeta(A)^j, each power of a linear form in h expanded by the
-    multinomial theorem.  l(A) = sum h_i l(w_i) runs over the n - m rays
-    with l(w) != 0."""
-    if m == 0:
-        return (_linear_power(cone, lw, s, power),)
+    for symbolic h on a cone with m > 0, as MultiPolys in h_1..h_s:
+    C(power, j) l(A)^(power-j) zeta(A)^j, each power of a linear form in h
+    expanded by the multinomial theorem.  l(A) = sum h_i l(w_i) runs over
+    the n - m rays with l(w) != 0."""
     rays = tuple(i for i, a in zip(cone, lw) if a)
     coeffs = [a for a in lw if a]
     return [_linear_power(rays, coeffs, s, power - j) * _linear_power(cone, zw, s, j)
@@ -239,7 +256,7 @@ def _symbolic_power(s: int, cone, lw, zw, m: int, power: int):
 
 
 def _vertex_sum(cones, power: int, expand):
-    """Numerator of one form's vertex sum, exactly.
+    """Numerator of the cones with m > 0 in one form's vertex sum, exactly.
 
     Per cone it is the constant Laurent coefficient at t = 0 of
     sign * (l + t zeta)(A)^power / prod (l + t zeta)(w), times the plan's
@@ -251,9 +268,6 @@ def _vertex_sum(cones, power: int, expand):
     poles: dict[int, int | MultiPoly] = {}  # pole order j -> coefficient of t^-j
     for cone, lw, zw, m, c in cones:
         num = expand(cone, lw, zw, m, power)
-        if m == 0:
-            const = const + num[0] * c[0]
-            continue
         for k in range(m + 1):
             # coefficient of t^(k-m) in the cone's Laurent expansion
             acc = num[0] * c[k]
@@ -268,21 +282,31 @@ def _vertex_sum(cones, power: int, expand):
     return const
 
 
-def _plan_sum(plan, expand, scale: int):
+def _plan_sum(plan, flat_sum, expand, scale: int):
     """A scaled plan's integral at h = H / scale, as (numerator, denominator),
-    with expand reading H (see _vertex_sum).
+    with flat_sum(flat, power) summing the flat cones at H (_numeric_flat,
+    _symbolic_flat) and expand reading H on the others (see _vertex_sum).
 
     Each form's vertex sum is homogeneous of degree n + d in H, so it is
     brought to the largest such degree, top, by scale^(top - power); the
     denominator is den * scale^top.
     """
     den, forms = plan
-    top = max((power for power, _ in forms), default=0)
+    top = max((power for power, _, _ in forms), default=0)
     total = 0
-    for power, cones in forms:
-        part = _vertex_sum(cones, power, expand)
+    for power, flat, poles in forms:
+        part = flat_sum(flat, power)
+        if poles:
+            part = part + _vertex_sum(poles, power, expand)
         total = total + (part if power == top else part * scale ** (top - power))
     return total, den * scale ** top
+
+
+def _numeric_sum(plan, big_h: list[int], scale: int):
+    """A scaled plan's integral at h = big_h / scale, as (numerator,
+    denominator) in ints."""
+    return _plan_sum(plan, partial(_numeric_flat, big_h),
+                     partial(_numeric_power, big_h), scale)
 
 
 def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
@@ -294,11 +318,12 @@ def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
     int coefficients over den, divided once at the end.
     """
     if h is None:
-        total, den = _plan_sum(plan, partial(_symbolic_power, cp.s), 1)
+        total, den = _plan_sum(plan, partial(_symbolic_flat, cp.s),
+                               partial(_symbolic_power, cp.s), 1)
         terms = total.terms if total else {}  # total is the int 0 without forms
         return MultiPoly._trusted(cp.s, {e: Fraction(v, den) for e, v in terms.items()})
     big_h, scale = cleared_dense(h)
-    return Fraction(*_plan_sum(plan, partial(_numeric_power, big_h), scale))
+    return Fraction(*_numeric_sum(plan, big_h, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +424,13 @@ def F_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
     return Fraction(_table_sum(table, big_h), wden * den ** (ring.cp.n + i))
 
 
-def _bkk_ints(ring: BundleRing, sampler, i: int, h: tuple[Fraction, ...]):
-    """Both sides of the BKK identity at one sample, (n+i)! * I_gamma and
-    i! * F_gamma, as (lnum, lden, rnum, rden) with lhs = lnum / lden and
-    rhs = rnum / rden, both denominators positive.
-
-    h = H / D is cleared once for both sides, which read the one sampler.
-    """
+def _bkk_ints(sampler, i: int, k: int, big_h: list[int], den: int):
+    """Both sides of the BKK identity at h = big_h / den, (n+i)! * I_gamma
+    and i! * F_gamma with k = n + i, as (lnum, lden, rnum, rden) with lhs =
+    lnum / lden and rhs = rnum / rden, both denominators positive.  Both
+    sides read the one sampler."""
     plan, table, wden = sampler
-    big_h, den = cleared_dense(h)
-    k = ring.cp.n + i
-    lnum, lden = _plan_sum(plan, partial(_numeric_power, big_h), den)
+    lnum, lden = _numeric_sum(plan, big_h, den)
     return (factorial(k) * lnum, lden,
             factorial(i) * _table_sum(table, big_h), wden * den ** k)
 
@@ -419,7 +440,9 @@ def bkk_sides(ring: BundleRing, gamma: Element, i: int,
     """Both sides of the BKK identity, (n+i)! * I_gamma and i! * F_gamma,
     for the caller to compare."""
     h = support_vector(ring.cp, h)
-    lnum, lden, rnum, rden = _bkk_ints(ring, _sampler(ring, gamma, i), i, h)
+    big_h, den = cleared_dense(h)
+    lnum, lden, rnum, rden = _bkk_ints(_sampler(ring, gamma, i), i,
+                                       ring.cp.n + i, big_h, den)
     return Fraction(lnum, lden), Fraction(rnum, rden)
 
 
@@ -427,15 +450,31 @@ def bkk_check(ring: BundleRing, samples: Iterable[tuple[Element, int, Sequence]]
     """The samples (gamma, i, h) at which the BKK identity fails, as
     (gamma, i, h, lhs, rhs) in sample order, lhs and rhs as in bkk_sides.
 
-    Each sample reads the cached sampler of its (gamma, i), and the sides
-    are compared as lnum * rden == rnum * lden in ints; Fractions are built
-    only for a failure's report.  An error raises at the sample that causes
-    it, as bkk_sides would.
+    Each sample runs in ints.  Its h is checked as support_vector checks
+    it and cleared to H / D in place; the sampler of a written (gamma, i)
+    is read through _sampler where it first appears, after h's checks, as
+    in bkk_sides.  The sides are compared as lnum * rden == rnum * lden, and
+    Fractions are built only for a failure's report.  An error raises at the
+    sample that causes it, as bkk_sides would.
     """
+    n, s = ring.cp.n, ring.cp.s
+    samplers = {}
     failures = []
     for gamma, i, h in samples:
-        hs = support_vector(ring.cp, h)
-        lnum, lden, rnum, rden = _bkk_ints(ring, _sampler(ring, gamma, i), i, hs)
+        hs = [v if type(v) is Fraction or type(v) is int else as_scalar(v) for v in h]
+        if len(hs) != s:
+            support_vector(ring.cp, hs)  # raises its length error
+        # Keyed by i and gamma's indices, which hash as ints; gamma's values
+        # are compared, not hashed, and a repeated value object compares by
+        # identity.
+        key, values = (i, *gamma), (*gamma.values(),)
+        seen = samplers.get(key)
+        if seen is None or seen[0] != values:
+            seen = samplers[key] = values, _sampler(ring, gamma, i)
+        sampler = seen[1]
+        den = lcm(*[v.denominator for v in hs])
+        big_h = [v.numerator * (den // v.denominator) for v in hs]
+        lnum, lden, rnum, rden = _bkk_ints(sampler, i, n + i, big_h, den)
         if lnum * rden != rnum * lden:
             failures.append((gamma, i, h, Fraction(lnum, lden), Fraction(rnum, rden)))
     return failures

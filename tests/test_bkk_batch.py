@@ -6,6 +6,10 @@ one sample.  The batch must fail exactly where the per-sample comparison
 fails, with the same values, raise the same error at the same sample, and
 be what `check-all` calls, once.  A mutant sampler, with one table weight
 raised by 1, makes samples fail, so the failure lists are not all empty.
+The generated P(L0 + L1 + L2) over CP^2 reaches the vertex sum's pole
+path, and a mutant pole coefficient is caught there.  Support vectors
+written with int, "p/q" and Fraction entries are read as bkk_sides reads
+them.
 """
 
 import contextlib
@@ -13,6 +17,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import sys
 from fractions import Fraction as F
 
@@ -33,19 +38,31 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPECS = sorted({inst.label for inst in all_instances()} | {"cp2-bundle-over-cp1?a=1,b=2"})
 
 
-@pytest.fixture(scope="module")
-def pb33(tmp_path_factory):
-    """P(L0 + L1 + L2 + L3) over CP^3 with twists (1, 2, -1), from the
-    benchmark's generator."""
+def generated_ring(tmp_path_factory, k, m, twists):
+    """P(L0 + ... + L_k) over CP^m with the twists, from the benchmark's
+    generator."""
     spec = importlib.util.spec_from_file_location(
         "instances", os.path.join(ROOT, "perfbench", "instances.py"))
     instances = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as mp_:
         mp_.setitem(sys.modules, "instances", instances)  # its dataclass looks itself up
         spec.loader.exec_module(instances)
-        path = str(tmp_path_factory.mktemp("pb33") / "pb33.json")
-        instances.write_bundle(path, instances.projective_bundle(3, 3, [1, 2, -1]))
+        path = str(tmp_path_factory.mktemp("bundle") / "bundle.json")
+        instances.write_bundle(path, instances.projective_bundle(k, m, twists))
     return load_bundle_file(path).ring()
+
+
+@pytest.fixture(scope="module")
+def pb33(tmp_path_factory):
+    """P(L0 + L1 + L2 + L3) over CP^3 with twists (1, 2, -1)."""
+    return generated_ring(tmp_path_factory, 3, 3, [1, 2, -1])
+
+
+@pytest.fixture(scope="module")
+def pb22(tmp_path_factory):
+    """P(L0 + L1 + L2) over CP^2 with twists (2, -1), as in the crosscheck
+    workload."""
+    return generated_ring(tmp_path_factory, 2, 2, [2, -1])
 
 
 def raise_first_weight(monkeypatch):
@@ -90,6 +107,49 @@ def test_batch_equals_per_sample_sides(spec, monkeypatch):
 
 def test_batch_equals_per_sample_sides_pb33(pb33, monkeypatch):
     assert_batch_equals_reference(pb33, monkeypatch)
+
+
+def test_batch_equals_per_sample_sides_pb22(pb22, monkeypatch):
+    assert_batch_equals_reference(pb22, monkeypatch)
+
+
+def pole_cones(ring, samples):
+    """The cones with m > 0 in the sampler plans the samples read."""
+    plans = {mp._sampler(ring, gamma, i)[0] for gamma, i, _ in samples}
+    return [cone for _, forms in plans for _, _, poles in forms for cone in poles]
+
+
+def test_the_batch_reaches_the_pole_path(pb22):
+    """Some form of the batch comparison vanishes on a dual edge vector, so
+    _vertex_sum's Laurent path and its pole check run."""
+    assert pole_cones(pb22, _bkk_samples(pb22, 300, 0))
+
+
+def perturb_a_pole_coefficient(monkeypatch):
+    """Make c[0] of every sampler's first cone with m > 0 larger by 1."""
+    real = mp._bkk_sampler
+
+    def mutant(ring, gamma, i):
+        (den, forms), table, wden = real(ring, gamma, i)
+        out, done = [], False
+        for power, flat, poles in forms:
+            if poles and not done:
+                (cone, lw, zw, m, c), *rest = poles
+                poles, done = ((cone, lw, zw, m, (c[0] + 1, *c[1:])), *rest), True
+            out.append((power, flat, poles))
+        return (den, tuple(out)), table, wden
+    monkeypatch.setattr(mp, "_bkk_sampler", mutant)
+
+
+def test_a_wrong_pole_coefficient_is_caught(pb22, monkeypatch):
+    samples = list(_bkk_samples(pb22, 300, 0))
+    perturb_a_pole_coefficient(monkeypatch)
+    try:
+        failures = mp.bkk_check(pb22, samples)
+    except MalformedInputError as error:
+        assert str(error) == "pole terms of the vertex sum do not cancel"
+    else:
+        assert failures
 
 
 @pytest.mark.parametrize("inst", all_instances(), ids=lambda inst: inst.label)
@@ -146,7 +206,18 @@ class TestErrorsInTheStream:
         ("1", -1, [1, 1], DegreeMismatchError),
         ("t", 1, [1], MalformedInputError),
         ("t", 5, [1, 1, 1], MalformedInputError),
-        ("t", 1, ["1.5", 1], MalformedInputError)])
+        ("t", 1, ["1.5", 1], MalformedInputError),
+        # h is read entry by entry as support_vector reads it, and its error
+        # comes before that of a bad (gamma, i)
+        ("1", 3, [1], MalformedInputError),
+        ("1", 3, ["x", 1, 1], MalformedInputError),
+        ("t", 1, [], MalformedInputError),
+        ("t", 1, [True, 1], MalformedInputError),
+        ("t", 1, [1.0, 1], MalformedInputError),
+        ("t", 1, [None, 1], MalformedInputError),
+        ("t", 1, ["1/0", 1], MalformedInputError),
+        ("t", 1, ["1/-2", 1], MalformedInputError),
+        ("t", 1, [" 1 / 2", 1], MalformedInputError)])
     def test_same_error_at_the_same_sample(self, gamma, i, h, error):
         ring = get(self.SPEC).ring()
         bad = (ring.base.element(gamma), i, h)
@@ -183,3 +254,30 @@ def test_check_all_calls_the_batch_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check-all", "cp3", "--samples", "40"]) == 0
     assert calls == [40]
+
+
+def written(v: F, rng: random.Random):
+    """The rational v as an int, a "p/q" or "p" string (maybe unreduced,
+    signed or padded) or a Fraction."""
+    forms = [v, f"{v.numerator}/{v.denominator}", f" {2 * v.numerator}/{2 * v.denominator}",
+             str(v), f"+{v}" if v >= 0 else str(v)]
+    if v.denominator == 1:
+        forms.append(int(v))
+    return rng.choice(forms)
+
+
+@pytest.mark.parametrize("spec", ["hirzebruch?a=1", "cp2-bundle-over-cp1?a=1,b=2", "cp3"])
+def test_entries_written_as_int_string_or_fraction(spec, monkeypatch):
+    """A stream of support vectors mixing int, "p/q" string and Fraction
+    entries fails exactly where one bkk_sides call per sample fails."""
+    ring = get(spec).ring()
+    rng = random.Random(29)
+    samples = [(gamma, i, [written(v, rng) for v in h])
+               for gamma, i, h in _bkk_samples(ring, 200, 1)]
+    assert {type(v) for _, _, h in samples for v in h} == {int, str, F}
+    for mutated in (False, True):
+        if mutated:
+            raise_first_weight(monkeypatch)
+        failures = mp.bkk_check(ring, samples)
+        assert failures == reference_failures(ring, samples)
+        assert bool(failures) == mutated

@@ -19,7 +19,8 @@ or `_sha2` exists, `hashlib` (whose OpenSSL module `_hashlib` cost about
 4 ms), and it must load every module the benchmark's tracer rebinds, so
 that no lazy import can silently leave a module untraced.  Neither that
 import nor a whole `betti` run may load `argparse`, `gettext` or `locale`
-(4–10 ms of start-up and first parse per process).
+(4–10 ms of start-up and first parse per process), and no qtk module may
+compile a regular expression on import (0.1–0.4 ms each).
 """
 
 import ast
@@ -197,6 +198,35 @@ def test_cli_loads_no_argparse(script):
     loaded = set(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                 capture_output=True, text=True).stdout.split())
     assert not {"argparse", "gettext", "locale"} & loaded
+
+
+COMPILE_CALLERS = """
+import re, sys
+callers = set()
+
+def wrap(real):
+    def wrapper(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__") == "re":  # re.match reaches _compile
+            frame = frame.f_back
+        callers.add(frame.f_globals.get("__name__", ""))
+        return real(*args, **kwargs)
+    return wrapper
+
+re.compile, re._compile = wrap(re.compile), wrap(re._compile)
+import qtk.cli
+print(" ".join(sorted(name for name in callers if name.split(".")[0] == "qtk")))
+"""
+
+
+def test_cli_import_compiles_no_regular_expression():
+    """A fresh `import qtk.cli` compiles no pattern from qtk's own code,
+    neither by re.compile nor by re.match and the like: qtk's patterns are
+    strings, compiled on first use."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", COMPILE_CALLERS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 def load_tracing():

@@ -153,7 +153,7 @@ class TestOneVertexSum:
                 f = MultiPoly.linear_form(ell) ** d
                 weight = F(factorial(d), factorial(cp.n + d))
                 plan = mp._scaled_plans(cp, [(ell, d, weight)])
-                assert all(m == 0 for _, cones in plan[1] for _, _, _, m, _ in cones)
+                assert all(not poles for _, _, poles in plan[1])
                 assert mp._evaluate(cp, plan, h) \
                     == mp.integrate_polynomial(cp, h, f), (inst.label, ell, d, h)
                 for alpha, _ in f.items():
@@ -275,11 +275,11 @@ class TestSymbolicInInts:
         """A cone with m > 0 whose sign is flipped leaves its poles
         uncancelled, for symbolic and for numeric h."""
         den, forms = mp._integration_plan(cp2, MultiPoly.constant(2, 1), (F(0), F(1)))
-        (power, cones), = forms
-        k = next(k for k, (*_, m, _) in enumerate(cones) if m > 0)
-        cone, lw, zw, m, c = cones[k]
-        flipped = cones[:k] + ((cone, lw, zw, m, tuple(-v for v in c)),) + cones[k + 1:]
-        plan = (den, ((power, flipped),))
+        (power, flat, poles), = forms
+        cone, lw, zw, m, c = poles[0]
+        assert m > 0
+        flipped = ((cone, lw, zw, m, tuple(-v for v in c)),) + poles[1:]
+        plan = (den, ((power, flat, flipped),))
         for h in (None, [F(1), F(2), F(3)]):
             with pytest.raises(MalformedInputError, match="pole terms"):
                 mp._evaluate(cp2, plan, h)
