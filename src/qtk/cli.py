@@ -59,9 +59,13 @@ except ImportError:
 # `brion` pads its dimension list with zeros up to --max-degree, so the
 # option is capped where that list stays small.
 MAX_DEGREE = 10 ** 6
-# `check-all` runs one BKK sample after another; a million of them take 27 s
-# on cp2 and 35 s on cp3 (2-vCPU host), so --samples is capped there.  A
-# sample costs more on larger bundles: about 1 ms on P(L0+...+L4) over CP^4.
+# `check-all` checks its BKK samples in batches of multipoly.CHUNK, so its
+# memory does not grow with --samples, but its time does: a million samples
+# take 5.3 s on cp2 and 8.4 s on cp3, so --samples is capped there.  A sample
+# costs more on larger bundles: about 0.3 ms on P(L0+...+L4) over CP^4, the
+# difference of 10100 and 100 samples over 10000.  Timed as one fresh
+# `check-all --seed 1` process each, start-up included, on a 2-vCPU host
+# with Python 3.11.7.
 MAX_SAMPLES = 10 ** 6
 
 
@@ -313,8 +317,9 @@ def cmd_brion(args) -> tuple[dict, int]:
 
 
 # The sampled support entries k/den, one tuple per den = 1..4, |k| <= 3*den.
-# Choosing from a tuple of n draws the same random number as randint over n
-# values, so this stream equals that of randint(1, 4), randint(-3den, 3den).
+# An index below n into a tuple of n draws the same random number as randint
+# over n values, so this stream equals that of randint(1, 4), randint(-3den,
+# 3den).  All are Fractions, which bkk_check clears without a conversion.
 _SUPPORT_ENTRIES = tuple(tuple(Fraction(k, den) for k in range(-3 * den, 3 * den + 1))
                          for den in (1, 2, 3, 4))
 
@@ -322,22 +327,44 @@ _SUPPORT_ENTRIES = tuple(tuple(Fraction(k, den) for k in range(-3 * den, 3 * den
 def _bkk_samples(ring: BundleRing, count: int, seed: int):
     """count samples (gamma, i, h) drawn from random.Random(seed).
 
-    choice over range(k//2 + 1) draws what randint(0, k//2) draws.  Every
-    gamma is {index: 1} with one shared Fraction(1), which bkk_check then
-    compares by identity.
+    Each draw is random.Random.choice with its rejection loop written out:
+    an index below n is getrandbits(n.bit_length()), redrawn while it is n
+    or more.  Choosing from range(k//2 + 1) draws what randint(0, k//2)
+    draws, so the stream is that of randint.  Every gamma is {index: 1}
+    with one shared Fraction(1), which bkk_check then compares by identity.
     """
-    choice = random.Random(seed).choice
+    bits = random.Random(seed).getrandbits
     k = ring.base.top
-    degrees = range(k // 2 + 1)
-    candidates = [ring.base.indices_of_degree(k - 2 * i) for i in degrees]
+    degrees = k // 2 + 1
+    degree_bits = degrees.bit_length()
+    candidates = [ring.base.indices_of_degree(k - 2 * i) for i in range(degrees)]
+    candidate_bits = [len(c).bit_length() for c in candidates]
+    entries = [(len(e), len(e).bit_length(), e) for e in _SUPPORT_ENTRIES]
+    dens = len(entries)
+    den_bits = dens.bit_length()
+    s = ring.cp.s
     one = Fraction(1)
     for _ in range(count):
         while True:
-            i = choice(degrees)
+            i = bits(degree_bits)
+            while i >= degrees:
+                i = bits(degree_bits)
             if candidates[i]:
                 break
-        gamma = {choice(candidates[i]): one}
-        h = [choice(choice(_SUPPORT_ENTRIES)) for _ in range(ring.cp.s)]
+        r, size = bits(candidate_bits[i]), len(candidates[i])
+        while r >= size:
+            r = bits(candidate_bits[i])
+        gamma = {candidates[i][r]: one}
+        h = []
+        for _ in range(s):
+            r = bits(den_bits)
+            while r >= dens:
+                r = bits(den_bits)
+            size, width, values = entries[r]
+            r = bits(width)
+            while r >= size:
+                r = bits(width)
+            h.append(values[r])
         yield gamma, i, h
 
 

@@ -24,36 +24,46 @@ direction) the cone data of the vertex sum, and per (pair, integrand) the
 distinct (form, degree) pairs of its decomposition with merged
 coefficients, over one common denominator so that a sample runs in ints
 (h = H / D with integer H).  The cones with m = 0 are laid out flat as
-(rays, l(w), c) and summed in one loop; only the others take the Laurent
-path.  One plan serves numeric h (a Fraction) and
-symbolic h (a MultiPoly in h_1..h_s), and both run in ints: the vertex sum
-needs only the t-expansion of (l + t zeta)(A)^(n+d), which is an int power
-for numeric h and, for symbolic h, the multinomial theorem over the cone's
-rays, an int-coefficient MultiPoly.  The Laurent bookkeeping that combines
-it with the plan, the pole check included, is the same for both, and each
-path divides by the common denominator once at the end.
+(rays, l(w), c); the others carry their Laurent coefficients a[k][j] =
+C(n+d, j) * c[k-j], so the t^(k-m) coefficient of such a cone is
+sum_j a[k][j] l(A)^(n+d-j) zeta(A)^j, a pole for k < m.  One plan serves
+numeric h and symbolic h (a MultiPoly in h_1..h_s).  Numeric h runs
+through one int core, `_batch`, which evaluates a plan on a batch of
+cleared support vectors held as one int column per ray, every step a map
+over whole columns; a single h is a batch of one.  Symbolic h expands
+each power of l(A) and zeta(A) by the multinomial theorem over the cone's
+rays into an int-coefficient MultiPoly and combines the same Laurent
+coefficients.  Both check that the poles cancel, on every sample and on
+every symbolic evaluation, and each divides by the common denominator
+once at the end.
 
 The BKK comparison caches one sampler per (ring, gamma, i): the
 integration plan of f_gamma, and a table with one int weight
 k!/alpha! * <gamma x^alpha, [M]> per face monomial x^alpha of degree
 k = n + i, cleared from srbundle's `pairing_polynomial`, the same
-polynomial the direct potential reads.  I_gamma, F_gamma, bkk_sides and
-bkk_check all read it.  bkk_sides returns both sides of one sample, for
-the caller to compare.  bkk_check takes a whole stream of samples and
-returns only the failing ones; each sample runs in ints only: h is checked
-as support_vector checks it and cleared to H / D in place, the sampler of
-each distinct (gamma, i) is read once per call, the vertex sums are the
-one numeric vertex sum that integrate_polynomial runs, and the sides are
-compared as int cross products, with Fractions built only for a failure.
-Both read one int core, so there is one formula.
+polynomial the direct potential reads.  The int core sums that table too,
+building each H_j^e column it needs once per batch.  I_gamma, F_gamma,
+bkk_sides and bkk_check all read the sampler through the core, the first
+three with a batch of one.  bkk_sides returns both sides of one sample,
+for the caller to compare.  bkk_check takes a whole stream of samples and
+returns only the failing ones, in sample order.  It reads the stream one
+sample at a time: h is checked as support_vector checks it and cleared to
+H / D in place, the sampler of each distinct (gamma, i) is read once per
+call, and the sample is queued under its sampler.  Every CHUNK samples,
+and at the end of the stream, each sampler's queue runs through the core
+as one batch, so memory stays bounded however long the stream is.  The
+sides are compared as int cross products, with Fractions built only for
+a failure.  An error in h or (gamma, i) raises at its own sample; a pole
+error raises when its sample's chunk is evaluated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import compress, repeat
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import add, mul, ne
 from typing import Iterable, Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
@@ -98,9 +108,9 @@ def generic_direction(cp: CharacteristicPair) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The vertex expansion engine.  Values are ints (numeric h = H / D) or
-# int-coefficient MultiPolys in h (symbolic); the bookkeeping is generic
-# over both.
+# The vertex expansion engine.  Numeric h runs in ints, on a batch of
+# samples at a time; symbolic h in int-coefficient MultiPolys.  Both read
+# one plan.
 
 @lru_cache(maxsize=None)
 def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...]):
@@ -145,15 +155,25 @@ def _vertex_plan(cp: CharacteristicPair, ell: tuple[Fraction, ...]):
     return tuple(plan)
 
 
+def _laurent(power: int, c) -> tuple[tuple[int, ...], ...]:
+    """a[k][j] = C(power, j) * c[k - j] for k < len(c) and j <= min(k, power)."""
+    return tuple(tuple(comb(power, j) * c[k - j] for j in range(min(k, power) + 1))
+                 for k in range(len(c)))
+
+
 def _scaled_plans(cp: CharacteristicPair, weighted):
     """The vertex plans of weighted = ((l, d, weight), ...), ready for ints.
 
     Returns (den, ((n + d, flat, poles), ...)): each cone's c / den is
     multiplied by its form's weight and brought to den, the least common
     denominator of all of them, so c is an int.  The cones on which l is
-    generic (m = 0) are laid out flat as (rays, l(w), c[0]); the others keep
-    (rays, l(w), zeta(w), m, c) for the Laurent bookkeeping.  The weighted
-    integral is then the sum of the cones' numerators over den.
+    generic (m = 0) are laid out flat as (rays, l(w), c[0]).  The others
+    are (rays, l(w), zeta(w), m, a) with the Laurent coefficients a =
+    _laurent(n + d, c): the t^(k-m) coefficient of the cone's term sign *
+    (l + t zeta)(A)^(n+d) / prod (l + t zeta)(w), times den, is
+    sum_j a[k][j] * l(A)^(n+d-j) * zeta(A)^j, a pole for k < m and the
+    constant term for k = m.  The weighted integral is the sum of the
+    cones' constant terms over den.
     """
     scaled = []
     for ell, d, weight in weighted:
@@ -169,9 +189,14 @@ def _scaled_plans(cp: CharacteristicPair, weighted):
         (power,
          tuple((cone, lw, c[0] * (den // cden))
                for cone, lw, _, m, c, cden in cones if m == 0),
-         tuple((cone, lw, zw, m, tuple(v * (den // cden) for v in c))
+         tuple((cone, lw, zw, m, _laurent(power, [v * (den // cden) for v in c]))
                for cone, lw, zw, m, c, cden in cones if m))
         for power, cones in scaled)
+
+
+def _top(forms) -> int:
+    """The largest n + d of a plan's forms, 0 without forms."""
+    return max((power for power, _, _ in forms), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -198,21 +223,81 @@ def _integration_plan(cp: CharacteristicPair, f: MultiPoly,
     return _scaled_plans(cp, [(ell, d, w) for (ell, d), w in merged.items() if w])
 
 
-def _numeric_flat(big_h: list[int], flat, power: int) -> int:
-    """sum c * l(A)^power over the flat cones at h = big_h / D, times
-    D^power: l(A) = sum H_i l(w_i) over each cone's rays, in ints."""
-    get = big_h.__getitem__
-    return sum(c * sum(map(mul, map(get, rays), lw)) ** power for rays, lw, c in flat)
+# A plan without forms: its integral is 0.
+_NO_FORMS = (1, ())
 
 
-def _numeric_power(big_h: list[int], cone, lw, zw, m: int, power: int):
-    """The t^j coefficients, j <= min(power, m), of (l + t zeta)(A)^power at
-    h = big_h / D, times D^power, on a cone with m > 0, in ints."""
-    hs = [big_h[i] for i in cone]
-    la0 = sum(map(mul, hs, lw))
-    la1 = sum(map(mul, hs, zw))
-    return [la0 ** (power - j) * la1 ** j * comb(power, j)
-            for j in range(min(power, m) + 1)]
+def _column(cols, rays, coeffs, size: int):
+    """sum_k coeffs[k] * cols[rays[k]] over the nonzero coeffs, one entry
+    per sample of a batch of size samples, as an iterator."""
+    col = None
+    for r, w in zip(rays, coeffs):
+        if w:
+            term = cols[r] if w == 1 else map(mul, cols[r], repeat(w))
+            col = term if col is None else map(add, col, term)
+    return repeat(0, size) if col is None else col
+
+
+def _batch(plan, table, cols, scales):
+    """The int core: a scaled plan and a sampler's table on a batch of
+    cleared support vectors h_b = H_b / D_b, cols[i] holding H_b[i] and
+    scales D_b of every sample b.
+
+    Returns (nums, sums): the plan's integral at h_b is nums[b] / (den *
+    D_b^top), top = _top(forms), and sums[b] is the table's sum weight *
+    H_b^alpha.  Every step runs on whole columns.  A flat cone adds
+    c * l(A)^(n+d), l(A) = sum_i l(w_i) H_i over its rays; a cone with
+    m > 0 adds its constant term from the plan's Laurent coefficients, and
+    its poles must cancel over the form's cones at every sample.  Each form
+    is homogeneous of degree n + d in H, so it is brought to degree top by
+    D^(top - n - d).  The table builds each H_j^e column it needs once per
+    batch.
+    """
+    size = len(scales)
+    _, forms = plan
+    top = _top(forms)
+    nums = [0] * size
+    for power, flat, poles in forms:
+        exps = repeat(power)
+        part = [0] * size
+        for rays, lw, c in flat:
+            part = list(map(add, part, map(mul, map(pow, _column(cols, rays, lw, size), exps),
+                                           repeat(c))))
+        pole_sums: dict[int, list[int]] = {}  # pole order -> its coefficient
+        for cone, lw, zw, m, a in poles:
+            la0 = list(_column(cols, cone, lw, size))
+            la1 = list(_column(cols, cone, zw, size))
+            terms = [list(map(mul, map(pow, la0, repeat(power - j)), map(pow, la1, repeat(j))))
+                     for j in range(len(a[-1]))]
+            for k, row in enumerate(a):
+                acc = _column(terms, range(len(row)), row, size)
+                if k == m:
+                    part = list(map(add, part, acc))
+                else:
+                    pole_sums[m - k] = list(map(add, pole_sums.get(m - k, repeat(0)), acc))
+        if any(map(any, pole_sums.values())):
+            raise MalformedInputError("pole terms of the vertex sum do not cancel")
+        if power != top:
+            part = map(mul, part, map(pow, scales, repeat(top - power)))
+        nums = list(map(add, nums, part))
+    sums = [0] * size
+    powers: dict[tuple[int, int], Sequence[int]] = {}  # (j, e) -> the H_j^e column
+    for factors, weight in table:
+        term = repeat(weight)
+        for factor in factors:
+            col = powers.get(factor)
+            if col is None:
+                j, e = factor
+                col = powers[factor] = cols[j] if e == 1 else list(map(pow, cols[j], repeat(e)))
+            term = map(mul, term, col)
+        sums = list(map(add, sums, term))
+    return nums, sums
+
+
+def _as_batch(h: Sequence[Fraction]):
+    """h as a batch of one: its columns and scales (see _batch)."""
+    big_h, scale = cleared_dense(h)
+    return [[v] for v in big_h], [scale]
 
 
 @lru_cache(maxsize=None)
@@ -237,93 +322,45 @@ def _linear_power(rays: tuple[int, ...], coeffs, s: int, power: int) -> MultiPol
                                   for key, a, coeff in _multinomials(rays, s, power)})
 
 
-def _symbolic_flat(s: int, flat, power: int):
-    """sum c * l(A)^power over the flat cones for symbolic h, each power
-    expanded by the multinomial theorem over the cone's rays."""
-    return sum((_linear_power(rays, lw, s, power) * c for rays, lw, c in flat), 0)
-
-
-def _symbolic_power(s: int, cone, lw, zw, m: int, power: int):
-    """The t^j coefficients, j <= min(power, m), of (l + t zeta)(A)^power
-    for symbolic h on a cone with m > 0, as MultiPolys in h_1..h_s:
-    C(power, j) l(A)^(power-j) zeta(A)^j, each power of a linear form in h
-    expanded by the multinomial theorem.  l(A) = sum h_i l(w_i) runs over
-    the n - m rays with l(w) != 0."""
-    rays = tuple(i for i, a in zip(cone, lw) if a)
-    coeffs = [a for a in lw if a]
-    return [_linear_power(rays, coeffs, s, power - j) * _linear_power(cone, zw, s, j)
-            * comb(power, j) for j in range(min(power, m) + 1)]
-
-
-def _vertex_sum(cones, power: int, expand):
-    """Numerator of the cones with m > 0 in one form's vertex sum, exactly.
-
-    Per cone it is the constant Laurent coefficient at t = 0 of
-    sign * (l + t zeta)(A)^power / prod (l + t zeta)(w), times the plan's
-    den.  expand(cone, l(w), zeta(w), m, power) gives the numerator's t^j
-    coefficients for j <= min(power, m) (_numeric_power, _symbolic_power).
-    The pole terms must cancel.
-    """
-    const = 0
-    poles: dict[int, int | MultiPoly] = {}  # pole order j -> coefficient of t^-j
-    for cone, lw, zw, m, c in cones:
-        num = expand(cone, lw, zw, m, power)
-        for k in range(m + 1):
-            # coefficient of t^(k-m) in the cone's Laurent expansion
-            acc = num[0] * c[k]
-            for j in range(1, min(k, len(num) - 1) + 1):
-                acc = acc + num[j] * c[k - j]
+def _symbolic_form(s: int, power: int, flat, poles):
+    """One form's vertex sum for symbolic h, times den, as an int-coefficient
+    MultiPoly in h_1..h_s (int 0 when it has no terms): the terms of _batch,
+    with each power of a linear form in h expanded by the multinomial
+    theorem over the cone's rays.  The poles must cancel."""
+    part = sum((_linear_power(rays, lw, s, power) * c for rays, lw, c in flat), 0)
+    pole_sums: dict[int, int | MultiPoly] = {}  # pole order -> its coefficient
+    for cone, lw, zw, m, a in poles:
+        rays = tuple(i for i, x in zip(cone, lw) if x)
+        coeffs = [x for x in lw if x]
+        terms = [_linear_power(rays, coeffs, s, power - j) * _linear_power(cone, zw, s, j)
+                 for j in range(len(a[-1]))]
+        for k, row in enumerate(a):
+            acc = sum((t * v for t, v in zip(terms, row) if v), 0)
             if k == m:
-                const = const + acc
+                part = part + acc
             else:
-                poles[m - k] = poles.get(m - k, 0) + acc
-    if any(poles.values()):
+                pole_sums[m - k] = pole_sums.get(m - k, 0) + acc
+    if any(pole_sums.values()):
         raise MalformedInputError("pole terms of the vertex sum do not cancel")
-    return const
-
-
-def _plan_sum(plan, flat_sum, expand, scale: int):
-    """A scaled plan's integral at h = H / scale, as (numerator, denominator),
-    with flat_sum(flat, power) summing the flat cones at H (_numeric_flat,
-    _symbolic_flat) and expand reading H on the others (see _vertex_sum).
-
-    Each form's vertex sum is homogeneous of degree n + d in H, so it is
-    brought to the largest such degree, top, by scale^(top - power); the
-    denominator is den * scale^top.
-    """
-    den, forms = plan
-    top = max((power for power, _, _ in forms), default=0)
-    total = 0
-    for power, flat, poles in forms:
-        part = flat_sum(flat, power)
-        if poles:
-            part = part + _vertex_sum(poles, power, expand)
-        total = total + (part if power == top else part * scale ** (top - power))
-    return total, den * scale ** top
-
-
-def _numeric_sum(plan, big_h: list[int], scale: int):
-    """A scaled plan's integral at h = big_h / scale, as (numerator,
-    denominator) in ints."""
-    return _plan_sum(plan, partial(_numeric_flat, big_h),
-                     partial(_numeric_power, big_h), scale)
+    return part
 
 
 def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
     """A scaled plan's integral: a Fraction for numeric h, a MultiPoly in
     h_1..h_s when h is None.
 
-    Numeric h is written once as H / D with integer H, so every vertex sum
-    runs in ints and one division by den * D^top ends it; symbolic h has
-    int coefficients over den, divided once at the end.
+    Numeric h is written once as H / D with integer H and runs through the
+    int core as a batch of one; one division by den * D^top ends it.
+    Symbolic h has int coefficients over den, divided once at the end.
     """
+    den, forms = plan
     if h is None:
-        total, den = _plan_sum(plan, partial(_symbolic_flat, cp.s),
-                               partial(_symbolic_power, cp.s), 1)
-        terms = total.terms if total else {}  # total is the int 0 without forms
+        total = sum((_symbolic_form(cp.s, power, flat, poles) for power, flat, poles in forms), 0)
+        terms = total.terms if total else {}  # total is the int 0 without terms
         return MultiPoly._trusted(cp.s, {e: Fraction(v, den) for e, v in terms.items()})
-    big_h, scale = cleared_dense(h)
-    return Fraction(*_numeric_sum(plan, big_h, scale))
+    cols, scales = _as_batch(h)
+    (num,), _ = _batch(plan, (), cols, scales)
+    return Fraction(num, den * scales[0] ** _top(forms))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +404,11 @@ def volume(cp: CharacteristicPair, h: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 # The two intersection pipelines and their comparison.
 
+# The most samples bkk_check holds before it evaluates them, so its memory
+# stays bounded however long the stream is.
+CHUNK = 256
+
+
 @lru_cache(maxsize=None)
 def _bkk_sampler(ring: BundleRing, gamma: tuple[tuple[int, Fraction], ...], i: int):
     """Everything in a BKK sample of (gamma, i) that does not depend on h.
@@ -395,16 +437,6 @@ def _sampler(ring: BundleRing, gamma: Element, i: int):
     return _bkk_sampler(ring, tuple(sorted((idx, c) for idx, c in gamma.items() if c)), i)
 
 
-def _table_sum(table, big_h: list[int]) -> int:
-    """sum weight * H^alpha over the sampler's table, in ints."""
-    total = 0
-    for factors, weight in table:
-        for j, e in factors:
-            weight *= big_h[j] ** e
-        total += weight
-    return total
-
-
 def I_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
     """Integral pipeline: integral over Delta(h) of <c(x)^i gamma, [B]>."""
     h = support_vector(ring.cp, h)
@@ -420,19 +452,17 @@ def F_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
     """
     h = support_vector(ring.cp, h)
     _, table, wden = _sampler(ring, gamma, i)
-    big_h, den = cleared_dense(h)
-    return Fraction(_table_sum(table, big_h), wden * den ** (ring.cp.n + i))
+    cols, scales = _as_batch(h)
+    _, (total,) = _batch(_NO_FORMS, table, cols, scales)
+    return Fraction(total, wden * scales[0] ** (ring.cp.n + i))
 
 
-def _bkk_ints(sampler, i: int, k: int, big_h: list[int], den: int):
-    """Both sides of the BKK identity at h = big_h / den, (n+i)! * I_gamma
-    and i! * F_gamma with k = n + i, as (lnum, lden, rnum, rden) with lhs =
-    lnum / lden and rhs = rnum / rden, both denominators positive.  Both
-    sides read the one sampler."""
-    plan, table, wden = sampler
-    lnum, lden = _numeric_sum(plan, big_h, den)
-    return (factorial(k) * lnum, lden,
-            factorial(i) * _table_sum(table, big_h), wden * den ** k)
+def _sides(sampler, i: int, k: int, num: int, total: int, scale: int):
+    """Both sides of the BKK identity, (n+i)! * I_gamma and i! * F_gamma
+    with k = n + i, from the int core's num and sum at h = H / scale."""
+    (den, forms), _, wden = sampler
+    return (Fraction(factorial(k) * num, den * scale ** _top(forms)),
+            Fraction(factorial(i) * total, wden * scale ** k))
 
 
 def bkk_sides(ring: BundleRing, gamma: Element, i: int,
@@ -440,44 +470,81 @@ def bkk_sides(ring: BundleRing, gamma: Element, i: int,
     """Both sides of the BKK identity, (n+i)! * I_gamma and i! * F_gamma,
     for the caller to compare."""
     h = support_vector(ring.cp, h)
-    big_h, den = cleared_dense(h)
-    lnum, lden, rnum, rden = _bkk_ints(_sampler(ring, gamma, i), i,
-                                       ring.cp.n + i, big_h, den)
-    return Fraction(lnum, lden), Fraction(rnum, rden)
+    sampler = _sampler(ring, gamma, i)
+    plan, table, _ = sampler
+    cols, scales = _as_batch(h)
+    (num,), (total,) = _batch(plan, table, cols, scales)
+    return _sides(sampler, i, ring.cp.n + i, num, total, scales[0])
+
+
+def _check_queues(queues, n: int, failures: list):
+    """Run each sampler's queued samples through the int core as one batch,
+    append each failure as (its index in the stream, its report) and empty
+    the queues.  The sides are compared as k! * num * wden * D^k == i! *
+    sum * den * D^top, with k = n + i, so only a failure builds Fractions."""
+    for _, sampler, i, rows, refs in queues:
+        if not rows:
+            continue
+        (den, forms), table, wden = sampler
+        *cols, scales = zip(*rows)
+        nums, sums = _batch((den, forms), table, cols, scales)
+        k, top = n + i, _top(forms)
+        lhs = map(mul, nums, repeat(factorial(k) * wden))
+        rhs = map(mul, sums, repeat(factorial(i) * den))
+        if k > top:
+            lhs = map(mul, lhs, map(pow, scales, repeat(k - top)))
+        elif top > k:
+            rhs = map(mul, rhs, map(pow, scales, repeat(top - k)))
+        for b in compress(range(len(refs)), map(ne, lhs, rhs)):
+            index, gamma, h = refs[b]
+            failures.append((index, (gamma, i, h,
+                                     *_sides(sampler, i, k, nums[b], sums[b], scales[b]))))
+        rows.clear()
+        refs.clear()
 
 
 def bkk_check(ring: BundleRing, samples: Iterable[tuple[Element, int, Sequence]]):
     """The samples (gamma, i, h) at which the BKK identity fails, as
     (gamma, i, h, lhs, rhs) in sample order, lhs and rhs as in bkk_sides.
 
-    Each sample runs in ints.  Its h is checked as support_vector checks
-    it and cleared to H / D in place; the sampler of a written (gamma, i)
-    is read through _sampler where it first appears, after h's checks, as
-    in bkk_sides.  The sides are compared as lnum * rden == rnum * lden, and
-    Fractions are built only for a failure's report.  An error raises at the
-    sample that causes it, as bkk_sides would.
+    The stream is read one sample at a time.  Its h is checked as
+    support_vector checks it and cleared to H / D in place; the sampler of
+    a written (gamma, i) is read through _sampler where it first appears,
+    after h's checks, as in bkk_sides.  So such an error raises at the
+    sample that causes it, as bkk_sides would.  The cleared sample, D last,
+    is queued under its sampler, and every CHUNK samples each sampler's
+    queue runs through the int core as one batch; a pole error raises there.
     """
     n, s = ring.cp.n, ring.cp.s
-    samplers = {}
-    failures = []
-    for gamma, i, h in samples:
+    # Per i and gamma's indices, which hash as ints, one queue (values,
+    # sampler, i, cleared samples, (index, gamma, h) of each) per distinct
+    # values of gamma; those are compared, not hashed, and a repeated value
+    # object compares by identity.
+    samplers: dict[tuple, list] = {}
+    queues = []
+    failures: list = []
+    for index, (gamma, i, h) in enumerate(samples):
         hs = [v if type(v) is Fraction or type(v) is int else as_scalar(v) for v in h]
         if len(hs) != s:
             support_vector(ring.cp, hs)  # raises its length error
-        # Keyed by i and gamma's indices, which hash as ints; gamma's values
-        # are compared, not hashed, and a repeated value object compares by
-        # identity.
         key, values = (i, *gamma), (*gamma.values(),)
-        seen = samplers.get(key)
-        if seen is None or seen[0] != values:
-            seen = samplers[key] = values, _sampler(ring, gamma, i)
-        sampler = seen[1]
+        for queue in samplers.get(key, ()):
+            if queue[0] == values:
+                break
+        else:
+            queue = (values, _sampler(ring, gamma, i), i, [], [])
+            samplers.setdefault(key, []).append(queue)
+            queues.append(queue)
         den = lcm(*[v.denominator for v in hs])
-        big_h = [v.numerator * (den // v.denominator) for v in hs]
-        lnum, lden, rnum, rden = _bkk_ints(sampler, i, n + i, big_h, den)
-        if lnum * rden != rnum * lden:
-            failures.append((gamma, i, h, Fraction(lnum, lden), Fraction(rnum, rden)))
-    return failures
+        row = [v.numerator * (den // v.denominator) for v in hs]
+        row.append(den)
+        queue[3].append(row)
+        queue[4].append((index, gamma, h))
+        if index % CHUNK == CHUNK - 1:
+            _check_queues(queues, n, failures)
+    _check_queues(queues, n, failures)
+    failures.sort(key=lambda failure: failure[0])
+    return [report for _, report in failures]
 
 
 def horizontal_part(ring: BundleRing, h: Sequence, i: int) -> Element:

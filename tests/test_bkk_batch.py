@@ -6,10 +6,12 @@ one sample.  The batch must fail exactly where the per-sample comparison
 fails, with the same values, raise the same error at the same sample, and
 be what `check-all` calls, once.  A mutant sampler, with one table weight
 raised by 1, makes samples fail, so the failure lists are not all empty.
-The generated P(L0 + L1 + L2) over CP^2 reaches the vertex sum's pole
-path, and a mutant pole coefficient is caught there.  Support vectors
-written with int, "p/q" and Fraction entries are read as bkk_sides reads
-them.
+The stream is evaluated in chunks of at most `multipoly.CHUNK` samples;
+streams ending at and around a chunk boundary fail as the per-sample
+comparison does, and a single sample is a batch of one.  The generated
+P(L0 + L1 + L2) over CP^2 reaches the vertex sum's pole path, and a
+mutant Laurent coefficient is caught there.  Support vectors written
+with int, "p/q" and Fraction entries are read as bkk_sides reads them.
 """
 
 import contextlib
@@ -31,6 +33,7 @@ from qtk.catalog import all_instances, get
 from qtk.cli import _bkk_samples, load_bundle_file, main
 from qtk.errors import DegreeMismatchError, MalformedInputError
 from qtk.exact import scalar_str
+from qtk.poly import MultiPoly
 
 from conftest import clear_caches
 
@@ -121,12 +124,13 @@ def pole_cones(ring, samples):
 
 def test_the_batch_reaches_the_pole_path(pb22):
     """Some form of the batch comparison vanishes on a dual edge vector, so
-    _vertex_sum's Laurent path and its pole check run."""
+    the core's Laurent path and its pole check run."""
     assert pole_cones(pb22, _bkk_samples(pb22, 300, 0))
 
 
 def perturb_a_pole_coefficient(monkeypatch):
-    """Make c[0] of every sampler's first cone with m > 0 larger by 1."""
+    """Make a[0][0], the first Laurent coefficient of every sampler's first
+    cone with m > 0, larger by 1."""
     real = mp._bkk_sampler
 
     def mutant(ring, gamma, i):
@@ -134,22 +138,89 @@ def perturb_a_pole_coefficient(monkeypatch):
         out, done = [], False
         for power, flat, poles in forms:
             if poles and not done:
-                (cone, lw, zw, m, c), *rest = poles
-                poles, done = ((cone, lw, zw, m, (c[0] + 1, *c[1:])), *rest), True
+                (cone, lw, zw, m, a), *rest = poles
+                (first, *row), *rows = a
+                a = ((first + 1, *row), *rows)
+                poles, done = ((cone, lw, zw, m, a), *rest), True
             out.append((power, flat, poles))
         return (den, tuple(out)), table, wden
     monkeypatch.setattr(mp, "_bkk_sampler", mutant)
 
 
 def test_a_wrong_pole_coefficient_is_caught(pb22, monkeypatch):
+    """The perturbed coefficient adds l(A)^(n+d) to the cone's pole of
+    order m, which no other cone cancels wherever l(A) != 0.  The error
+    raises when the first chunk is evaluated, after CHUNK samples."""
     samples = list(_bkk_samples(pb22, 300, 0))
+    assert len(samples) > mp.CHUNK
     perturb_a_pole_coefficient(monkeypatch)
-    try:
+    consumed = []
+
+    def stream():
+        for sample in samples:
+            consumed.append(sample)
+            yield sample
+    with pytest.raises(MalformedInputError, match="pole terms of the vertex sum do not cancel"):
+        mp.bkk_check(pb22, stream())
+    assert len(consumed) == mp.CHUNK
+
+
+@pytest.mark.parametrize("count", [mp.CHUNK - 1, mp.CHUNK, mp.CHUNK + 1, 2 * mp.CHUNK + 17])
+def test_streams_at_chunk_boundaries(count, pb22, monkeypatch):
+    """Streams that end just before, at and just after a chunk, and one of
+    several chunks, with the samplers interleaved, fail exactly where the
+    per-sample comparison fails, with the true and the mutant sampler."""
+    samples = list(_bkk_samples(pb22, count, 2))
+    assert len({(i, *gamma) for gamma, i, _ in samples[:mp.CHUNK]}) > 1
+    for mutated in (False, True):
+        if mutated:
+            raise_first_weight(monkeypatch)
         failures = mp.bkk_check(pb22, samples)
-    except MalformedInputError as error:
-        assert str(error) == "pole terms of the vertex sum do not cancel"
-    else:
-        assert failures
+        assert failures == reference_failures(pb22, samples)
+        assert bool(failures) == mutated
+
+
+def record_batches(monkeypatch):
+    """The number of samples of every batch the int core evaluates."""
+    sizes = []
+    real = mp._batch
+
+    def counting(plan, table, cols, scales):
+        sizes.append(len(scales))
+        return real(plan, table, cols, scales)
+    monkeypatch.setattr(mp, "_batch", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("spec", ["cp2", "cp2-bundle-over-cp1?a=1,b=2"])
+def test_no_batch_exceeds_a_chunk(spec, monkeypatch):
+    """bkk_check evaluates every sample once, in batches of at most CHUNK
+    samples; a fan over a point has one sampler, so its batches are whole
+    chunks and the rest."""
+    ring = get(spec).ring()
+    count = 2 * mp.CHUNK + 17
+    samples = list(_bkk_samples(ring, count, 0))
+    sizes = record_batches(monkeypatch)
+    mp.bkk_check(ring, samples)
+    assert sum(sizes) == count and max(sizes) <= mp.CHUNK
+    if ring.base.top == 0:
+        assert sizes == [mp.CHUNK, mp.CHUNK, 17]
+
+
+def test_one_sample_is_a_batch_of_one(monkeypatch):
+    """bkk_sides, F_gamma, I_gamma and integrate_polynomial each reach the
+    int core once, with a batch of one: one formula for one sample and for
+    a stream."""
+    ring = get("cp2-bundle-over-cp1?a=1,b=2").ring()
+    (gamma, i, h), = _bkk_samples(ring, 1, 0)
+    f = MultiPoly(ring.cp.n, {(1, 1): F(2), (2, 0): F(-1, 3)})
+    sizes = record_batches(monkeypatch)
+    for call in (lambda: mp.bkk_sides(ring, gamma, i, h), lambda: mp.F_gamma(ring, gamma, i, h),
+                 lambda: mp.I_gamma(ring, gamma, i, h),
+                 lambda: mp.integrate_polynomial(ring.cp, h, f)):
+        sizes.clear()
+        call()
+        assert sizes == [1]
 
 
 @pytest.mark.parametrize("inst", all_instances(), ids=lambda inst: inst.label)
@@ -200,7 +271,7 @@ class TestErrorsInTheStream:
 
     SPEC = "cp1-bundle-over-cp2?a=1"
 
-    @pytest.mark.parametrize("gamma, i, h, error", [
+    BAD = [
         ("t", 0, [1, 1], DegreeMismatchError),
         ("1", 3, [1, 1], DegreeMismatchError),
         ("1", -1, [1, 1], DegreeMismatchError),
@@ -217,26 +288,37 @@ class TestErrorsInTheStream:
         ("t", 1, [None, 1], MalformedInputError),
         ("t", 1, ["1/0", 1], MalformedInputError),
         ("t", 1, ["1/-2", 1], MalformedInputError),
-        ("t", 1, [" 1 / 2", 1], MalformedInputError)])
+        ("t", 1, [" 1 / 2", 1], MalformedInputError)]
+
+    @pytest.mark.parametrize("gamma, i, h, error", BAD)
     def test_same_error_at_the_same_sample(self, gamma, i, h, error):
+        self.check(gamma, i, h, error, 30)
+
+    @pytest.mark.parametrize("gamma, i, h, error", BAD)
+    def test_same_error_past_the_first_chunk(self, gamma, i, h, error):
+        """The first chunk is evaluated before the stream reaches the bad
+        sample, which still raises at its own place."""
+        self.check(gamma, i, h, error, mp.CHUNK + 30)
+
+    def check(self, gamma, i, h, error, before):
         ring = get(self.SPEC).ring()
         bad = (ring.base.element(gamma), i, h)
         with pytest.raises(error) as expected:
             mp.bkk_sides(ring, *bad)
         # The good samples warm the samplers of every valid (gamma, i).
-        good = list(_bkk_samples(ring, 40, 0))
+        good = list(_bkk_samples(ring, before + 10, 0))
         clear_caches()
         for _ in range(2):  # cold, then warm caches
             consumed = []
 
             def stream():
-                for sample in good[:30] + [bad] + good[30:]:
+                for sample in good[:before] + [bad] + good[before:]:
                     consumed.append(sample)
                     yield sample
             with pytest.raises(error) as raised:
                 mp.bkk_check(ring, stream())
             assert str(raised.value) == str(expected.value)
-            assert consumed[-1] is bad and len(consumed) == 31
+            assert consumed[-1] is bad and len(consumed) == before + 1
 
 
 def test_check_all_calls_the_batch_once(monkeypatch):

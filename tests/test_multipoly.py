@@ -272,13 +272,14 @@ class TestSymbolicInInts:
             == symbolic_by_multipoly(cp, f, ell)
 
     def test_uncancelled_poles_are_rejected(self, cp2):
-        """A cone with m > 0 whose sign is flipped leaves its poles
-        uncancelled, for symbolic and for numeric h."""
+        """A cone with m > 0 whose Laurent coefficients are negated, as if
+        its sign were flipped, leaves its poles uncancelled, for symbolic
+        and for numeric h."""
         den, forms = mp._integration_plan(cp2, MultiPoly.constant(2, 1), (F(0), F(1)))
         (power, flat, poles), = forms
-        cone, lw, zw, m, c = poles[0]
+        cone, lw, zw, m, a = poles[0]
         assert m > 0
-        flipped = ((cone, lw, zw, m, tuple(-v for v in c)),) + poles[1:]
+        flipped = ((cone, lw, zw, m, tuple(tuple(-v for v in row) for row in a)),) + poles[1:]
         plan = (den, ((power, flat, flipped),))
         for h in (None, [F(1), F(2), F(3)]):
             with pytest.raises(MalformedInputError, match="pole terms"):
