@@ -168,8 +168,3 @@ def all_instances() -> list[InstanceBundle]:
     return [_instance(name, dict(zip(declared, values)))
             for name, (_, declared, _) in CATALOG.items()
             for values in product(*map(sorted, declared.values()))]
-
-
-def default_instances() -> list[InstanceBundle]:
-    """One representative per catalog name (default parameters)."""
-    return [get(name) for name in CATALOG]

@@ -21,11 +21,16 @@ monomial in its ray parameters.  dim PP_d is the width minus their rank,
 and a kernel basis, primitive int vectors, is built only in the degrees
 whose vectors a quotient row needs.
 
-Multiplying by a standard character x_a multiplies f_root and every g_e by
-x_a, so it is an index map on the root and edge blocks, and a facet's
-degree-d cycle row at t^sm, read through it, is sum_j lam_{F_j}[a] times the
-facet's degree-(d-1) row at t^(sm - e_j).  That one recurrence builds the
-rows above degree 1, and checked for every a it proves every map compatible.
+Multiplying by a standard character x_a is an index map on the root and
+edge blocks, by the identity x_a f_sigma = x_a f_root + sum l_e (x_a g_e):
+it multiplies f_root and every g_e by x_a.  On a facet's span x_a is
+sum_j lam_{F_j}[a] t_j, so the facet's degree-d cycle row at t^sm, read
+through that map, is sum_j lam_{F_j}[a] times its degree-(d-1) row at
+t^(sm - e_j).  That recurrence builds the rows above degree 1, each column
+from one a, in one walk over the off-tree facets that carries each facet's
+rows up through the degrees and drops them.  tests/test_ppbrion.py checks
+the maps against multiply() (test_index_shift_products_equal_multiply) and
+the recurrence for every a (test_every_product_equals_the_rows_on_its_image).
 Quotient dimensions come from exact rank, on the free coordinates of the
 cycle rows, which read each graded piece isomorphically, and match the
 Stanley-Reisner graded dimensions degree by degree.
@@ -42,9 +47,9 @@ PP_d minus that count at total degree 2d, and the pass runs at least to 2n.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from operator import mul
 
 from . import exact
@@ -100,32 +105,6 @@ def multiply(f: PPElement, g: PPElement) -> PPElement:
                     tuple(a * b for a, b in zip(f.polys, g.polys)))
     if not is_compatible(out):
         raise MalformedInputError("product violates facet compatibility")
-    return out
-
-
-def global_character(cp: CharacteristicPair, chi) -> PPElement:
-    """The global linear function of a character, same on every cone."""
-    g = MultiPoly.linear_form([Fraction(exact.as_scalar(c)) for c in chi])
-    return PPElement(cp, 1, tuple(g for _ in cp.max_cones))
-
-
-def courant_basis(cp: CharacteristicPair) -> list[PPElement]:
-    """One piecewise linear function per ray: value 1 on its own lattice
-    vector, 0 on the other rays of each cone containing it, 0 elsewhere."""
-    out = []
-    for i in range(cp.s):
-        polys = []
-        for cone in cp.max_cones:
-            if i in cone:
-                frame = dual_edge_frame(cp, cone)
-                w = frame[cone.index(i)]
-                polys.append(MultiPoly.linear_form(list(w)))
-            else:
-                polys.append(MultiPoly.zero(cp.n))
-        el = PPElement(cp, 1, tuple(polys))
-        if not is_compatible(el):
-            raise MalformedInputError("courant function violates compatibility")
-        out.append(el)
     return out
 
 
@@ -200,78 +179,86 @@ def _from_vector(cp: CharacteristicPair, d: int, vec: dict[int, int | Fraction])
     return PPElement(cp, d, tuple(polys))
 
 
-def _times_character(cp: CharacteristicPair, facet: tuple[int, ...],
-                     rows: dict[tuple[int, ...], dict[int, int]],
-                     shift: tuple[int, ...], a: int) -> dict[tuple[int, ...], dict[int, int]]:
-    """x_a on the facet's span times one facet's cycle rows, read in the next
-    degree through the shift map of x_a; zero entries and rows left out."""
-    out: dict[tuple[int, ...], dict[int, int]] = {}
-    for j, ray in enumerate(facet):
-        c = cp.lam[ray][a]
-        if not c:
-            continue
-        for sm, row in rows.items():
-            target = out.setdefault(sm[:j] + (sm[j] + 1,) + sm[j + 1:], {})
-            for col, x in row.items():
-                k = shift[col]
-                target[k] = target.get(k, 0) + c * x
-    kept = {sm: {k: x for k, x in row.items() if x} for sm, row in out.items()}
-    return {sm: row for sm, row in kept.items() if row}
-
-
-@lru_cache(maxsize=None)
-def _cycle_rows(cp: CharacteristicPair,
-                d: int) -> tuple[dict[tuple[int, ...], dict[int, int]], ...]:
-    """The degree-d cycle rows as sparse int dicts, one dict per off-tree
-    facet (F, sigma, tau), from facet monomial sm, in monomial order, to the
-    coefficients of t^sm in f_sigma - f_tau on F's span: the sum of +-l_e g_e
-    over the tree edges on one of the two paths only.  Zero rows are left out.
+def _facet_rows(cp: CharacteristicPair, entry: tuple[tuple[int, ...], int, int],
+                top: int) -> Iterator[dict[tuple[int, ...], dict[int, int]]]:
+    """The cycle rows of one off-tree facet entry (F, sigma, tau) in degrees
+    d = 1..top, one dict per degree, each built from the one before: from
+    facet monomial sm, in monomial order, to the sparse int coefficients of
+    t^sm in f_sigma - f_tau on F's span, the sum of +-l_e g_e over the tree
+    edges on one of the two paths only.  Zero rows are left out.
 
     Degree 1 is read directly: <lam_{F_j}, l_e> with the path's sign.  Above
-    it, column (e, m) is filled by the recurrence through the first a with
-    m_a > 0, which is then checked for every a; that proves _shift_maps(cp, d)."""
-    edges, paths, off_tree = _spanning_tree(cp)
-    if d < 1:
-        return tuple({} for _ in off_tree)
-    root = len(_monomials(cp.n, d))
-    out = []
-    if d == 1:
-        for facet, c1, c2 in off_tree:
-            on1, on2 = set(paths[c1]), set(paths[c2])
-            rows: dict[tuple[int, ...], dict[int, int]] = {}
-            for sm in _monomials(len(facet), 1):
-                for e in sorted(on1 ^ on2):
-                    x = sum(map(mul, cp.lam[facet[sm.index(1)]], edges[e][2]))
-                    if x:
-                        rows.setdefault(sm, {})[root + e] = x if e in on1 else -x
-            out.append(rows)
-        return tuple(out)
-    # column root + e * len(lower) + k is edge e's monomial lower[k]
-    lower = _monomials(cp.n, d - 1)
-    first = [next(a for a, k in enumerate(m) if k) for m in lower]
-    for (facet, _, _), below in zip(off_tree, _cycle_rows(cp, d - 1), strict=True):
-        products = [_times_character(cp, facet, below, shift, a)
-                    for a, shift in enumerate(_shift_maps(cp, d))]
-        rows = {}
-        for a, product in enumerate(products):
-            for sm, row in product.items():
-                for c, x in row.items():
-                    if first[(c - root) % len(lower)] == a:
-                        rows.setdefault(sm, {})[c] = x
-        for a, product in enumerate(products):
-            read = {sm: {c: x for c, x in row.items() if lower[(c - root) % len(lower)][a]}
-                    for sm, row in rows.items()}
-            if product != {sm: row for sm, row in read.items() if row}:
-                raise MalformedInputError("product violates facet compatibility")
-        out.append(dict(sorted(rows.items())))
-    return tuple(out)
+    it, column (e, m) comes from the first a with m_a > 0: it is
+    sum_j lam_{F_j}[a] times the degree-(d-1) row at t^(sm - e_j), read at
+    the column that the shift map of x_a sends to (e, m)."""
+    facet, c1, c2 = entry
+    edges, paths, _ = _spanning_tree(cp)
+    on1, on2 = set(paths[c1]), set(paths[c2])
+    root = len(_monomials(cp.n, 1))
+    rows: dict[tuple[int, ...], dict[int, int]] = {}
+    for sm in _monomials(len(facet), 1):
+        lam = cp.lam[facet[sm.index(1)]]
+        for e in sorted(on1 ^ on2):
+            x = sum(map(mul, lam, edges[e][2]))
+            if x:
+                rows.setdefault(sm, {})[root + e] = x if e in on1 else -x
+    yield rows
+    # x_a on F's span: (j, lam_{F_j}[a]) for the rays of F where it is nonzero
+    on_facet = [[(j, cp.lam[ray][a]) for j, ray in enumerate(facet) if cp.lam[ray][a]]
+                for a in range(cp.n)]
+    for d in range(2, top + 1):
+        # Column root + e * len(mid) + k of degree d-1 is edge e's monomial
+        # mid[k], and x_a sends it to (e, mid[k] + e_a).  a is the first
+        # index of mid[k] + e_a with a positive exponent for every a up to
+        # reach[k], the first index of mid[k] with one (every a if d = 2).
+        root, mid = len(_monomials(cp.n, d - 1)), _monomials(cp.n, d - 2)
+        reach = [next((a for a, k in enumerate(m) if k), cp.n - 1) for m in mid]
+        shifts = _shift_maps(cp, d)
+        out: dict[tuple[int, ...], dict[int, int]] = {}
+        for sm, row in rows.items():
+            images: list[list[tuple[int, int]]] = [[] for _ in shifts]
+            for c, x in row.items():
+                for a in range(reach[(c - root) % len(mid)] + 1):
+                    images[a].append((shifts[a][c], x))
+            for image, lam_a in zip(images, on_facet):
+                if not image:
+                    continue
+                for j, coeff in lam_a:
+                    target = out.setdefault(sm[:j] + (sm[j] + 1,) + sm[j + 1:], {})
+                    for k, x in image:
+                        target[k] = target.get(k, 0) + coeff * x
+        rows = {sm: kept for sm, row in sorted(out.items())
+                if (kept := {k: x for k, x in row.items() if x})}
+        yield rows
 
 
 @lru_cache(maxsize=None)
+def _cycle_spaces(cp: CharacteristicPair) -> list[exact.RowSpace]:
+    """The span of the degree-d cycle rows at index d, for every degree
+    walked so far; only _cycle_space extends it."""
+    return []
+
+
 def _cycle_space(cp: CharacteristicPair, d: int) -> exact.RowSpace:
-    """The span of all degree-d cycle rows; read only, never extended."""
-    return exact.RowSpace(_width(cp, d),
-                          chain.from_iterable(rows.values() for rows in _cycle_rows(cp, d)))
+    """The span of all degree-d cycle rows, which callers read and never
+    extend.
+
+    A degree not reached yet is reached by one walk over the off-tree facets
+    up to degree max(d, n): it carries one facet's rows up through the
+    degrees, inserts them into each new degree's space, in facet order and
+    then monomial order, and drops them.  A pass that reads degrees above n
+    asks for its largest one first, so that one walk serves the whole pass."""
+    spaces = _cycle_spaces(cp)
+    if d >= len(spaces):
+        done, top = len(spaces), max(d, cp.n)
+        new = [exact.RowSpace(_width(cp, k)) for k in range(done, top + 1)]
+        for entry in _spanning_tree(cp)[2]:
+            for k, rows in enumerate(_facet_rows(cp, entry, top), 1):
+                if k >= done:
+                    for row in rows.values():
+                        new[k - done].insert(row)
+        spaces += new
+    return spaces[d]
 
 
 def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
@@ -306,12 +293,12 @@ def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
 def _shift_maps(cp: CharacteristicPair, d: int) -> tuple[tuple[int, ...], ...]:
     """Multiplication by each x_a from degree d-1 to degree d as an index map:
     coordinate j of degree d-1 becomes coordinate shifts[a][j] of degree d.
-    x_a f_sigma = x_a f_root + sum l_e (x_a g_e), so the map moves the
-    monomial m of the root block and of every edge block to m + e_a.
-
-    Each map sends compatible elements to compatible ones: _cycle_rows(cp, d)
-    checks that every degree-d cycle row read through it is x_a on the facet
-    times that facet's degree-(d-1) rows, which vanish on every kernel vector."""
+    The map is right by the identity x_a f_sigma = x_a f_root + sum l_e (x_a g_e):
+    it moves the monomial m of the root block and of every edge block to
+    m + e_a.  test_index_shift_products_equal_multiply checks it against
+    multiply(), and test_every_product_equals_the_rows_on_its_image checks
+    that every degree-d cycle row read through it is x_a on the facet times
+    that facet's degree-(d-1) rows."""
     top, mid, low = (_monomials(cp.n, k) for k in (d, d - 1, d - 2))
     top_index = {m: k for k, m in enumerate(top)}
     mid_index = {m: k for k, m in enumerate(mid)}
@@ -351,7 +338,9 @@ def brion_bundle_dims(ring: BundleRing,
     unit = base.unit_index()
     blocks = [b for b in range(base.dim) if b != unit] + [unit]
     dims, fiber = [], []
-    for total in range(max(min(max_degree, top), 2 * cp.n) + 1):
+    last = max(min(max_degree, top), 2 * cp.n)
+    _cycle_space(cp, last // 2)  # one walk reaches every degree the pass reads
+    for total in range(last + 1):
         # base index -> first column of its block b tensor PP_d, each PP_d
         # read on its free coordinates
         offset = {}

@@ -20,10 +20,15 @@ from qtk import invsys as iv
 from qtk import multipoly as mp
 from qtk import ppbrion as pp
 from qtk import srbundle as sr
-from qtk.catalog import all_instances, default_instances, get
+from qtk.catalog import CATALOG, all_instances, get
 from qtk.poly import MultiPoly
 
 from test_invsys import fan_h_vector
+
+
+def default_instances():
+    """One representative per catalog name (default parameters)."""
+    return [get(name) for name in CATALOG]
 
 
 @contextmanager

@@ -391,17 +391,28 @@ class TestBrion:
         assert report["result"]["bundle_dims"] == [1, 0, 1, 0, 1]
 
     def test_one_pass_builds_each_shift_map_once(self, capsys, monkeypatch):
-        calls = []
+        calls, tops = [], []
         for name in ("brion_bundle_dims", "brion_quotient_dims"):
             def counted(*args, _name=name, _real=getattr(pp, name)):
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(pp, name, counted)
+
+        def counted_rows(cp, entry, top, _real=pp._facet_rows):
+            tops.append(top)
+            return _real(cp, entry, top)
+
+        monkeypatch.setattr(pp, "_facet_rows", counted_rows)
         clear_caches()
         code, _ = run_json(capsys, "brion", "cp2-bundle-over-cp1?a=1,b=0")
         assert code == 0
         assert calls == ["brion_bundle_dims"]
-        # one proof per degree, d = 1, 2 and 3, each map then read again
+        # one walk over the off-tree facets builds the cycle spaces, up to PP
+        # degree 3 = n + 1, the largest that the pass reads
+        cp = get("cp2-bundle-over-cp1?a=1,b=0").cp
+        assert tops == [3] * len(pp._spanning_tree(cp)[2])
+        assert len(pp._cycle_spaces(cp)) == 4
+        # one shift map per degree, d = 1, 2 and 3, each then read again
         info = pp._shift_maps.cache_info()
         assert info.misses == 3 and info.hits > 0
 

@@ -86,8 +86,8 @@ class TestArithmetic:
         assert all(type(c) is F for c in MultiPoly(2, p.terms).terms.values())
         assert all(type(c) is F for c in (p * F(1, 2)).terms.values())
         for inst in all_instances():
-            for d in range(inst.cp.n + 1):
-                for rows in pp._cycle_rows(inst.cp, d):
+            for entry in pp._spanning_tree(inst.cp)[2]:
+                for d, rows in enumerate(pp._facet_rows(inst.cp, entry, inst.cp.n), 1):
                     for row in rows.values():
                         assert all(type(c) is int for c in row.values()), (inst.label, d)
 

@@ -17,26 +17,49 @@ from qtk.errors import MalformedInputError, PairMismatchError
 from qtk.poly import MultiPoly, weighted_monomials
 from qtk.srbundle import BundleRing
 
-from conftest import clear_caches
 import fans
+
+
+def global_character(cp, chi):
+    """The global linear function of a character, same on every cone."""
+    g = MultiPoly.linear_form([F(c) for c in chi])
+    return pp.PPElement(cp, 1, tuple(g for _ in cp.max_cones))
+
+
+def courant_basis(cp):
+    """One piecewise linear function per ray: value 1 on its own lattice
+    vector, 0 on the other rays of each cone containing it, 0 elsewhere."""
+    out = []
+    for i in range(cp.s):
+        polys = []
+        for cone in cp.max_cones:
+            if i in cone:
+                w = cpm.dual_edge_frame(cp, cone)[cone.index(i)]
+                polys.append(MultiPoly.linear_form(list(w)))
+            else:
+                polys.append(MultiPoly.zero(cp.n))
+        el = pp.PPElement(cp, 1, tuple(polys))
+        assert pp.is_compatible(el)
+        out.append(el)
+    return out
 
 
 class TestCourantBasis:
     def test_cp1_shape(self, cp1):
-        phi1, phi2 = pp.courant_basis(cp1)
+        phi1, phi2 = courant_basis(cp1)
         assert phi1.polys == (MultiPoly.variable(1, 0), MultiPoly.zero(1))
         # second ray has lattice vector -1, so its dual coordinate is -x
         assert phi2.polys == (MultiPoly.zero(1), MultiPoly.linear_form([-1]))
 
     def test_cp2_first_function(self, cp2):
-        phi1 = pp.courant_basis(cp2)[0]
+        phi1 = courant_basis(cp2)[0]
         assert phi1.polys[0] == MultiPoly.variable(2, 0)  # on cone {1,2}
         assert phi1.polys[1] == MultiPoly.zero(2)  # on cone {2,3}
 
     def test_value_one_at_own_ray(self):
         for inst in all_instances():
             cp = inst.cp
-            basis = pp.courant_basis(cp)
+            basis = courant_basis(cp)
             for i, phi in enumerate(basis):
                 for ci, cone in enumerate(cp.max_cones):
                     for j in cone:
@@ -44,7 +67,7 @@ class TestCourantBasis:
                         assert phi.polys[ci].evaluate(cp.lam[j]) == expected
 
     def test_sum_is_all_ones_support_function(self, cp2):
-        basis = pp.courant_basis(cp2)
+        basis = courant_basis(cp2)
         for ci, cone in enumerate(cp2.max_cones):
             total = MultiPoly.zero(cp2.n)
             for phi in basis:
@@ -55,33 +78,33 @@ class TestCourantBasis:
     def test_courant_functions_span_degree_one(self):
         for inst in all_instances():
             cp = inst.cp
-            vectors = [per_cone_vector(phi) for phi in pp.courant_basis(cp)]
+            vectors = [per_cone_vector(phi) for phi in courant_basis(cp)]
             assert exact.rank(vectors, len(cp.max_cones) * cp.n) == cp.s
             assert pp.pp_graded_dim(cp, 1) == cp.s, inst.label
 
 
 class TestMultiply:
     def test_by_zero(self, cp1):
-        phi1 = pp.courant_basis(cp1)[0]
+        phi1 = courant_basis(cp1)[0]
         zero = pp.PPElement(cp1, 1, tuple(MultiPoly.zero(1) for _ in cp1.max_cones))
         prod = pp.multiply(phi1, zero)
         assert all(not g for g in prod.polys)
 
     def test_cp1_square(self, cp1):
-        phi1 = pp.courant_basis(cp1)[0]
+        phi1 = courant_basis(cp1)[0]
         sq = pp.multiply(phi1, phi1)
         assert sq.polys == (MultiPoly.monomial((2,)), MultiPoly.zero(1))
 
     def test_global_character_square(self, cp2):
-        chi = pp.global_character(cp2, [1, 2])
+        chi = global_character(cp2, [1, 2])
         sq = pp.multiply(chi, chi)
         expected = MultiPoly.linear_form([1, 2]) ** 2
         assert all(g == expected for g in sq.polys)
 
     def test_pair_mismatch(self, cp1, cp2):
         with pytest.raises(PairMismatchError):
-            pp.multiply(pp.courant_basis(cp1)[0],
-                        pp.global_character(cp2, [1, 0]))
+            pp.multiply(courant_basis(cp1)[0],
+                        global_character(cp2, [1, 0]))
 
 
 class TestCompatibility:
@@ -94,10 +117,10 @@ class TestCompatibility:
     def test_character_decomposes_in_courant_basis(self):
         for inst in all_instances():
             cp = inst.cp
-            basis = pp.courant_basis(cp)
+            basis = courant_basis(cp)
             for a in range(cp.n):
                 chi_vec = [F(int(r == a)) for r in range(cp.n)]
-                chi = pp.global_character(cp, chi_vec)
+                chi = global_character(cp, chi_vec)
                 for ci in range(len(cp.max_cones)):
                     acc = MultiPoly.zero(cp.n)
                     for i in range(cp.s):
@@ -261,6 +284,53 @@ def spline_pairs():
         [(name, fan_pair(fan)) for name, fan in GENERATED.items()]
 
 
+def cycle_rows(cp, top):
+    """Per degree 0..top, the cycle rows of every off-tree facet, one dict
+    per facet, as the walk over the facets reads them."""
+    per_facet = [[{}] + list(pp._facet_rows(cp, entry, top))
+                 for entry in pp._spanning_tree(cp)[2]]
+    return [tuple(rows[d] for rows in per_facet) for d in range(top + 1)]
+
+
+def times_character(cp, facet, rows, shift, a):
+    """x_a on the facet's span times one facet's cycle rows, read in the next
+    degree through the shift map of x_a; zero entries and rows left out.  On
+    the facet's span x_a is sum_j lam_{F_j}[a] t_j, so the row at t^sm feeds
+    the rows at t^(sm + e_j)."""
+    out = {}
+    for j, ray in enumerate(facet):
+        c = cp.lam[ray][a]
+        if not c:
+            continue
+        for sm, row in rows.items():
+            target = out.setdefault(sm[:j] + (sm[j] + 1,) + sm[j + 1:], {})
+            for col, x in row.items():
+                k = shift[col]
+                target[k] = target.get(k, 0) + c * x
+    kept = {sm: {k: x for k, x in row.items() if x} for sm, row in out.items()}
+    return {sm: row for sm, row in kept.items() if row}
+
+
+def shift_failures(cp, product=times_character):
+    """Every (facet entry, d, a), d = 2..n, at which the x_a product of the
+    facet's degree-(d-1) cycle rows differs from its degree-d rows read on
+    the image of x_a's shift map: the edge columns (e, m) with m_a > 0.  The
+    rows build each column from one a only, so this checks the others."""
+    failures = []
+    rows = cycle_rows(cp, cp.n)
+    for d in range(2, cp.n + 1):
+        root = len(weighted_monomials((1,) * cp.n, d))
+        lower = weighted_monomials((1,) * cp.n, d - 1)
+        for k, entry in enumerate(pp._spanning_tree(cp)[2]):
+            for a, shift in enumerate(pp._shift_maps(cp, d)):
+                read = {sm: {c: x for c, x in row.items() if lower[(c - root) % len(lower)][a]}
+                        for sm, row in rows[d][k].items()}
+                if product(cp, entry[0], rows[d - 1][k], shift, a) != \
+                        {sm: row for sm, row in read.items() if row}:
+                    failures.append((entry, d, a))
+    return failures
+
+
 def face_ring_dim(cp, d):
     """The Hilbert function of the face ring of the fan's simplicial
     complex: 1 at d = 0, else the sum over nonempty faces F of
@@ -348,7 +418,7 @@ class TestLinearPaths:
             cp = inst.cp
             for d in range(1, cp.n + 1):
                 for a, shift in enumerate(pp._shift_maps(cp, d)):
-                    char = pp.global_character(cp, [int(r == a) for r in range(cp.n)])
+                    char = global_character(cp, [int(r == a) for r in range(cp.n)])
                     for q, el in zip(pp._spline_kernel(cp, d - 1), pp.pp_basis(cp, d - 1)):
                         shifted = pp._from_vector(cp, d, {shift[j]: x for j, x in q.items()})
                         assert shifted == pp.multiply(char, el), (inst.label, d, a)
@@ -359,6 +429,7 @@ class TestLinearPaths:
         # the two paths' own edges, by substitution.
         for label, cp in spline_pairs()[:-2]:
             edges, paths, off_tree = pp._spanning_tree(cp)
+            rows_by_degree = cycle_rows(cp, cp.n)
             for d in range(cp.n + 1):
                 lower = weighted_monomials((1,) * cp.n, d - 1) if d else []
                 root = len(weighted_monomials((1,) * cp.n, d))
@@ -378,7 +449,7 @@ class TestLinearPaths:
                         if row:
                             rows[sm] = row
                     expected.append(rows)
-                got = pp._cycle_rows(cp, d)
+                got = rows_by_degree[d]
                 assert got == tuple(expected), (label, d)
                 assert [list(rows) for rows in got] == [list(rows) for rows in expected], \
                     (label, d)
@@ -386,11 +457,12 @@ class TestLinearPaths:
     def test_changed_kernel_vector_is_incompatible(self):
         for inst in all_instances():
             cp = inst.cp
+            rows_by_degree = cycle_rows(cp, cp.n)
             for d in range(1, cp.n + 1):
                 q = pp._spline_kernel(cp, d)[0]
                 assert pp.is_compatible(pp._from_vector(cp, d, q))
                 # every coordinate that some cycle row reads (cp1 has none)
-                for j in {j for rows in pp._cycle_rows(cp, d) for row in rows.values()
+                for j in {j for rows in rows_by_degree[d] for row in rows.values()
                           for j in row}:
                     changed = dict(q)
                     changed[j] = changed.get(j, 0) + 1
@@ -405,29 +477,28 @@ class TestLinearPaths:
                     assert not any(sum(x * vec.get(c, 0) for c, x in row.items())
                                    for row in rows), (label, d)
 
-    def test_shift_check_rejects_a_changed_product(self, cp3, monkeypatch):
-        # At degree 3 the edge column of x_0 x_1 is written by both the x_0
-        # and the x_1 product of the degree-2 rows; the rows take the x_0
-        # one, so only the check for a = 1 sees a change to the x_1 one.  (At
-        # degree 2 each edge column has one writer, whose product the rows are.)
-        real = pp._times_character
+    @pytest.mark.parametrize("label, cp", spline_pairs(), ids=[p[0] for p in spline_pairs()])
+    def test_every_product_equals_the_rows_on_its_image(self, label, cp):
+        # Each x_a product of a facet's rows, not only the first a of each
+        # column that the rows are built from.
+        assert shift_failures(cp) == [], label
+
+    def test_shift_check_rejects_a_changed_product(self, cp3):
+        # At degree 3 the edge column of x_0 x_1 is built from the x_0
+        # product of the degree-2 rows, so only the check for a = 1 sees a
+        # change to the x_1 one.
         column = len(weighted_monomials((1,) * 3, 3)) + \
             weighted_monomials((1,) * 3, 2).index((1, 1, 0))
 
         def changed(cp, facet, rows, shift, a):
-            out = real(cp, facet, rows, shift, a)
-            if a == 1 and len(shift) == pp._width(cp3, 2):
+            out = times_character(cp, facet, rows, shift, a)
+            if a == 1 and len(shift) == pp._width(cp, 2):
                 row = out.setdefault((3,) + (0,) * (len(facet) - 1), {})
                 row[column] = row.get(column, 0) + 1
             return out
 
-        clear_caches()
-        monkeypatch.setattr(pp, "_times_character", changed)
-        try:
-            with pytest.raises(MalformedInputError, match="product violates facet compatibility"):
-                pp.brion_quotient_dims(cp3)
-        finally:
-            clear_caches()
+        failures = shift_failures(cp3, changed)
+        assert failures and {(d, a) for _, d, a in failures} == {(3, 1)}
 
     def test_quotient_dims_are_point_bundle_betti(self):
         for inst in all_instances():

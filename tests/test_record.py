@@ -11,6 +11,7 @@ from qtk import charpair as cpm
 from qtk import invsys as iv
 from qtk import ppbrion as pp
 from qtk import srbundle as sr
+from qtk.poly import MultiPoly
 from qtk.record import Record
 
 
@@ -19,7 +20,7 @@ def cases():
     inst = cat.get("cp2")
     cp, base, chern = inst.cp, inst.base, inst.chern
     pot = iv.volume_potential(cp)
-    pp_el = pp.global_character(cp, (1, 0))
+    pp_el = pp.PPElement(cp, 1, tuple(MultiPoly.linear_form([1, 0]) for _ in cp.max_cones))
     check = cpm.CheckResult("simplicial", True)
     return [
         (ba.ChernData, (chern.n, chern.images), {}),
