@@ -17,9 +17,10 @@ block of degree-d monomials and one block of degree-(d-1) monomials per
 tree edge; every tuple that agrees across the tree's facets has exactly one
 such form.  What is left is one cycle condition per facet off the tree, in
 which the root block cancels: integer cycle rows, one per such facet and
-monomial in its ray parameters.  dim PP_d is the width minus their rank,
-and a kernel basis, primitive int vectors, is built only in the degrees
-whose vectors a quotient row needs.
+monomial in its ray parameters.  dim PP_d is the width minus their rank.
+_splines ranks every degree up to a top in one table, which keeps per
+degree the free columns, as many as that dimension, and below the top a
+kernel basis of primitive int vectors; no echelon form outlives it.
 
 Multiplying by a standard character x_a is an index map on the root and
 edge blocks, by the identity x_a f_sigma = x_a f_root + sum l_e (x_a g_e):
@@ -27,13 +28,13 @@ it multiplies f_root and every g_e by x_a.  On a facet's span x_a is
 sum_j lam_{F_j}[a] t_j, so the facet's degree-d cycle row at t^sm, read
 through that map, is sum_j lam_{F_j}[a] times its degree-(d-1) row at
 t^(sm - e_j).  That recurrence builds the rows above degree 1, each column
-from one a, in one walk over the off-tree facets that carries each facet's
-rows up through the degrees and drops them.  tests/test_ppbrion.py checks
+from one a, facet by facet.  tests/test_ppbrion.py checks
 the maps against multiply() (test_index_shift_products_equal_multiply) and
 the recurrence for every a (test_every_product_equals_the_rows_on_its_image).
 Quotient dimensions come from exact rank, on the free coordinates of the
 cycle rows, which read each graded piece isomorphically, and match the
-Stanley-Reisner graded dimensions degree by degree.
+Stanley-Reisner graded dimensions degree by degree.  One pass reads one
+table, to the largest PP degree it needs.
 
 One pass over the bundle's total degrees gives the fibre's quotient
 dimensions too.  The relation (c(x_a) b) tensor q - b tensor (x_a q) touches
@@ -233,60 +234,43 @@ def _facet_rows(cp: CharacteristicPair, entry: tuple[tuple[int, ...], int, int],
 
 
 @lru_cache(maxsize=None)
-def _cycle_spaces(cp: CharacteristicPair) -> list[exact.RowSpace]:
-    """The span of the degree-d cycle rows at index d, for every degree
-    walked so far; only _cycle_space extends it."""
-    return []
+def _splines(cp: CharacteristicPair,
+             top: int) -> tuple[tuple[dict[int, int], tuple[dict[int, int], ...]], ...]:
+    """Per degree d = 0..top: (column -> position among the free columns of
+    the degree-d cycle rows, dim PP_d of them, and below top a basis of PP_d).
 
-
-def _cycle_space(cp: CharacteristicPair, d: int) -> exact.RowSpace:
-    """The span of all degree-d cycle rows, which callers read and never
-    extend.
-
-    A degree not reached yet is reached by one walk over the off-tree facets
-    up to degree max(d, n): it carries one facet's rows up through the
-    degrees, inserts them into each new degree's space, in facet order and
-    then monomial order, and drops them.  A pass that reads degrees above n
-    asks for its largest one first, so that one walk serves the whole pass."""
-    spaces = _cycle_spaces(cp)
-    if d >= len(spaces):
-        done, top = len(spaces), max(d, cp.n)
-        new = [exact.RowSpace(_width(cp, k)) for k in range(done, top + 1)]
-        for entry in _spanning_tree(cp)[2]:
-            for k, rows in enumerate(_facet_rows(cp, entry, top), 1):
-                if k >= done:
-                    for row in rows.values():
-                        new[k - done].insert(row)
-        spaces += new
-    return spaces[d]
+    One walk over the off-tree facets carries each facet's rows up to top and
+    inserts them into each degree's space, in facet order and then monomial
+    order.  The degrees are read from top down, each space dropped once read.
+    Reading the free coordinates is an isomorphism of PP_d onto the rationals
+    of that many coordinates: they determine an element, and any values there
+    extend to one.  The basis is the kernel of the cycle rows, one vector per
+    free column, cleared: with entry 1 there, it is primitive."""
+    spaces = [exact.RowSpace(_width(cp, d)) for d in range(top + 1)]
+    for entry in _spanning_tree(cp)[2]:
+        for d, rows in enumerate(_facet_rows(cp, entry, top), 1):
+            for row in rows.values():
+                spaces[d].insert(row)
+    table = []
+    for d in range(top, -1, -1):
+        space = spaces.pop()
+        free = {c: k for k, c in enumerate(space.free_columns())}
+        kernel = tuple(exact.cleared(v)[0] for v in space.kernel()) if d < top else ()
+        table.append((free, kernel))
+    return tuple(reversed(table))
 
 
 def pp_graded_dim(cp: CharacteristicPair, d: int) -> int:
     """Dimension of the compatible piecewise polynomials of degree d."""
     if d < 0:
         raise MalformedInputError("degree must be non-negative")
-    return _width(cp, d) - _cycle_space(cp, d).rank
-
-
-@lru_cache(maxsize=None)
-def _spline_kernel(cp: CharacteristicPair, d: int) -> tuple[dict[int, int], ...]:
-    """A basis of PP_d in coordinates: the kernel of the cycle rows, one
-    primitive int vector per free column.  Clearing the denominators of a
-    vector with entry 1 leaves gcd 1, so the cleared vector is primitive."""
-    return tuple(exact.cleared(v)[0] for v in _cycle_space(cp, d).kernel())
-
-
-@lru_cache(maxsize=None)
-def _free_positions(cp: CharacteristicPair, d: int) -> dict[int, int]:
-    """Column -> position among the free columns of the degree-d cycle rows.
-    An element of PP_d is determined by its free coordinates, and any
-    values there extend to one, so reading them is an isomorphism of PP_d
-    onto the rationals of that many coordinates."""
-    return {c: k for k, c in enumerate(_cycle_space(cp, d).free_columns())}
+    return len(_splines(cp, max(d, cp.n))[d][0])
 
 
 def pp_basis(cp: CharacteristicPair, d: int) -> list[PPElement]:
-    return [_from_vector(cp, d, vec) for vec in _spline_kernel(cp, d)]
+    if d < 0:
+        raise MalformedInputError("degree must be non-negative")
+    return [_from_vector(cp, d, vec) for vec in _splines(cp, max(d + 1, cp.n))[d][1]]
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +323,7 @@ def brion_bundle_dims(ring: BundleRing,
     blocks = [b for b in range(base.dim) if b != unit] + [unit]
     dims, fiber = [], []
     last = max(min(max_degree, top), 2 * cp.n)
-    _cycle_space(cp, last // 2)  # one walk reaches every degree the pass reads
+    splines = _splines(cp, last // 2)
     for total in range(last + 1):
         # base index -> first column of its block b tensor PP_d, each PP_d
         # read on its free coordinates
@@ -349,10 +333,10 @@ def brion_bundle_dims(ring: BundleRing,
             rem = total - base.degrees[b]
             if rem >= 0 and rem % 2 == 0:
                 offset[b] = width
-                width += pp_graded_dim(cp, rem // 2)
+                width += len(splines[rem // 2][0])
         space = exact.RowSpace(width)
         for a in range(cp.n):
-            c_a = ring.chern.evaluate([int(r == a) for r in range(cp.n)])
+            c_a = ring.chern.image(a)
             for b in range(base.dim):
                 rem = total - 2 - base.degrees[b]
                 if rem < 0 or rem % 2:
@@ -363,8 +347,8 @@ def brion_bundle_dims(ring: BundleRing,
                       in base.mul(c_a, {b: Fraction(1)}).items() if b2 in offset]
                 off = offset[b]
                 shift = _shift_maps(cp, d)[a]
-                low, high = _free_positions(cp, d - 1), _free_positions(cp, d)
-                for q in _spline_kernel(cp, d - 1):
+                (low, kernel), high = splines[d - 1], splines[d][0]
+                for q in kernel:
                     vec = {}
                     for j, x in q.items():
                         k = low.get(j)

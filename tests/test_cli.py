@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import hashlib
 import importlib.util
 import io
@@ -407,14 +408,17 @@ class TestBrion:
         code, _ = run_json(capsys, "brion", "cp2-bundle-over-cp1?a=1,b=0")
         assert code == 0
         assert calls == ["brion_bundle_dims"]
-        # one walk over the off-tree facets builds the cycle spaces, up to PP
-        # degree 3 = n + 1, the largest that the pass reads
+        # one table, from one walk over the off-tree facets up to PP degree
+        # 3 = n + 1, the largest that the pass reads
         cp = get("cp2-bundle-over-cp1?a=1,b=0").cp
+        assert pp._splines.cache_info().misses == 1
         assert tops == [3] * len(pp._spanning_tree(cp)[2])
-        assert len(pp._cycle_spaces(cp)) == 4
         # one shift map per degree, d = 1, 2 and 3, each then read again
         info = pp._shift_maps.cache_info()
         assert info.misses == 3 and info.hits > 0
+        # no echelon form outlives the pass
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, exact.RowSpace)]
 
     def test_point_base_ranks_each_degree_once(self, capsys, monkeypatch):
         # One pass reads the bundle and the fibre lists: one elimination per

@@ -18,6 +18,7 @@ from qtk.poly import MultiPoly, weighted_monomials
 from qtk.srbundle import BundleRing
 
 import fans
+from conftest import clear_caches
 
 
 def global_character(cp, chi):
@@ -143,6 +144,15 @@ class TestGradedDims:
         for d in (1, 2):
             for el in pp.pp_basis(cp2, d):
                 assert pp.is_compatible(el)
+
+    def test_negative_degree_raises_on_cold_and_warm_caches(self, cp2):
+        clear_caches()
+        for warm in (False, True):
+            for read in (pp.pp_graded_dim, pp.pp_basis):
+                with pytest.raises(MalformedInputError, match="non-negative"):
+                    read(cp2, -1)
+            # warms the tables to top n = 2 and to top 3
+            assert len(pp.pp_basis(cp2, 2)) == pp.pp_graded_dim(cp2, 2) == 6
 
 
 class TestBrionQuotient:
@@ -397,14 +407,16 @@ class TestSplineCoordinates:
 
     @pytest.mark.parametrize("label, cp", spline_pairs(), ids=[p[0] for p in spline_pairs()])
     def test_free_coordinates_read_the_kernel_faithfully(self, label, cp):
-        # brion_bundle_dims ranks its rows on the free columns only.
-        for d in range(cp.n):
-            free = pp._free_positions(cp, d)
-            kernel = pp._spline_kernel(cp, d)
+        # brion_bundle_dims ranks its rows on the free columns only.  The
+        # top degree keeps no kernel, and a larger top changes no degree.
+        table, higher = pp._splines(cp, cp.n), pp._splines(cp, cp.n + 1)
+        assert table[cp.n][1] == () and table[cp.n][0] == higher[cp.n][0]
+        for d, (free, kernel) in enumerate(table[:cp.n]):
             assert len(free) == len(kernel) == pp.pp_graded_dim(cp, d)
             read = [{free[c]: x for c, x in q.items() if c in free} for q in kernel]
             assert exact.rank(read, len(free)) == len(kernel), (label, d)
             assert all(type(x) is int for q in kernel for x in q.values())
+            assert higher[d] == (free, kernel), (label, d)
 
 
 class TestLinearPaths:
@@ -419,7 +431,7 @@ class TestLinearPaths:
             for d in range(1, cp.n + 1):
                 for a, shift in enumerate(pp._shift_maps(cp, d)):
                     char = global_character(cp, [int(r == a) for r in range(cp.n)])
-                    for q, el in zip(pp._spline_kernel(cp, d - 1), pp.pp_basis(cp, d - 1)):
+                    for q, el in zip(pp._splines(cp, cp.n)[d - 1][1], pp.pp_basis(cp, d - 1)):
                         shifted = pp._from_vector(cp, d, {shift[j]: x for j, x in q.items()})
                         assert shifted == pp.multiply(char, el), (inst.label, d, a)
 
@@ -459,7 +471,7 @@ class TestLinearPaths:
             cp = inst.cp
             rows_by_degree = cycle_rows(cp, cp.n)
             for d in range(1, cp.n + 1):
-                q = pp._spline_kernel(cp, d)[0]
+                q = pp._splines(cp, cp.n + 1)[d][1][0]
                 assert pp.is_compatible(pp._from_vector(cp, d, q))
                 # every coordinate that some cycle row reads (cp1 has none)
                 for j in {j for rows in rows_by_degree[d] for row in rows.values()
