@@ -21,6 +21,13 @@ sum <gamma x^alpha, [M]> h^alpha / alpha! over the face monomials x^alpha
 of degree k (`pairing_polynomial`), since the x_i are even, rho has unit
 base part, and a monomial whose support is no face is zero in the ring.  The direct potential of invsys and the BKK
 sampler of multipoly both read it.
+
+`betti` and `quotient_algebra` share one walk up the degrees
+(`_relation_spaces`) that inserts the relations theta_a = c(e_a) -
+sum_i lam_i[a] x_i in n stages, theta_a only times a complement of
+(theta_1..theta_{a-1}) two degrees down: that is an ideal, so the spans are
+those of the full relation set, and on a valid pair every row raises the
+rank.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import exact
 from .basealg import ChernData, Element, GradedBaseAlgebra, el_add, el_scale
@@ -266,37 +273,79 @@ def _expand(ring: BundleRing, el: BundleElement,
             if is_face(ring.cp, _support(pair[0]))}
 
 
-def relation_vectors(ring: BundleRing, d: int) -> tuple[list[tuple[Expo, int]], list[dict]]:
-    """Spanning basis of degree d and sparse rows spanning the relations in it.
+def relation_vectors(ring: BundleRing, d: int,
+                     positions: Sequence[Iterable[int]] | None = None
+                     ) -> tuple[list[tuple[Expo, int]], list[list[dict]]]:
+    """Spanning basis of degree d and, per standard character a, sparse rows
+    of relations in it.
 
-    One row per degree-(d-2) basis term b x^expo and standard character a:
-    the relation c(e_a) - sum_i lam_i[a] x_i times it, which is
-    c(e_a) b x^expo minus lam_i[a] at each face term b x^(expo + e_i).
+    rows[a] holds theta_a = c(e_a) - sum_i lam_i[a] x_i times each
+    degree-(d-2) basis term b x^expo at the positions positions[a] of
+    graded_basis(ring, d - 2), every position when positions is None: the
+    row c(e_a) b x^expo minus lam_i[a] at each face term b x^(expo + e_i).
     """
     basis = graded_basis(ring, d)
+    cp = ring.cp
+    rows: list[list[dict]] = [[] for _ in range(cp.n)]
+    if d < 2:
+        return basis, rows
     index = {pair: i for i, pair in enumerate(basis)}
-    vectors = []
-    if d >= 2:
-        cp, base = ring.cp, ring.base
-        for expo, b in graded_basis(ring, d - 2):
-            up = [index.get((_bump(expo, i), b)) for i in range(cp.s)]
-            for a in range(cp.n):
-                row = {index[expo, k]: c
-                       for k, c in base.mul(ring.chern.image(a), {b: 1}).items()}
-                for i, col in enumerate(up):
-                    if col is not None and cp.lam[i][a]:
-                        row[col] = -cp.lam[i][a]
-                vectors.append(row)
-    return basis, vectors
+    below = graded_basis(ring, d - 2)
+    for a, stage in enumerate(rows):
+        image, products = ring.chern.image(a), {}
+        lam = [(i, -cp.lam[i][a]) for i in range(cp.s) if cp.lam[i][a]]
+        for p in range(len(below)) if positions is None else positions[a]:
+            expo, b = below[p]
+            if b not in products:
+                # Integral entries as ints, so RowSpace clears no denominator.
+                products[b] = [(k, exact.int_if_integral(c))
+                               for k, c in ring.base.mul(image, {b: 1}).items()]
+            row = {index[expo, k]: c for k, c in products[b]}
+            for i, v in lam:
+                col = index.get((_bump(expo, i), b))
+                if col is not None:
+                    row[col] = v
+            stage.append(row)
+    return basis, rows
+
+
+def _relation_spaces(ring: BundleRing, last: int):
+    """Yield (basis, relation span) for each degree d = 0..last.
+
+    Degree d's relations enter in n stages, stage a inserting theta_a times
+    the unit vectors at the free columns that stages 1..a-1 left in degree
+    d-2.  Those complement (theta_1..theta_{a-1})_{d-2}, and theta_a times
+    that ideal lies in the ideal, so each stage spans theta_a times all of
+    degree d-2 modulo the earlier stages: the span, and with it the pivots,
+    free columns and normal forms, is the full relation set's.  On a valid
+    pair the theta_a are a regular sequence, so every inserted row raises
+    the rank.  Only the free columns after each stage are kept, for two
+    degrees.
+    """
+    free: dict[int, list] = {}
+    for d in range(last + 1):
+        basis, rows = relation_vectors(ring, d, free.pop(d - 2, None))
+        span = exact.RowSpace(len(basis))
+        # after[a]: the free columns after stages 1..a, which stage a + 1
+        # reads two degrees up.
+        after = [range(len(basis))]
+        for stage in rows:
+            for row in stage:
+                span.insert(row)
+            after.append(span.free_columns())
+        free[d] = after
+        yield basis, span
 
 
 def betti(ring: BundleRing) -> list[int]:
-    """Graded dimensions of the quotient in degrees 0..(base top + 2n)."""
-    dims = []
-    for d in range(ring.total_degree + 1):
-        basis, vectors = relation_vectors(ring, d)
-        dims.append(len(basis) - exact.rank(vectors, len(basis)))
-    return dims
+    """Graded dimensions of the quotient in degrees 0..(base top + 2n).
+
+    The relations come staged by character (`_relation_spaces`): stage a
+    multiplies theta_a only into a complement of (theta_1..theta_{a-1}),
+    which loses nothing since that is an ideal.
+    """
+    return [len(basis) - span.rank
+            for basis, span in _relation_spaces(ring, ring.total_degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +361,21 @@ def quotient_algebra(ring: BundleRing) -> GradedBaseAlgebra:
     checked by rank to span degrees top+1 and top+2, and every spanning term
     of degree D > top carries some x_i (its base part has degree at most the
     base's top), so degree D >= top+3 is x_i times degree D-2 and the
-    quotient vanishes above top by induction.
+    quotient vanishes above top by induction.  All degrees come from the
+    staged walk of `betti`, whose spans are the full relation set's because
+    (theta_1..theta_{a-1}) is an ideal; so are the free columns and normal
+    forms, which depend only on the span.
     """
     top = ring.total_degree
-    for d in (top + 1, top + 2):
-        basis, vectors = relation_vectors(ring, d)
-        if exact.rank(vectors, len(basis)) != len(basis):
-            raise MalformedInputError("quotient does not vanish above top degree")
     per_degree: dict[int, dict] = {}
     names: list[str] = []
     degrees: list[int] = []
     rep_elements: list[BundleElement] = []
-    for d in range(top + 1):
-        basis, vectors = relation_vectors(ring, d)
-        span = exact.RowSpace(len(basis), vectors)
+    for d, (basis, span) in enumerate(_relation_spaces(ring, top + 2)):
+        if d > top:
+            if span.rank != len(basis):
+                raise MalformedInputError("quotient does not vanish above top degree")
+            continue
         # The representatives extend the relation span to everything, column
         # by column from the left: exactly RowSpace's free columns.
         chosen = span.free_columns()

@@ -13,8 +13,10 @@ from qtk import charpair as cpm
 from qtk import exact
 from qtk import srbundle as sr
 from qtk.catalog import all_instances, get
+from qtk.cli import load_bundle_file
 from qtk.errors import DegreeMismatchError, MalformedInputError
 
+import fans
 from conftest import exterior_algebra, hirzebruch_ring
 
 
@@ -158,14 +160,52 @@ class TestBetti:
 class TestCherneq:
     def test_relations_pair_to_zero(self):
         # c(lambda) lifted equals sum <lam_i, lambda> x_i against everything:
-        # every top-degree row that betti ranks evaluates to zero
+        # every top-degree row of the full relation set evaluates to zero
         for inst in all_instances():
             ring = inst.ring()
             basis, rows = sr.relation_vectors(ring, ring.total_degree)
-            assert rows, inst.label
-            for row in rows:
+            assert len(rows) == inst.cp.n and all(rows), inst.label
+            for row in (row for stage in rows for row in stage):
                 el = {basis[col]: F(c) for col, c in row.items()}
                 assert sr.evaluate_top(ring, el) == 0, inst.label
+
+
+# Every catalog ring and every pinned generated fan and bundle; all are
+# valid pairs.
+STAGED_RINGS = [(inst.label, inst.ring()) for inst in all_instances()] + [
+    (name, load_bundle_file(fans.bundle_path(name)).ring()) for name in sorted(fans.PINNED)]
+
+
+def staged_spaces(ring, monkeypatch):
+    """Per degree 0..top+2: the walk's basis and span, the number of rows
+    the walk built, and the span of the full relation set."""
+    built, real = [], sr.relation_vectors
+
+    def counting(ring, d, positions=None):
+        basis, rows = real(ring, d, positions)
+        built.append(sum(map(len, rows)))
+        return basis, rows
+
+    monkeypatch.setattr(sr, "relation_vectors", counting)
+    for d, (basis, span) in enumerate(sr._relation_spaces(ring, ring.total_degree + 2)):
+        full = [row for stage in real(ring, d)[1] for row in stage]
+        yield d, basis, span, built[d], full
+
+
+@pytest.mark.parametrize("ring", [ring for _, ring in STAGED_RINGS],
+                         ids=[label for label, _ in STAGED_RINGS])
+class TestStagedRelations:
+    def test_staged_span_is_the_full_span(self, ring, monkeypatch):
+        for d, basis, span, _, full in staged_spaces(ring, monkeypatch):
+            reference = exact.RowSpace(len(basis), full)
+            assert span.rank == reference.rank, d
+            assert span.free_columns() == reference.free_columns(), d
+            assert all(span.contains(row) for row in full), d
+
+    def test_every_staged_row_raises_the_rank(self, ring, monkeypatch):
+        # The theta_a are a regular sequence on a valid pair.
+        for d, _, span, built, _ in staged_spaces(ring, monkeypatch):
+            assert built == span.rank, d
 
 
 class TestChoiceIndependence:
