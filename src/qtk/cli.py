@@ -6,6 +6,11 @@ catalog names ("catalog:cp2", "hirzebruch?a=2") or paths to bundle JSON
 files.  Reports are byte-deterministic; rationals are serialized as strings.
 
 Exit codes: 0 success / verified, 1 mathematical check failed, 2 bad input.
+Every command that takes an instance reads it through `_instance`, which
+builds the bundle ring before it validates the pair and the base, so a
+malformed bundle (Chern data of the wrong rank, a base name that collides
+with a divisor or support variable) exits 2 from every command, even when
+its pair or base would also fail validation.
 
 Every command runs in a fresh process, so start-up is kept small: the
 report digest is hashed with CPython's built-in `_sha256` (`_sha2` from
@@ -94,7 +99,7 @@ def _inline_or_path(value, loader_json, base_dir):
 def load_bundle_file(path: str) -> cat.InstanceBundle:
     data = _read_json(path)
     if not isinstance(data, dict):
-        raise QtkError(f"bundle file {path} must hold a JSON object")
+        raise MalformedInputError(f"bundle file {path} must hold a JSON object")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         cp = _inline_or_path(data["charpair"], cpm.from_json, base_dir)
@@ -102,7 +107,7 @@ def load_bundle_file(path: str) -> cat.InstanceBundle:
         chern = _inline_or_path(data["chern"], lambda d: ba.chern_from_json(base, d),
                                 base_dir)
     except KeyError as exc:
-        raise QtkError(f"bundle file misses key {exc}") from exc
+        raise MalformedInputError(f"bundle file misses key {exc}") from exc
     return cat.InstanceBundle(name=os.path.basename(path), params=(), cp=cp,
                               base=base, chern=chern)
 
@@ -164,14 +169,20 @@ def _report(command: str, inst: cat.InstanceBundle | None, extra_input: dict,
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns (report, exit_code).
 
-def _validated_ring(inst: cat.InstanceBundle) -> BundleRing:
-    rep = cpm.validate(inst.cp)
-    if not rep.ok:
+def _instance(spec: str):
+    """The instance spec names, its ring, and the validation reports of its
+    pair and its base; the ring is built, and may raise, before either is
+    validated."""
+    inst = resolve_instance(spec)
+    ring = inst.ring()
+    return inst, ring, cpm.validate(inst.cp), inst.base.validate()
+
+
+def _require_valid(pair_rep, base_rep) -> None:
+    if not pair_rep.ok:
         raise CheckFailure("characteristic pair fails validation")
-    brep = inst.base.validate()
-    if not brep.ok:
+    if not base_rep.ok:
         raise CheckFailure("base algebra fails validation")
-    return inst.ring()
 
 
 def _require_samples(samples: int) -> None:
@@ -205,10 +216,7 @@ def cmd_validate(args) -> tuple[dict, int]:
     results = []
     all_ok = True
     for spec in args.instance:
-        inst = resolve_instance(spec)
-        inst.ring()  # the bundle's own checks: Chern rank and base names
-        pair_rep = cpm.validate(inst.cp)
-        base_rep = inst.base.validate()
+        inst, _, pair_rep, base_rep = _instance(spec)
         ok = pair_rep.ok and base_rep.ok
         all_ok = all_ok and ok
         results.append({
@@ -224,15 +232,15 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 
 def cmd_betti(args) -> tuple[dict, int]:
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, ring, *reports = _instance(args.instance)
+    _require_valid(*reports)
     dims = sr.betti(ring)
     return _report("betti", inst, {}, {"dims": dims, "total": sum(dims)}), 0
 
 
 def cmd_volume(args) -> tuple[dict, int]:
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, _, *reports = _instance(args.instance)
+    _require_valid(*reports)
     h = parse_h(args.h, inst.cp.s)
     val = mp.volume(inst.cp, h)
     return _report("volume", inst, {"h": args.h},
@@ -240,8 +248,8 @@ def cmd_volume(args) -> tuple[dict, int]:
 
 
 def cmd_intersect(args) -> tuple[dict, int]:
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, ring, *reports = _instance(args.instance)
+    _require_valid(*reports)
     classes = [parse_class(ring, lit) for lit in args.classes.split(";") if lit.strip()]
     gamma = parse_gamma(ring, args.gamma)
     val = sr.intersection_number(ring, classes, gamma)
@@ -250,8 +258,8 @@ def cmd_intersect(args) -> tuple[dict, int]:
 
 
 def cmd_bkk(args) -> tuple[dict, int]:
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, ring, *reports = _instance(args.instance)
+    _require_valid(*reports)
     gamma = parse_gamma(ring, args.gamma)
     h = parse_h(args.h, inst.cp.s)
     lhs, rhs = mp.bkk_sides(ring, gamma, args.i, h)
@@ -264,8 +272,8 @@ def cmd_bkk(args) -> tuple[dict, int]:
 
 
 def cmd_horizontal(args) -> tuple[dict, int]:
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, ring, *reports = _instance(args.instance)
+    _require_valid(*reports)
     h = parse_h(args.h, inst.cp.s)
     el = mp.horizontal_part(ring, h, args.i)
     result = {
@@ -276,8 +284,8 @@ def cmd_horizontal(args) -> tuple[dict, int]:
 
 
 def cmd_potential(args) -> tuple[dict, int]:
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, ring, *reports = _instance(args.instance)
+    _require_valid(*reports)
     builder = iv.bundle_potential_integral if args.mode == "integral" \
         else iv.bundle_potential_direct
     pot = builder(ring)
@@ -287,16 +295,16 @@ def cmd_potential(args) -> tuple[dict, int]:
 
 
 def cmd_ann_hilbert(args) -> tuple[dict, int]:
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, ring, *reports = _instance(args.instance)
+    _require_valid(*reports)
     pot = iv.bundle_potential_integral(ring)
     return _report("ann-hilbert", inst, {}, iv.hilbert_json(iv.ann_hilbert(pot))), 0
 
 
 def cmd_ann_generators(args) -> tuple[dict, int]:
     _require_max_degree(args.max_degree)
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, ring, *reports = _instance(args.instance)
+    _require_valid(*reports)
     pot = iv.bundle_potential_integral(ring)
     gens = iv.ann_generators(pot, args.max_degree)
     result = {
@@ -309,8 +317,8 @@ def cmd_ann_generators(args) -> tuple[dict, int]:
 
 def cmd_brion(args) -> tuple[dict, int]:
     _require_max_degree(args.max_degree)
-    inst = resolve_instance(args.instance)
-    ring = _validated_ring(inst)
+    inst, ring, *reports = _instance(args.instance)
+    _require_valid(*reports)
     bundle_dims, fiber = pp.brion_bundle_dims(ring, args.max_degree)
     return _report("brion", inst, {"max_degree": args.max_degree},
                    {"bundle_dims": bundle_dims, "fiber_quotient_dims": fiber}), 0
@@ -371,14 +379,11 @@ def _bkk_samples(ring: BundleRing, count: int, seed: int):
 def cmd_check_all(args) -> tuple[dict, int]:
     _require_samples(args.samples)
     seed = _seed(args.seed)
-    inst = resolve_instance(args.instance)
-    pair_rep = cpm.validate(inst.cp)
-    base_rep = inst.base.validate()
+    inst, ring, pair_rep, base_rep = _instance(args.instance)
     result: dict = {"validation": pair_rep.ok and base_rep.ok}
     if not result["validation"]:
         report = _report("check-all", inst, {}, dict(result, ok=False))
         return report, 1
-    ring = inst.ring()
     dims = sr.betti(ring)
     brion, _ = pp.brion_bundle_dims(ring)
     result["betti"] = dims

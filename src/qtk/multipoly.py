@@ -30,31 +30,33 @@ sum_j a[k][j] l(A)^(n+d-j) zeta(A)^j, a pole for k < m.  One plan serves
 numeric h and symbolic h (a MultiPoly in h_1..h_s).  Numeric h runs
 through one int core, `_batch`, which evaluates a plan on a batch of
 cleared support vectors held as one int column per ray, every step a map
-over whole columns; a single h is a batch of one.  Symbolic h expands
-each power of l(A) and zeta(A) by the multinomial theorem over the cone's
-rays into an int-coefficient MultiPoly and combines the same Laurent
-coefficients.  Both check that the poles cancel, on every sample and on
-every symbolic evaluation, and each divides by the common denominator
-once at the end.
+over whole columns; a single h is a batch of one.  Every batch enters
+the core through one helper, `_cleared`, which clears it column by
+column.  Symbolic h expands each power of l(A) and zeta(A) by the
+multinomial theorem over the cone's rays into an int-coefficient
+MultiPoly and combines the same Laurent coefficients.  Both check that
+the poles cancel, on every sample and on every symbolic evaluation, and
+each divides by the common denominator once at the end.
 
 The BKK comparison caches one sampler per (ring, gamma, i): the
 integration plan of f_gamma, and a table with one int weight
 k!/alpha! * <gamma x^alpha, [M]> per face monomial x^alpha of degree
 k = n + i, cleared from srbundle's `pairing_polynomial`, the same
 polynomial the direct potential reads.  The int core sums that table too,
-building each H_j^e column it needs once per batch.  I_gamma, F_gamma,
-bkk_sides and bkk_check all read the sampler through the core, the first
-three with a batch of one.  bkk_sides returns both sides of one sample,
-for the caller to compare.  bkk_check takes a whole stream of samples and
-returns only the failing ones, in sample order.  It reads the stream one
-sample at a time: h is checked as support_vector checks it and cleared to
-H / D in place, the sampler of each distinct (gamma, i) is read once per
-call, and the sample is queued under its sampler.  Every CHUNK samples,
-and at the end of the stream, each sampler's queue runs through the core
-as one batch, so memory stays bounded however long the stream is.  The
-sides are compared as int cross products, with Fractions built only for
-a failure.  An error in h or (gamma, i) raises at its own sample; a pole
-error raises when its sample's chunk is evaluated.
+building each H_j^e column it needs once per batch.  bkk_sides and
+bkk_check read the sampler through the core, bkk_sides with a batch of
+one; it returns both sides of one sample, for the caller to compare, and
+I_gamma and F_gamma are its two sides divided by (n+i)! and by i!.
+bkk_check takes a whole stream of samples and returns only the failing
+ones, in sample order.  It reads the stream one sample at a time: h is
+checked as support_vector checks it and queued as read under its
+sampler, whose (gamma, i) is read once per call.  Every CHUNK samples,
+and at the end of the stream, each sampler's queue is cleared column by
+column and runs through the core as one batch, so memory stays bounded
+however long the stream is.  The sides are compared as int cross
+products, with Fractions built only for a failure.  An error in h or
+(gamma, i) raises at its own sample; a pole error raises when its
+sample's chunk is evaluated.
 """
 
 from __future__ import annotations
@@ -63,13 +65,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, mul, ne
+from operator import add, attrgetter, floordiv, mul, ne
 from typing import Iterable, Sequence
 
 from .basealg import Element, chern_power_symbolic, f_gamma
 from .charpair import CharacteristicPair, cone_sign, dual_edge_frame, support_vector
 from .errors import DegreeMismatchError, MalformedInputError
-from .exact import as_scalar, cleared_dense, dot, int_if_integral
+from .exact import as_scalar, dot, int_if_integral
 from .poly import MultiPoly, power_of_linear_forms, weighted_monomials
 from .srbundle import BundleRing, pairing_polynomial
 
@@ -223,10 +225,6 @@ def _integration_plan(cp: CharacteristicPair, f: MultiPoly,
     return _scaled_plans(cp, [(ell, d, w) for (ell, d), w in merged.items() if w])
 
 
-# A plan without forms: its integral is 0.
-_NO_FORMS = (1, ())
-
-
 def _column(cols, rays, coeffs, size: int):
     """sum_k coeffs[k] * cols[rays[k]] over the nonzero coeffs, one entry
     per sample of a batch of size samples, as an iterator."""
@@ -294,10 +292,16 @@ def _batch(plan, table, cols, scales):
     return nums, sums
 
 
-def _as_batch(h: Sequence[Fraction]):
-    """h as a batch of one: its columns and scales (see _batch)."""
-    big_h, scale = cleared_dense(h)
-    return [[v] for v in big_h], [scale]
+def _cleared(hs: Sequence[Sequence[Fraction]]):
+    """A batch of support vectors h_b, entries Fractions or ints, cleared
+    for the int core: (cols, scales) with h_b = H_b / D_b, cols[i] holding
+    H_b[i] and scales D_b, the lcm of h_b's denominators, of every sample
+    b.  Every step is a map over one ray's column of the batch."""
+    cols = list(zip(*hs))
+    dens = [list(map(attrgetter("denominator"), col)) for col in cols]
+    scales = list(map(lcm, repeat(1, len(hs)), *dens))  # the 1s serve a pair without rays
+    return [list(map(mul, map(attrgetter("numerator"), col), map(floordiv, scales, den)))
+            for col, den in zip(cols, dens)], scales
 
 
 @lru_cache(maxsize=None)
@@ -349,8 +353,8 @@ def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
     """A scaled plan's integral: a Fraction for numeric h, a MultiPoly in
     h_1..h_s when h is None.
 
-    Numeric h is written once as H / D with integer H and runs through the
-    int core as a batch of one; one division by den * D^top ends it.
+    Numeric h is cleared to H / D with integer H and runs through the int
+    core as a batch of one; one division by den * D^top ends it.
     Symbolic h has int coefficients over den, divided once at the end.
     """
     den, forms = plan
@@ -358,7 +362,7 @@ def _evaluate(cp: CharacteristicPair, plan, h: Sequence[Fraction] | None):
         total = sum((_symbolic_form(cp.s, power, flat, poles) for power, flat, poles in forms), 0)
         terms = total.terms if total else {}  # total is the int 0 without terms
         return MultiPoly._trusted(cp.s, {e: Fraction(v, den) for e, v in terms.items()})
-    cols, scales = _as_batch(h)
+    cols, scales = _cleared([h])
     (num,), _ = _batch(plan, (), cols, scales)
     return Fraction(num, den * scales[0] ** _top(forms))
 
@@ -437,26 +441,6 @@ def _sampler(ring: BundleRing, gamma: Element, i: int):
     return _bkk_sampler(ring, tuple(sorted((idx, c) for idx, c in gamma.items() if c)), i)
 
 
-def I_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
-    """Integral pipeline: integral over Delta(h) of <c(x)^i gamma, [B]>."""
-    h = support_vector(ring.cp, h)
-    plan, _, _ = _sampler(ring, gamma, i)
-    return _evaluate(ring.cp, plan, h)
-
-
-def F_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
-    """Topological pipeline: <rho(h)^(n+i) gamma, [M]>.
-
-    With h = H / D for integer H, the sampler's table of weighted face
-    monomials is summed at H in ints; one division by wden * D^(n+i) ends it.
-    """
-    h = support_vector(ring.cp, h)
-    _, table, wden = _sampler(ring, gamma, i)
-    cols, scales = _as_batch(h)
-    _, (total,) = _batch(_NO_FORMS, table, cols, scales)
-    return Fraction(total, wden * scales[0] ** (ring.cp.n + i))
-
-
 def _sides(sampler, i: int, k: int, num: int, total: int, scale: int):
     """Both sides of the BKK identity, (n+i)! * I_gamma and i! * F_gamma
     with k = n + i, from the int core's num and sum at h = H / scale."""
@@ -472,21 +456,34 @@ def bkk_sides(ring: BundleRing, gamma: Element, i: int,
     h = support_vector(ring.cp, h)
     sampler = _sampler(ring, gamma, i)
     plan, table, _ = sampler
-    cols, scales = _as_batch(h)
+    cols, scales = _cleared([h])
     (num,), (total,) = _batch(plan, table, cols, scales)
     return _sides(sampler, i, ring.cp.n + i, num, total, scales[0])
 
 
+def I_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
+    """Integral pipeline: integral over Delta(h) of <c(x)^i gamma, [B]>,
+    bkk_sides' first side over (n+i)!."""
+    return bkk_sides(ring, gamma, i, h)[0] / factorial(ring.cp.n + i)
+
+
+def F_gamma(ring: BundleRing, gamma: Element, i: int, h: Sequence) -> Fraction:
+    """Topological pipeline: <rho(h)^(n+i) gamma, [M]>, bkk_sides' second
+    side over i!."""
+    return bkk_sides(ring, gamma, i, h)[1] / factorial(i)
+
+
 def _check_queues(queues, n: int, failures: list):
-    """Run each sampler's queued samples through the int core as one batch,
-    append each failure as (its index in the stream, its report) and empty
-    the queues.  The sides are compared as k! * num * wden * D^k == i! *
-    sum * den * D^top, with k = n + i, so only a failure builds Fractions."""
+    """Clear each sampler's queued support vectors and run them through the
+    int core as one batch, append each failure as (its index in the stream,
+    its report) and empty the queues.  The sides are compared as k! * num *
+    wden * D^k == i! * sum * den * D^top, with k = n + i, so only a failure
+    builds Fractions."""
     for _, sampler, i, rows, refs in queues:
         if not rows:
             continue
         (den, forms), table, wden = sampler
-        *cols, scales = zip(*rows)
+        cols, scales = _cleared(rows)
         nums, sums = _batch((den, forms), table, cols, scales)
         k, top = n + i, _top(forms)
         lhs = map(mul, nums, repeat(factorial(k) * wden))
@@ -508,16 +505,17 @@ def bkk_check(ring: BundleRing, samples: Iterable[tuple[Element, int, Sequence]]
     (gamma, i, h, lhs, rhs) in sample order, lhs and rhs as in bkk_sides.
 
     The stream is read one sample at a time.  Its h is checked as
-    support_vector checks it and cleared to H / D in place; the sampler of
-    a written (gamma, i) is read through _sampler where it first appears,
-    after h's checks, as in bkk_sides.  So such an error raises at the
-    sample that causes it, as bkk_sides would.  The cleared sample, D last,
-    is queued under its sampler, and every CHUNK samples each sampler's
-    queue runs through the int core as one batch; a pole error raises there.
+    support_vector checks it; the sampler of a written (gamma, i) is read
+    through _sampler where it first appears, after h's checks, as in
+    bkk_sides.  So such an error raises at the sample that causes it, as
+    bkk_sides would.  The checked h is queued as read under its sampler,
+    and every CHUNK samples each sampler's queue is cleared column by
+    column and runs through the int core as one batch; a pole error raises
+    there.
     """
     n, s = ring.cp.n, ring.cp.s
     # Per i and gamma's indices, which hash as ints, one queue (values,
-    # sampler, i, cleared samples, (index, gamma, h) of each) per distinct
+    # sampler, i, checked h, (index, gamma, h) of each) per distinct
     # values of gamma; those are compared, not hashed, and a repeated value
     # object compares by identity.
     samplers: dict[tuple, list] = {}
@@ -535,10 +533,7 @@ def bkk_check(ring: BundleRing, samples: Iterable[tuple[Element, int, Sequence]]
             queue = (values, _sampler(ring, gamma, i), i, [], [])
             samplers.setdefault(key, []).append(queue)
             queues.append(queue)
-        den = lcm(*[v.denominator for v in hs])
-        row = [v.numerator * (den // v.denominator) for v in hs]
-        row.append(den)
-        queue[3].append(row)
+        queue[3].append(hs)
         queue[4].append((index, gamma, h))
         if index % CHUNK == CHUNK - 1:
             _check_queues(queues, n, failures)

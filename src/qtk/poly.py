@@ -189,9 +189,6 @@ class MultiPoly:
     def coefficient(self, expo: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {sum(e) for e in self.terms}
         if not degs:

@@ -28,6 +28,7 @@ from qtk.catalog import all_instances, get
 from qtk import cli
 from qtk.cli import (COMMANDS, MAX_DEGREE, MAX_SAMPLES, _bkk_samples, instance_digest,
                      load_bundle_file, main)
+from qtk.errors import MalformedInputError
 from qtk.literals import parse_class
 
 from conftest import clear_caches, exterior_algebra
@@ -59,6 +60,14 @@ def bundle_payload(inst):
     """An instance as the JSON object of a bundle file, every part inline."""
     return {"charpair": cpm.to_json(inst.cp), "base": ba.to_json(inst.base),
             "chern": ba.chern_to_json(inst.base, inst.chern)}
+
+
+# The cp4 bundle over CP^2; the same with its first lattice vector doubled,
+# so every cone on that ray has determinant 2; and Chern data of rank 3.
+CP4_OVER_CP2 = fans.bundle(fans.cp_fan(4), 2, (1, -1, 2, 0))
+DOUBLED_LAMBDA = copy.deepcopy(CP4_OVER_CP2)
+DOUBLED_LAMBDA["charpair"]["lambda"][0] = [2 * x for x in DOUBLED_LAMBDA["charpair"]["lambda"][0]]
+RANK_3_CHERN = {"n": 3, "images": [["1"], ["-1"], ["2"]]}
 
 
 @pytest.fixture()
@@ -110,21 +119,31 @@ class TestValidate:
         assert code == 0
         assert len(report["result"]["instances"]) == 3
 
-    @pytest.mark.parametrize("text, message", [
+    @pytest.mark.parametrize("payload, message, pair_ok", [
         # a cp4 bundle over CP^2 whose Chern data has rank 3
-        (json.dumps(dict(fans.bundle(fans.cp_fan(4), 2, (1, -1, 2, 0)),
-                         chern={"n": 3, "images": [["1"], ["-1"], ["2"]]})),
-         "chern rank does not match fan dimension"),
+        (dict(CP4_OVER_CP2, chern=RANK_3_CHERN), "chern rank does not match fan dimension",
+         True),
         # bott4 over CP^1 with its base class t named x1
-        (fans.bundle_text(*fans.BUNDLES["bott4-over-cp1"]).replace('"t"', '"x1"'),
-         "base name 'x1' collides with divisor or support variables"),
-    ], ids=["chern-rank", "base-name"])
+        (json.loads(fans.bundle_text(*fans.BUNDLES["bott4-over-cp1"])
+                    .replace('"t"', '"x1"')),
+         "base name 'x1' collides with divisor or support variables", True),
+        # the rank-3 Chern data on a pair that fails validation too
+        (dict(DOUBLED_LAMBDA, chern=RANK_3_CHERN), "chern rank does not match fan dimension",
+         False),
+    ], ids=["chern-rank", "base-name", "chern-rank-on-invalid-pair"])
     def test_malformed_bundle_exits_2_as_every_command_does(self, capsys, tmp_path,
-                                                             text, message):
+                                                             payload, message, pair_ok):
+        """Every command that takes an instance builds its ring before it
+        validates the pair, so the malformed bundle is bad input everywhere."""
+        assert cpm.validate(cpm.from_json(payload["charpair"])).ok is pair_ok
         path = tmp_path / "malformed.json"
-        path.write_text(text, encoding="utf-8")
-        for command in ("validate", "betti", "brion", "check-all"):
-            code, out, err = run(capsys, command, str(path))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        h = ",".join(["1"] * len(payload["charpair"]["rays"]))
+        for command, *options in (
+                ("validate",), ("betti",), ("volume", "--h", h), ("bkk", "--h", h),
+                ("horizontal", "--h", h), ("intersect", "--classes", "x1"), ("potential",),
+                ("ann-hilbert",), ("ann-generators",), ("brion",), ("check-all",)):
+            code, out, err = run(capsys, command, str(path), *options)
             assert (code, out) == (2, ""), command
             assert message in err, command
 
@@ -925,7 +944,20 @@ class TestMalformedInput:
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")
         err = self.assert_bad_input(capsys, "betti", str(path))
-        assert "JSON object" in err
+        assert f"bundle file {path} must hold a JSON object" in err
+        with pytest.raises(MalformedInputError, match="must hold a JSON object"):
+            load_bundle_file(str(path))
+
+    @pytest.mark.parametrize("key", ["charpair", "base", "chern"])
+    def test_missing_key(self, capsys, tmp_path, key):
+        payload = bundle_payload(get("cp2"))
+        del payload[key]
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        err = self.assert_bad_input(capsys, "betti", str(path))
+        assert f"bundle file misses key '{key}'" in err
+        with pytest.raises(MalformedInputError, match=f"misses key '{key}'"):
+            load_bundle_file(str(path))
 
     @pytest.mark.parametrize("literal", ["1/0*x1;x1", "0/0 x1", "x1+2/0"])
     def test_zero_denominator(self, capsys, literal):
