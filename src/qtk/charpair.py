@@ -5,7 +5,8 @@ simplicial fan, the lattice vector attached to each ray, and the maximal
 cones.  All indices are 0-based internally; the JSON interchange format is
 1-based (see from_json / to_json).  `validate` checks a pair exactly, in
 integers: determinants of the cleared ray directions and of the lattice
-vectors, and the signs of integer dot products with facet normals.
+vectors, and the signs of integer dot products with facet normals, all
+read from one elimination per cone matrix (`_cone`).
 
 A multi-polytope over a pair is just its support vector h, one rational per
 ray (`support_vector`); a cone's orientation sign is a plain int.
@@ -16,11 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from operator import mul
 from typing import Sequence
 
 from .errors import MalformedInputError, NotAConeError, NotAFaceError, SingularMatrixError
-from .exact import (RowSpace, as_int, as_scalar, cleared, cleared_dense, det, inverse_int,
-                    scalar_str)
+from .exact import as_int, as_scalar, cleared_dense, inverse_int, scalar_str
 from .record import Record
 
 
@@ -141,20 +142,21 @@ def _cleared_rays(cp: CharacteristicPair) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _cone(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[
-        Fraction, int, tuple[tuple[Fraction, ...], ...] | None]:
+        int, int, tuple[tuple[int, ...], ...] | None, tuple[tuple[int, ...], ...] | None]:
     """Everything read from one maximal cone's matrices, once per pair and
-    sorted cone, in two integer eliminations: (det of the cleared ray
-    directions, a positive multiple of the ray directions' det; det of the
-    lattice vectors; the dual edge frame, or None when the lattice vectors
-    are dependent).
-    One elimination of [lambda_sigma | I] gives both det lambda_sigma and
-    the adjugate, and the frame is the adjugate over the determinant."""
+    sorted cone, in two integer eliminations, one of [lambda_sigma | I] and
+    one of [cleared ray directions | I]: (det of the cleared ray directions,
+    a positive multiple of the ray directions' det; det of the lattice
+    vectors; the columns of adj lambda_sigma; the columns of the cleared
+    rays' adjugate).  An adjugate is None when its matrix is singular.
+    The dual edge frame is the lattice adjugate over its determinant (see
+    _frame), and each facet normal a column of the rays' adjugate (see
+    _wall)."""
     rays = _cleared_rays(cp)
-    d_lam, adjugate = inverse_int(cp.lam_rows(key))
-    frame = None
-    if adjugate is not None:
-        frame = tuple(tuple(Fraction(x, d_lam) for x in col) for col in adjugate)
-    return det([rays[i] for i in key]), d_lam, frame
+    d_lam, adj_lam = inverse_int(cp.lam_rows(key))
+    d_rays, adj_rays = inverse_int([rays[i] for i in key])
+    as_tuples = lambda cols: None if cols is None else tuple(map(tuple, cols))
+    return d_rays, d_lam, as_tuples(adj_lam), as_tuples(adj_rays)
 
 
 def _maximal(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[int, ...]:
@@ -164,11 +166,15 @@ def _maximal(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[int, ...]:
     return key
 
 
+@lru_cache(maxsize=None)
 def _frame(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    frame = _cone(cp, key)[2]
-    if frame is None:
+    """The dual edge frame of a maximal cone, the lattice adjugate's columns
+    over its determinant, built on first read: validation reads only the
+    two determinants and the rays' adjugate."""
+    _, d_lam, adjugate, _ = _cone(cp, key)
+    if adjugate is None:
         raise SingularMatrixError("matrix is singular")
-    return frame
+    return tuple(tuple(Fraction(x, d_lam) for x in col) for col in adjugate)
 
 
 def cone_sign(cp: CharacteristicPair, cone: Sequence[int]) -> int:
@@ -178,7 +184,7 @@ def cone_sign(cp: CharacteristicPair, cone: Sequence[int]) -> int:
     permuting the cone flips both determinants, so the product is
     ordering-independent and is read from the sorted cone's determinants.
     """
-    d_ray, d_lam, _ = _cone(cp, _maximal(cp, cone))
+    d_ray, d_lam, _, _ = _cone(cp, _maximal(cp, cone))
     if d_ray == 0 or abs(d_lam) != 1:
         raise MalformedInputError("cone fails simpliciality or unimodularity")
     return (1 if d_ray > 0 else -1) * d_lam
@@ -296,22 +302,33 @@ def _check_facet_pairing(cp: CharacteristicPair) -> CheckResult:
     return CheckResult("facet_pairing", True)
 
 
-def _facet_normal(n: int, rows: list[tuple[int, ...]]) -> dict[int, int]:
-    """A primitive integer normal, as a sparse row, of the hyperplane
-    spanned by n - 1 independent integer rows."""
-    (normal,) = RowSpace(n, ({c: x for c, x in enumerate(row) if x} for row in rows)).kernel()
-    return cleared(normal)[0]
-
-
-def _side(normal: dict[int, int], v: Sequence[int]) -> int:
+def _side(normal: Sequence[int], v: Sequence[int]) -> int:
     """Sign of <normal, v>: the side of the normal's hyperplane v is on."""
-    d = sum(x * v[c] for c, x in normal.items())
+    d = sum(map(mul, normal, v))
     return (d > 0) - (d < 0)
+
+
+def _wall(cp: CharacteristicPair, owners: tuple[tuple[int, int], ...]) -> tuple[
+        tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """A paired facet's integer normal and, per owner, (cone index, side of
+    its completing ray).
+
+    The normal is the column of the first owner's ray adjugate (see _cone)
+    at the dropped ray, so no facet needs an elimination of its own: it is
+    orthogonal to the facet's rays and pairs with the completing ray to the
+    cone's nonzero determinant.
+    """
+    (c1, p1), (c2, p2) = owners
+    cone = cp.max_cones[c1]
+    d_rays, _, _, adjugate = _cone(cp, cone)
+    normal = adjugate[cone.index(p1)]
+    s1 = (d_rays > 0) - (d_rays < 0)  # <normal, rays[p1]> is d_rays itself
+    return normal, ((c1, s1), (c2, _side(normal, _cleared_rays(cp)[p2])))
 
 
 def _check_coverage(cp: CharacteristicPair) -> CheckResult:
     """Every generic direction lies in exactly one maximal cone; the pair
-    must be simplicial.
+    must be simplicial, with every facet paired.
 
     A generic path crosses walls only inside facets, and crossing one moves
     only its two cones; on opposite sides, one is left as the other is
@@ -320,20 +337,19 @@ def _check_coverage(cp: CharacteristicPair) -> CheckResult:
     Each hyperplane meets the moment curve (1, c, c^2, ...) at most n - 1
     times, so the walk over c = 1, 2, ... ends.
 
-    Each facet gets one integer normal, the kernel of its cleared rays, and
-    every side is the sign of an integer dot product with it.  Sides are
-    only compared within one facet, so the normal's sign does not matter.
+    Each facet gets one integer normal from its first owner's ray adjugate
+    (see _wall), and every side is the sign of an integer dot product with
+    it.  Sides are only compared within one facet, so the normal's sign and
+    scale do not matter.
     """
-    rays = _cleared_rays(cp)
     walls = []  # (facet normal, ((cone index, side of its completing ray), ...))
-    for facet, sides in facet_table(cp):
-        normal = _facet_normal(cp.n, [rays[i] for i in facet])
-        (c1, s1), (c2, s2) = signed = [(ci, _side(normal, rays[p])) for ci, p in sides]
+    for facet, owners in facet_table(cp):
+        wall = _, ((c1, s1), (c2, s2)) = _wall(cp, owners)
         if s1 == s2:
             return CheckResult("point_coverage", False,
                                f"cones {list(cp.max_cones[c1])} and {list(cp.max_cones[c2])} "
                                f"lie on the same side of facet {list(facet)}")
-        walls.append((normal, signed))
+        walls.append(wall)
     for c in count(1):
         v = [c ** k for k in range(cp.n)]
         at = [_side(normal, v) for normal, _ in walls]

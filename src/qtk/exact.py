@@ -25,11 +25,16 @@ so that no Fraction arises before the final quotients (Nakos, Turner and
 Williams, SIGSAM Bull. 1997).  There is no integer normal form: the cones of
 a valid pair are unimodular, so every lattice question about them is
 answered by the columns of an inverse (see charpair.dual_edge_frame).
+`inverse_int` returns a determinant with its adjugate, so charpair reads a
+cone's determinants, dual frame and facet normals from one elimination per
+cone matrix, and calls no `det`.
+
+Numbers typed as text (`as_scalar`, `ascii_int`) are read with str
+methods, not `re`: no process compiles a pattern to read a fan.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -46,9 +51,19 @@ Row = Sequence[Scalar]
 Matrix = Sequence[Row]
 
 _ONE = Fraction(1)
-# Patterns are compiled on first use (re caches them), not at import.
-_RATIONAL = r"([+-]?)([0-9]+)(?:/([0-9]+))?"
-_INTEGER = r"[+-]?[0-9]+"
+
+
+def _signed(text: str) -> tuple[str, str]:
+    """text's leading '+' or '-' (or '') and the rest, surrounding
+    whitespace stripped first."""
+    text = text.strip()
+    return (text[0], text[1:]) if text[:1] in ("+", "-") else ("", text)
+
+
+def _is_digits(text: str) -> bool:
+    """Whether text is one or more ASCII digits 0-9: str.isdigit alone also
+    takes the other Unicode digits, such as '٣', '²' and '１'."""
+    return text.isascii() and text.isdigit()
 
 
 def as_scalar(x) -> Fraction:
@@ -61,12 +76,13 @@ def as_scalar(x) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    match = re.fullmatch(_RATIONAL, x.strip()) if isinstance(x, str) else None
-    if match:
-        sign, num, den = match.groups("1")
-        num, den = decimal_int(num), decimal_int(den)
-        if den:
-            return Fraction(-num if sign == "-" else num, den)
+    if isinstance(x, str):
+        sign, rest = _signed(x)
+        num, slash, den = rest.partition("/")
+        if _is_digits(num) and (_is_digits(den) or not slash):
+            num, den = decimal_int(num), decimal_int(den) if slash else 1
+            if den:
+                return Fraction(-num if sign == "-" else num, den)
     raise MalformedInputError(f"not a rational: {x!r}")
 
 
@@ -83,7 +99,7 @@ def ascii_int(text: str) -> int:
     QTK_SEED, catalog parameters).  Anything else raises ValueError, the
     other Unicode digits and the `_` separators that int() takes included,
     as do more digits than int() reads (4300 by default)."""
-    if not re.fullmatch(_INTEGER, text.strip()):
+    if not _is_digits(_signed(text)[1]):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
@@ -252,9 +268,8 @@ class RowSpace:
         _, lead = _eliminate(self.rows, vec, full=False)
         if lead < 0:
             return False
-        vec = {c: x for c, x in vec.items() if x}
-        g = gcd(*vec.values())
-        self.rows[lead] = {c: x // g for c, x in vec.items()}
+        g = gcd(*vec.values())  # gcd skips zeros, and vec[lead] is not zero
+        self.rows[lead] = {c: x // g for c, x in vec.items() if x}
         return True
 
     def contains(self, v: SparseRow) -> bool:

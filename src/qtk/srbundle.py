@@ -236,13 +236,16 @@ def face_monomials(cp: CharacteristicPair, xdeg: int) -> tuple[Expo, ...]:
     if xdeg == 0:
         return ((0,) * cp.s,)
     out = []
+    compositions: dict[int, list[list[int]]] = {}
     for face in faces(cp):
         t = len(face)
         if t > xdeg:
-            continue
-        # compositions of xdeg into t positive parts, placed on the face
-        for cut in combinations(range(1, xdeg), t - 1):
-            parts = [b - a for a, b in zip((0,) + cut, cut + (xdeg,))]
+            break  # faces come by size, so every later one is larger too
+        if t not in compositions:
+            # compositions of xdeg into t positive parts, once per face size
+            compositions[t] = [[b - a for a, b in zip((0,) + cut, cut + (xdeg,))]
+                               for cut in combinations(range(1, xdeg), t - 1)]
+        for parts in compositions[t]:
             expo = [0] * cp.s
             for i, p in zip(face, parts):
                 expo[i] = p

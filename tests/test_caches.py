@@ -326,7 +326,7 @@ class TestErrorsAreNotCached:
 # check-all, and the characters reduce asks for, must not grow with the number
 # of BKK samples.
 
-COUNTED = [(cpm, "det"), (cpm, "inverse_int"), (mp, "dot"),
+COUNTED = [(cpm, "inverse_int"), (mp, "dot"),
            (sr, "dual_character"), (mp, "f_gamma"), (mp, "power_of_linear_forms"),
            (sr, "evaluate_top")]
 
@@ -379,18 +379,21 @@ def test_check_all_records_independent_of_sample_count(monkeypatch, spec):
 
 
 def test_check_all_solves_once_per_maximal_cone(monkeypatch):
-    # One elimination of [lambda_sigma | I] gives a cone's whole dual edge frame.
-    assert exact_work(monkeypatch, "cp3", 20)["inverse_int"] == len(get("cp3").cp.max_cones)
+    # One elimination of [lambda_sigma | I] gives a cone's lattice determinant
+    # and whole dual edge frame, and one of [rays | I] its ray determinant and
+    # every facet normal: two per cone, none per facet.
+    assert exact_work(monkeypatch, "cp3", 20)["inverse_int"] == \
+        2 * len(get("cp3").cp.max_cones)
 
 
 @pytest.mark.parametrize("fan", [fans.cp_fan(3), fans.GOLDEN["cp4-blowup"],
                                  fans.GOLDEN["bott4"], fans.GOLDEN["cp2xcp2"]],
                          ids=["cp3", "cp4-blowup", "bott4", "cp2xcp2"])
 def test_validate_eliminates_at_most_twice_per_maximal_cone(monkeypatch, fan):
-    """validate runs the dense elimination for the ray determinant and for
+    """validate runs the dense elimination for [rays | I] and for
     [lambda_sigma | I] of each maximal cone, never per facet or walk step:
-    every facet normal comes from a sparse kernel and every side from a dot
-    product."""
+    every facet normal is a column of its first owner's ray adjugate and
+    every side the sign of a dot product."""
     cp = cpm.make_pair(*fan)
     calls = 0
 

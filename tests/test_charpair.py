@@ -144,6 +144,132 @@ def test_positive_ray_scales_change_no_report_and_no_sign(data):
             assert cpm.cone_sign(scaled, cone) == cpm.cone_sign(cp, cone)
 
 
+# ---------------------------------------------------------------------------
+# Reference: validation with a determinant per cone and a sparse kernel per
+# facet for its normal.  Reading the normals from the ray adjugates instead
+# must change no report, detail strings included.
+
+def _reference_cone(cp, cone):
+    """(det of the cleared ray directions, det of the lattice vectors)."""
+    rays = [exact.cleared_dense(cp.ray_dirs[i])[0] for i in cone]
+    return exact.det(rays), exact.inverse_int(cp.lam_rows(cone))[0]
+
+
+def _facet_normal(n, rows):
+    """A primitive integer normal, as a sparse row, of the hyperplane
+    spanned by n - 1 independent integer rows."""
+    (normal,) = exact.RowSpace(n, ({c: x for c, x in enumerate(row) if x}
+                                   for row in rows)).kernel()
+    return exact.cleared(normal)[0]
+
+
+def _sparse_side(normal, v):
+    d = sum(x * v[c] for c, x in normal.items())
+    return (d > 0) - (d < 0)
+
+
+def _reference_coverage(cp):
+    rays = [exact.cleared_dense(v)[0] for v in cp.ray_dirs]
+    walls = []
+    for facet, sides in cpm.facet_table(cp):
+        normal = _facet_normal(cp.n, [rays[i] for i in facet])
+        (c1, s1), (c2, s2) = signed = [(ci, _sparse_side(normal, rays[p])) for ci, p in sides]
+        if s1 == s2:
+            return cpm.CheckResult("point_coverage", False,
+                                   f"cones {list(cp.max_cones[c1])} and "
+                                   f"{list(cp.max_cones[c2])} "
+                                   f"lie on the same side of facet {list(facet)}")
+        walls.append((normal, signed))
+    for c in itertools.count(1):
+        v = [c ** k for k in range(cp.n)]
+        at = [_sparse_side(normal, v) for normal, _ in walls]
+        if all(at):
+            break
+    outside = {ci for s, (_, signed) in zip(at, walls) for ci, sc in signed if sc != s}
+    inside = len(cp.max_cones) - len(outside)
+    if inside != 1:
+        return cpm.CheckResult("point_coverage", False,
+                               f"direction {v} lies in {inside} maximal cones")
+    return cpm.CheckResult("point_coverage", True,
+                           f"each facet separates its two cones; direction {v} "
+                           "lies in one maximal cone")
+
+
+def reference_validate(cp):
+    check = cpm.CheckResult
+    dets = {cone: _reference_cone(cp, cone) for cone in cp.max_cones}
+    flat = next((cone for cone in cp.max_cones if not dets[cone][0]), None)
+    if flat is not None:
+        skipped = "skipped: not simplicial"
+        return cpm.ValidationReport((
+            check("simplicial", False, f"rays of cone {list(flat)} are linearly dependent"),
+            check("unimodular", False, skipped), check("facet_pairing", False, skipped),
+            check("point_coverage", False, skipped)))
+    skew = next((cone for cone in cp.max_cones if abs(dets[cone][1]) != 1), None)
+    unimodular = check("unimodular", True) if skew is None else check(
+        "unimodular", False, f"cone {list(skew)} has lattice determinant {dets[skew][1]}")
+    bad = [list(f) for f, sides in cpm.facet_table(cp) if len(sides) != 2]
+    pairing = check("facet_pairing", True) if not bad else check(
+        "facet_pairing", False, f"facets not shared by exactly two cones: {bad}")
+    coverage = (_reference_coverage(cp) if not bad else
+                check("point_coverage", False, "skipped: facets not paired"))
+    return cpm.ValidationReport((check("simplicial", True), unimodular, pairing, coverage))
+
+
+# Every catalog pair, every fan of tests/fans.py, and pairs failing each check.
+REFERENCE_PAIRS = {
+    **{inst.label: inst.cp for inst in all_instances()},
+    **{name: cpm.make_pair(*fan) for name, fan in fans.GOLDEN.items()},
+    **{name: cpm.make_pair(*args[0]) for name, args in fans.PINNED.items()},
+    "dependent-rays": SCALED_PAIRS[-5],
+    "lattice-det-2": SCALED_PAIRS[-4],
+    "missing-cone": SCALED_PAIRS[-3],
+    "incomplete": SCALED_PAIRS[-2],
+    "double-cover": SCALED_PAIRS[-1],
+    "same-side": cpm.toric_pair([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)]),
+    "same-side-n1": cpm.make_pair(1, [(1,), (2,)], [(1,), (1,)], [(0,), (1,)]),
+    "four-rays-n1": cpm.make_pair(1, [(1,), (-1,), (1,), (-1,)], [(1,), (-1,)] * 2,
+                                     [(0,), (1,), (2,), (3,)]),
+    "lattice-det-3-twist": cpm.make_pair(2, [(1, 0), (0, 1), (-1, -1)],
+                                         [(1, 0), (0, 3), (-1, -1)],
+                                         [(0, 1), (1, 2), (0, 2)]),
+    "cp3-fraction-rays": cpm.make_pair(
+        3, [["1/2", 0, 0], [0, "3/7", 0], [0, 0, 5], ["-1/3", "-1/3", "-1/3"]],
+        get("cp3").cp.lam, get("cp3").cp.max_cones),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PAIRS))
+def test_reports_match_the_kernel_normal_reference(name):
+    cp = REFERENCE_PAIRS[name]
+    assert cpm.validate(cp).as_dict() == reference_validate(cp).as_dict()
+
+
+def test_reference_pairs_fail_every_check():
+    """The failing pairs above fail each check, and coverage in both ways."""
+    failed = {(c.name, c.detail.split(" ")[0]) for cp in REFERENCE_PAIRS.values()
+              for c in cpm.validate(cp).checks if not c.passed}
+    assert {("simplicial", "rays"), ("unimodular", "cone"), ("facet_pairing", "facets"),
+            ("point_coverage", "cones"), ("point_coverage", "direction")} <= failed
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PAIRS))
+def test_wall_normals_are_facet_normals(name):
+    """Each paired facet's normal is orthogonal to the facet's rays and
+    nonzero on both completing rays, and each side is the sign there."""
+    cp = REFERENCE_PAIRS[name]
+    checks = {c.name: c.passed for c in cpm.validate(cp).checks}
+    if not (checks["simplicial"] and checks["facet_pairing"]):
+        return
+    rays = [exact.cleared_dense(v)[0] for v in cp.ray_dirs]
+    for facet, owners in cpm.facet_table(cp):
+        normal, signed = cpm._wall(cp, owners)
+        assert [exact.dot(normal, rays[i]) for i in facet] == [0] * len(facet)
+        for (ci, side), (owner, p) in zip(signed, owners, strict=True):
+            d = exact.dot(normal, rays[p])
+            assert ci == owner and d != 0 and side == (1 if d > 0 else -1)
+
+
 class TestConeSign:
     def test_cp1_both_positive(self, cp1):
         assert cpm.cone_sign(cp1, (0,)) == 1

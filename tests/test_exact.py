@@ -1,6 +1,7 @@
 """Exact linear algebra: solving, kernels, determinants, row spaces."""
 
 import random
+import re
 import sys
 from fractions import Fraction as F
 from math import lcm
@@ -228,6 +229,71 @@ class TestAsScalar:
     def test_rejects_everything_else(self, bad):
         with pytest.raises(MalformedInputError):
             exact.as_scalar(bad)
+
+
+# The readers as they were with patterns: the reference that the str-method
+# readers must match, value for value and message for message.
+_RATIONAL = r"([+-]?)([0-9]+)(?:/([0-9]+))?"
+_INTEGER = r"[+-]?[0-9]+"
+
+
+def pattern_as_scalar(x):
+    if isinstance(x, F):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return F(x)
+    match = re.fullmatch(_RATIONAL, x.strip()) if isinstance(x, str) else None
+    if match:
+        sign, num, den = match.groups("1")
+        num, den = exact.decimal_int(num), exact.decimal_int(den)
+        if den:
+            return F(-num if sign == "-" else num, den)
+    raise MalformedInputError(f"not a rational: {x!r}")
+
+
+def pattern_ascii_int(text):
+    if not re.fullmatch(_INTEGER, text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def outcome(read, text):
+    """What read(text) gives: its value, or its exception's type and message."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+LONG = "9" + "0123456789" * 500  # 5001 digits, read through decimal_int
+READ_CASES = [
+    "0", "7", "-7", "+7", "-0", "+-1", "-+1", "--1", "+", "-", "", " ", "/", "1/", "/2",
+    "1/0", "0/5", "-0/5", "1/-2", "1/+2", "-3/4", "+2/6", " 3/4 ", "3 / 4", "3/ 4", "3 /4",
+    "1/2/3", "1//2", "007", "1_0", "1.5", "1e3", "0x10", " -7\n", "\t+5\t",
+    # ARABIC-INDIC DIGIT THREE, SUPERSCRIPT TWO, FULLWIDTH DIGIT ONE
+    "\u0663", "\u00b2", "\uff11", "1\u00b2", "\uff11/2", "1/\u0663",
+    # Unicode whitespace: EM SPACE, NO-BREAK SPACE, IDEOGRAPHIC SPACE, FILE SEPARATOR
+    "\u20033/4\u3000", "\u00a0-7", "\x1c5\x1c", "3\u2003/4",
+    LONG, "-" + LONG, LONG + "/" + LONG[::-1], "1/" + LONG, LONG + "/0", " " + LONG + " ",
+]
+
+
+class TestReadersMatchPatterns:
+    @pytest.mark.parametrize("text", READ_CASES)
+    def test_fixed_cases(self, text):
+        assert outcome(exact.as_scalar, text) == outcome(pattern_as_scalar, text)
+        assert outcome(exact.ascii_int, text) == outcome(pattern_ascii_int, text)
+
+    @pytest.mark.parametrize("value", [F(3, 4), 5, -5, True, 2.5, None, b"1"])
+    def test_non_strings(self, value):
+        assert outcome(exact.as_scalar, value) == outcome(pattern_as_scalar, value)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789+-/ .e_\t\n\u0663\u00b2\uff11\u2003\u00a0\x1c",
+                   max_size=12) | st.text(max_size=8))
+    def test_any_text(self, text):
+        assert outcome(exact.as_scalar, text) == outcome(pattern_as_scalar, text)
+        assert outcome(exact.ascii_int, text) == outcome(pattern_ascii_int, text)
 
 
 def from_digits(digits):

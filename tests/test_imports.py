@@ -19,17 +19,26 @@ or `_sha2` exists, `hashlib` (whose OpenSSL module `_hashlib` cost about
 4 ms), and it must load every module the benchmark's tracer rebinds, so
 that no lazy import can silently leave a module untraced.  Neither that
 import nor a whole `betti` run may load `argparse`, `gettext` or `locale`
-(4–10 ms of start-up and first parse per process), and no qtk module may
-compile a regular expression on import (0.1–0.4 ms each).
+(4–10 ms of start-up and first parse per process).  No qtk module may
+compile a regular expression on import (0.1–0.4 ms each), nor while
+`betti` or `validate` reads a bundle file or a catalog pair.
 """
 
 import ast
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+
+from qtk import charpair as cpm
+from qtk.cli import main
+
+import fans
+from conftest import clear_caches
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "qtk")
@@ -215,18 +224,51 @@ def wrap(real):
 
 re.compile, re._compile = wrap(re.compile), wrap(re._compile)
 import qtk.cli
+if sys.argv[1:]:
+    import contextlib, io
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qtk.cli.main(sys.argv[1:]) == 0
 print(" ".join(sorted(name for name in callers if name.split(".")[0] == "qtk")))
 """
+
+
+def compile_callers(*argv: str) -> list[str]:
+    """The qtk modules that compile a pattern in a fresh process that
+    imports qtk.cli and runs `qtk argv`, if argv is given."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, "-c", COMPILE_CALLERS, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
 
 
 def test_cli_import_compiles_no_regular_expression():
     """A fresh `import qtk.cli` compiles no pattern from qtk's own code,
     neither by re.compile nor by re.match and the like: qtk's patterns are
     strings, compiled on first use."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run([sys.executable, "-c", COMPILE_CALLERS], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == []
+    assert compile_callers() == []
+
+
+@pytest.mark.parametrize("command", ["betti", "validate"])
+def test_reading_a_fan_compiles_no_regular_expression(tmp_path, command):
+    """Reading a bundle file's rational strings and a catalog pair compiles
+    no pattern: qtk reads numbers with str methods."""
+    path = tmp_path / "cp3-over-cp1.bundle.json"
+    path.write_text(fans.bundle_text(fans.cp_fan(3), 1, (1, -1, 2)))
+    assert compile_callers(command, str(path)) == []
+    assert compile_callers(command, "cp3") == []
+
+
+def test_validate_and_betti_build_no_dual_frame(tmp_path):
+    """Validation reads only a cone's determinants and ray adjugate, and
+    betti no dual edge frame, so neither builds a Fraction frame."""
+    path = tmp_path / "cp4-blowup.bundle.json"
+    path.write_text(fans.bundle_text(fans.GOLDEN["cp4-blowup"]))
+    clear_caches()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", str(path)]) == 0
+        assert main(["betti", str(path)]) == 0
+    assert cpm._cone.cache_info().currsize > 0
+    assert cpm._frame.cache_info().currsize == 0
+    clear_caches()
 
 
 def load_tracing():
