@@ -435,7 +435,10 @@ class TestBrion:
         # one shift map per degree, d = 1, 2 and 3, each then read again
         info = pp._shift_maps.cache_info()
         assert info.misses == 3 and info.hits > 0
-        # no echelon form outlives the pass
+        # no echelon form outlives the pass; `main` froze the heap of this
+        # process on its first call, and gc.get_objects() lists no frozen
+        # object, so unfreeze it for the check
+        gc.unfreeze()
         gc.collect()
         assert not [o for o in gc.get_objects() if isinstance(o, exact.RowSpace)]
 

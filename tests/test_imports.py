@@ -22,6 +22,12 @@ import nor a whole `betti` run may load `argparse`, `gettext` or `locale`
 (4–10 ms of start-up and first parse per process).  No qtk module may
 compile a regular expression on import (0.1–0.4 ms each), nor while
 `betti` or `validate` reads a bundle file or a catalog pair.
+
+The command line freezes the start-up heap, so that the collections at
+interpreter exit skip it: `import qtk.cli` freezes nothing, the first
+`main` freezes once and keeps the collector enabled, a second `main` in the
+same process freezes nothing more, and a cycle made after `main` returns is
+still collected.
 """
 
 import ast
@@ -207,6 +213,58 @@ def test_cli_loads_no_argparse(script):
     loaded = set(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                 capture_output=True, text=True).stdout.split())
     assert not {"argparse", "gettext", "locale"} & loaded
+
+
+def fresh_run(script: str) -> list[str]:
+    """The words a fresh interpreter with qtk on its path prints for script."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+QUIET_MAIN = """
+import contextlib, gc, io, qtk.cli
+
+def main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qtk.cli.main(list(argv)) == 0
+"""
+
+
+def test_cli_import_freezes_nothing():
+    """Library callers keep an untouched collector."""
+    assert fresh_run("import gc, qtk.cli; print(gc.get_freeze_count())") == ["0"]
+
+
+def test_main_freezes_the_heap_once():
+    """The first `main` freezes the start-up heap and leaves the collector
+    enabled; a second `main` in the same process freezes nothing more."""
+    first, enabled, second = fresh_run(QUIET_MAIN + """
+main("betti", "cp3")
+print(gc.get_freeze_count(), gc.isenabled())
+main("validate", "cp3")
+print(gc.get_freeze_count())
+""")
+    assert int(first) > 0 and enabled == "True"
+    assert second == first
+
+
+def test_main_leaves_later_cycles_collectable():
+    """A reference cycle made after `main` returns is freed by a collection."""
+    assert fresh_run(QUIET_MAIN + """
+import weakref
+main("betti", "cp3")
+
+class Node:
+    pass
+
+node = Node()
+node.self = node
+ref = weakref.ref(node)
+del node
+gc.collect()
+print(ref() is None)
+""") == ["True"]
 
 
 COMPILE_CALLERS = """
