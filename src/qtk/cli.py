@@ -684,12 +684,12 @@ def main(argv=None) -> int:
     interpreter's start-up objects and qtk's modules and tables, lives until
     the process exits anyway, and the collections at interpreter exit would
     otherwise walk all of it (about 5 ms per process, more than most
-    catalog-sized jobs take).
-    Frozen objects are still freed by reference count, and the collector
-    runs as before on what the command allocates.  It freezes only once per
-    process: a caller that runs `main` again in the same process would
-    otherwise make the cyclic garbage pending at each call immortal.
-    Importing `qtk.cli`, or calling the library, freezes nothing.
+    catalog-sized jobs take).  Frozen objects are still freed by reference
+    count, and the collector runs as before on what the command allocates.
+    It freezes only once per process: a caller that runs `main` again in the
+    same process would otherwise make the cyclic garbage pending at each
+    call immortal.  Importing `qtk.cli`, or calling the library, freezes
+    nothing.
     """
     if not gc.get_freeze_count():
         gc.freeze()
