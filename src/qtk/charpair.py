@@ -149,9 +149,9 @@ def _cone(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[
     a positive multiple of the ray directions' det; det of the lattice
     vectors; the columns of adj lambda_sigma; the columns of the cleared
     rays' adjugate).  An adjugate is None when its matrix is singular.
-    The dual edge frame is the lattice adjugate over its determinant (see
-    _frame), and each facet normal a column of the rays' adjugate (see
-    _wall)."""
+    The dual edge frame is the lattice adjugate times its +-1 determinant
+    (see _int_frame), and each facet normal a column of the rays' adjugate
+    (see _wall)."""
     rays = _cleared_rays(cp)
     d_lam, adj_lam = inverse_int(cp.lam_rows(key))
     d_rays, adj_rays = inverse_int([rays[i] for i in key])
@@ -166,15 +166,15 @@ def _maximal(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[int, ...]:
     return key
 
 
-@lru_cache(maxsize=None)
-def _frame(cp: CharacteristicPair, key: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """The dual edge frame of a maximal cone, the lattice adjugate's columns
-    over its determinant, built on first read: validation reads only the
-    two determinants and the rays' adjugate."""
+def _int_frame(cp: CharacteristicPair, key: tuple[int, ...], message: str) -> tuple[
+        tuple[int, ...], ...]:
+    """The dual edge frame of a unimodular maximal cone: the lattice
+    adjugate's columns times the determinant, which is the adjugate over it
+    since d = +-1.  Any other determinant raises MalformedInputError."""
     _, d_lam, adjugate, _ = _cone(cp, key)
-    if adjugate is None:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(Fraction(x, d_lam) for x in col) for col in adjugate)
+    if abs(d_lam) != 1:
+        raise MalformedInputError(message)
+    return adjugate if d_lam == 1 else tuple(tuple(-x for x in col) for col in adjugate)
 
 
 def cone_sign(cp: CharacteristicPair, cone: Sequence[int]) -> int:
@@ -200,25 +200,29 @@ def support_vector(cp: CharacteristicPair, h: Sequence) -> tuple[Fraction, ...]:
 
 def vertex(cp: CharacteristicPair, h: Sequence, cone: Sequence[int]) -> tuple[Fraction, ...]:
     """The point x with <lam_i, x> = h_i for every ray i of the maximal cone:
-    sum_j h_{cone[j]} w_j over its dual edge frame."""
+    sum_j h_{cone[j]} adj_j / d over the columns of the lattice adjugate,
+    the one division by a cone's determinant, so any nonsingular cone has
+    a vertex."""
     key = _maximal(cp, cone)
     hs = support_vector(cp, h)
-    frame = _frame(cp, key)
-    return tuple(sum((hs[i] * w[r] for i, w in zip(key, frame)), Fraction(0))
+    _, d_lam, adjugate, _ = _cone(cp, key)
+    if adjugate is None:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(sum((hs[i] * w[r] for i, w in zip(key, adjugate)), Fraction(0)) / d_lam
                  for r in range(cp.n))
 
 
-def dual_edge_frame(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[tuple[Fraction, ...], ...]:
-    """Vectors w_1..w_n with <lam_{cone[j]}, w_k> = delta_{jk}, the cone's
-    rays taken in increasing order.
+def dual_edge_frame(cp: CharacteristicPair, cone: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors w_1..w_n with <lam_{cone[j]}, w_k> = delta_{jk}, the
+    cone's rays taken in increasing order.
 
     These are the columns of the inverse of the matrix whose rows are the
-    cone's lattice vectors, integral when the cone is unimodular, and
-    solved in one elimination per pair and cone.  Vertices and dual
-    characters are read from them, so no other solve runs on lattice
-    vectors.
+    cone's lattice vectors, read from the one elimination per pair and cone
+    (see _cone); a cone that is not unimodular has no integer frame and
+    raises MalformedInputError.  Dual characters are read from them, so no
+    other solve runs on lattice vectors.
     """
-    return _frame(cp, _maximal(cp, cone))
+    return _int_frame(cp, _maximal(cp, cone), "cone is not unimodular")
 
 
 def dual_character(cp: CharacteristicPair, face: Sequence[int], j: int) -> tuple[int, ...]:
@@ -241,10 +245,7 @@ def dual_character(cp: CharacteristicPair, face: Sequence[int], j: int) -> tuple
 @lru_cache(maxsize=None)
 def _dual_character(cp: CharacteristicPair, key: tuple[int, ...], j: int) -> tuple[int, ...]:
     cone = next(c for c in cp.max_cones if set(key) <= set(c))
-    chi = _frame(cp, cone)[cone.index(j)]
-    if any(x.denominator != 1 for x in chi):
-        raise MalformedInputError("face is not unimodular")
-    return tuple(int(x) for x in chi)
+    return _int_frame(cp, cone, "face is not unimodular")[cone.index(j)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ Bareiss elimination, qtk.kernels.echelon_int.  Where a solution is wanted,
 so that no Fraction arises before the final quotients (Nakos, Turner and
 Williams, SIGSAM Bull. 1997).  There is no integer normal form: the cones of
 a valid pair are unimodular, so every lattice question about them is
-answered by the columns of an inverse (see charpair.dual_edge_frame).
-`inverse_int` returns a determinant with its adjugate, so charpair reads a
-cone's determinants, dual frame and facet normals from one elimination per
-cone matrix, and calls no `det`.
+answered by the columns of an integer inverse, the adjugate times the +-1
+determinant (see charpair.dual_edge_frame).  `inverse_int` returns a
+determinant with its adjugate, so charpair reads a cone's determinants,
+dual frame and facet normals from one elimination per cone matrix, and
+calls no `det`.
 
 Numbers typed as text (`as_scalar`, `ascii_int`) are read with str
 methods, not `re`: no process compiles a pattern to read a fan.

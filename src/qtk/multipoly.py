@@ -81,10 +81,8 @@ from .srbundle import BundleRing, pairing_polynomial
 
 @lru_cache(maxsize=None)
 def _cone_data(cp: CharacteristicPair):
-    """Per maximal cone: (rays, sign, dual edge vectors), the vectors' entries
-    ints where integral (always, on a unimodular cone)."""
-    return tuple((cone, cone_sign(cp, cone),
-                  tuple(tuple(map(int_if_integral, w)) for w in dual_edge_frame(cp, cone)))
+    """Per maximal cone: (rays, sign, integer dual edge vectors)."""
+    return tuple((cone, cone_sign(cp, cone), dual_edge_frame(cp, cone))
                  for cone in cp.max_cones)
 
 

@@ -125,10 +125,9 @@ def _spanning_tree(cp: CharacteristicPair):
     graph, rooted at cone 0, neighbours taken in facet_pairs order.
 
     edges[e] is (parent cone, child cone, l_e), edges in the order the search
-    found their child cones; l_e is the child's dual edge vector opposite the
-    shared facet (cleared of denominators, which a unimodular cone has none
-    of): an int vector that vanishes on the facet's lattice vectors and pairs
-    positively with the child's other ray.
+    found their child cones; l_e is the child's integer dual edge vector
+    opposite the shared facet: it vanishes on the facet's lattice vectors
+    and pairs to 1 with the child's other ray.
     paths[c] is the tuple of edges from the root to cone c, and off_tree the
     facet_pairs entries of the facets that no tree edge crosses.
     """
@@ -145,9 +144,8 @@ def _spanning_tree(cp: CharacteristicPair):
                 continue
             cone = cp.max_cones[child]
             ray = next(r for r in cone if r not in pairs[k][0])
-            form, _ = exact.cleared(dict(enumerate(dual_edge_frame(cp, cone)[cone.index(ray)])))
             paths[child] = paths[parent] + (len(edges),)
-            edges.append((parent, child, tuple(form.get(a, 0) for a in range(cp.n))))
+            edges.append((parent, child, dual_edge_frame(cp, cone)[cone.index(ray)]))
             on_tree.add(k)
             order.append(child)
     if len(paths) < len(cp.max_cones):

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import exact
 from .basealg import ChernData, Element, GradedBaseAlgebra, el_add, el_scale
@@ -141,21 +141,15 @@ def term_degrees(ring: BundleRing, a: BundleElement) -> set[int]:
 def _support(expo: Expo) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(expo) if e)
 
-CharacterChooser = Callable[[tuple[int, ...], int], tuple[int, ...]]
 
-
-def reduce(ring: BundleRing, el: BundleElement,
-           chooser: CharacterChooser | None = None) -> BundleElement:
+def reduce(ring: BundleRing, el: BundleElement) -> BundleElement:
     """Normal form: only square-free monomials supported on faces survive.
 
-    `chooser(face, j)` supplies the dual character used to eliminate one
-    factor of x_j; the default is the canonical minimal one,
-    `dual_character`.  Any valid choice yields the same pairings (not
-    necessarily the same terms).  Nothing here is cached.
+    One factor of x_j is eliminated through the canonical dual character
+    `dual_character(cp, face, j)`.  Any valid character would yield the
+    same pairings (not necessarily the same terms).  Nothing here is cached.
     """
     cp = ring.cp
-    if chooser is None:
-        chooser = lambda face, j: dual_character(cp, face, j)
     out: BundleElement = {}
     # Work items carry a whole base coefficient so that c(chi) multiplies it
     # once, from the right, as base.mul(coeff, c(chi)).
@@ -172,7 +166,7 @@ def reduce(ring: BundleRing, el: BundleElement,
             out = el_add(out, {(expo, idx): c for idx, c in coeff.items()})
             continue
         j = repeated[0]
-        chi = chooser(supp, j)
+        chi = dual_character(cp, supp, j)
         lowered = _bump(expo, j, -1)
         c_chi = ring.chern.evaluate(chi)
         if c_chi:

@@ -7,6 +7,8 @@ import pytest
 
 from qtk import basealg as ba
 from qtk import catalog as cat
+from qtk import charpair as cpm
+from qtk import exact
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +73,19 @@ def two_character_cases():
             ("cp1xcp1-base", uv, ba.make_chern(uv, 2, [uv.element("u"),
                                                        ba.el_add(uv.element("u"),
                                                                  uv.element("v"))]))]
+
+
+def shifted_dual_character(cp, face, j):
+    """A valid dual character of (face, j) other than the canonical one
+    wherever there is another: the canonical character plus an integer
+    vector orthogonal to the face's lattice vectors.  It stands in for
+    srbundle.dual_character, which reduce reads by name."""
+    chi = cpm.dual_character(cp, face, j)
+    ker = exact.kernel_basis([dict(enumerate(cp.lam[i])) for i in face], cp.n)
+    if not ker:
+        return chi
+    shift, _ = exact.cleared(ker[0])
+    return tuple(c + shift.get(k, 0) for k, c in enumerate(chi))
 
 
 def exterior_algebra(gen="e"):

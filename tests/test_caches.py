@@ -27,7 +27,7 @@ from qtk.poly import MultiPoly, weighted_monomials
 from qtk.record import Record
 
 import fans
-from conftest import clear_caches, two_character_cases
+from conftest import clear_caches, shifted_dual_character, two_character_cases
 
 INSTANCES = all_instances()
 
@@ -40,7 +40,8 @@ def label(inst):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_default_reduce_equals_explicit_chooser(inst, data):
-    """reduce's default chooser is the canonical character, and the
+    """An explicit chooser of the canonical characters, patched in as
+    srbundle.dual_character, leaves reduce's normal form as it is; and the
     rewriting is linear over the base: it equals the sum of the terms' base
     classes times the normal forms of their x-monomials, the associativity
     that associativity_top_pairing relies on."""
@@ -53,9 +54,10 @@ def test_default_reduce_equals_explicit_chooser(inst, data):
     el = {}
     for expo, idx, c in terms:
         el = ba.el_add(el, {(expo, idx): c})
-    canonical = lambda face, j: cpm.dual_character(cp, face, j)
     nf = sr.reduce(ring, el)
-    assert nf == sr.reduce(ring, el, chooser=canonical)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sr, "dual_character", lambda cp, face, j: cpm.dual_character(cp, face, j))
+        assert nf == sr.reduce(ring, el)
     linear = {}
     for (expo, i), c in el.items():
         monomial = {(expo, ring.base.unit_index()): 1}
@@ -176,9 +178,12 @@ def top_pairing_rings():
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_cached_top_pairing_equals_explicit_chooser(ring, data):
-    """evaluate_top, which reduces the whole element, equals the pairing by
-    associativity from the normal forms of unit x-monomials, on random
-    top-degree elements with rational coefficients."""
+    """evaluate_top, which reduces the whole element through the canonical
+    characters, equals the pairing by associativity from the normal forms
+    of unit x-monomials reduced through an explicit chooser of other valid
+    characters (shifted_dual_character patched in as
+    srbundle.dual_character), on random top-degree elements with rational
+    coefficients."""
     cp = ring.cp
     terms = []
     for xdeg in range(ring.total_degree // 2 + 1):
@@ -192,7 +197,10 @@ def test_cached_top_pairing_equals_explicit_chooser(ring, data):
     for slots, idx, c in data.draw(st.lists(st.one_of(terms), max_size=6)):
         expo = tuple(slots.count(i) for i in range(cp.s))
         el = ba.el_add(el, {(expo, idx): c})
-    assert sr.evaluate_top(ring, el) == associativity_top_pairing(ring, el)
+    expected = sr.evaluate_top(ring, el)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sr, "dual_character", shifted_dual_character)
+        assert associativity_top_pairing(ring, el) == expected
 
 
 @pytest.mark.parametrize("inst", INSTANCES, ids=label)

@@ -300,6 +300,15 @@ class TestConeSign:
             cpm.cone_sign(cp2, (0, 0))
 
 
+# Every catalog pair and every fan over a point of tests/fans.py.
+VALID_PAIRS = [inst.cp for inst in all_instances()] + \
+    [cpm.make_pair(*fan) for fan in fans.GOLDEN.values()]
+
+# The pair of test_caches.py::test_non_unimodular_cone: its cone (0,) has
+# lattice determinant 2.
+NON_UNIMODULAR = cpm.make_pair(1, [(1,), (-1,)], [(2,), (-1,)], [(0,), (1,)])
+
+
 class TestVertex:
     def test_cp2_examples(self, cp2):
         h = [F(1), F(1), F(1)]
@@ -328,6 +337,10 @@ class TestVertex:
                     assert exact.dot(cp.lam[i], v1) == h[i]
                     assert exact.dot(cp.lam[i], v2) == h[i]
 
+    def test_non_unimodular_cone_has_a_rational_vertex(self):
+        assert cpm.vertex(NON_UNIMODULAR, [F(3), F(1)], (0,)) == (F(3, 2),)
+        assert cpm.vertex(NON_UNIMODULAR, [F(3), F(1)], (1,)) == (F(-1),)
+
 
 def _facet_pairs(cp):
     owners = {}
@@ -340,19 +353,24 @@ def _facet_pairs(cp):
 
 class TestDualEdgeFrame:
     def test_cp2_identity_cone(self, cp2):
-        assert cpm.dual_edge_frame(cp2, (0, 1)) == ((F(1), F(0)), (F(0), F(1)))
+        assert cpm.dual_edge_frame(cp2, (0, 1)) == ((1, 0), (0, 1))
 
     def test_cp2_mixed_cone(self, cp2):
-        assert cpm.dual_edge_frame(cp2, (1, 2)) == ((F(-1), F(1)), (F(-1), F(0)))
+        assert cpm.dual_edge_frame(cp2, (1, 2)) == ((-1, 1), (-1, 0))
 
     def test_cp1(self, cp1):
-        assert cpm.dual_edge_frame(cp1, (1,)) == ((F(-1),),)
+        assert cpm.dual_edge_frame(cp1, (1,)) == ((-1,),)
+
+    def test_non_unimodular_cone_has_no_frame(self):
+        with pytest.raises(MalformedInputError, match="^cone is not unimodular$"):
+            cpm.dual_edge_frame(NON_UNIMODULAR, (0,))
+        assert cpm.dual_edge_frame(NON_UNIMODULAR, (1,)) == ((-1,),)
 
     def test_frame_inverts_lambda_rows(self):
-        for inst in all_instances():
-            cp = inst.cp
+        for cp in VALID_PAIRS:
             for cone in cp.max_cones:
                 frame = cpm.dual_edge_frame(cp, cone)
+                assert all(type(x) is int for w in frame for x in w), cone
                 for j, i in enumerate(cone):
                     for k, w in enumerate(frame):
                         assert exact.dot(cp.lam[i], w) == (1 if j == k else 0)
@@ -375,12 +393,11 @@ class TestDualCharacter:
         assert cpm.dual_character(cp1, (0,), 0) == (1,)
 
     def test_defining_equations_hold_everywhere(self):
-        for inst in all_instances():
-            cp = inst.cp
+        for cp in VALID_PAIRS:
             for face in cpm.faces(cp):
                 for j in face:
                     chi = cpm.dual_character(cp, face, j)
-                    assert all(isinstance(c, int) for c in chi)
+                    assert all(type(c) is int for c in chi)
                     for i in face:
                         assert exact.dot(cp.lam[i], chi) == (1 if i == j else 0)
 

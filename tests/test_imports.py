@@ -41,6 +41,9 @@ import sys
 import pytest
 
 from qtk import charpair as cpm
+from qtk import multipoly as mp
+from qtk import ppbrion as pb
+from qtk import srbundle as sr
 from qtk.cli import main
 
 import fans
@@ -315,18 +318,37 @@ def test_reading_a_fan_compiles_no_regular_expression(tmp_path, command):
     assert compile_callers(command, "cp3") == []
 
 
-def test_validate_and_betti_build_no_dual_frame(tmp_path):
-    """Validation reads only a cone's determinants and ray adjugate, and
-    betti no dual edge frame, so neither builds a Fraction frame."""
+def test_every_command_reads_integer_frames(tmp_path, monkeypatch):
+    """validate and betti read no dual edge frame and no dual character,
+    and every frame and character that brion, check-all and potential read
+    on the same bundle file, through the names multipoly, ppbrion and
+    srbundle call, is all-int: no reader converts a frame back to ints."""
     path = tmp_path / "cp4-blowup.bundle.json"
     path.write_text(fans.bundle_text(fans.GOLDEN["cp4-blowup"]))
+    read = []
+    for module, name in ((mp, "dual_edge_frame"), (pb, "dual_edge_frame"),
+                         (sr, "dual_character")):
+        def recorded(*args, _real=getattr(module, name), _at=f"{module.__name__}.{name}"):
+            out = _real(*args)
+            read.append((_at, out))
+            return out
+        monkeypatch.setattr(module, name, recorded)
     clear_caches()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["validate", str(path)]) == 0
         assert main(["betti", str(path)]) == 0
-    assert cpm._cone.cache_info().currsize > 0
-    assert cpm._frame.cache_info().currsize == 0
+        assert cpm._cone.cache_info().currsize > 0
+        assert read == []
+        assert main(["brion", str(path)]) == 0
+        assert main(["check-all", str(path), "--samples", "5"]) == 0
+        assert main(["potential", str(path)]) == 0
     clear_caches()
+    assert {at for at, _ in read} == {"qtk.multipoly.dual_edge_frame",
+                                      "qtk.ppbrion.dual_edge_frame",
+                                      "qtk.srbundle.dual_character"}
+    for at, out in read:
+        vectors = out if at.endswith("frame") else (out,)
+        assert all(type(x) is int for v in vectors for x in v), (at, out)
 
 
 def load_tracing():

@@ -17,7 +17,7 @@ from qtk.cli import load_bundle_file
 from qtk.errors import DegreeMismatchError, MalformedInputError
 
 import fans
-from conftest import exterior_algebra, hirzebruch_ring
+from conftest import exterior_algebra, hirzebruch_ring, shifted_dual_character
 
 
 def cp3_times_cp3_ring():
@@ -209,28 +209,17 @@ class TestStagedRelations:
 
 
 class TestChoiceIndependence:
-    def test_alternative_dual_characters_give_equal_pairings(self):
+    def test_alternative_dual_characters_give_equal_pairings(self, monkeypatch):
         for inst in all_instances():
             ring = inst.ring()
             cp = ring.cp
-
-            def shifted(face, j):
-                chi = cpm.dual_character(cp, face, j)
-                ker = exact.kernel_basis([dict(enumerate(cp.lam[i])) for i in face], cp.n)
-                if not ker:
-                    return chi
-                first = [F(ker[0].get(c, 0)) for c in range(cp.n)]
-                scale = 1
-                for v in first:
-                    scale = scale * v.denominator // 1
-                shift = [int(v * scale) for v in first]
-                return tuple(c + z for c, z in zip(chi, shift))
-
             for a in range(cp.s):
                 xa = sr.x_class(ring, a)
                 el = sr.bel_mul(ring, xa, xa)
                 nf_default = sr.reduce(ring, el)
-                nf_shifted = sr.reduce(ring, el, chooser=shifted)
+                with monkeypatch.context() as m:
+                    m.setattr(sr, "dual_character", shifted_dual_character)
+                    nf_shifted = sr.reduce(ring, el)
                 # normal forms may differ term by term, but pairings agree
                 for cexpo, cidx in sr.graded_basis(ring, ring.total_degree - 4):
                     other = {(cexpo, cidx): F(1)}
